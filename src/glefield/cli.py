@@ -623,6 +623,12 @@ def _read_field_csv(path: str):
     pi = np.searchsorted(paths, data[:, 0])
     ti = np.searchsorted(times, data[:, 1])
     xi = np.searchsorted(xs, data[:, 2]) if has_x else np.zeros(len(data), dtype=int)
+    # with the row count equal to the grid size, a repeated cell means another
+    # cell is missing and would keep uninitialized memory
+    filled = np.zeros(values.shape, dtype=bool)
+    filled[pi, ti, xi] = True
+    if not filled.all():
+        raise ConfigError(f"{path}: duplicate (path, t, x) rows")
     values[pi, ti, xi] = data[:, -1]
     grid = TimeGrid(dt=float(dts[0]), n=nt, t0=float(times[0]))
     return values, grid, xs

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,18 +343,19 @@ def assemble_field(
 
     out = np.zeros((m, grid.n, x_arr.size))
     clipped = []
-    # sample in bounded batches (memory) but accumulate in fixed k order
+    # sample in bounded batches (memory) but accumulate in fixed k order; each
+    # path row gets one outer-product update, so no field-sized temporary
     batch = max(workers, 1)
-    for start in range(1, n_modes + 1, batch):
-        ks = range(start, min(start + batch, n_modes + 1))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        for start in range(1, n_modes + 1, batch):
+            ks = range(start, min(start + batch, n_modes + 1))
+            if pool is not None:
                 ensembles = list(pool.map(run_mode, ks))
-        else:
-            ensembles = [run_mode(k) for k in ks]
-        for k, ens in zip(ks, ensembles):
-            shape = basis.eval(k, x_arr)
-            for ix in range(x_arr.size):
-                out[:, :, ix] += ens.values * shape[ix]
-            clipped.append(getattr(ens, "clipped_mass", 0.0))
+            else:
+                ensembles = [run_mode(k) for k in ks]
+            for k, ens in zip(ks, ensembles):
+                shape = basis.eval(k, x_arr)
+                for row, path in zip(out, ens.values):
+                    row += np.outer(path, shape)
+                clipped.append(getattr(ens, "clipped_mass", 0.0))
     return FieldSample(grid, x_arr, out, n_modes, dynamics, seed, tuple(clipped))

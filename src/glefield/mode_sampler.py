@@ -77,33 +77,39 @@ class PathEnsemble:
 def _check_sampling_args(m: int, seed: int) -> None:
     if m < 1:
         raise ValueError(f"ensemble size {m} must be positive")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed {seed!r} must be a nonnegative integer")
+    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed {seed!r} must be an integer in [0, 2**64)")
 
 
 def _stream(seed: int, mode_index: int, path_index: int) -> np.random.Generator:
     """Philox stream keyed by (seed, mode, path): independent and addressable."""
-    key = np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((mode_index << 32) | path_index)],
-        dtype=np.uint64,
-    )
+    key = np.array([seed, (mode_index << 32) | path_index], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
 
 def circulant_eigenvalues(cov: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the length-2L circulant embedding of cov[0..L]."""
+    """Eigenvalues of the length-2L circulant embedding of cov[0..L].
+
+    The embedding is real and symmetric, so its spectrum is the real FFT of
+    the half sequence (``hfft``); no mirrored copy is built.
+    """
     L = len(cov) - 1
     if L < 1:
         raise ValueError("need at least lags 0 and 1")
-    circ = np.concatenate([cov, cov[-2:0:-1]])
-    return np.fft.fft(circ).real
+    return np.fft.hfft(cov, 2 * L)
 
 
 def paths_from_normals(eig: np.ndarray, normals: np.ndarray, n: int) -> np.ndarray:
     """Davies-Harte synthesis: map (m, 2L) standard normals to (m, n) paths.
 
-    The map is linear, so driving it with unit vectors exposes the exact path
-    covariance; the tests use that to compare against the Toeplitz truth.
+    Column 0 and column L of the normals drive the real frequencies 0 and L;
+    columns j and L+j (0 < j < L) are the real and imaginary parts of
+    frequency j.  Scaled by sqrt(eig / 2) this Hermitian half-spectrum goes
+    through one real inverse FFT of length 2L (the real-FFT form of the
+    Davies-Harte map, after Dietrich and Newsam 1997), so no full complex
+    spectrum is built.  The map is linear, so driving it with unit vectors
+    exposes the exact path covariance; the tests use that to compare against
+    the Toeplitz truth.
     """
     m2 = eig.shape[0]
     L = m2 // 2
@@ -111,15 +117,15 @@ def paths_from_normals(eig: np.ndarray, normals: np.ndarray, n: int) -> np.ndarr
         raise ValueError(f"normals must have shape (m, {m2})")
     if n > L:
         raise ValueError(f"path length {n} exceeds embedding half-length {L}")
-    amp = np.sqrt(np.maximum(eig, 0.0))
-    z = np.empty((normals.shape[0], m2), dtype=complex)
-    z[:, 0] = normals[:, 0]
-    z[:, L] = normals[:, L]
-    half = math.sqrt(0.5)
-    z[:, 1:L] = half * (normals[:, 1:L] + 1j * normals[:, L + 1 :])
-    z[:, L + 1 :] = np.conj(z[:, L - 1 : 0 : -1])
-    y = np.fft.fft(amp * z, axis=1).real / math.sqrt(m2)
-    return np.ascontiguousarray(y[:, :n])
+    # irfft divides by 2L; fold that back in with the eigenvalue amplitudes
+    amp = np.sqrt(np.maximum(eig[: L + 1], 0.0) * m2)
+    amp[1:L] *= math.sqrt(0.5)
+    spec = np.empty((normals.shape[0], L + 1), dtype=complex)
+    np.multiply(normals[:, : L + 1], amp, out=spec.real)
+    np.multiply(normals[:, L + 1 :], -amp[1:L], out=spec.imag[:, 1:L])
+    spec.imag[:, 0] = 0.0
+    spec.imag[:, L] = 0.0
+    return np.ascontiguousarray(np.fft.irfft(spec, m2, axis=1)[:, :n])
 
 
 def _embed(sd: SpectralDensity, grid: TimeGrid, rel_tol: float):
@@ -128,13 +134,17 @@ def _embed(sd: SpectralDensity, grid: TimeGrid, rel_tol: float):
     Doubles the embedding half-length from n up to 8n while the most negative
     eigenvalue stays below -1e-8 * r(0); after that, clips if the negative
     mass is at most 1e-6 of the positive mass, else raises EmbeddingNotPSD.
+    The covariance sequence is computed at most twice: once with n + 1 lags,
+    and, only if that embedding is indefinite, once with 8n + 1 lags whose
+    prefixes serve the 2n, 4n and 8n embeddings.
     """
     r0 = sd.mode.lambda_k ** 2 / sd.mode.alpha_k
     tol = 1e-8 * r0
-    eig = None
+    cov = spectral.autocovariance_sequence(sd, grid.dt, grid.n + 1, rel_tol)
     for L in (grid.n, 2 * grid.n, 4 * grid.n, 8 * grid.n):
-        cov = spectral.autocovariance_sequence(sd, grid.dt, L + 1, rel_tol)
-        eig = circulant_eigenvalues(cov)
+        if len(cov) <= L:
+            cov = spectral.autocovariance_sequence(sd, grid.dt, 8 * grid.n + 1, rel_tol)
+        eig = circulant_eigenvalues(cov[: L + 1])
         min_eig = float(eig.min())
         if min_eig >= -tol:
             break
@@ -179,8 +189,8 @@ def sample_gle_mode(
     for start in range(0, m, _PATH_CHUNK):
         stop = min(start + _PATH_CHUNK, m)
         normals = np.empty((stop - start, m2))
-        for i in range(start, stop):
-            normals[i - start] = _stream(seed, mode.index, i).standard_normal(m2)
+        for i, row in enumerate(normals, start):
+            _stream(seed, mode.index, i).standard_normal(out=row)
         out[start:stop] = paths_from_normals(eig, normals, grid.n)
     return PathEnsemble(grid, out, mode, seed, "circulant", clipped, m2)
 
@@ -275,8 +285,8 @@ def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int) -> PathEnsembl
     for start in range(0, m, _PATH_CHUNK):
         stop = min(start + _PATH_CHUNK, m)
         noise = np.empty((stop - start, grid.n))
-        for i in range(start, stop):
-            noise[i - start] = _stream(seed, mode.index, i).standard_normal(grid.n)
+        for i, row in enumerate(noise, start):
+            _stream(seed, mode.index, i).standard_normal(out=row)
         noise[:, 0] *= sigma
         noise[:, 1:] *= innovation
         out[start:stop] = lfilter([1.0], [1.0, -phi], noise, axis=1)

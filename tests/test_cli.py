@@ -161,6 +161,28 @@ def test_hoelder_rejects_short_lag_span(tmp_path, capsys):
     assert code == 2
 
 
+def test_hoelder_rejects_duplicate_cells(tmp_path, capsys):
+    # one row repeated in place of another keeps the row count of a full
+    # grid; the missing cell must not be read as uninitialized memory
+    paths = tmp_path / "paths.csv"
+    assert main(["sample-mode", "--dt", "0.125", "--n", "64", "--ensemble", "2",
+                 "--out", str(paths)]) == 0
+    lines = paths.read_text().splitlines(keepends=True)
+    lines[2] = lines[1]
+    paths.write_text("".join(lines))
+    code = main(["hoelder", "--in", str(paths), "--lags", "1,2,4,8,16",
+                 "--out", str(tmp_path / "r.json")])
+    assert code == 2
+    assert "duplicate (path, t, x) rows" in capsys.readouterr().err
+
+
+def test_seed_beyond_64_bits_exits_2(tmp_path, capsys):
+    code = main(["sample-mode", "--dt", "0.125", "--n", "16", "--ensemble", "2",
+                 "--seed", str(2**64), "--out", str(tmp_path / "p.csv")])
+    assert code == 2
+    assert "seed" in capsys.readouterr().err
+
+
 def test_hoelder_mode_roundtrip_with_oracle(tmp_path):
     paths = tmp_path / "paths.csv"
     assert main(["sample-mode", "--dt", str(2.0**-8), "--n", "4096",

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from glefield import spectral
 from glefield.cm_kernel import KernelMeasure
 from glefield.mode_sampler import (
     EmbeddingNotPSD,
@@ -94,6 +95,38 @@ def test_sampling_argument_validation():
         sample_gle_mode(SINGLE, mode, grid, 0, seed=0)
     with pytest.raises(ValueError):
         sample_ou_mode(mode, grid, 4, seed=-1)
+
+
+def test_seeds_must_fit_in_64_bits():
+    # the Philox key holds the seed in 64 bits: a wider seed would alias a
+    # smaller one instead of giving a new ensemble
+    grid = TimeGrid(dt=0.1, n=16)
+    mode = Mode(1, 4.0, 1.0)
+    assert sample_ou_mode(mode, grid, 2, seed=2**64 - 1).values.shape == (2, 16)
+    for sampler in (
+        lambda seed: sample_gle_mode(SINGLE, mode, grid, 2, seed),
+        lambda seed: sample_gle_mode_spectral(SINGLE, mode, grid, 2, seed),
+        lambda seed: sample_ou_mode(mode, grid, 2, seed),
+    ):
+        with pytest.raises(ValueError):
+            sampler(2**64)
+
+
+def test_embedding_computes_the_covariance_sequence_at_most_twice(monkeypatch):
+    # this mode needs the full 8n embedding; the 2n and 4n probes must reuse
+    # prefixes of one 8n + 1 sequence instead of computing their own
+    counts = []
+    real = spectral.autocovariance_sequence
+
+    def counting(sd, dt, count, rel_tol=1e-6):
+        counts.append(count)
+        return real(sd, dt, count, rel_tol)
+
+    monkeypatch.setattr(spectral, "autocovariance_sequence", counting)
+    grid = TimeGrid(dt=2.0**-6, n=256)
+    ens = sample_gle_mode(SINGLE, Mode(1, 1.0, 1.0), grid, 2, seed=0)
+    assert ens.embedding_length == 16 * grid.n
+    assert counts == [grid.n + 1, 8 * grid.n + 1]
 
 
 def test_ou_marginal_moments():
