@@ -28,7 +28,6 @@ import numpy as np
 
 from . import __version__, spectral
 from .cm_kernel import (
-    ExponentialSum,
     KernelError,
     KernelMeasure,
     PowerLaw,
@@ -291,10 +290,8 @@ def load_config(path: str | None) -> RunConfig:
 
 def build_kernel(cfg: RunConfig) -> KernelMeasure:
     if cfg.get("kernel", "kernel") == "expsum":
-        family = ExponentialSum([tuple(p) for p in cfg.get("kernel", "atoms")])
-    else:
-        family = PowerLaw(cfg.get("kernel", "exponent"), cfg.get("kernel", "nodes"))
-    return discretize(family)
+        return KernelMeasure([tuple(p) for p in cfg.get("kernel", "atoms")])
+    return discretize(PowerLaw(cfg.get("kernel", "exponent"), cfg.get("kernel", "nodes")))
 
 
 def build_basis(cfg: RunConfig) -> DirichletInterval:
@@ -608,6 +605,8 @@ def _read_field_csv(path: str):
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape[0] == 0:
         raise ConfigError(f"{path}: no data rows")
+    if not np.isfinite(data).all():
+        raise ConfigError(f"{path}: non-finite cell in the data rows")
     paths = np.unique(data[:, 0])
     times = np.unique(data[:, 1])
     xs = np.unique(data[:, 2]) if has_x else np.array([0.0])
@@ -657,6 +656,8 @@ def cmd_hoelder(args) -> int:
     values for the same lags are included (mode-level when the input has no
     x column, field-level with --N otherwise).
     """
+    if args.N < 1:
+        raise ConfigError(f"--N {args.N} must be >= 1")
     values, grid, xs = _read_field_csv(args.infile)
     if args.axis == "space" and xs.size < 2:
         raise ConfigError("space axis needs a field CSV with an x column")

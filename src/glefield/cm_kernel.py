@@ -83,20 +83,34 @@ class KernelMeasure:
         return float(sum(w for w, _ in self.atoms))
 
 
+def _finite(values, name: str) -> np.ndarray:
+    arr = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(arr)):
+        raise KernelError(f"{name} must be finite")
+    return arr
+
+
+def _atom_sum(measure: KernelMeasure, arr: np.ndarray, term):
+    """sum_i term(w_i, x_i, arr), accumulated atom by atom in the shape of arr.
+
+    One atom at a time keeps the temporaries the size of arr, never
+    (points x atoms).  Scalar in, float out.
+    """
+    out = np.zeros_like(arr)
+    for wi, xi in measure.atoms:
+        out += term(wi, xi, arr)
+    return out if out.shape else float(out)
+
+
 def eval_kernel(measure: KernelMeasure, t):
     """Evaluate K(t) = sum_i w_i exp(-x_i t) for t >= 0.
 
     Accepts scalar or array ``t``; returns the same shape.
     """
-    t_arr = np.asarray(t, dtype=float)
-    if not np.all(np.isfinite(t_arr)):
-        raise KernelError("t must be finite")
+    t_arr = _finite(t, "t")
     if np.any(t_arr < 0.0):
         raise KernelError("t must be nonnegative")
-    out = np.zeros_like(t_arr)
-    for wi, xi in measure.atoms:
-        out += wi * np.exp(-xi * t_arr)
-    return out if out.shape else float(out)
+    return _atom_sum(measure, t_arr, lambda wi, xi, t: wi * np.exp(-xi * t))
 
 
 def k_cos(measure: KernelMeasure, omega):
@@ -104,13 +118,9 @@ def k_cos(measure: KernelMeasure, omega):
 
     Even in omega, strictly positive, strictly decreasing on [0, inf).
     """
-    om = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(om)):
-        raise KernelError("omega must be finite")
-    out = np.zeros_like(om)
-    for wi, xi in measure.atoms:
-        out += wi * xi / (xi * xi + om * om)
-    return out if out.shape else float(out)
+    return _atom_sum(
+        measure, _finite(omega, "omega"), lambda wi, xi, om: wi * xi / (xi * xi + om * om)
+    )
 
 
 def k_sin(measure: KernelMeasure, omega):
@@ -118,13 +128,9 @@ def k_sin(measure: KernelMeasure, omega):
 
     Odd in omega; sign matches the sign of omega.
     """
-    om = np.asarray(omega, dtype=float)
-    if not np.all(np.isfinite(om)):
-        raise KernelError("omega must be finite")
-    out = np.zeros_like(om)
-    for wi, xi in measure.atoms:
-        out += wi * om / (xi * xi + om * om)
-    return out if out.shape else float(out)
+    return _atom_sum(
+        measure, _finite(omega, "omega"), lambda wi, xi, om: wi * om / (xi * xi + om * om)
+    )
 
 
 def k_sin_over_omega(measure: KernelMeasure, omega):
@@ -132,21 +138,9 @@ def k_sin_over_omega(measure: KernelMeasure, omega):
 
     Well defined at omega = 0 (the limit), strictly decreasing in omega.
     """
-    om = np.asarray(omega, dtype=float)
-    out = np.zeros_like(om)
-    for wi, xi in measure.atoms:
-        out += wi / (xi * xi + om * om)
-    return out if out.shape else float(out)
-
-
-@dataclass(frozen=True)
-class ExponentialSum:
-    """Kernel already given as a finite sum of exponentials."""
-
-    atoms: tuple[tuple[float, float], ...]
-
-    def __init__(self, atoms):
-        object.__setattr__(self, "atoms", _canonical_atoms(atoms))
+    return _atom_sum(
+        measure, np.asarray(omega, dtype=float), lambda wi, xi, om: wi / (xi * xi + om * om)
+    )
 
 
 @dataclass(frozen=True)
@@ -173,13 +167,13 @@ class PowerLaw:
 def discretize(family) -> KernelMeasure:
     """Map a kernel family to its atomic representing measure.
 
-    ExponentialSum passes through unchanged.  PowerLaw(a, n) uses the n-node
+    A KernelMeasure passes through unchanged.  PowerLaw(a, n) uses the n-node
     generalized Gauss-Laguerre rule with weight x^(a-1) e^(-x), normalized by
     Gamma(a); the resulting kernel matches (1+t)^(-a) to relative error below
     1e-6 on t in [0, 10] once n >= 64.
     """
-    if isinstance(family, ExponentialSum):
-        return KernelMeasure(family.atoms)
+    if isinstance(family, KernelMeasure):
+        return family
     if isinstance(family, PowerLaw):
         nodes, weights = roots_genlaguerre(family.nodes, family.exponent - 1.0)
         weights = weights / _gamma_fn(family.exponent)

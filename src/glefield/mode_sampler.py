@@ -204,17 +204,10 @@ def spectral_nodes(sd: SpectralDensity, node_count: int, q: float = 0.5):
     """
     if node_count < 256:
         raise ValueError(f"node_count {node_count} must be at least 256")
-    alpha = sd.mode.alpha_k
+    if not 0.0 < q < 1.0:
+        raise ValueError(f"window exponent q={q} must lie in (0, 1)")
     lam = sd.mode.lambda_k
-    budget = 2e-3 * lam * lam / alpha
-    try:
-        res = spectral.find_resonance(sd, q)
-        omega_r = res.omega_r
-    except spectral.NoResonance:
-        omega_r = None
-    scale = math.sqrt(alpha * sd.kernel.mass)
-    start = 4.0 * (omega_r if omega_r is not None else max(scale, 1.0))
-    omega_cut = spectral._certified_cutoff(sd, start, budget)
+    omega_r, omega_cut = spectral._cutoff(sd, 2e-3 * lam * lam / sd.mode.alpha_k)
 
     def midpoints(a: float, b: float, count: int):
         edges = np.linspace(a, b, count + 1)

@@ -148,7 +148,6 @@ def find_resonance(sd: SpectralDensity, q: float = 0.5) -> Resonance:
             f"alpha_k={alpha} gives g(0+)={g(0.0):.3e} >= 0; no resonant frequency"
         )
     hi = math.sqrt(2.0 * alpha * mass)
-    assert g(hi) > 0.0
     lo = hi
     for _ in range(200):
         lo *= 0.5
@@ -201,28 +200,22 @@ def _tail_bound(sd: SpectralDensity, omega_cut: float) -> float:
     return min(by_half_mass, by_moment)
 
 
-def _partition(sd: SpectralDensity, q: float):
-    """Peak-aware breakpoints and a certified cutoff for a given tail budget.
+def _cutoff(sd: SpectralDensity, budget: float):
+    """Resonant frequency (None without one) and a cutoff with its tail below budget.
 
-    Returns (breakpoints, omega_r_or_None).  Breakpoints bracket the resonant
-    window [omega_r - omega_r^q, omega_r + omega_r^q], the unit neighborhood
-    [omega_r - 1, omega_r + 1], and omega_r itself, clipped to (0, inf).
+    The search starts at four times omega_r, or four times
+    max(sqrt(alpha*K(0)), 1) without a resonance, and doubles until the
+    closed-form tail bound is within budget.
     """
     try:
-        res = find_resonance(sd, q)
-        omega_r = res.omega_r
-        half = omega_r**q
-        pts = [omega_r - half, omega_r - 1.0, omega_r, omega_r + 1.0, omega_r + half]
-        return sorted({p for p in pts if p > 0.0}), omega_r
+        omega_r = find_resonance(sd).omega_r
     except NoResonance:
-        return [], None
-
-
-def _certified_cutoff(sd: SpectralDensity, start: float, budget: float) -> float:
-    omega_cut = start
+        omega_r = None
+    scale = math.sqrt(sd.mode.alpha_k * sd.kernel.mass)
+    omega_cut = 4.0 * (omega_r if omega_r is not None else max(scale, 1.0))
     for _ in range(40):
         if _tail_bound(sd, omega_cut) <= budget:
-            return omega_cut
+            return omega_r, omega_cut
         omega_cut *= 2.0
     raise ToleranceNotMet(
         f"tail bound still {_tail_bound(sd, omega_cut):.3e} > {budget:.3e} "
@@ -230,24 +223,70 @@ def _certified_cutoff(sd: SpectralDensity, start: float, budget: float) -> float
     )
 
 
-def _pieces(sd: SpectralDensity, q: float, budget: float):
+def _pieces(sd: SpectralDensity, budget: float):
     """Finite subintervals covering [0, cutoff] with the tail below budget.
 
-    The stretch beyond the resonant window is split geometrically (factor 8)
-    so no single subinterval spans many decades; adaptive quadrature on very
-    long intervals is prone to extrapolation roundoff.
+    Breakpoints bracket the resonant window [omega_r - omega_r^(1/2),
+    omega_r + omega_r^(1/2)], the unit neighborhood [omega_r - 1, omega_r + 1],
+    and omega_r itself.  The stretch beyond them is split geometrically
+    (factor 8) so no single subinterval spans many decades; adaptive
+    quadrature on very long intervals is prone to extrapolation roundoff.
     """
-    inner, omega_r = _partition(sd, q)
-    scale = math.sqrt(sd.mode.alpha_k * sd.kernel.mass)
-    start = 4.0 * (omega_r if omega_r is not None else max(scale, 1.0))
-    omega_cut = _certified_cutoff(sd, start, budget)
-    pts = [0.0] + [p for p in inner if p < omega_cut]
+    omega_r, omega_cut = _cutoff(sd, budget)
+    pts = [0.0]
+    if omega_r is not None:
+        half = omega_r**0.5
+        inner = (omega_r - half, omega_r - 1.0, omega_r, omega_r + 1.0, omega_r + half)
+        pts += sorted({p for p in inner if 0.0 < p < omega_cut})
     edge = max(pts[-1], 1.0)
     while edge * 8.0 < omega_cut:
         edge *= 8.0
         pts.append(edge)
     pts.append(omega_cut)
-    return list(zip(pts[:-1], pts[1:])), omega_r, omega_cut
+    return list(zip(pts[:-1], pts[1:]))
+
+
+def _integrate(sd: SpectralDensity, rel_tol: float, piece, scale: int = 1) -> float:
+    """2 * scale * integral_0^cutoff of an integrand bounded by scale * rho.
+
+    piece(f, a, b, epsabs, epsrel) integrates one subinterval given the
+    scalar density f and returns (value, error estimate).  The tolerance is
+    relative to lam^2/alpha; the neglected tail, at most scale times the rho
+    tail, is certified below a quarter of that budget.
+    """
+    if not 1e-12 <= rel_tol <= 1e-3:
+        raise ValueError(f"rel_tol {rel_tol} outside [1e-12, 1e-3]")
+    lam = sd.mode.lambda_k
+    if lam == 0.0:
+        return 0.0
+    budget = rel_tol * lam * lam / sd.mode.alpha_k
+    pieces = _pieces(sd, budget / (8.0 * scale))
+    epsabs = budget / (8.0 * scale * len(pieces))
+    epsrel = rel_tol / (8.0 * scale)
+    f = _scalar_rho(sd)
+    total = 0.0
+    est_err = 0.0
+    for a, b in pieces:
+        value, err = piece(f, a, b, epsabs, epsrel)
+        total += value
+        est_err += err
+    if 2.0 * scale * est_err > budget:
+        raise ToleranceNotMet(
+            f"quadrature error estimate {2.0 * scale * est_err:.3e} exceeds budget {budget:.3e}"
+        )
+    return 2.0 * scale * total
+
+
+def _plain(f, a, b, epsabs, epsrel):
+    return quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1)[:2]
+
+
+def _cosine(f, a, b, epsabs, epsrel, tau):
+    """Clenshaw-Curtis cosine-weight rule for integral_a^b cos(tau*omega) f."""
+    return quad(
+        f, a, b, weight="cos", wvar=tau, epsabs=epsabs, epsrel=epsrel, limit=400,
+        full_output=1,
+    )[:2]
 
 
 def integrate_rho(sd: SpectralDensity, rel_tol: float = 1e-8) -> float:
@@ -258,26 +297,7 @@ def integrate_rho(sd: SpectralDensity, rel_tol: float = 1e-8) -> float:
     is 2 * integral_0^cutoff with the neglected tail certified below a quarter
     of that budget.
     """
-    if not 1e-12 <= rel_tol <= 1e-3:
-        raise ValueError(f"rel_tol {rel_tol} outside [1e-12, 1e-3]")
-    lam = sd.mode.lambda_k
-    if lam == 0.0:
-        return 0.0
-    budget = rel_tol * lam * lam / sd.mode.alpha_k
-    pieces, _, _ = _pieces(sd, 0.5, budget / 8.0)
-    epsabs = budget / (8.0 * len(pieces))
-    f = _scalar_rho(sd)
-    total = 0.0
-    est_err = 0.0
-    for a, b in pieces:
-        res = quad(f, a, b, epsabs=epsabs, epsrel=rel_tol / 8.0, limit=200, full_output=1)
-        total += res[0]
-        est_err += res[1]
-    if 2.0 * est_err > budget:
-        raise ToleranceNotMet(
-            f"quadrature error estimate {2.0 * est_err:.3e} exceeds budget {budget:.3e}"
-        )
-    return 2.0 * total
+    return _integrate(sd, rel_tol, _plain)
 
 
 def autocovariance(sd: SpectralDensity, tau: float, rel_tol: float = 1e-8) -> float:
@@ -292,36 +312,9 @@ def autocovariance(sd: SpectralDensity, tau: float, rel_tol: float = 1e-8) -> fl
     tau = abs(float(tau))
     if tau == 0.0:
         return integrate_rho(sd, rel_tol)
-    if not 1e-12 <= rel_tol <= 1e-3:
-        raise ValueError(f"rel_tol {rel_tol} outside [1e-12, 1e-3]")
-    lam = sd.mode.lambda_k
-    if lam == 0.0:
-        return 0.0
-    budget = rel_tol * lam * lam / sd.mode.alpha_k
-    pieces, _, _ = _pieces(sd, 0.5, budget / 8.0)
-    epsabs = budget / (8.0 * len(pieces))
-    f = _scalar_rho(sd)
-    total = 0.0
-    est_err = 0.0
-    for a, b in pieces:
-        res = quad(
-            f,
-            a,
-            b,
-            weight="cos",
-            wvar=tau,
-            epsabs=epsabs,
-            epsrel=rel_tol / 8.0,
-            limit=400,
-            full_output=1,
-        )
-        total += res[0]
-        est_err += res[1]
-    if 2.0 * est_err > budget:
-        raise ToleranceNotMet(
-            f"quadrature error estimate {2.0 * est_err:.3e} exceeds budget {budget:.3e}"
-        )
-    return 2.0 * total
+    return _integrate(
+        sd, rel_tol, lambda f, a, b, epsabs, epsrel: _cosine(f, a, b, epsabs, epsrel, tau)
+    )
 
 
 def increment_second_moment(sd: SpectralDensity, h: float, rel_tol: float = 1e-8) -> float:
@@ -335,52 +328,17 @@ def increment_second_moment(sd: SpectralDensity, h: float, rel_tol: float = 1e-8
         raise ValueError(f"h {h} must be finite and nonnegative")
     if h == 0.0:
         return 0.0
-    lam = sd.mode.lambda_k
-    if lam == 0.0:
-        return 0.0
-    budget = rel_tol * lam * lam / sd.mode.alpha_k
-    # 0 <= 1 - cos <= 2, so the neglected tail costs at most 8x the rho tail
-    pieces, _, _ = _pieces(sd, 0.5, budget / 16.0)
-    epsabs = budget / (16.0 * len(pieces))
-    f = _scalar_rho(sd)
-    total = 0.0
-    est_err = 0.0
-    for a, b in pieces:
+
+    def piece(f, a, b, epsabs, epsrel):
         if (b - a) * h <= 16.0 * math.pi:
-            res = quad(
-                lambda w: 2.0 * math.sin(0.5 * h * w) ** 2 * f(w),
-                a,
-                b,
-                epsabs=epsabs,
-                epsrel=rel_tol / 16.0,
-                limit=200,
-                full_output=1,
-            )
-            total += res[0]
-            est_err += res[1]
-        else:
-            # long piece: many oscillations, integrate rho and cos*rho separately
-            plain = quad(
-                f, a, b, epsabs=epsabs / 2, epsrel=rel_tol / 16.0, limit=200, full_output=1
-            )
-            osc = quad(
-                f,
-                a,
-                b,
-                weight="cos",
-                wvar=h,
-                epsabs=epsabs / 2,
-                epsrel=rel_tol / 16.0,
-                limit=400,
-                full_output=1,
-            )
-            total += plain[0] - osc[0]
-            est_err += plain[1] + osc[1]
-    if 4.0 * est_err > budget:
-        raise ToleranceNotMet(
-            f"quadrature error estimate {4.0 * est_err:.3e} exceeds budget {budget:.3e}"
-        )
-    return 4.0 * total
+            return _plain(lambda w: 2.0 * math.sin(0.5 * h * w) ** 2 * f(w), a, b, epsabs, epsrel)
+        # long piece: many oscillations, integrate rho and cos*rho separately
+        plain = _plain(f, a, b, epsabs / 2, epsrel)
+        osc = _cosine(f, a, b, epsabs / 2, epsrel, h)
+        return plain[0] - osc[0], plain[1] + osc[1]
+
+    # 0 <= 1 - cos <= 2, so the neglected tail costs at most twice the rho tail
+    return _integrate(sd, rel_tol, piece, scale=2)
 
 
 @dataclass(frozen=True)
@@ -451,17 +409,14 @@ def autocovariance_sequence(
         return np.zeros(count)
     budget = rel_tol * lam * lam / alpha
 
-    inner, omega_r = _partition(sd, 0.5)
-    scale = math.sqrt(alpha * sd.kernel.mass)
-    start = 4.0 * (omega_r if omega_r is not None else max(scale, 1.0))
-    omega_cut = _certified_cutoff(sd, start, budget / 4.0)
+    omega_r, omega_cut = _cutoff(sd, budget / 4.0)
 
     # initial spacing: resolve the resonant peak (width ~ alpha*K_cos(omega_r))
     # and keep the alias period 2*pi/d_omega beyond four lag spans
     if omega_r is not None:
         width = alpha * k_cos(sd.kernel, omega_r)
     else:
-        width = max(scale, 1.0)
+        width = max(math.sqrt(alpha * sd.kernel.mass), 1.0)
     tau_max = (count - 1) * dt
     d_omega = min(width / 16.0, 0.25)
     if tau_max > 0.0:

@@ -176,6 +176,36 @@ def test_hoelder_rejects_duplicate_cells(tmp_path, capsys):
     assert "duplicate (path, t, x) rows" in capsys.readouterr().err
 
 
+def test_hoelder_rejects_non_finite_cells(tmp_path, capsys):
+    paths = tmp_path / "paths.csv"
+    assert main(["sample-mode", "--dt", "0.125", "--n", "64", "--ensemble", "2",
+                 "--out", str(paths)]) == 0
+    lines = paths.read_text().splitlines(keepends=True)
+    for bad in ("nan", "inf", "-inf"):
+        cells = lines[1].rstrip("\n").split(",")
+        cells[-1] = bad
+        paths.write_text("".join(lines[:1] + [",".join(cells) + "\n"] + lines[2:]))
+        code = main(["hoelder", "--in", str(paths), "--lags", "1,2,4,8,16",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert "non-finite cell" in capsys.readouterr().err
+
+
+def test_hoelder_rejects_mode_count_below_one(tmp_path, capsys):
+    field = tmp_path / "field.csv"
+    assert main(["sample-field", "--dynamics", "heat", "--N", "4", "--nx", "3",
+                 "--n", "32", "--ensemble", "2", "--tail-budget", "1.0",
+                 "--out", str(field)]) == 0
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[weights]\nrule = flat\nlam = 1.0\n")
+    for bad in (0, -3):
+        code = main(["hoelder", "--in", str(field), "--config", str(cfg),
+                     "--dynamics", "heat", "--N", str(bad), "--lags", "1,2,4",
+                     "--out", str(tmp_path / "r.json")])
+        assert code == 2
+        assert f"--N {bad} must be >= 1" in capsys.readouterr().err
+
+
 def test_seed_beyond_64_bits_exits_2(tmp_path, capsys):
     code = main(["sample-mode", "--dt", "0.125", "--n", "16", "--ensemble", "2",
                  "--seed", str(2**64), "--out", str(tmp_path / "p.csv")])

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glefield.cm_kernel import (
-    ExponentialSum,
     KernelError,
     KernelMeasure,
     PowerLaw,
@@ -94,7 +93,7 @@ def test_powerlaw_family_validation():
 
 
 def test_discretize_passthrough():
-    m = discretize(ExponentialSum([(1.0, 1.0)]))
+    m = discretize(KernelMeasure([(1.0, 1.0)]))
     assert m.atoms == SINGLE.atoms
 
 

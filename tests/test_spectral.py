@@ -98,9 +98,15 @@ def test_integrate_rho_zero_weight():
 
 
 def test_integrate_rho_tolerance_domain():
-    for bad in (1e-13, 1e-2, 0.0, -1e-6):
-        with pytest.raises(ValueError):
-            integrate_rho(sd_single(10.0), bad)
+    routines = (
+        integrate_rho,
+        lambda sd, rel_tol: autocovariance(sd, 1.0, rel_tol),
+        lambda sd, rel_tol: increment_second_moment(sd, 1.0, rel_tol),
+    )
+    for routine in routines:
+        for bad in (1e-13, 1e-2, 0.5, 0.0, -1e-6):
+            with pytest.raises(ValueError):
+                routine(sd_single(10.0), bad)
 
 
 def test_integrate_rho_powerlaw_corpus():
