@@ -50,7 +50,6 @@ from .field_assembly import (
     tail_variance_bound,
 )
 from .mode_sampler import (
-    EmbeddingNotPSD,
     TimeGrid,
     sample_gle_mode,
     sample_gle_mode_spectral,
@@ -107,7 +106,9 @@ _SCHEMA = {
         "n": ("4096", "int", "samples per path"),
         "ensemble": ("64", "int", "paths per mode"),
         "seed": ("0", "int", "base seed for counter-based streams"),
-        "method": ("ce", "choice:ce,ss,ou", "ce=circulant, ss=spectral, ou=memoryless"),
+        "method": ("ce", "choice:ce,ss,ou",
+                   "ce=exact: state-space recursion or circulant embedding, "
+                   "ss=spectral, ou=memoryless"),
     },
     "regularity": {
         "lags": ("dyadic", "lags", "variogram lag steps: 'dyadic' or comma ints"),
@@ -514,6 +515,7 @@ def cmd_sample_mode(args) -> int:
         {
             "k": args.k,
             "method": method,
+            "route": ens.method,
             "clipped_mass": ens.clipped_mass,
             "embedding_length": ens.embedding_length,
             "node_count": ens.node_count,
@@ -910,7 +912,7 @@ _VALIDATION_ERRORS = (
     DegenerateFit,
     OSError,
 )
-_NUMERICAL_ERRORS = (ToleranceNotMet, EmbeddingNotPSD, InequalityViolated, NoResonance)
+_NUMERICAL_ERRORS = (ToleranceNotMet, InequalityViolated, NoResonance)
 
 
 def main(argv=None) -> int:

@@ -139,7 +139,7 @@ def k_sin_over_omega(measure: KernelMeasure, omega):
     Well defined at omega = 0 (the limit), strictly decreasing in omega.
     """
     return _atom_sum(
-        measure, np.asarray(omega, dtype=float), lambda wi, xi, om: wi / (xi * xi + om * om)
+        measure, _finite(omega, "omega"), lambda wi, xi, om: wi / (xi * xi + om * om)
     )
 
 

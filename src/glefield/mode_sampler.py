@@ -2,11 +2,16 @@
 
 Three routes produce paths on a uniform time grid:
 
-* :func:`sample_gle_mode` - circulant embedding of the Toeplitz covariance
-  (Davies-Harte).  Exact for the discretized covariance sequence, O(n log n).
+* :func:`sample_gle_mode` - exact sampler for the memory-kernel mode.  A
+  kernel K = sum_i w_i e^{-x_i t} makes the mode the first coordinate of a
+  (p+1)-dimensional Ornstein-Uhlenbeck process, its Markovian embedding, so
+  the covariance is known in closed form and the paths follow that
+  process's exact discrete recursion.  Per mode the sampler takes whichever
+  exact route draws fewer normals: the recursion, or circulant embedding
+  (Davies-Harte) of the closed-form covariance sequence.
 * :func:`sample_gle_mode_spectral` - truncated harmonic superposition driven
   directly by the spectral density.  Slower and only asymptotically exact;
-  kept as an independent cross-check of the embedding route.
+  kept as an independent cross-check of the exact sampler.
 * :func:`sample_ou_mode` - exact AR(1) recursion for the memoryless
   (Ornstein-Uhlenbeck) mode used by the classical-dynamics baseline.
 
@@ -26,15 +31,6 @@ from scipy.signal import lfilter
 from .cm_kernel import KernelMeasure
 from . import spectral
 from .spectral import Mode, SpectralDensity
-
-
-class EmbeddingNotPSD(Exception):
-    """Circulant embedding stayed indefinite after padding; covariance unusable."""
-
-    def __init__(self, message, min_eigenvalue, clipped_mass):
-        super().__init__(message)
-        self.min_eigenvalue = min_eigenvalue
-        self.clipped_mass = clipped_mass
 
 
 @dataclass(frozen=True)
@@ -58,7 +54,12 @@ class TimeGrid:
 
 @dataclass(eq=False)
 class PathEnsemble:
-    """m sampled paths on a common grid plus the provenance needed to redraw them."""
+    """m sampled paths on a common grid plus the provenance needed to redraw them.
+
+    method is "recursion" or "circulant" for :func:`sample_gle_mode`;
+    embedding_length (2L) and clipped_mass (negative circulant eigenvalue
+    mass over positive mass) are 0 off the circulant route.
+    """
 
     grid: TimeGrid
     values: np.ndarray  # shape (m, n)
@@ -128,71 +129,208 @@ def paths_from_normals(eig: np.ndarray, normals: np.ndarray, n: int) -> np.ndarr
     return np.ascontiguousarray(np.fft.irfft(spec, m2, axis=1)[:, :n])
 
 
-def _embed(sd: SpectralDensity, grid: TimeGrid, rel_tol: float):
-    """Covariance sequence -> clipped circulant eigenvalues, padding as needed.
+# eigen-route rounding error grows like eps * cond(eigenvectors); near
+# critical damping the drift turns defective and the condition number blows up
+_MAX_EIGVEC_COND = 1e5
 
-    Doubles the embedding half-length from n up to 8n while the most negative
-    eigenvalue stays below -1e-8 * r(0); after that, clips if the negative
-    mass is at most 1e-6 of the positive mass, else raises EmbeddingNotPSD.
-    The covariance sequence is computed at most twice: once with n + 1 lags,
-    and, only if that embedding is indefinite, once with 8n + 1 lags whose
-    prefixes serve the 2n, 4n and 8n embeddings.
+
+class _Markov:
+    """Markovian embedding of one mode (Ceriotti, Bussi and Parrinello 2010).
+
+    The mode solves u' = sum_i y_i with dy_i = (-x_i y_i - alpha w_i u) dt +
+    lambda sqrt(2 w_i x_i) dW_i.  The state is kept in the coordinates
+    v = (sqrt(alpha) u, y_1/sqrt(w_1), ..., y_p/sqrt(w_p)), where the drift
+    is A = [[0, b^T], [-b, -diag(x)]] with b_i = sqrt(alpha w_i), the noise
+    covariance is D = diag(0, 2 lambda^2 x_i), and the Lyapunov equation
+    A S + S A^T + D = 0 is solved by S = lambda^2 I (the equilibrium law).
+    So u = v_0 / sqrt(alpha) has variance lambda^2/alpha exactly, the
+    paper's variance identity.
+
+    A is diagonalized once.  When its eigenvectors are ill-conditioned (the
+    eigenvalues merge at critical damping) ``eig`` is None and the
+    covariance and the paths come from the real step matrix e^{A dt}.
     """
-    r0 = sd.mode.lambda_k ** 2 / sd.mode.alpha_k
-    tol = 1e-8 * r0
-    cov = spectral.autocovariance_sequence(sd, grid.dt, grid.n + 1, rel_tol)
-    for L in (grid.n, 2 * grid.n, 4 * grid.n, 8 * grid.n):
-        if len(cov) <= L:
-            cov = spectral.autocovariance_sequence(sd, grid.dt, 8 * grid.n + 1, rel_tol)
-        eig = circulant_eigenvalues(cov[: L + 1])
-        min_eig = float(eig.min())
-        if min_eig >= -tol:
-            break
-    neg = -eig[eig < 0.0].sum()
-    pos = eig[eig > 0.0].sum()
-    clipped_mass = float(neg / pos) if pos > 0.0 else 0.0
-    if min_eig < -tol and clipped_mass > 1e-6:
-        raise EmbeddingNotPSD(
-            f"circulant embedding indefinite up to length {len(eig)}: "
-            f"min eigenvalue {min_eig:.3e}, clipped mass {clipped_mass:.3e}",
-            min_eig,
-            clipped_mass,
-        )
-    return np.maximum(eig, 0.0), clipped_mass
+
+    def __init__(self, kernel: KernelMeasure, mode: Mode):
+        alpha, lam = mode.alpha_k, mode.lambda_k
+        b = np.sqrt(alpha * kernel.weights)
+        self.dim = b.size + 1
+        self.drift = np.diag(np.concatenate(([0.0], -kernel.rates)))
+        self.drift[0, 1:] = b
+        self.drift[1:, 0] = -b
+        self.noise = np.concatenate(([0.0], 2.0 * lam * lam * kernel.rates))
+        self.lam = lam
+        self.variance = lam * lam / alpha
+        self.scale = 1.0 / math.sqrt(alpha)
+        mu, vecs = np.linalg.eig(self.drift)
+        self.eig = None
+        if np.linalg.cond(vecs) <= _MAX_EIGVEC_COND:
+            # one eigenvalue of each conjugate pair, read out twice
+            keep = mu.imag >= 0.0
+            head = vecs[0, keep] * np.where(mu.imag[keep] > 0.0, 2.0, 1.0)
+            self.eig = (mu[keep], head, np.linalg.inv(vecs)[keep])
+
+    def covariance(self, dt: float, count: int) -> np.ndarray:
+        """r(j*dt) = e0^T e^{A j dt} S e0 / alpha for j = 0..count-1, exactly.
+
+        In the eigenbasis r(t) = Re sum_i c_i e^{mu_i t}; without a usable
+        eigenbasis the columns e^{A j dt} e0 come from repeated doubling of
+        the step matrix.
+        """
+        if self.eig is not None:
+            mu, head, inv = self.eig
+            lags = dt * np.arange(count)
+            r = np.zeros(count)
+            for mu_i, c_i in zip(mu, head * inv[:, 0]):
+                r += (c_i * np.exp(mu_i * lags)).real
+            return self.variance * r
+        step, _ = self.transition(dt)
+        cols = np.eye(self.dim, 1)
+        while cols.shape[1] < count:
+            cols = np.hstack([cols, step @ cols])
+            step = step @ step
+        return self.variance * cols[0, :count]
+
+    def transition(self, dt: float):
+        """Exact one-step law: v(t + dt) = Phi v(t) + N(0, Q).
+
+        Van Loan's block exponential exp([[-A, D], [0, A^T]] h) holds
+        Phi^T = e^{A^T h} and, in its corner, e^{-A h} Q with
+        Q = int_0^h e^{A s} D e^{A^T s} ds.  It is taken on a step
+        h = dt / 2^s with |A h|_1 <= 1/2 (|A| is symmetric, so A^T obeys the
+        same bound), where a degree-16 Taylor polynomial is exact to
+        rounding (the corner is linear in D, so D's size does not matter)
+        and needs only small matrix products, which numpy runs on one
+        thread.  s doublings Phi <- Phi^2, Q <- Phi Q Phi^T + Q then reach
+        dt; every term added to Q is positive semidefinite, so nothing
+        cancels.
+        """
+        d = self.dim
+        halvings = max(0, math.ceil(math.log2(2.0 * np.linalg.norm(self.drift, 1) * dt)))
+        h = dt / 2.0**halvings
+        block = np.zeros((2 * d, 2 * d))
+        block[:d, :d] = -h * self.drift
+        block[:d, d:] = np.diag(h * self.noise)
+        block[d:, d:] = h * self.drift.T
+        exp_block = term = np.eye(2 * d)
+        for k in range(1, 17):
+            term = term @ block / k
+            exp_block = exp_block + term
+        step = exp_block[d:, d:].T
+        q = step @ exp_block[:d, d:]
+        for _ in range(halvings):
+            q = step @ q @ step.T + q
+            step = step @ step
+        return step, 0.5 * (q + q.T)
+
+    def recursion(self, dt: float):
+        """Map (m, d, n) standard normals to (m, n) stationary paths exactly.
+
+        Column 0 of each path's normals draws the stationary start
+        v_0 = lambda z; column j > 0 draws the innovation of step j through
+        a square root of Q from its symmetric eigendecomposition, not
+        Cholesky: Q is ill-conditioned (about 1e8 for the 64-node power law
+        at dt = 2^-8) and rounding can leave it a hair indefinite, so
+        negative eigenvalues are clipped to 0.  In the eigenbasis each
+        coordinate is a complex AR(1) recursion run by ``lfilter``, one per
+        conjugate pair, with the read-out weight folded into its input;
+        without one the real state is stepped.
+        """
+        step, q = self.transition(dt)
+        val, vec = np.linalg.eigh(q)
+        root = vec * np.sqrt(np.maximum(val, 0.0))
+        if self.eig is None:
+
+            def stepped(normals):
+                state = self.lam * normals[:, :, 0]
+                out = np.empty((normals.shape[0], normals.shape[2]))
+                out[:, 0] = state[:, 0]
+                for j in range(1, normals.shape[2]):
+                    state = state @ step.T + normals[:, :, j] @ root.T
+                    out[:, j] = state[:, 0]
+                return self.scale * out
+
+            return stepped
+        mu, head, inv = self.eig
+        start = (self.lam * self.scale) * head[:, None] * inv
+        drive = self.scale * head[:, None] * (inv @ root)
+        poles = np.exp(mu * dt)
+
+        def filtered(normals):
+            m, d, n = normals.shape
+            out = np.zeros((m, n))
+            noise = np.empty((m, n), dtype=complex)
+            for pole, first, rest in zip(poles, start, drive):
+                noise[:, 0] = first[0] * normals[:, 0, 0]
+                noise[:, 1:] = rest[0] * normals[:, 0, 1:]
+                for k in range(1, d):
+                    noise[:, 0] += first[k] * normals[:, k, 0]
+                    noise[:, 1:] += rest[k] * normals[:, k, 1:]
+                out += lfilter([1.0], [1.0, -pole], noise, axis=1).real
+            return out
+
+        return filtered
+
+
+def _embed(emb: _Markov, grid: TimeGrid):
+    """Circulant eigenvalues of the exact covariance, or None for the recursion.
+
+    Walks L = n, 2n, 4n, 8n.  At each L the recursion is taken when it draws
+    no more normals per path (n*d) than the circulant would (2L); otherwise
+    the circulant of length 2L is taken when its most negative eigenvalue is
+    at least -1e-8 * r(0).  Past 8n the recursion is taken.  Returns the
+    eigenvalues (None for the recursion) and the last L walked.
+    """
+    n = grid.n
+    for L in (n, 2 * n, 4 * n, 8 * n):
+        if emb.dim * n <= 2 * L:
+            return None, L
+        eig = circulant_eigenvalues(emb.covariance(grid.dt, L + 1))
+        if eig.min() >= -1e-8 * emb.variance:
+            return eig, L
+    return None, L
 
 
 _PATH_CHUNK = 256
 
 
 def sample_gle_mode(
-    kernel: KernelMeasure,
-    mode: Mode,
-    grid: TimeGrid,
-    m: int,
-    seed: int,
-    rel_tol: float = 1e-6,
+    kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int
 ) -> PathEnsemble:
-    """Sample m stationary memory-kernel paths by circulant embedding.
+    """Sample m stationary memory-kernel paths, exact in law.
 
     Marginal variance is r(0) = lambda_k^2 / alpha_k and lagged covariances
-    match spectral.autocovariance up to the sequence tolerance, before Monte
-    Carlo error.
+    are the closed-form r(j*dt) of the Markovian embedding, before Monte
+    Carlo error.  The route (``method``) is the one :func:`_embed` picks.
+    Paths are chunked so that a chunk's normals never outnumber 256 rows of
+    a length-2L circulant embedding.
     """
     _check_sampling_args(m, seed)
-    sd = SpectralDensity(kernel, mode)
     out = np.empty((m, grid.n))
     if mode.lambda_k == 0.0:
         out[:] = 0.0
-        return PathEnsemble(grid, out, mode, seed, "circulant", 0.0, 2 * grid.n)
-    eig, clipped = _embed(sd, grid, rel_tol)
-    m2 = eig.shape[0]
-    for start in range(0, m, _PATH_CHUNK):
-        stop = min(start + _PATH_CHUNK, m)
-        normals = np.empty((stop - start, m2))
-        for i, row in enumerate(normals, start):
-            _stream(seed, mode.index, i).standard_normal(out=row)
-        out[start:stop] = paths_from_normals(eig, normals, grid.n)
-    return PathEnsemble(grid, out, mode, seed, "circulant", clipped, m2)
+        return PathEnsemble(grid, out, mode, seed, "recursion")
+    emb = _Markov(kernel, mode)
+    eig, L = _embed(emb, grid)
+    if eig is None:
+        synth = emb.recursion(grid.dt)
+        shape = (emb.dim, grid.n)
+        chunk = min(_PATH_CHUNK, max(1, 2 * _PATH_CHUNK * L // (emb.dim * grid.n)))
+        route = ("recursion",)
+    else:
+        synth = lambda normals: paths_from_normals(eig, normals, grid.n)
+        shape = (eig.shape[0],)
+        chunk = _PATH_CHUNK
+        neg = eig[eig < 0.0].sum()
+        clipped = float(-neg / eig[eig > 0.0].sum()) if neg < 0.0 else 0.0
+        route = ("circulant", clipped, eig.shape[0])
+    for start in range(0, m, chunk):
+        stop = min(start + chunk, m)
+        normals = np.empty((stop - start, *shape))
+        for i, block in enumerate(normals, start):
+            _stream(seed, mode.index, i).standard_normal(out=block)
+        out[start:stop] = synth(normals)
+    return PathEnsemble(grid, out, mode, seed, *route)
 
 
 def spectral_nodes(sd: SpectralDensity, node_count: int, q: float = 0.5):

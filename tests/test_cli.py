@@ -109,8 +109,9 @@ def test_sample_mode_is_deterministic(tmp_path):
     sidecar = load_json(tmp_path / "a.csv.provenance.json")
     assert sidecar["method"] == "ce"
     assert sidecar["seed"] == 9
+    assert sidecar["route"] == "recursion"
     assert sidecar["clipped_mass"] == 0.0
-    assert sidecar["embedding_length"] >= 128
+    assert sidecar["embedding_length"] == 0
 
 
 def test_sample_field_thread_count_is_immaterial(tmp_path):

@@ -70,6 +70,13 @@ def test_k_sin_over_omega_continuous_at_zero():
     assert k_sin_over_omega(MIX, w) == pytest.approx(k_sin(MIX, w) / w, rel=1e-12)
 
 
+def test_transforms_reject_non_finite_frequencies():
+    for transform in (k_cos, k_sin, k_sin_over_omega):
+        for omega in (math.nan, math.inf, [1.0, -math.inf]):
+            with pytest.raises(KernelError):
+                transform(MIX, omega)
+
+
 def test_canonicalization_merges_and_sorts():
     m = KernelMeasure([(0.5, 2.0), (0.25, 1.0), (0.25, 1.0)])
     assert m.atoms == ((0.5, 1.0), (0.5, 2.0))

@@ -1,15 +1,17 @@
-"""Path synthesis: circulant embedding, harmonic superposition, AR(1) baseline."""
+"""Path synthesis: exact recursion or circulant embedding, harmonic superposition, AR(1) baseline."""
 
 import math
 
 import numpy as np
 import pytest
 
+from scipy.linalg import solve_continuous_lyapunov
+
 from glefield import spectral
-from glefield.cm_kernel import KernelMeasure
+from glefield.cm_kernel import KernelMeasure, PowerLaw, discretize
 from glefield.mode_sampler import (
-    EmbeddingNotPSD,
     TimeGrid,
+    _Markov,
     circulant_eigenvalues,
     paths_from_normals,
     sample_gle_mode,
@@ -20,6 +22,10 @@ from glefield.mode_sampler import (
 from glefield.spectral import Mode, SpectralDensity, autocovariance, rho
 
 SINGLE = KernelMeasure([(1.0, 1.0)])
+THREE = KernelMeasure([(0.2, 0.5), (0.3, 3.0), (0.5, 10.0)])
+# critically damped modes: the drift has a double eigenvalue and is defective
+CRITICAL = [(KernelMeasure([(1.0, 2.0)]), Mode(1, 1.0, 1.0)),
+            (KernelMeasure([(0.25, 1.0)]), Mode(1, 1.0, 1.0))]
 
 
 def test_time_grid():
@@ -112,21 +118,89 @@ def test_seeds_must_fit_in_64_bits():
             sampler(2**64)
 
 
-def test_embedding_computes_the_covariance_sequence_at_most_twice(monkeypatch):
-    # this mode needs the full 8n embedding; the 2n and 4n probes must reuse
-    # prefixes of one 8n + 1 sequence instead of computing their own
-    counts = []
-    real = spectral.autocovariance_sequence
+def test_sampler_never_computes_the_quadrature_sequence(monkeypatch):
+    # the covariance is closed-form; the FFT quadrature sequence is only a
+    # reference for the tests
+    calls = []
+    monkeypatch.setattr(spectral, "autocovariance_sequence",
+                        lambda *args, **kwargs: calls.append(args))
+    grid = TimeGrid(dt=0.125, n=64)
+    ens = [sample_gle_mode(SINGLE, Mode(1, 1.0, 1.0), grid, 2, seed=0),
+           sample_gle_mode(THREE, Mode(3, 10.0, 1.0), grid, 2, seed=0)]
+    assert [e.method for e in ens] == ["recursion", "circulant"]
+    assert calls == []
 
-    def counting(sd, dt, count, rel_tol=1e-6):
-        counts.append(count)
-        return real(sd, dt, count, rel_tol)
 
-    monkeypatch.setattr(spectral, "autocovariance_sequence", counting)
-    grid = TimeGrid(dt=2.0**-6, n=256)
-    ens = sample_gle_mode(SINGLE, Mode(1, 1.0, 1.0), grid, 2, seed=0)
-    assert ens.embedding_length == 16 * grid.n
-    assert counts == [grid.n + 1, 8 * grid.n + 1]
+def test_route_draws_the_fewer_normals():
+    # a single atom (d = 2) recurses at once: n*d <= 2n; the 65-dimensional
+    # power-law embedding would draw 65n normals per path, so it takes the
+    # circulant at the first PSD length, here L = 2n
+    grid = TimeGrid(dt=2.0**-8, n=4096)
+    single = sample_gle_mode(SINGLE, Mode(4, 16.0, 1.0), grid, 2, seed=0)
+    assert (single.method, single.embedding_length) == ("recursion", 0)
+    power = discretize(PowerLaw(1.0, 64))
+    ens = sample_gle_mode(power, Mode(4, 16.0, 1.0), grid, 2, seed=0)
+    assert ens.method == "circulant"
+    assert ens.embedding_length == 4 * grid.n
+
+
+def test_clipped_mass_is_never_negative_zero():
+    # an embedding with no negative eigenvalue clips nothing: +0.0, not -0.0
+    grid = TimeGrid(dt=0.125, n=64)
+    ens = sample_gle_mode(discretize(PowerLaw(1.0, 8)), Mode(2, 5.0, 1.0), grid, 2, seed=0)
+    assert ens.method == "circulant"
+    assert ens.clipped_mass == 0.0
+    assert math.copysign(1.0, ens.clipped_mass) == 1.0
+
+
+def test_embedding_stationary_covariance_solves_lyapunov():
+    # S = lambda^2 I in the embedding's coordinates; Q is the one-step
+    # innovation covariance S - Phi S Phi^T
+    for kernel, mode in [(SINGLE, Mode(1, 3.0, 0.7)),
+                         (discretize(PowerLaw(1.0, 64)), Mode(1, 10.0, 1.0))] + CRITICAL:
+        emb = _Markov(kernel, mode)
+        lam2 = mode.lambda_k ** 2
+        S = solve_continuous_lyapunov(emb.drift, -np.diag(emb.noise))
+        assert np.abs(S - lam2 * np.eye(emb.dim)).max() <= 1e-13 * lam2
+        step, q = emb.transition(2.0**-8)
+        assert np.abs(q - lam2 * (np.eye(emb.dim) - step @ step.T)).max() <= 1e-14 * lam2
+
+
+def test_closed_form_covariance_matches_quadrature():
+    corpus = [SINGLE, KernelMeasure([(0.5, 1.0), (0.5, 2.0)]), THREE,
+              discretize(PowerLaw(1.0, 32)), discretize(PowerLaw(1.0, 64)),
+              discretize(PowerLaw(0.5, 24))]
+    cases = [(kernel, Mode(1, alpha, lam)) for kernel in corpus
+             for alpha in (0.5, 2.0, 10.0, 1e2, 1e3, 1e4) for lam in (1.0, 0.3)]
+    for kernel, mode in cases + CRITICAL:
+        r0 = mode.lambda_k ** 2 / mode.alpha_k
+        r = _Markov(kernel, mode).covariance(0.5, 7)
+        sd = SpectralDensity(kernel, mode)
+        truth = [autocovariance(sd, 0.5 * j, 1e-10) for j in range(7)]
+        assert np.abs(r - truth).max() <= 1e-10 * r0, (kernel, mode)
+
+
+def test_degenerate_eigenbasis_falls_back_to_the_step_matrix():
+    for kernel, mode in CRITICAL:
+        assert _Markov(kernel, mode).eig is None
+        ens = sample_gle_mode(kernel, mode, TimeGrid(dt=0.25, n=64), 2, seed=0)
+        assert ens.method == "recursion"
+        assert np.isfinite(ens.values).all()
+    assert _Markov(SINGLE, Mode(1, 5.0, 1.0)).eig is not None
+
+
+def test_recursion_reproduces_toeplitz_exactly():
+    # drive the linear recursion with unit vectors, in the eigenbasis and
+    # through the real step matrix: the Gram matrix is the path covariance
+    n, dt = 12, 0.1
+    for kernel, mode in [(SINGLE, Mode(1, 5.0, 1.0)), (THREE, Mode(1, 10.0, 0.5))] + CRITICAL:
+        emb = _Markov(kernel, mode)
+        basis = np.eye(n * emb.dim).reshape(n * emb.dim, emb.dim, n)
+        images = emb.recursion(dt)(basis)
+        gram = images.T @ images
+        cov = emb.covariance(dt, n)
+        toeplitz = np.array([[cov[abs(i - j)] for j in range(n)] for i in range(n)])
+        assert np.abs(gram - toeplitz).max() <= 1e-13
 
 
 def test_ou_marginal_moments():
@@ -141,19 +215,32 @@ def test_ou_marginal_moments():
     assert abs(lag1 - phi) <= 0.005
 
 
-def test_circulant_matches_quadrature_covariance():
-    grid = TimeGrid(dt=2.0**-6, n=512)
-    mode = Mode(3, 10.0, 1.0)
-    sd = SpectralDensity(SINGLE, mode)
-    ens = sample_gle_mode(SINGLE, mode, grid, 1024, seed=5)
+def _check_lag_covariances(kernel, mode, ens, lags):
     v = ens.values
-    for j in (0, 1, 2, 4, 8, 16):
+    sd = SpectralDensity(kernel, mode)
+    for j in lags:
         prod = v[:, j:] * v[:, : v.shape[1] - j] if j else v * v
         per_path = prod.mean(axis=1)
         est = per_path.mean()
         se = per_path.std(ddof=1) / math.sqrt(len(per_path))
-        truth = autocovariance(sd, j * grid.dt, 1e-8)
+        truth = autocovariance(sd, j * ens.grid.dt, 1e-8)
         assert abs(est - truth) <= 4.0 * se
+
+
+def test_recursion_matches_quadrature_covariance():
+    grid = TimeGrid(dt=2.0**-6, n=512)
+    mode = Mode(3, 10.0, 1.0)
+    ens = sample_gle_mode(SINGLE, mode, grid, 1024, seed=5)
+    assert ens.method == "recursion"
+    _check_lag_covariances(SINGLE, mode, ens, (0, 1, 2, 4, 8, 16))
+
+
+def test_circulant_matches_quadrature_covariance():
+    grid = TimeGrid(dt=2.0**-6, n=512)
+    mode = Mode(3, 10.0, 1.0)
+    ens = sample_gle_mode(THREE, mode, grid, 1024, seed=5)
+    assert ens.method == "circulant"
+    _check_lag_covariances(THREE, mode, ens, (0, 1, 2, 4, 8, 16))
 
 
 def test_spectral_route_matches_quadrature_covariance():
@@ -188,21 +275,25 @@ def test_stationarity_across_halves():
     assert 0.95 <= va / vb <= 1.05
 
 
-def test_embedding_not_psd_on_short_resonant_grid():
-    # a strongly resonant covariance truncated mid-oscillation stays
-    # indefinite even after padding to 8n
+def test_short_resonant_grid_samples_exactly():
+    # the circulant of this strongly resonant covariance, truncated
+    # mid-oscillation, stays indefinite even at 8n; the recursion is exact
     mode = Mode(1, 1e4, 1.0)
     grid = TimeGrid(dt=1e-3, n=16)
-    with pytest.raises(EmbeddingNotPSD) as info:
-        sample_gle_mode(SINGLE, mode, grid, 2, seed=0)
-    assert info.value.clipped_mass > 1e-6
+    ens = sample_gle_mode(SINGLE, mode, grid, 4096, seed=0)
+    assert ens.method == "recursion"
+    _check_lag_covariances(SINGLE, mode, ens, (0, 1, 2, 4, 8))
 
 
 def test_ensemble_metadata():
     grid = TimeGrid(dt=0.125, n=64)
     ens = sample_gle_mode(SINGLE, Mode(2, 5.0, 1.0), grid, 4, seed=3)
-    assert ens.method == "circulant"
+    assert ens.method == "recursion"
     assert ens.m == 4
+    assert ens.embedding_length == 0
+    assert ens.clipped_mass == 0.0
+    ens = sample_gle_mode(THREE, Mode(2, 5.0, 1.0), grid, 4, seed=3)
+    assert ens.method == "circulant"
     assert ens.embedding_length >= 2 * grid.n
     assert ens.clipped_mass >= 0.0
     ou = sample_ou_mode(Mode(2, 5.0, 1.0), grid, 4, seed=3)
