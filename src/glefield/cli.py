@@ -350,6 +350,19 @@ def _write_csv(path: str, header: list, rows) -> None:
         writer.writerows(rows)
 
 
+def _write_field_csv(path: str, times, xs, values) -> None:
+    """Rows path_id, t, x, value of values[i, j, l] in C order: the bytes
+    :func:`_write_csv` gives for the same cells, built by joining strings
+    one time step at a time."""
+    ts = [repr(t) for t in times.tolist()]
+    xr = [repr(x) for x in xs.tolist()]
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        fh.write("path_id,t,x,value\n")
+        for i, member in enumerate(values):
+            for t, row in zip(ts, member):
+                fh.write("".join(f"{i},{t},{x},{v!r}\n" for x, v in zip(xr, row.tolist())))
+
+
 def _write_json(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
@@ -558,15 +571,7 @@ def cmd_sample_field(args) -> int:
         tail_budget=cfg.get("tolerances", "tail_budget"),
         workers=_threads(args),
     )
-    times = grid.times
-
-    def rows():
-        for i in range(m):
-            for j in range(grid.n):
-                for l in range(xs.size):
-                    yield [str(i), _fmt(times[j]), _fmt(xs[l]), _fmt(sample.values[i, j, l])]
-
-    _write_csv(args.out, ["path_id", "t", "x", "value"], rows())
+    _write_field_csv(args.out, grid.times, xs, sample.values)
     wellposed = check_wellposedness(basis, weights, raise_on_divergent=False)
     regularity = check_regularity_assumption(basis, weights, cfg.get("assumption", "eta"))
     _write_sidecar(

@@ -285,6 +285,11 @@ def tail_variance_bound(basis, weights, n_modes: int, n_probe: int = 4000) -> fl
     return float(terms[n_modes:].sum()) + tail_past_probe
 
 
+# modes summed per matrix product; a constant, so that the summation order
+# never depends on the worker count
+_MODE_BLOCK = 8
+
+
 def assemble_field(
     kernel: KernelMeasure,
     basis,
@@ -302,7 +307,9 @@ def assemble_field(
     """Sample the truncated eigenfunction series on a time grid and x points.
 
     Modes are sampled independently (streams keyed by mode index, so results
-    do not depend on worker count) and combined in fixed k order.  dynamics
+    do not depend on worker count) and summed in fixed blocks of
+    ``_MODE_BLOCK`` modes in k order; the modes of one block are sampled
+    concurrently, so workers beyond the block size stay idle.  dynamics
     selects the trajectory law: "gle" for the kernel-driven paths, "heat" for
     the memoryless baseline, "spectral" for the superposition cross-check
     route.
@@ -342,20 +349,18 @@ def assemble_field(
         return mode_sampler.sample_gle_mode(kernel, mode, grid, m, seed)
 
     out = np.zeros((m, grid.n, x_arr.size))
+    paths = np.empty((_MODE_BLOCK, m, grid.n))
     clipped = []
-    # sample in bounded batches (memory) but accumulate in fixed k order; each
-    # path row gets one outer-product update, so no field-sized temporary
-    batch = max(workers, 1)
+    # each path row gets one matrix product per block: (n, b) paths @ (b, nx) shapes
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for start in range(1, n_modes + 1, batch):
-            ks = range(start, min(start + batch, n_modes + 1))
-            if pool is not None:
-                ensembles = list(pool.map(run_mode, ks))
-            else:
-                ensembles = [run_mode(k) for k in ks]
-            for k, ens in zip(ks, ensembles):
-                shape = basis.eval(k, x_arr)
-                for row, path in zip(out, ens.values):
-                    row += np.outer(path, shape)
-                clipped.append(getattr(ens, "clipped_mass", 0.0))
+        for start in range(1, n_modes + 1, _MODE_BLOCK):
+            ks = range(start, min(start + _MODE_BLOCK, n_modes + 1))
+            ensembles = pool.map(run_mode, ks) if pool is not None else map(run_mode, ks)
+            for slot, ens in enumerate(ensembles):
+                paths[slot] = ens.values
+                clipped.append(ens.clipped_mass)
+            shapes = np.stack([basis.eval(k, x_arr) for k in ks])
+            block = paths[: len(ks)]
+            for i, row in enumerate(out):
+                row += block[:, i, :].T @ shapes
     return FieldSample(grid, x_arr, out, n_modes, dynamics, seed, tuple(clipped))

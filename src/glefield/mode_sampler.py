@@ -82,10 +82,38 @@ def _check_sampling_args(m: int, seed: int) -> None:
         raise ValueError(f"seed {seed!r} must be an integer in [0, 2**64)")
 
 
+def _streams(seed: int, mode_index: int):
+    """Map path index i to the Philox stream keyed by (seed, mode, i).
+
+    One generator serves every path: each call re-keys it through its state
+    (counter 0, empty buffer), which gives exactly the draws of
+    ``Generator(Philox(key=...))`` without building a seed sequence, and so
+    without drawing OS entropy, per path.  The returned generator is valid
+    until the next call.
+    """
+    bits = np.random.Philox(0)  # an explicit seed draws no OS entropy
+    gen = np.random.Generator(bits)
+    key = np.array([seed, 0], dtype=np.uint64)
+    state = {
+        "bit_generator": "Philox",
+        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
+        "buffer": np.zeros(4, dtype=np.uint64),
+        "buffer_pos": 4,
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+
+    def stream(path_index: int) -> np.random.Generator:
+        key[1] = (mode_index << 32) | path_index
+        bits.state = state
+        return gen
+
+    return stream
+
+
 def _stream(seed: int, mode_index: int, path_index: int) -> np.random.Generator:
     """Philox stream keyed by (seed, mode, path): independent and addressable."""
-    key = np.array([seed, (mode_index << 32) | path_index], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+    return _streams(seed, mode_index)(path_index)
 
 
 def circulant_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -324,11 +352,12 @@ def sample_gle_mode(
         neg = eig[eig < 0.0].sum()
         clipped = float(-neg / eig[eig > 0.0].sum()) if neg < 0.0 else 0.0
         route = ("circulant", clipped, eig.shape[0])
+    stream = _streams(seed, mode.index)
     for start in range(0, m, chunk):
         stop = min(start + chunk, m)
         normals = np.empty((stop - start, *shape))
         for i, block in enumerate(normals, start):
-            _stream(seed, mode.index, i).standard_normal(out=block)
+            stream(i).standard_normal(out=block)
         out[start:stop] = synth(normals)
     return PathEnsemble(grid, out, mode, seed, *route)
 
@@ -388,12 +417,13 @@ def sample_gle_mode_spectral(
     cos_m = np.cos(phases)
     sin_m = np.sin(phases)
     k = nodes.shape[0]
+    stream = _streams(seed, mode.index)
     for start in range(0, m, _PATH_CHUNK):
         stop = min(start + _PATH_CHUNK, m)
         xi = np.empty((stop - start, k))
         eta = np.empty((stop - start, k))
         for i in range(start, stop):
-            draw = _stream(seed, mode.index, i).standard_normal(2 * k)
+            draw = stream(i).standard_normal(2 * k)
             xi[i - start] = draw[:k]
             eta[i - start] = draw[k:]
         out[start:stop] = (xi * amp) @ cos_m + (eta * amp) @ sin_m
@@ -413,11 +443,12 @@ def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int) -> PathEnsembl
     phi = math.exp(-alpha * grid.dt)
     sigma = lam / math.sqrt(2.0 * alpha)
     innovation = sigma * math.sqrt(1.0 - phi * phi)
+    stream = _streams(seed, mode.index)
     for start in range(0, m, _PATH_CHUNK):
         stop = min(start + _PATH_CHUNK, m)
         noise = np.empty((stop - start, grid.n))
         for i, row in enumerate(noise, start):
-            _stream(seed, mode.index, i).standard_normal(out=row)
+            stream(i).standard_normal(out=row)
         noise[:, 0] *= sigma
         noise[:, 1:] *= innovation
         out[start:stop] = lfilter([1.0], [1.0, -phi], noise, axis=1)

@@ -145,12 +145,18 @@ def empirical_variogram(sample: FieldSample, axis: str, lag_steps) -> VariogramC
         raise ValueError(f"lag step {steps.max()} >= axis length {size}")
 
     member_curves = np.empty((m, len(steps)))
+    # one buffer, sized for the shortest lag, holds every lag's squared
+    # increments in place: a single field-sized temporary for the whole curve
+    buf = np.empty(values.size // size * (size - steps.min()))
     for col, j in enumerate(steps):
         if axis == "time":
-            diff = values[:, j:, :] - values[:, :-j, :]
+            ahead, behind = values[:, j:, :], values[:, :-j, :]
         else:
-            diff = values[:, :, j:] - values[:, :, :-j]
-        member_curves[:, col] = (diff * diff).reshape(m, -1).mean(axis=1)
+            ahead, behind = values[:, :, j:], values[:, :, :-j]
+        diff = buf[: ahead.size].reshape(ahead.shape)
+        np.subtract(ahead, behind, out=diff)
+        np.multiply(diff, diff, out=diff)
+        member_curves[:, col] = diff.reshape(m, -1).mean(axis=1)
     vals = member_curves.mean(axis=0)
     stderr = member_curves.std(axis=0, ddof=1) / math.sqrt(m) if m > 1 else np.zeros(len(steps))
     return VariogramCurve(

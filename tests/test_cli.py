@@ -1,5 +1,6 @@
 """Command-line interface: config handling, artifacts, exit codes."""
 
+import csv
 import hashlib
 import json
 import math
@@ -9,7 +10,7 @@ import subprocess
 import numpy as np
 import pytest
 
-from glefield.cli import load_config, main
+from glefield.cli import _write_field_csv, load_config, main
 
 
 def read(path):
@@ -127,6 +128,25 @@ def test_sample_field_thread_count_is_immaterial(tmp_path):
     assert sidecar["wellposedness"]["convergent"] is True
     assert sidecar["regularity_assumption"]["convergent"] is True
     assert 0.0 < sidecar["tail_bound"] < 1.0
+
+
+def test_field_csv_bytes_match_csv_writer_with_repr(tmp_path):
+    times = np.array([0.0, 0.1])
+    xs = np.array([1e-05, 5e-324])
+    values = np.array([[[-0.0, 1e-05], [1e16, 5e-324]], [[0.1, -1e16], [2.5, -5e-324]]])
+    out = tmp_path / "f.csv"
+    _write_field_csv(str(out), times, xs, values)
+    ref = tmp_path / "ref.csv"
+    with open(ref, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(["path_id", "t", "x", "value"])
+        for i in range(2):
+            for j in range(2):
+                for l in range(2):
+                    writer.writerow([str(i), repr(float(times[j])), repr(float(xs[l])),
+                                     repr(float(values[i, j, l]))])
+    assert out.read_bytes() == ref.read_bytes()
+    assert b"-0.0\n" in out.read_bytes() and b",5e-324\n" in out.read_bytes()
 
 
 def test_verify_report_structure(tmp_path):

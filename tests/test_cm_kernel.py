@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glefield.cm_kernel import (
@@ -176,8 +176,11 @@ def test_mass_equals_value_at_zero(atoms):
 
 @settings(max_examples=50, deadline=None)
 @given(atoms=atoms_strategy, omega=st.floats(min_value=1e-6, max_value=1e6))
+# a slow atom at a large omega, where omega * k_sin rounds one ulp above the mass
+@example(atoms=[(0.001, 0.00390625)], omega=525432.75)
+@example(atoms=[(170.86584267189886, 0.00390625)], omega=422841.0)
 def test_transform_bounds_random_measures(atoms, omega):
     m = KernelMeasure(atoms)
     assert 0.0 < k_cos(m, omega) <= k_cos(m, 0.0)
-    assert 0.0 <= k_sin(m, omega) * omega <= m.mass
+    assert 0.0 <= k_sin(m, omega) * omega <= m.mass + 1e-15 * m.mass
     assert omega * k_cos(m, omega) <= m.mass / 2.0 + 1e-15 * m.mass

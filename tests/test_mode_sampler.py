@@ -1,6 +1,7 @@
 """Path synthesis: exact recursion or circulant embedding, harmonic superposition, AR(1) baseline."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -12,6 +13,8 @@ from glefield.cm_kernel import KernelMeasure, PowerLaw, discretize
 from glefield.mode_sampler import (
     TimeGrid,
     _Markov,
+    _stream,
+    _streams,
     circulant_eigenvalues,
     paths_from_normals,
     sample_gle_mode,
@@ -81,6 +84,37 @@ def test_streams_differ_across_modes():
     a = sample_ou_mode(Mode(1, 5.0, 1.0), grid, 4, seed=3)
     b = sample_ou_mode(Mode(2, 5.0, 1.0), grid, 4, seed=3)
     assert not np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+def test_stream_equals_a_freshly_keyed_philox(seed):
+    for k, i in ((1, 0), (7, 3), (2**31, 2**32 - 1)):
+        key = np.array([seed, (k << 32) | i], dtype=np.uint64)
+        fresh = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(_stream(seed, k, i).standard_normal(9), fresh.standard_normal(9))
+    # re-keying one generator leaves nothing of the previous path behind,
+    # not even a buffered half word
+    stream = _streams(seed, 5)
+    first = stream(0).standard_normal(5)
+    stream(1).integers(0, 2**32, size=3, dtype=np.uint32)
+    assert np.array_equal(stream(0).standard_normal(5), first)
+    key = np.array([seed, (5 << 32) | 1], dtype=np.uint64)
+    fresh = np.random.Generator(np.random.Philox(key=key))
+    assert np.array_equal(stream(1).standard_normal(7), fresh.standard_normal(7))
+
+
+def test_samplers_draw_no_os_entropy(monkeypatch):
+    # seeding a Philox without a seed sequence pulls os.urandom through
+    # random._urandom; keyed streams need none
+    calls = []
+    urandom = random._urandom
+    monkeypatch.setattr(random, "_urandom", lambda n: calls.append(n) or urandom(n))
+    grid = TimeGrid(dt=0.125, n=64)
+    mode = Mode(1, 5.0, 1.0)
+    sample_ou_mode(mode, grid, 4, seed=3)
+    sample_gle_mode(SINGLE, mode, grid, 4, seed=3)
+    sample_gle_mode_spectral(SINGLE, mode, grid, 2, seed=3, node_count=256)
+    assert calls == []
 
 
 def test_zero_weight_paths_are_zero():

@@ -1,6 +1,7 @@
 """Variogram estimation and exponent fitting against closed-form targets."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -95,6 +96,27 @@ def test_empirical_variogram_input_validation():
         empirical_variogram(sample, "time", [0, 1])
     with pytest.raises(ValueError):
         empirical_variogram(sample, "frequency", [1, 2])
+
+
+def test_time_variogram_holds_one_field_sized_temporary():
+    rng = np.random.default_rng(5)
+    sample = FieldSample(
+        grid=TimeGrid(dt=0.5, n=2048),
+        x=np.linspace(0.1, 1.0, 16),
+        values=rng.standard_normal((4, 2048, 16)),
+        n_modes=1,
+        dynamics="gle",
+        seed=0,
+    )
+    tracemalloc.start()
+    try:
+        empirical_variogram(sample, "time", [1, 2, 4, 16])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # every lag's increments are squared in place in one reused buffer;
+    # squaring into a new array, or a new array per lag, doubles the peak
+    assert peak < 1.5 * sample.values.nbytes
 
 
 def _one_mode_field(dynamics: str) -> FieldSample:
