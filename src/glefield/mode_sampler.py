@@ -5,9 +5,11 @@ Three routes produce paths on a uniform time grid:
 * :func:`sample_gle_mode` - exact sampler for the memory-kernel mode.  A
   kernel K = sum_i w_i e^{-x_i t} makes the mode the first coordinate of a
   (p+1)-dimensional Ornstein-Uhlenbeck process, its Markovian embedding, so
-  the covariance is known in closed form and the paths follow that
-  process's exact discrete recursion.  Per mode the sampler takes whichever
-  exact route draws fewer normals: the recursion, or circulant embedding
+  the covariance is known in closed form and the paths follow an exact
+  recursion.  A one-atom mode (a 2-dimensional embedding with an
+  eigenbasis, the paper's kernel) takes the innovations form, one normal
+  per step.  Any other mode takes whichever exact route draws fewer
+  normals: the state recursion, d per step, or circulant embedding
   (Davies-Harte) of the closed-form covariance sequence.
 * :func:`sample_gle_mode_spectral` - truncated harmonic superposition driven
   directly by the spectral density.  Slower and only asymptotically exact;
@@ -56,9 +58,10 @@ class TimeGrid:
 class PathEnsemble:
     """m sampled paths on a common grid plus the provenance needed to redraw them.
 
-    method is "recursion" or "circulant" for :func:`sample_gle_mode`;
-    embedding_length (2L) and clipped_mass (negative circulant eigenvalue
-    mass over positive mass) are 0 off the circulant route.
+    method is "recursion" (innovations form or state recursion) or
+    "circulant" for :func:`sample_gle_mode`; embedding_length (2L) and
+    clipped_mass (negative circulant eigenvalue mass over positive mass) are
+    0 off the circulant route.
     """
 
     grid: TimeGrid
@@ -161,6 +164,11 @@ def paths_from_normals(eig: np.ndarray, normals: np.ndarray, n: int) -> np.ndarr
 # critical damping the drift turns defective and the condition number blows up
 _MAX_EIGVEC_COND = 1e5
 
+# relative change of the innovations sweep's c below which the gain is taken
+# as settled (14 steps on the comparison_1d time modes); c's rounding noise
+# is about 1e-16 relative, so a tighter value may never be met
+_GAIN_TOL = 1e-14
+
 
 class _Markov:
     """Markovian embedding of one mode (Ceriotti, Bussi and Parrinello 2010).
@@ -251,19 +259,27 @@ class _Markov:
             step = step @ step
         return step, 0.5 * (q + q.T)
 
-    def recursion(self, dt: float):
-        """Map (m, d, n) standard normals to (m, n) stationary paths exactly.
+    def recursion(self, dt: float, n: int):
+        """Exact linear map from standard normals to (m, n) stationary paths.
 
-        Column 0 of each path's normals draws the stationary start
-        v_0 = lambda z; column j > 0 draws the innovation of step j through
-        a square root of Q from its symmetric eigendecomposition, not
-        Cholesky: Q is ill-conditioned (about 1e8 for the 64-node power law
-        at dt = 2^-8) and rounding can leave it a hair indefinite, so
-        negative eigenvalues are clipped to 0.  In the eigenbasis each
-        coordinate is a complex AR(1) recursion run by ``lfilter``, one per
-        conjugate pair, with the read-out weight folded into its input;
-        without one the real state is stepped.
+        Returns (shape, synth): synth maps (m, *shape) standard normals to
+        (m, n) paths.  A 2-dimensional embedding with an eigenbasis (one
+        atom) takes the innovations form of :meth:`_innovations`, one normal
+        per step (shape (n,)); any other takes the state recursion, d normals
+        per step (shape (d, n)).
+
+        State recursion: column 0 of each path's normals draws the
+        stationary start v_0 = lambda z; column j > 0 draws the innovation
+        of step j through a square root of Q from its symmetric
+        eigendecomposition, not Cholesky: Q is ill-conditioned (about 1e8
+        for the 64-node power law at dt = 2^-8) and rounding can leave it a
+        hair indefinite, so negative eigenvalues are clipped to 0.  In the
+        eigenbasis each coordinate is a complex AR(1) recursion run by
+        ``lfilter``, one per conjugate pair, with the read-out weight folded
+        into its input; without one the real state is stepped.
         """
+        if self.dim == 2 and self.eig is not None:
+            return (n,), self._innovations(dt, n)
         step, q = self.transition(dt)
         val, vec = np.linalg.eigh(q)
         root = vec * np.sqrt(np.maximum(val, 0.0))
@@ -278,7 +294,7 @@ class _Markov:
                     out[:, j] = state[:, 0]
                 return self.scale * out
 
-            return stepped
+            return (self.dim, n), stepped
         mu, head, inv = self.eig
         start = (self.lam * self.scale) * head[:, None] * inv
         drive = self.scale * head[:, None] * (inv @ root)
@@ -297,17 +313,68 @@ class _Markov:
                 out += lfilter([1.0], [1.0, -pole], noise, axis=1).real
             return out
 
-        return filtered
+        return (self.dim, n), filtered
+
+    def _innovations(self, dt: float, n: int):
+        """Map (m, n) standard normals to (m, n) paths of a d = 2 embedding.
+
+        The time-varying Kalman predictor of u started from the stationary
+        law (Anderson and Moore 1979), i.e. the Cholesky factor of
+        Toeplitz(r) in state-space form.  With P_0 = S, omega_j = P_j[0, 0]
+        and K_j = P_j e0 / omega_j, the path is u_j = e0.s_j / sqrt(alpha)
+        with s_j = Phi s_{j-1} + K_j sqrt(omega_j) z_j and s_{-1} = 0.  For
+        d = 2 the updated covariance P_j - omega_j K_j K_j^T is c_j e1 e1^T,
+        so the gain sweep is the scalar recursion
+        c_j = P_j[1, 1] - P_j[0, 1]^2 / P_j[0, 0], P_{j+1} = c_j phi phi^T + Q
+        with phi = Phi e1.  It stops once c is constant to relative
+        ``_GAIN_TOL``; the gain is constant after that.  In the eigenbasis
+        each conjugate pair is one complex AR(1) run by ``lfilter`` whose
+        input is z times one complex per-step weight.
+        """
+        step, q = self.transition(dt)
+        f0, f1 = step[:, 1]
+        q00, q01, q11 = q[0, 0], q[0, 1], q[1, 1]
+        p00 = p11 = self.lam * self.lam
+        p01 = 0.0
+        # gain[j] = (sqrt(omega_j), P_j[0, 1] / sqrt(omega_j)) = sqrt(omega_j) K_j
+        gain = np.empty((n, 2))
+        c_prev = math.nan
+        for j in range(n):
+            root = math.sqrt(p00)
+            gain[j] = root, p01 / root
+            c = p11 - p01 * p01 / p00
+            if abs(c - c_prev) <= _GAIN_TOL * c:
+                gain[j + 1 :] = gain[j]
+                break
+            c_prev = c
+            p00, p01, p11 = c * f0 * f0 + q00, c * f0 * f1 + q01, c * f1 * f1 + q11
+        mu, head, inv = self.eig
+        # V^-1 sqrt(omega_j) K_j by broadcasting: numpy's mixed complex-real
+        # matmul is about 20x slower here
+        gain_eig = inv[:, :1] * gain[:, 0] + inv[:, 1:] * gain[:, 1]
+        weights = self.scale * head[:, None] * gain_eig
+        poles = np.exp(mu * dt)
+
+        def innovations(normals):
+            out = np.zeros(normals.shape)
+            for pole, weight in zip(poles, weights):
+                out += lfilter([1.0], [1.0, -pole], weight * normals, axis=1).real
+            return out
+
+        return innovations
 
 
 def _embed(emb: _Markov, grid: TimeGrid):
     """Circulant eigenvalues of the exact covariance, or None for the recursion.
 
-    Walks L = n, 2n, 4n, 8n.  At each L the recursion is taken when it draws
-    no more normals per path (n*d) than the circulant would (2L); otherwise
-    the circulant of length 2L is taken when its most negative eigenvalue is
-    at least -1e-8 * r(0).  Past 8n the recursion is taken.  Returns the
-    eigenvalues (None for the recursion) and the last L walked.
+    Walks L = n, 2n, 4n, 8n.  At each L the recursion is taken when its
+    state form would draw no more normals per path (n*d) than the circulant
+    would (2L); otherwise the circulant of length 2L is taken when its most
+    negative eigenvalue is at least -1e-8 * r(0).  Past 8n the recursion is
+    taken.  A one-atom mode (d = 2) therefore recurses at L = n, where
+    :meth:`_Markov.recursion` gives it the innovations form (n normals per
+    path) whenever it has an eigenbasis.  Returns the eigenvalues (None for
+    the recursion) and the last L walked.
     """
     n = grid.n
     for L in (n, 2 * n, 4 * n, 8 * n):
@@ -329,9 +396,11 @@ def sample_gle_mode(
 
     Marginal variance is r(0) = lambda_k^2 / alpha_k and lagged covariances
     are the closed-form r(j*dt) of the Markovian embedding, before Monte
-    Carlo error.  The route (``method``) is the one :func:`_embed` picks.
-    Paths are chunked so that a chunk's normals never outnumber 256 rows of
-    a length-2L circulant embedding.
+    Carlo error.  The route (``method``) is the one :func:`_embed` picks;
+    on "recursion" a one-atom mode with an eigenbasis draws one normal per
+    step (innovations form) and any other mode d per step.  Paths are
+    chunked so that a chunk's normals never outnumber 256 rows of a
+    length-2L circulant embedding.
     """
     _check_sampling_args(m, seed)
     out = np.empty((m, grid.n))
@@ -341,9 +410,8 @@ def sample_gle_mode(
     emb = _Markov(kernel, mode)
     eig, L = _embed(emb, grid)
     if eig is None:
-        synth = emb.recursion(grid.dt)
-        shape = (emb.dim, grid.n)
-        chunk = min(_PATH_CHUNK, max(1, 2 * _PATH_CHUNK * L // (emb.dim * grid.n)))
+        shape, synth = emb.recursion(grid.dt, grid.n)
+        chunk = min(_PATH_CHUNK, max(1, 2 * _PATH_CHUNK * L // math.prod(shape)))
         route = ("recursion",)
     else:
         synth = lambda normals: paths_from_normals(eig, normals, grid.n)
@@ -420,13 +488,11 @@ def sample_gle_mode_spectral(
     stream = _streams(seed, mode.index)
     for start in range(0, m, _PATH_CHUNK):
         stop = min(start + _PATH_CHUNK, m)
-        xi = np.empty((stop - start, k))
-        eta = np.empty((stop - start, k))
-        for i in range(start, stop):
-            draw = stream(i).standard_normal(2 * k)
-            xi[i - start] = draw[:k]
-            eta[i - start] = draw[k:]
-        out[start:stop] = (xi * amp) @ cos_m + (eta * amp) @ sin_m
+        # row i holds path i's 2k draws: xi then eta
+        draws = np.empty((stop - start, 2, k))
+        for i, row in enumerate(draws, start):
+            stream(i).standard_normal(out=row)
+        out[start:stop] = (draws[:, 0] * amp) @ cos_m + (draws[:, 1] * amp) @ sin_m
     return PathEnsemble(grid, out, mode, seed, "spectral", node_count=k)
 
 

@@ -4,12 +4,16 @@ import csv
 import hashlib
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import glefield
 from glefield.cli import _write_field_csv, load_config, main
 
 
@@ -305,6 +309,18 @@ def test_unknown_subcommand_exits_2():
 def test_console_script_runs():
     proc = subprocess.run(
         ["glefield", "--version"], capture_output=True, text=True, check=False
+    )
+    assert proc.returncode == 0
+    assert proc.stdout.startswith("glefield")
+
+
+def test_module_entry_point_runs():
+    # python -m glefield needs no console script on PATH
+    src = str(Path(glefield.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "glefield", "--version"],
+        capture_output=True, text=True, check=False, env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("glefield")

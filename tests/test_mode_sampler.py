@@ -8,7 +8,7 @@ import pytest
 
 from scipy.linalg import solve_continuous_lyapunov
 
-from glefield import spectral
+from glefield import mode_sampler, spectral
 from glefield.cm_kernel import KernelMeasure, PowerLaw, discretize
 from glefield.mode_sampler import (
     TimeGrid,
@@ -166,9 +166,10 @@ def test_sampler_never_computes_the_quadrature_sequence(monkeypatch):
 
 
 def test_route_draws_the_fewer_normals():
-    # a single atom (d = 2) recurses at once: n*d <= 2n; the 65-dimensional
-    # power-law embedding would draw 65n normals per path, so it takes the
-    # circulant at the first PSD length, here L = 2n
+    # a single atom (d = 2) recurses at once: n*d <= 2n, and its innovations
+    # form draws only n; the 65-dimensional power-law embedding would draw 65n
+    # normals per path, so it takes the circulant at the first PSD length,
+    # here L = 2n
     grid = TimeGrid(dt=2.0**-8, n=4096)
     single = sample_gle_mode(SINGLE, Mode(4, 16.0, 1.0), grid, 2, seed=0)
     assert (single.method, single.embedding_length) == ("recursion", 0)
@@ -224,17 +225,53 @@ def test_degenerate_eigenbasis_falls_back_to_the_step_matrix():
 
 
 def test_recursion_reproduces_toeplitz_exactly():
-    # drive the linear recursion with unit vectors, in the eigenbasis and
-    # through the real step matrix: the Gram matrix is the path covariance
-    n, dt = 12, 0.1
-    for kernel, mode in [(SINGLE, Mode(1, 5.0, 1.0)), (THREE, Mode(1, 10.0, 0.5))] + CRITICAL:
-        emb = _Markov(kernel, mode)
-        basis = np.eye(n * emb.dim).reshape(n * emb.dim, emb.dim, n)
-        images = emb.recursion(dt)(basis)
-        gram = images.T @ images
-        cov = emb.covariance(dt, n)
-        toeplitz = np.array([[cov[abs(i - j)] for j in range(n)] for i in range(n)])
-        assert np.abs(gram - toeplitz).max() <= 1e-13
+    # drive the linear map with unit vectors: the Gram matrix is the path
+    # covariance.  One-atom modes take the innovations form, one normal per
+    # step (underdamped, overdamped with two real poles, the field_space grid,
+    # and a grid shorter than the point where the gain settles); the others
+    # the state recursion in the eigenbasis or through the real step matrix
+    one_atom = [(SINGLE, Mode(1, 5.0, 1.0), 0.1, 12), (SINGLE, Mode(1, 0.1, 1.0), 0.1, 12),
+                (SINGLE, Mode(1, 5.0, 1.0), 4.0, 16), (SINGLE, Mode(1, 1.0, 1.0), 2.0**-10, 8)]
+    state = [(THREE, Mode(1, 10.0, 0.5), 0.1, 12)] + [(k, m, 0.1, 12) for k, m in CRITICAL]
+    for cases, one_normal in ((one_atom, True), (state, False)):
+        for kernel, mode, dt, n in cases:
+            emb = _Markov(kernel, mode)
+            shape, synth = emb.recursion(dt, n)
+            assert shape == ((n,) if one_normal else (emb.dim, n))
+            size = math.prod(shape)
+            images = synth(np.eye(size).reshape(size, *shape))
+            gram = images.T @ images
+            cov = emb.covariance(dt, n)
+            toeplitz = np.array([[cov[abs(i - j)] for j in range(n)] for i in range(n)])
+            assert np.abs(gram - toeplitz).max() <= 1e-13, (kernel, mode, dt, n)
+    # the overdamped mode really has two real poles
+    assert np.isreal(_Markov(SINGLE, Mode(1, 0.1, 1.0)).eig[0]).all()
+
+
+def test_one_atom_mode_draws_one_normal_per_step(monkeypatch):
+    drawn = []
+    streams = mode_sampler._streams
+
+    class Recording:
+        def __init__(self, gen):
+            self.gen = gen
+
+        def standard_normal(self, *args, **kwargs):
+            draw = self.gen.standard_normal(*args, **kwargs)
+            drawn.append(draw.size)
+            return draw
+
+    def recording_streams(seed, mode_index):
+        stream = streams(seed, mode_index)
+        return lambda i: Recording(stream(i))
+
+    monkeypatch.setattr(mode_sampler, "_streams", recording_streams)
+    n = 256
+    for mode in (Mode(1, 5.0, 1.0), Mode(1, 0.1, 1.0)):
+        drawn.clear()
+        ens = sample_gle_mode(SINGLE, mode, TimeGrid(dt=0.125, n=n), 3, seed=0)
+        assert ens.method == "recursion"
+        assert drawn == [n, n, n]
 
 
 def test_ou_marginal_moments():
