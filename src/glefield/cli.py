@@ -2,11 +2,18 @@
 
 Configuration is INI-style text with [section] headers and key = value
 lines.  Every key has a documented default (run with --help to see the
-schema), unknown sections or keys are hard errors anchored to their line
-number, and subcommand flags override file values.  Each run writes its
-artifact plus a JSON provenance sidecar (<artifact>.provenance.json)
-carrying the effective configuration, its SHA-256 hash, the seed, and the
-tolerance settings; re-serializing the sidecar's config reproduces the hash.
+schema), keys are case-insensitive, unknown sections or keys are hard errors
+anchored to their line number, and subcommand flags override file values.
+Each run writes its artifact plus a JSON provenance sidecar
+(<artifact>.provenance.json) carrying the effective configuration, its
+SHA-256 hash, the seed, and the tolerance settings; re-serializing the
+sidecar's config reproduces the hash.
+
+The parser is declared, not written: ``_FLAGS`` gives each flag its argparse
+keywords, the config (section, key) it overrides and the least value it
+accepts; ``_COMMANDS`` lists each subcommand's flags in --help order with that
+command's own help and defaults.  ``_config`` loads --config and applies every
+bound flag before the handler ``cmd_<command>`` runs.
 
 Exit codes: 0 success, 2 configuration or input validation error,
 3 numerical tolerance failure.
@@ -16,7 +23,6 @@ from __future__ import annotations
 
 import argparse
 import configparser
-import csv
 import hashlib
 import json
 import math
@@ -44,17 +50,13 @@ from .field_assembly import (
     Flat,
     PowerDecay,
     TailBudgetExceeded,
+    _mode,
     assemble_field,
     check_regularity_assumption,
     check_wellposedness,
     tail_variance_bound,
 )
-from .mode_sampler import (
-    TimeGrid,
-    sample_gle_mode,
-    sample_gle_mode_spectral,
-    sample_ou_mode,
-)
+from .mode_sampler import TimeGrid, _sample
 from .regularity import (
     DegenerateFit,
     empirical_variogram,
@@ -65,7 +67,6 @@ from .regularity import (
 )
 from .spectral import (
     InequalityViolated,
-    Mode,
     NoResonance,
     SpectralDensity,
     ToleranceNotMet,
@@ -225,8 +226,9 @@ class RunConfig:
         return {s: dict(kv) for s, kv in sorted(self._texts.items())}
 
 
-def _scan_lines(text: str) -> dict:
-    """Map (section, key) and (section, None) to 1-based line numbers."""
+def _scan_lines(text: str, optionxform) -> dict:
+    """Map (section, key) and (section, None) to 1-based line numbers; keys
+    pass through the parser's optionxform, so they match what it reports."""
     anchors = {}
     section = None
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -239,7 +241,7 @@ def _scan_lines(text: str) -> dict:
             continue
         m = _KEY_RE.match(line)
         if m:
-            anchors.setdefault((section, m.group("name").strip()), lineno)
+            anchors.setdefault((section, optionxform(m.group("name").strip())), lineno)
     return anchors
 
 
@@ -260,10 +262,10 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    anchors = _scan_lines(text)
     parser = configparser.ConfigParser(
         interpolation=None, inline_comment_prefixes=("#", ";"), strict=True
     )
+    anchors = _scan_lines(text, parser.optionxform)
     try:
         parser.read_string(text, source=path)
     except configparser.Error as exc:
@@ -295,30 +297,18 @@ def build_kernel(cfg: RunConfig) -> KernelMeasure:
     return discretize(PowerLaw(cfg.get("kernel", "exponent"), cfg.get("kernel", "nodes")))
 
 
-def build_basis(cfg: RunConfig) -> DirichletInterval:
-    return DirichletInterval(cfg.get("basis", "length"))
-
-
-def build_weights(cfg: RunConfig):
+def _model(cfg: RunConfig):
+    """The kernel measure, eigenbasis and weight rule the config describes."""
+    measure = build_kernel(cfg)
+    basis = DirichletInterval(cfg.get("basis", "length"))
     rule = cfg.get("weights", "rule")
     if rule == "flat":
-        return Flat(cfg.get("weights", "lam"))
-    if rule == "power":
-        return PowerDecay(cfg.get("weights", "s"))
-    return Explicit(tuple(cfg.get("weights", "values")))
-
-
-def build_mode(cfg: RunConfig, k: int) -> Mode:
-    if k < 1:
-        raise ConfigError(f"mode index {k} must be >= 1")
-    basis = build_basis(cfg)
-    weights = build_weights(cfg)
-    return Mode(
-        index=k,
-        alpha_k=basis.alpha(k),
-        lambda_k=weights.weight(basis, k),
-        c_k=basis.sup_const(k),
-    )
+        weights = Flat(cfg.get("weights", "lam"))
+    elif rule == "power":
+        weights = PowerDecay(cfg.get("weights", "s"))
+    else:
+        weights = Explicit(tuple(cfg.get("weights", "values")))
+    return measure, basis, weights
 
 
 def _threads(args) -> int:
@@ -339,28 +329,27 @@ def _threads(args) -> int:
     return os.cpu_count() or 1
 
 
-def _fmt(v) -> str:
-    return repr(float(v))
-
-
-def _write_csv(path: str, header: list, rows) -> None:
+def _write_columns(path: str, header: list, columns) -> None:
+    """One row per index of the equal-length float columns, each cell its
+    repr: the bytes csv.writer gives for the same cells."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
+        fh.write(",".join(header) + "\n")
+        for row in zip(*(np.asarray(c, dtype=float).tolist() for c in columns)):
+            fh.write(",".join(map(repr, row)) + "\n")
 
 
 def _write_field_csv(path: str, times, xs, values) -> None:
     """Rows path_id, t, x, value of values[i, j, l] in C order: the bytes
-    :func:`_write_csv` gives for the same cells, built by joining strings
-    one time step at a time."""
+    csv.writer gives for the same cells with repr'd floats, built by joining
+    strings one time step at a time.  xs None drops the x column (the
+    sample-mode layout path_id, t, value; values then has one x slot)."""
     ts = [repr(t) for t in times.tolist()]
-    xr = [repr(x) for x in xs.tolist()]
+    xr = [""] if xs is None else [f"{x!r}," for x in xs.tolist()]
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("path_id,t,x,value\n")
+        fh.write("path_id,t,value\n" if xs is None else "path_id,t,x,value\n")
         for i, member in enumerate(values):
             for t, row in zip(ts, member):
-                fh.write("".join(f"{i},{t},{x},{v!r}\n" for x, v in zip(xr, row.tolist())))
+                fh.write("".join(f"{i},{t},{x}{v!r}\n" for x, v in zip(xr, row.tolist())))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -369,13 +358,13 @@ def _write_json(path: str, payload: dict) -> None:
         fh.write("\n")
 
 
-def _write_sidecar(out_path: str, command: str, cfg: RunConfig, seed, extra=None) -> None:
+def _write_sidecar(out_path: str, command: str, cfg: RunConfig, extra=None) -> None:
     payload = {
         "artifact": os.path.basename(out_path),
         "command": command,
         "config": cfg.as_dict(),
         "config_hash": cfg.hash(),
-        "seed": seed,
+        "seed": cfg.get("sampler", "seed"),
         "tolerances": {k: cfg.get("tolerances", k) for k in _SCHEMA["tolerances"]},
         "version": __version__,
     }
@@ -384,30 +373,24 @@ def _write_sidecar(out_path: str, command: str, cfg: RunConfig, seed, extra=None
     _write_json(out_path + ".provenance.json", payload)
 
 
-def cmd_kernel(args) -> int:
+def cmd_kernel(args, cfg: RunConfig) -> int:
     """Tabulate the kernel on [0, t_max] as CSV columns t, value."""
-    cfg = load_config(args.config)
     measure = build_kernel(cfg)
     if not (args.t_max > 0.0 and math.isfinite(args.t_max)):
         raise ConfigError(f"--t-max {args.t_max} must be positive")
     if args.points < 2:
         raise ConfigError("--points must be >= 2")
     ts = np.linspace(0.0, args.t_max, args.points)
-    ks = eval_kernel(measure, ts)
-    _write_csv(args.out, ["t", "value"], ([_fmt(t), _fmt(v)] for t, v in zip(ts, ks)))
-    _write_sidecar(
-        args.out, "kernel", cfg, cfg.get("sampler", "seed"),
-        {"mass": measure.mass, "atom_count": len(measure.atoms)},
-    )
+    _write_columns(args.out, ["t", "value"], [ts, eval_kernel(measure, ts)])
+    _write_sidecar(args.out, "kernel", cfg,
+                   {"mass": measure.mass, "atom_count": len(measure.atoms)})
     return 0
 
 
-def cmd_spectrum(args) -> int:
+def cmd_spectrum(args, cfg: RunConfig) -> int:
     """Tabulate rho, K_cos, K_sin for one mode as CSV."""
-    cfg = load_config(args.config)
-    measure = build_kernel(cfg)
-    mode = build_mode(cfg, args.k)
-    sd = SpectralDensity(measure, mode)
+    measure, basis, weights = _model(cfg)
+    mode = _mode(basis, weights, args.k)
     omega_max = args.omega_max
     if omega_max is None:
         omega_max = 2.0 * math.sqrt(2.0 * mode.alpha_k * measure.mass)
@@ -416,30 +399,21 @@ def cmd_spectrum(args) -> int:
     if args.points < 2:
         raise ConfigError("--points must be >= 2")
     omegas = np.linspace(0.0, omega_max, args.points)
-    rho_vals = spectral.rho(sd, omegas)
-    kc = k_cos(measure, omegas)
-    ks = k_sin(measure, omegas)
-    _write_csv(
-        args.out,
-        ["omega", "rho", "k_cos", "k_sin"],
-        (
-            [_fmt(w), _fmt(r), _fmt(c), _fmt(s)]
-            for w, r, c, s in zip(omegas, rho_vals, kc, ks)
-        ),
-    )
-    _write_sidecar(args.out, "spectrum", cfg, cfg.get("sampler", "seed"), {"k": args.k})
+    rho_vals = spectral.rho(SpectralDensity(measure, mode), omegas)
+    _write_columns(args.out, ["omega", "rho", "k_cos", "k_sin"],
+                   [omegas, rho_vals, k_cos(measure, omegas), k_sin(measure, omegas)])
+    _write_sidecar(args.out, "spectrum", cfg, {"k": args.k})
     return 0
 
 
-def cmd_verify(args) -> int:
+def cmd_verify(args, cfg: RunConfig) -> int:
     """Check the variance identity and resonance diagnostics per mode.
 
     Reports integral vs lambda_k^2/alpha_k, the resonance frequency and its
     alpha-ratio, and the inequality slack; exits 3 if any relative error
     exceeds tolerances.verify_rel_tol or the inequality fails.
     """
-    cfg = load_config(args.config)
-    measure = build_kernel(cfg)
+    measure, basis, weights = _model(cfg)
     try:
         k_list = [int(p) for p in args.k_list.replace(",", " ").split()]
     except ValueError:
@@ -451,7 +425,7 @@ def cmd_verify(args) -> int:
     results = []
     failed = False
     for k in k_list:
-        mode = build_mode(cfg, k)
+        mode = _mode(basis, weights, k)
         sd = SpectralDensity(measure, mode)
         integral = integrate_rho(sd, rel_tol=rel_tol)
         expected = mode.lambda_k**2 / mode.alpha_k
@@ -490,41 +464,25 @@ def cmd_verify(args) -> int:
         "results": results,
     }
     _write_json(args.out, report)
-    _write_sidecar(args.out, "verify", cfg, cfg.get("sampler", "seed"))
+    _write_sidecar(args.out, "verify", cfg)
     return 3 if failed else 0
 
 
-def _sampler_grid(cfg: RunConfig) -> TimeGrid:
-    return TimeGrid(dt=cfg.get("sampler", "dt"), n=cfg.get("sampler", "n"))
+# sample-mode's --method names for the sampling laws of mode_sampler._sample
+_LAWS = {"ce": "gle", "ss": "spectral", "ou": "heat"}
 
 
-def cmd_sample_mode(args) -> int:
+def cmd_sample_mode(args, cfg: RunConfig) -> int:
     """Sample one mode's trajectories to CSV columns path_id, t, value."""
-    cfg = load_config(args.config)
-    for key in ("dt", "n", "ensemble", "seed", "method"):
-        cfg.override("sampler", key, getattr(args, key))
-    measure = build_kernel(cfg)
-    mode = build_mode(cfg, args.k)
-    grid = _sampler_grid(cfg)
-    m = cfg.get("sampler", "ensemble")
-    seed = cfg.get("sampler", "seed")
+    measure, basis, weights = _model(cfg)
+    mode = _mode(basis, weights, args.k)
+    grid = TimeGrid(dt=cfg.get("sampler", "dt"), n=cfg.get("sampler", "n"))
     method = cfg.get("sampler", "method")
-    if method == "ce":
-        ens = sample_gle_mode(measure, mode, grid, m, seed)
-    elif method == "ss":
-        ens = sample_gle_mode_spectral(measure, mode, grid, m, seed)
-    else:
-        ens = sample_ou_mode(mode, grid, m, seed)
-    times = grid.times
-
-    def rows():
-        for i in range(ens.m):
-            for j in range(grid.n):
-                yield [str(i), _fmt(times[j]), _fmt(ens.values[i, j])]
-
-    _write_csv(args.out, ["path_id", "t", "value"], rows())
+    ens = _sample(_LAWS[method], measure, mode, grid,
+                  cfg.get("sampler", "ensemble"), cfg.get("sampler", "seed"))
+    _write_field_csv(args.out, grid.times, None, ens.values[:, :, None])
     _write_sidecar(
-        args.out, "sample-mode", cfg, seed,
+        args.out, "sample-mode", cfg,
         {
             "k": args.k,
             "method": method,
@@ -538,48 +496,31 @@ def cmd_sample_mode(args) -> int:
 
 
 def _interior_grid(length: float, nx: int) -> np.ndarray:
-    if nx < 1:
-        raise ConfigError(f"--nx {nx} must be >= 1")
     return np.arange(1, nx + 1) * (length / (nx + 1))
 
 
-def cmd_sample_field(args) -> int:
+def cmd_sample_field(args, cfg: RunConfig) -> int:
     """Sample the truncated field to CSV columns path_id, t, x, value."""
-    cfg = load_config(args.config)
-    for key in ("dt", "n", "ensemble", "seed"):
-        cfg.override("sampler", key, getattr(args, key))
-    cfg.override("tolerances", "tail_budget", args.tail_budget)
-    if args.N < 1:
-        raise ConfigError(f"--N {args.N} must be >= 1")
-    measure = build_kernel(cfg)
-    basis = build_basis(cfg)
-    weights = build_weights(cfg)
-    grid = _sampler_grid(cfg)
-    xs = _interior_grid(cfg.get("basis", "length"), args.nx)
-    m = cfg.get("sampler", "ensemble")
-    seed = cfg.get("sampler", "seed")
-    sample = assemble_field(
-        measure,
-        basis,
-        weights,
-        args.N,
-        grid,
-        xs,
-        m,
-        seed,
-        dynamics=args.dynamics,
-        tail_budget=cfg.get("tolerances", "tail_budget"),
-        workers=_threads(args),
-    )
-    _write_field_csv(args.out, grid.times, xs, sample.values)
+    measure, basis, weights = _model(cfg)
+    grid = TimeGrid(dt=cfg.get("sampler", "dt"), n=cfg.get("sampler", "n"))
+    xs = _interior_grid(basis.length, args.nx)
+    workers = _threads(args)
+    # the sidecar's gates run before sampling, so input they reject leaves no artifact
     wellposed = check_wellposedness(basis, weights, raise_on_divergent=False)
     regularity = check_regularity_assumption(basis, weights, cfg.get("assumption", "eta"))
+    tail_bound = tail_variance_bound(basis, weights, args.N)
+    sample = assemble_field(
+        measure, basis, weights, args.N, grid, xs,
+        cfg.get("sampler", "ensemble"), cfg.get("sampler", "seed"), dynamics=args.dynamics,
+        tail_budget=cfg.get("tolerances", "tail_budget"), workers=workers,
+    )
+    _write_field_csv(args.out, grid.times, xs, sample.values)
     _write_sidecar(
-        args.out, "sample-field", cfg, seed,
+        args.out, "sample-field", cfg,
         {
             "N": args.N,
             "dynamics": args.dynamics,
-            "tail_bound": tail_variance_bound(basis, weights, args.N),
+            "tail_bound": tail_bound,
             "max_clipped_mass": max(sample.clipped_masses, default=0.0),
             "wellposedness": {
                 "partial_sum": wellposed.partial_sum,
@@ -655,7 +596,7 @@ def _lag_steps(spec_text, size: int) -> list:
     return list(spec_text)
 
 
-def cmd_hoelder(args) -> int:
+def cmd_hoelder(args, cfg: RunConfig) -> int:
     """Fit the roughness exponent of a sampled field along one axis.
 
     Writes a JSON report with the fitted gamma, its bootstrap CI, the fit
@@ -663,17 +604,11 @@ def cmd_hoelder(args) -> int:
     values for the same lags are included (mode-level when the input has no
     x column, field-level with --N otherwise).
     """
-    if args.N < 1:
-        raise ConfigError(f"--N {args.N} must be >= 1")
     values, grid, xs = _read_field_csv(args.infile)
     if args.axis == "space" and xs.size < 2:
         raise ConfigError("space axis needs a field CSV with an x column")
-    cfg = load_config(args.config)
-    cfg.override("regularity", "lags", args.lags)
-    cfg.override("regularity", "bootstrap", args.bootstrap)
-    lag_spec = cfg.get("regularity", "lags")
     size = values.shape[1] if args.axis == "time" else values.shape[2]
-    steps = _lag_steps(lag_spec, size)
+    steps = _lag_steps(cfg.get("regularity", "lags"), size)
     sample = FieldSample(
         grid=grid,
         x=xs,
@@ -686,13 +621,10 @@ def cmd_hoelder(args) -> int:
     fit = fit_exponent(curve, bootstrap=cfg.get("regularity", "bootstrap"))
     oracle = None
     if args.config is not None:
-        measure = build_kernel(cfg)
-        basis = build_basis(cfg)
-        weights = build_weights(cfg)
+        measure, basis, weights = _model(cfg)
         if args.axis == "time":
             if xs.size == 1:
-                mode = build_mode(cfg, args.k)
-                theory = theoretical_variogram(measure, mode, curve.lags)
+                theory = theoretical_variogram(measure, _mode(basis, weights, args.k), curve.lags)
             else:
                 theory = theoretical_field_variogram(
                     measure, basis, weights, args.N, xs, curve.lags,
@@ -716,24 +648,29 @@ def cmd_hoelder(args) -> int:
         "oracle_values": oracle,
     }
     _write_json(args.out, report)
-    _write_sidecar(args.out, "hoelder", cfg, cfg.get("sampler", "seed"),
-                   {"input": os.path.basename(args.infile)})
+    _write_sidecar(args.out, "hoelder", cfg, {"input": os.path.basename(args.infile)})
     return 0
 
 
-# frozen settings for the one-shot comparison run; the lag windows avoid
-# the truncation-contaminated smallest scales and the O(1) largest ones
+# frozen settings for the one-shot comparison runs: the config a run records
+# (its [sampler] values come from the time axis) and, per axis, the grid,
+# ensemble, seeds, interior x points and lag steps of that axis's gle and
+# heat cells; the lag windows avoid the truncation-contaminated smallest
+# scales and the O(1) largest ones
 _PROFILES = {
     "comparison_1d": {
-        "atoms": [[1.0, 1.0]],
-        "length": math.pi,
+        "config": {
+            "kernel": {"atoms": "[[1.0, 1.0]]"},
+            "basis": {"length": math.pi},
+            "regularity": {"bootstrap": 200},
+        },
         "n_modes": 128,
         "time": {
             "dt": 2.0**-10,
             "n": 2**14,
             "ensemble": 64,
             "seed": 20240601,
-            "probes": 16,
+            "nx": 16,
             "steps": [32, 64, 128, 256, 512],
             "fit_seed": 1,
         },
@@ -746,12 +683,11 @@ _PROFILES = {
             "steps": [2, 4, 8, 16, 32],
             "fit_seed": 2,
         },
-        "bootstrap": 200,
     },
 }
 
 
-def cmd_reproduce(args) -> int:
+def cmd_reproduce(args, cfg: RunConfig) -> int:
     """Run the four-cell roughness comparison and emit CSVs plus a summary.
 
     The memory-driven field and the memoryless baseline are both sampled on
@@ -761,67 +697,108 @@ def cmd_reproduce(args) -> int:
     """
     profile = _PROFILES[args.profile]
     os.makedirs(args.out, exist_ok=True)
-    cfg = load_config(None)
-    cfg.override("kernel", "atoms", json.dumps(profile["atoms"]))
-    cfg.override("basis", "length", profile["length"])
-    cfg.override("sampler", "dt", profile["time"]["dt"])
-    cfg.override("sampler", "n", profile["time"]["n"])
-    cfg.override("sampler", "ensemble", profile["time"]["ensemble"])
-    cfg.override("sampler", "seed", profile["time"]["seed"])
-    cfg.override("regularity", "bootstrap", profile["bootstrap"])
-    measure = build_kernel(cfg)
-    basis = build_basis(cfg)
-    weights = build_weights(cfg)
-    n_modes = profile["n_modes"]
+    for section, entries in profile["config"].items():
+        for key, raw in entries.items():
+            cfg.override(section, key, raw)
+    for key in ("dt", "n", "ensemble", "seed"):
+        cfg.override("sampler", key, profile["time"][key])
+    measure, basis, weights = _model(cfg)
     workers = _threads(args)
     summary = {"profile": args.profile}
-
-    time_spec = profile["time"]
-    grid_t = TimeGrid(dt=time_spec["dt"], n=time_spec["n"])
-    probes = _interior_grid(profile["length"], time_spec["probes"])
-    space_spec = profile["space"]
-    grid_x = TimeGrid(dt=space_spec["dt"], n=space_spec["n"])
-    xg = _interior_grid(profile["length"], space_spec["nx"])
-
-    cells = [
-        ("gle_time", "gle", grid_t, probes, time_spec, "time"),
-        ("heat_time", "heat", grid_t, probes, time_spec, "time"),
-        ("gle_space", "gle", grid_x, xg, space_spec, "space"),
-        ("heat_space", "heat", grid_x, xg, space_spec, "space"),
-    ]
-    for name, dynamics, grid, xs, spec_dict, axis in cells:
-        sample = assemble_field(
-            measure, basis, weights, n_modes, grid, xs,
-            spec_dict["ensemble"], spec_dict["seed"],
-            dynamics=dynamics, workers=workers,
-        )
-        curve = empirical_variogram(sample, axis, spec_dict["steps"])
-        fit = fit_exponent(
-            curve, bootstrap=profile["bootstrap"], seed=spec_dict["fit_seed"]
-        )
-        csv_path = os.path.join(args.out, f"{name}_variogram.csv")
-        _write_csv(
-            csv_path,
-            ["lag", "value", "stderr"],
-            (
-                [_fmt(l), _fmt(v), _fmt(s)]
-                for l, v, s in zip(curve.lags, curve.values, curve.stderr)
-            ),
-        )
-        summary[name] = {
-            "gamma_hat": fit.gamma_hat,
-            "ci_low": fit.ci_low,
-            "ci_high": fit.ci_high,
-            "r_squared": fit.r_squared,
-        }
-    summary_path = os.path.join(args.out, "summary.json")
-    _write_json(summary_path, summary)
-    _write_sidecar(
-        os.path.join(args.out, "reproduce"), "reproduce", cfg,
-        time_spec["seed"],
-        {"profile": args.profile, "n_modes": n_modes},
-    )
+    for axis in ("time", "space"):
+        spec = profile[axis]
+        grid = TimeGrid(dt=spec["dt"], n=spec["n"])
+        xs = _interior_grid(basis.length, spec["nx"])
+        for dynamics in ("gle", "heat"):
+            sample = assemble_field(
+                measure, basis, weights, profile["n_modes"], grid, xs,
+                spec["ensemble"], spec["seed"], dynamics=dynamics, workers=workers,
+            )
+            curve = empirical_variogram(sample, axis, spec["steps"])
+            fit = fit_exponent(
+                curve, bootstrap=cfg.get("regularity", "bootstrap"), seed=spec["fit_seed"]
+            )
+            name = f"{dynamics}_{axis}"
+            _write_columns(os.path.join(args.out, f"{name}_variogram.csv"),
+                           ["lag", "value", "stderr"], [curve.lags, curve.values, curve.stderr])
+            summary[name] = {
+                "gamma_hat": fit.gamma_hat,
+                "ci_low": fit.ci_low,
+                "ci_high": fit.ci_high,
+                "r_squared": fit.r_squared,
+            }
+    _write_json(os.path.join(args.out, "summary.json"), summary)
+    _write_sidecar(os.path.join(args.out, "reproduce"), "reproduce", cfg,
+                   {"profile": args.profile, "n_modes": profile["n_modes"]})
     return 0
+
+
+# flag -> argparse keywords shared by every command that takes it, plus
+# "binds", the config (section, key) the flag overrides, and "low", the
+# least value it accepts
+_FLAGS = {
+    "--dt": {"type": float, "binds": ("sampler", "dt")},
+    "--n": {"type": int, "binds": ("sampler", "n")},
+    "--ensemble": {"type": int, "binds": ("sampler", "ensemble")},
+    "--seed": {"type": int, "binds": ("sampler", "seed")},
+    "--method": {"choices": ("ce", "ss", "ou"), "binds": ("sampler", "method")},
+    "--tail-budget": {"type": float, "binds": ("tolerances", "tail_budget")},
+    "--lags": {"help": "'dyadic' or comma-separated steps", "binds": ("regularity", "lags")},
+    "--bootstrap": {"type": int, "binds": ("regularity", "bootstrap")},
+    "--N": {"type": int, "low": 1},
+    "--nx": {"type": int, "low": 1},
+    "--k": {"type": int, "default": 1},
+    "--points": {"type": int},
+    "--threads": {"type": int},
+    "--dynamics": {"choices": ("gle", "heat", "spectral"), "default": "gle"},
+}
+
+# command -> (help, its flags in --help order, each a flag or (flag, this
+# command's own keywords)); the handler is cmd_<command>
+_COMMANDS = {
+    "kernel": ("tabulate the memory kernel", [
+        ("--config", {"help": "config file (defaults when omitted)"}),
+        ("--t-max", {"type": float, "default": 10.0}), ("--points", {"default": 256}),
+        ("--out", {"default": "kernel.csv"})]),
+    "spectrum": ("tabulate one mode's spectral density", [
+        "--config", ("--k", {"help": "mode index"}),
+        ("--omega-max", {"type": float, "help": "grid end (default: twice the root bracket)"}),
+        ("--points", {"default": 2000}), ("--out", {"default": "spectrum.csv"})]),
+    "verify": ("variance identity and resonance report", [
+        "--config", ("--k-list", {"default": "1,10,100", "help": "comma-separated mode indices"}),
+        ("--out", {"default": "verify.json"})]),
+    "sample-mode": ("sample one mode's trajectories", [
+        "--config", "--k", "--dt", "--n", "--ensemble", "--seed", "--method",
+        ("--out", {"default": "paths.csv"})]),
+    "sample-field": ("sample the truncated field", [
+        "--config", ("--N", {"default": 64, "help": "modes kept in the series"}),
+        ("--nx", {"default": 16, "help": "interior spatial points"}),
+        "--dt", "--n", "--ensemble", "--seed", "--dynamics", "--tail-budget", "--threads",
+        ("--out", {"default": "field.csv"})]),
+    "hoelder": ("fit a roughness exponent from a sample CSV", [
+        ("--in", {"required": True, "dest": "infile", "help": "paths.csv or field.csv"}),
+        ("--axis", {"choices": ("time", "space"), "default": "time"}), "--lags", "--bootstrap",
+        ("--config", {"help": "include quadrature oracle values"}),
+        ("--k", {"help": "oracle mode index (mode-level input)"}),
+        ("--N", {"default": 128, "help": "oracle mode count (field input)"}), "--dynamics",
+        ("--out", {"default": "report.json"})]),
+    "reproduce": ("one-shot roughness comparison run", [
+        ("--profile", {"choices": sorted(_PROFILES), "default": "comparison_1d"}), "--threads",
+        ("--out", {"default": "reproduce_out"})]),
+}
+
+
+def _config(args) -> RunConfig:
+    """The run's configuration: --config (defaults without one), every bound
+    flag the command was given applied on top, every flag's least value checked."""
+    cfg = load_config(getattr(args, "config", None))
+    for flag, spec in _FLAGS.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is not None and "low" in spec and value < spec["low"]:
+            raise ConfigError(f"{flag} {value} must be >= {spec['low']}")
+        if "binds" in spec:
+            cfg.override(*spec["binds"], value)
+    return cfg
 
 
 def _config_epilog() -> str:
@@ -841,70 +818,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, help_text):
+    for name, (help_text, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        sp.set_defaults(func=fn)
-        return sp
-
-    sp = add("kernel", cmd_kernel, "tabulate the memory kernel")
-    sp.add_argument("--config", default=None, help="config file (defaults when omitted)")
-    sp.add_argument("--t-max", type=float, default=10.0, dest="t_max")
-    sp.add_argument("--points", type=int, default=256)
-    sp.add_argument("--out", default="kernel.csv")
-
-    sp = add("spectrum", cmd_spectrum, "tabulate one mode's spectral density")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--k", type=int, default=1, help="mode index")
-    sp.add_argument("--omega-max", type=float, default=None, dest="omega_max",
-                    help="grid end (default: twice the root bracket)")
-    sp.add_argument("--points", type=int, default=2000)
-    sp.add_argument("--out", default="spectrum.csv")
-
-    sp = add("verify", cmd_verify, "variance identity and resonance report")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--k-list", default="1,10,100", dest="k_list",
-                    help="comma-separated mode indices")
-    sp.add_argument("--out", default="verify.json")
-
-    sp = add("sample-mode", cmd_sample_mode, "sample one mode's trajectories")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--k", type=int, default=1)
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--ensemble", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--method", choices=("ce", "ss", "ou"), default=None)
-    sp.add_argument("--out", default="paths.csv")
-
-    sp = add("sample-field", cmd_sample_field, "sample the truncated field")
-    sp.add_argument("--config", default=None)
-    sp.add_argument("--N", type=int, default=64, help="modes kept in the series")
-    sp.add_argument("--nx", type=int, default=16, help="interior spatial points")
-    sp.add_argument("--dt", type=float, default=None)
-    sp.add_argument("--n", type=int, default=None)
-    sp.add_argument("--ensemble", type=int, default=None)
-    sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--dynamics", choices=("gle", "heat", "spectral"), default="gle")
-    sp.add_argument("--tail-budget", type=float, default=None, dest="tail_budget")
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--out", default="field.csv")
-
-    sp = add("hoelder", cmd_hoelder, "fit a roughness exponent from a sample CSV")
-    sp.add_argument("--in", required=True, dest="infile", help="paths.csv or field.csv")
-    sp.add_argument("--axis", choices=("time", "space"), default="time")
-    sp.add_argument("--lags", default=None, help="'dyadic' or comma-separated steps")
-    sp.add_argument("--bootstrap", type=int, default=None)
-    sp.add_argument("--config", default=None, help="include quadrature oracle values")
-    sp.add_argument("--k", type=int, default=1, help="oracle mode index (mode-level input)")
-    sp.add_argument("--N", type=int, default=128, help="oracle mode count (field input)")
-    sp.add_argument("--dynamics", choices=("gle", "heat", "spectral"), default="gle")
-    sp.add_argument("--out", default="report.json")
-
-    sp = add("reproduce", cmd_reproduce, "one-shot roughness comparison run")
-    sp.add_argument("--profile", choices=sorted(_PROFILES), default="comparison_1d")
-    sp.add_argument("--threads", type=int, default=None)
-    sp.add_argument("--out", default="reproduce_out")
+        # looked up per parser, not at import, so a handler rebound on this
+        # module (a test stub, a tracing wrapper) is the one that runs
+        sp.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
+        for entry in flags:
+            flag, own = (entry, {}) if isinstance(entry, str) else entry
+            keywords = {**_FLAGS.get(flag, {}), **own}
+            keywords.pop("binds", None)
+            keywords.pop("low", None)
+            sp.add_argument(flag, **keywords)
     return p
 
 
@@ -923,7 +847,7 @@ _NUMERICAL_ERRORS = (ToleranceNotMet, InequalityViolated, NoResonance)
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(args, _config(args))
     except _NUMERICAL_ERRORS as exc:
         print(f"glefield: numerical failure: {exc}", file=sys.stderr)
         return 3

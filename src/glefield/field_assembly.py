@@ -253,6 +253,14 @@ def minimal_admissible_eta(
     raise Divergent("smoothness series diverges for every eta on the grid")
 
 
+def _mode(basis, weights, k: int) -> Mode:
+    """Mode k of the series: the basis's alpha_k and c_k, the weight rule's lambda_k."""
+    if k < 1:
+        raise ValueError(f"mode index {k} must be >= 1")
+    return Mode(index=k, alpha_k=basis.alpha(k), lambda_k=weights.weight(basis, k),
+                c_k=basis.sup_const(k))
+
+
 @dataclass(eq=False)
 class FieldSample:
     """Ensemble of field trajectories: values[i, j, l] = u_i(t_j, x_l)."""
@@ -334,19 +342,8 @@ def assemble_field(
         )
 
     def run_mode(k: int) -> PathEnsemble:
-        mode = Mode(
-            index=k,
-            alpha_k=basis.alpha(k),
-            lambda_k=weights.weight(basis, k),
-            c_k=basis.sup_const(k),
-        )
-        if dynamics == "heat":
-            return mode_sampler.sample_ou_mode(mode, grid, m, seed)
-        if dynamics == "spectral":
-            return mode_sampler.sample_gle_mode_spectral(
-                kernel, mode, grid, m, seed, node_count=node_count
-            )
-        return mode_sampler.sample_gle_mode(kernel, mode, grid, m, seed)
+        mode = _mode(basis, weights, k)
+        return mode_sampler._sample(dynamics, kernel, mode, grid, m, seed, node_count)
 
     out = np.zeros((m, grid.n, x_arr.size))
     paths = np.empty((_MODE_BLOCK, m, grid.n))

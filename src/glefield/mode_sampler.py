@@ -519,3 +519,14 @@ def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int) -> PathEnsembl
         noise[:, 1:] *= innovation
         out[start:stop] = lfilter([1.0], [1.0, -phi], noise, axis=1)
     return PathEnsemble(grid, out, mode, seed, "ou")
+
+
+def _sample(law: str, kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int,
+            node_count: int = 4096) -> PathEnsemble:
+    """One mode's paths under ``law``: "gle" exact, "spectral" the superposition
+    cross-check, "heat" memoryless; a sampler rebound on this module is the one called."""
+    if law == "heat":
+        return sample_ou_mode(mode, grid, m, seed)
+    if law == "spectral":
+        return sample_gle_mode_spectral(kernel, mode, grid, m, seed, node_count)
+    return sample_gle_mode(kernel, mode, grid, m, seed)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import spectral
 from .cm_kernel import KernelMeasure
-from .field_assembly import FieldSample
+from .field_assembly import FieldSample, _mode
 from .spectral import Mode, SpectralDensity
 
 
@@ -94,8 +94,10 @@ def fit_exponent(curve: VariogramCurve, bootstrap: int = 200, seed: int = 0) -> 
 
     The confidence interval is a percentile bootstrap over ensemble members
     (resampling member curves with replacement); without member curves the
-    interval collapses to the point estimate.
+    interval collapses to the point estimate, as it does for bootstrap = 0.
     """
+    if bootstrap < 0:
+        raise ValueError(f"bootstrap {bootstrap} must be >= 0")
     slope, intercept, r_sq = _loglog_fit(curve.lags, curve.values)
     gamma = 0.5 * slope
     if curve.member_values is None or bootstrap < 1:
@@ -195,15 +197,14 @@ def theoretical_field_variogram(
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     total = np.zeros(len(lag_arr))
     for k in range(1, n_modes + 1):
-        alpha = basis.alpha(k)
-        lam = weights.weight(basis, k)
+        mode = _mode(basis, weights, k)
+        alpha, lam = mode.alpha_k, mode.lambda_k
         ek_sq = float(np.mean(np.square(basis.eval(k, x_arr))))
         if ek_sq == 0.0 or lam == 0.0:
             continue
         if dynamics == "heat":
             inc = (lam * lam / alpha) * (1.0 - np.exp(-alpha * lag_arr))
         else:
-            mode = Mode(index=k, alpha_k=alpha, lambda_k=lam)
             sd = SpectralDensity(kernel, mode)
             inc = np.array(
                 [spectral.increment_second_moment(sd, h, rel_tol) for h in lag_arr]

@@ -14,7 +14,8 @@ import numpy as np
 import pytest
 
 import glefield
-from glefield.cli import _write_field_csv, load_config, main
+from glefield import cli
+from glefield.cli import _write_columns, _write_field_csv, load_config, main
 
 
 def read(path):
@@ -44,11 +45,13 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_unknown_key_is_line_anchored(tmp_path, capsys):
+    # configparser lowercases keys, so a mixed-case key is anchored through it
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[kernel]\nkernel = expsum\nbogus_key = 1\n")
-    code = main(["kernel", "--config", str(cfg), "--out", str(tmp_path / "k.csv")])
-    assert code == 2
-    assert f"{cfg}:3: unknown key 'bogus_key' in [kernel]" in capsys.readouterr().err
+    for key in ("bogus_key", "Bogus_Key"):
+        cfg.write_text(f"[kernel]\nkernel = expsum\n{key} = 1\n")
+        code = main(["kernel", "--config", str(cfg), "--out", str(tmp_path / "k.csv")])
+        assert code == 2
+        assert f"{cfg}:3: unknown key 'bogus_key' in [kernel]" in capsys.readouterr().err
 
 
 def test_unknown_section_is_line_anchored(tmp_path, capsys):
@@ -61,10 +64,11 @@ def test_unknown_section_is_line_anchored(tmp_path, capsys):
 
 def test_untyped_value_is_line_anchored(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
-    cfg.write_text("[sampler]\nn = many\n")
-    code = main(["kernel", "--config", str(cfg), "--out", str(tmp_path / "k.csv")])
-    assert code == 2
-    assert f"{cfg}:2: 'many' is not an integer" in capsys.readouterr().err
+    for key in ("n", "N"):
+        cfg.write_text(f"[sampler]\n{key} = many\n")
+        code = main(["kernel", "--config", str(cfg), "--out", str(tmp_path / "k.csv")])
+        assert code == 2
+        assert f"{cfg}:2: 'many' is not an integer" in capsys.readouterr().err
 
 
 def test_explicit_rule_requires_values(tmp_path, capsys):
@@ -134,23 +138,60 @@ def test_sample_field_thread_count_is_immaterial(tmp_path):
     assert 0.0 < sidecar["tail_bound"] < 1.0
 
 
+def _csv_reference(path, header, rows):
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([repr(v) if isinstance(v, float) else str(v) for v in row]
+                         for row in rows)
+    return path.read_bytes()
+
+
 def test_field_csv_bytes_match_csv_writer_with_repr(tmp_path):
     times = np.array([0.0, 0.1])
     xs = np.array([1e-05, 5e-324])
     values = np.array([[[-0.0, 1e-05], [1e16, 5e-324]], [[0.1, -1e16], [2.5, -5e-324]]])
     out = tmp_path / "f.csv"
     _write_field_csv(str(out), times, xs, values)
-    ref = tmp_path / "ref.csv"
-    with open(ref, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["path_id", "t", "x", "value"])
-        for i in range(2):
-            for j in range(2):
-                for l in range(2):
-                    writer.writerow([str(i), repr(float(times[j])), repr(float(xs[l])),
-                                     repr(float(values[i, j, l]))])
-    assert out.read_bytes() == ref.read_bytes()
-    assert b"-0.0\n" in out.read_bytes() and b",5e-324\n" in out.read_bytes()
+    rows = [(i, float(times[j]), float(xs[l]), float(values[i, j, l]))
+            for i in range(2) for j in range(2) for l in range(2)]
+    ref = _csv_reference(tmp_path / "ref.csv", ["path_id", "t", "x", "value"], rows)
+    assert out.read_bytes() == ref
+    assert b"-0.0\n" in ref and b",5e-324\n" in ref
+    # the sample-mode layout: no x column, values of shape (m, n, 1)
+    _write_field_csv(str(out), times, None, values[:, :, :1])
+    rows = [(i, float(times[j]), float(values[i, j, 0])) for i in range(2) for j in range(2)]
+    assert out.read_bytes() == _csv_reference(tmp_path / "ref.csv", ["path_id", "t", "value"], rows)
+    # the column tables (kernel, spectrum, variograms)
+    cols = [np.array([-0.0, 5e-324, 1e16, 0.1]), np.array([0.1, 1e16, -5e-324, -0.0])]
+    _write_columns(str(out), ["lag", "value"], cols)
+    rows = [(float(a), float(b)) for a, b in zip(*cols)]
+    assert out.read_bytes() == _csv_reference(tmp_path / "ref.csv", ["lag", "value"], rows)
+
+
+def test_sample_field_gates_run_before_sampling(tmp_path, capsys):
+    # an eta the regularity gate rejects must leave no field CSV behind
+    cfg = tmp_path / "eta.ini"
+    cfg.write_text("[assumption]\neta = 1.5\n")
+    out = tmp_path / "f.csv"
+    code = main(["sample-field", "--config", str(cfg), "--N", "4", "--nx", "3", "--n", "32",
+                 "--ensemble", "2", "--tail-budget", "1.0", "--out", str(out)])
+    assert code == 2
+    assert "eta 1.5 must lie in (0, 1)" in capsys.readouterr().err
+    assert not out.exists()
+    assert not (tmp_path / "f.csv.provenance.json").exists()
+
+
+def test_handlers_are_looked_up_when_the_parser_is_built(tmp_path, monkeypatch):
+    # a wrapper rebound on the module (how the bench tracer sees a handler)
+    # must be the one main runs
+    calls = []
+    for name in ("cmd_kernel", "cmd_sample_field"):
+        monkeypatch.setattr(cli, name, lambda *a, name=name: calls.append(name) or 0)
+    assert main(["kernel", "--out", str(tmp_path / "k.csv")]) == 0
+    assert main(["sample-field", "--out", str(tmp_path / "f.csv")]) == 0
+    assert calls == ["cmd_kernel", "cmd_sample_field"]
+    assert not list(tmp_path.iterdir())
 
 
 def test_verify_report_structure(tmp_path):
@@ -229,6 +270,19 @@ def test_hoelder_rejects_mode_count_below_one(tmp_path, capsys):
                      "--out", str(tmp_path / "r.json")])
         assert code == 2
         assert f"--N {bad} must be >= 1" in capsys.readouterr().err
+
+
+def test_negative_bootstrap_exits_2(tmp_path, capsys):
+    paths = tmp_path / "paths.csv"
+    assert main(["sample-mode", "--dt", "0.125", "--n", "64", "--ensemble", "2",
+                 "--out", str(paths)]) == 0
+    cfg = tmp_path / "boot.ini"
+    cfg.write_text("[regularity]\nbootstrap = -3\n")
+    out = tmp_path / "r.json"
+    for extra in (["--bootstrap", "-3"], ["--config", str(cfg)]):
+        assert main(["hoelder", "--in", str(paths), "--out", str(out), *extra]) == 2
+        assert "bootstrap -3 must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_seed_beyond_64_bits_exits_2(tmp_path, capsys):

@@ -77,6 +77,11 @@ def test_bootstrap_interval_is_seeded_and_brackets_estimate():
     assert fit_a.n_members == 64
     fit_c = fit_exponent(curve, bootstrap=200, seed=2)
     assert (fit_a.ci_low, fit_a.ci_high) != (fit_c.ci_low, fit_c.ci_high)
+    # zero resamples means no interval; a negative count is an input error
+    fit_0 = fit_exponent(curve, bootstrap=0)
+    assert fit_0.ci_low == fit_0.gamma_hat == fit_0.ci_high and fit_0.n_members == 0
+    with pytest.raises(ValueError, match="bootstrap -3"):
+        fit_exponent(curve, bootstrap=-3)
 
 
 def test_empirical_variogram_input_validation():
