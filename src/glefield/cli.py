@@ -696,6 +696,7 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
     CSV and a {gamma_hat, ci_low, ci_high, r_squared} entry in summary.json.
     """
     profile = _PROFILES[args.profile]
+    workers = _threads(args)
     os.makedirs(args.out, exist_ok=True)
     for section, entries in profile["config"].items():
         for key, raw in entries.items():
@@ -703,7 +704,6 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
     for key in ("dt", "n", "ensemble", "seed"):
         cfg.override("sampler", key, profile["time"][key])
     measure, basis, weights = _model(cfg)
-    workers = _threads(args)
     summary = {"profile": args.profile}
     for axis in ("time", "space"):
         spec = profile[axis]

@@ -17,9 +17,16 @@ Three routes produce paths on a uniform time grid:
 * :func:`sample_ou_mode` - exact AR(1) recursion for the memoryless
   (Ornstein-Uhlenbeck) mode used by the classical-dynamics baseline.
 
-Randomness is counter-based: path i of mode k under seed s draws from a
-Philox stream keyed by (s, k, i), so ensembles are reproducible elementwise
-regardless of chunking or thread count.
+Randomness: mode k under seed s draws from one SFC64 stream, child k of the
+seed's ``SeedSequence``, and path i takes the i-th consecutive block of its
+normals: n of them for the innovations form and the AR(1) baseline, d*n for
+the state recursion, 2L for the circulant and 2 per node for the
+superposition.  Each chunk of paths is one draw, so ensembles do not depend
+on chunking or thread count, and the first m' paths of an m-path ensemble
+are the m'-path ensemble (the superposition's only up to rounding: its BLAS
+product picks a kernel by the chunk's row count).  A path is not addressable on its own (path i
+follows the i blocks before it), and paths of n' < n steps are not the
+first n' steps of paths of n.
 """
 
 from __future__ import annotations
@@ -85,38 +92,12 @@ def _check_sampling_args(m: int, seed: int) -> None:
         raise ValueError(f"seed {seed!r} must be an integer in [0, 2**64)")
 
 
-def _streams(seed: int, mode_index: int):
-    """Map path index i to the Philox stream keyed by (seed, mode, i).
-
-    One generator serves every path: each call re-keys it through its state
-    (counter 0, empty buffer), which gives exactly the draws of
-    ``Generator(Philox(key=...))`` without building a seed sequence, and so
-    without drawing OS entropy, per path.  The returned generator is valid
-    until the next call.
-    """
-    bits = np.random.Philox(0)  # an explicit seed draws no OS entropy
-    gen = np.random.Generator(bits)
-    key = np.array([seed, 0], dtype=np.uint64)
-    state = {
-        "bit_generator": "Philox",
-        "state": {"counter": np.zeros(4, dtype=np.uint64), "key": key},
-        "buffer": np.zeros(4, dtype=np.uint64),
-        "buffer_pos": 4,
-        "has_uint32": 0,
-        "uinteger": 0,
-    }
-
-    def stream(path_index: int) -> np.random.Generator:
-        key[1] = (mode_index << 32) | path_index
-        bits.state = state
-        return gen
-
-    return stream
-
-
-def _stream(seed: int, mode_index: int, path_index: int) -> np.random.Generator:
-    """Philox stream keyed by (seed, mode, path): independent and addressable."""
-    return _streams(seed, mode_index)(path_index)
+def _stream(seed: int, mode_index: int) -> np.random.Generator:
+    """Mode k's normals: an SFC64 generator on child k of the seed's
+    ``SeedSequence``, numpy's derivation of independent streams.  An explicit
+    seed draws no OS entropy."""
+    seq = np.random.SeedSequence(seed, spawn_key=(mode_index,))
+    return np.random.Generator(np.random.SFC64(seq))
 
 
 def circulant_eigenvalues(cov: np.ndarray) -> np.ndarray:
@@ -398,9 +379,10 @@ def sample_gle_mode(
     are the closed-form r(j*dt) of the Markovian embedding, before Monte
     Carlo error.  The route (``method``) is the one :func:`_embed` picks;
     on "recursion" a one-atom mode with an eigenbasis draws one normal per
-    step (innovations form) and any other mode d per step.  Paths are
-    chunked so that a chunk's normals never outnumber 256 rows of a
-    length-2L circulant embedding.
+    step (innovations form) and any other mode d per step.  Path i takes
+    the i-th block of that many normals from the mode's stream (2L on the
+    circulant).  Each chunk of paths is one draw, and a chunk's normals never
+    outnumber 256 rows of a length-2L circulant embedding.
     """
     _check_sampling_args(m, seed)
     out = np.empty((m, grid.n))
@@ -420,13 +402,11 @@ def sample_gle_mode(
         neg = eig[eig < 0.0].sum()
         clipped = float(-neg / eig[eig > 0.0].sum()) if neg < 0.0 else 0.0
         route = ("circulant", clipped, eig.shape[0])
-    stream = _streams(seed, mode.index)
+    gen = _stream(seed, mode.index)
+    buf = np.empty((min(chunk, m), *shape))
     for start in range(0, m, chunk):
-        stop = min(start + chunk, m)
-        normals = np.empty((stop - start, *shape))
-        for i, block in enumerate(normals, start):
-            stream(i).standard_normal(out=block)
-        out[start:stop] = synth(normals)
+        normals = gen.standard_normal(out=buf[: m - start])
+        out[start : start + len(normals)] = synth(normals)
     return PathEnsemble(grid, out, mode, seed, *route)
 
 
@@ -472,7 +452,9 @@ def sample_gle_mode_spectral(
     node_count: int = 4096,
 ) -> PathEnsemble:
     """Harmonic-superposition sampler: u(t) = sum_j a_j (xi_j cos + eta_j sin)(w_j t)
-    with a_j = sqrt(2 rho(w_j) dw_j).  Independent of the embedding route."""
+    with a_j = sqrt(2 rho(w_j) dw_j).  Independent of the embedding route.
+    Path i takes the i-th block of 2 normals per node (all xi, then eta) from
+    the mode's stream, one draw per chunk of paths."""
     _check_sampling_args(m, seed)
     sd = SpectralDensity(kernel, mode)
     out = np.empty((m, grid.n))
@@ -485,20 +467,20 @@ def sample_gle_mode_spectral(
     cos_m = np.cos(phases)
     sin_m = np.sin(phases)
     k = nodes.shape[0]
-    stream = _streams(seed, mode.index)
+    gen = _stream(seed, mode.index)
+    # row i holds path i's 2k draws: xi then eta
+    buf = np.empty((min(_PATH_CHUNK, m), 2, k))
     for start in range(0, m, _PATH_CHUNK):
-        stop = min(start + _PATH_CHUNK, m)
-        # row i holds path i's 2k draws: xi then eta
-        draws = np.empty((stop - start, 2, k))
-        for i, row in enumerate(draws, start):
-            stream(i).standard_normal(out=row)
-        out[start:stop] = (draws[:, 0] * amp) @ cos_m + (draws[:, 1] * amp) @ sin_m
+        draws = gen.standard_normal(out=buf[: m - start])
+        out[start : start + len(draws)] = (draws[:, 0] * amp) @ cos_m + (draws[:, 1] * amp) @ sin_m
     return PathEnsemble(grid, out, mode, seed, "spectral", node_count=k)
 
 
 def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int) -> PathEnsemble:
     """Exact stationary AR(1) recursion for the memoryless baseline mode:
-    u_{j+1} = e^{-alpha dt} u_j + lambda * sqrt((1 - e^{-2 alpha dt})/(2 alpha)) * xi_j."""
+    u_{j+1} = e^{-alpha dt} u_j + lambda * sqrt((1 - e^{-2 alpha dt})/(2 alpha)) * xi_j.
+    Path i takes the i-th block of n normals from the mode's stream, one draw
+    per chunk of paths."""
     _check_sampling_args(m, seed)
     alpha = mode.alpha_k
     lam = mode.lambda_k
@@ -509,15 +491,13 @@ def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int) -> PathEnsembl
     phi = math.exp(-alpha * grid.dt)
     sigma = lam / math.sqrt(2.0 * alpha)
     innovation = sigma * math.sqrt(1.0 - phi * phi)
-    stream = _streams(seed, mode.index)
+    gen = _stream(seed, mode.index)
+    buf = np.empty((min(_PATH_CHUNK, m), grid.n))
     for start in range(0, m, _PATH_CHUNK):
-        stop = min(start + _PATH_CHUNK, m)
-        noise = np.empty((stop - start, grid.n))
-        for i, row in enumerate(noise, start):
-            stream(i).standard_normal(out=row)
+        noise = gen.standard_normal(out=buf[: m - start])
         noise[:, 0] *= sigma
         noise[:, 1:] *= innovation
-        out[start:stop] = lfilter([1.0], [1.0, -phi], noise, axis=1)
+        out[start : start + len(noise)] = lfilter([1.0], [1.0, -phi], noise, axis=1)
     return PathEnsemble(grid, out, mode, seed, "ou")
 
 

@@ -107,14 +107,11 @@ def fit_exponent(curve: VariogramCurve, bootstrap: int = 200, seed: int = 0) -> 
         raise ValueError("member_values must have shape (m, len(lags))")
     m = members.shape[0]
     rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
-    draws = np.empty(bootstrap)
-    lx = np.log(curve.lags)
-    for b in range(bootstrap):
-        resampled = members[rng.integers(0, m, size=m)].mean(axis=0)
-        if np.any(resampled <= 0.0):
-            raise DegenerateFit("bootstrap resample produced nonpositive variogram")
-        s, _ = np.polyfit(lx, np.log(resampled), 1)
-        draws[b] = 0.5 * s
+    # row b of the index table is resample b; one polyfit fits every column
+    resampled = members[rng.integers(0, m, size=(bootstrap, m))].mean(axis=1)
+    if np.any(resampled <= 0.0):
+        raise DegenerateFit("bootstrap resample produced nonpositive variogram")
+    draws = 0.5 * np.polyfit(np.log(curve.lags), np.log(resampled).T, 1)[0]
     lo, hi = np.percentile(draws, [2.5, 97.5])
     return ExponentFit(gamma, float(lo), float(hi), r_sq, slope, intercept, m, r_sq < 0.9)
 

@@ -353,6 +353,15 @@ def test_thread_configuration_errors(tmp_path, capsys, monkeypatch):
     assert "GLEFIELD_THREADS" in capsys.readouterr().err
 
 
+def test_reproduce_checks_threads_before_creating_out(tmp_path, monkeypatch):
+    out = tmp_path / "run"
+    assert main(["reproduce", "--threads", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+    monkeypatch.setenv("GLEFIELD_THREADS", "0")
+    assert main(["reproduce", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_unknown_subcommand_exits_2():
     with pytest.raises(SystemExit) as info:
         main(["transmogrify"])

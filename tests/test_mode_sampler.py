@@ -14,7 +14,6 @@ from glefield.mode_sampler import (
     TimeGrid,
     _Markov,
     _stream,
-    _streams,
     circulant_eigenvalues,
     paths_from_normals,
     sample_gle_mode,
@@ -87,20 +86,11 @@ def test_streams_differ_across_modes():
 
 
 @pytest.mark.parametrize("seed", [0, 2**64 - 1])
-def test_stream_equals_a_freshly_keyed_philox(seed):
-    for k, i in ((1, 0), (7, 3), (2**31, 2**32 - 1)):
-        key = np.array([seed, (k << 32) | i], dtype=np.uint64)
-        fresh = np.random.Generator(np.random.Philox(key=key))
-        assert np.array_equal(_stream(seed, k, i).standard_normal(9), fresh.standard_normal(9))
-    # re-keying one generator leaves nothing of the previous path behind,
-    # not even a buffered half word
-    stream = _streams(seed, 5)
-    first = stream(0).standard_normal(5)
-    stream(1).integers(0, 2**32, size=3, dtype=np.uint32)
-    assert np.array_equal(stream(0).standard_normal(5), first)
-    key = np.array([seed, (5 << 32) | 1], dtype=np.uint64)
-    fresh = np.random.Generator(np.random.Philox(key=key))
-    assert np.array_equal(stream(1).standard_normal(7), fresh.standard_normal(7))
+def test_stream_is_the_seed_sequence_child_of_the_mode(seed):
+    for k in (1, 7, 2**31):
+        child = np.random.SeedSequence(seed, spawn_key=(k,))
+        fresh = np.random.Generator(np.random.SFC64(child))
+        assert np.array_equal(_stream(seed, k).standard_normal(9), fresh.standard_normal(9))
 
 
 def test_samplers_draw_no_os_entropy(monkeypatch):
@@ -248,9 +238,11 @@ def test_recursion_reproduces_toeplitz_exactly():
     assert np.isreal(_Markov(SINGLE, Mode(1, 0.1, 1.0)).eig[0]).all()
 
 
-def test_one_atom_mode_draws_one_normal_per_step(monkeypatch):
+def _record_draws(monkeypatch):
+    """Route every sampler's stream through a wrapper; returns the list that
+    collects the size of each standard_normal draw."""
     drawn = []
-    streams = mode_sampler._streams
+    stream = mode_sampler._stream
 
     class Recording:
         def __init__(self, gen):
@@ -261,17 +253,54 @@ def test_one_atom_mode_draws_one_normal_per_step(monkeypatch):
             drawn.append(draw.size)
             return draw
 
-    def recording_streams(seed, mode_index):
-        stream = streams(seed, mode_index)
-        return lambda i: Recording(stream(i))
+    monkeypatch.setattr(mode_sampler, "_stream", lambda seed, k: Recording(stream(seed, k)))
+    return drawn
 
-    monkeypatch.setattr(mode_sampler, "_streams", recording_streams)
+
+def test_one_atom_mode_draws_one_normal_per_step(monkeypatch):
+    drawn = _record_draws(monkeypatch)
     n = 256
     for mode in (Mode(1, 5.0, 1.0), Mode(1, 0.1, 1.0)):
         drawn.clear()
         ens = sample_gle_mode(SINGLE, mode, TimeGrid(dt=0.125, n=n), 3, seed=0)
         assert ens.method == "recursion"
-        assert drawn == [n, n, n]
+        assert drawn == [3 * n]
+
+
+# one-atom gle (innovations form), a three-atom mode on the circulant, the
+# superposition and the AR(1) baseline
+_SAMPLERS = {
+    "recursion": lambda grid, m: sample_gle_mode(SINGLE, Mode(2, 5.0, 1.0), grid, m, seed=3),
+    "circulant": lambda grid, m: sample_gle_mode(THREE, Mode(3, 10.0, 1.0), grid, m, seed=3),
+    "spectral": lambda grid, m: sample_gle_mode_spectral(SINGLE, Mode(2, 5.0, 1.0), grid, m,
+                                                         seed=3, node_count=256),
+    "ou": lambda grid, m: sample_ou_mode(Mode(2, 5.0, 1.0), grid, m, seed=3),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_SAMPLERS))
+def test_each_chunk_is_one_draw(monkeypatch, route):
+    drawn = _record_draws(monkeypatch)
+    monkeypatch.setattr(mode_sampler, "_PATH_CHUNK", 2)
+    ens = _SAMPLERS[route](TimeGrid(dt=0.125, n=64), 5)
+    assert ens.method == route
+    assert len(drawn) == math.ceil(5 / 2)
+
+
+@pytest.mark.parametrize("route", sorted(_SAMPLERS))
+def test_ensembles_do_not_depend_on_chunk_size(monkeypatch, route):
+    grid = TimeGrid(dt=0.125, n=64)
+    whole = _SAMPLERS[route](grid, 7)
+    assert whole.method == route
+    monkeypatch.setattr(mode_sampler, "_PATH_CHUNK", 3)
+    chunked = _SAMPLERS[route](grid, 7).values
+    if route == "spectral":
+        # the same normals, but the superposition is a BLAS product whose
+        # rounding depends on the chunk's row count (a one-row chunk takes
+        # a matrix-vector kernel)
+        assert np.abs(chunked - whole.values).max() <= 1e-13 * np.abs(whole.values).max()
+    else:
+        assert chunked.tobytes() == whole.values.tobytes()
 
 
 def test_ou_marginal_moments():

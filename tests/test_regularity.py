@@ -84,6 +84,35 @@ def test_bootstrap_interval_is_seeded_and_brackets_estimate():
         fit_exponent(curve, bootstrap=-3)
 
 
+def _reference_interval(curve, bootstrap, seed):
+    # one resample and one polyfit per draw
+    rng = np.random.Generator(np.random.Philox(key=np.array([seed, 0], dtype=np.uint64)))
+    members = curve.member_values
+    draws = []
+    for _ in range(bootstrap):
+        resampled = members[rng.integers(0, len(members), size=len(members))].mean(axis=0)
+        draws.append(0.5 * np.polyfit(np.log(curve.lags), np.log(resampled), 1)[0])
+    return np.percentile(draws, [2.5, 97.5])
+
+
+def test_bootstrap_matches_the_per_draw_loop():
+    # an odd member count: the index table must be the sequential draws even
+    # when a draw ends inside a 64-bit word
+    rng = np.random.Generator(np.random.Philox(key=np.array([7, 0], dtype=np.uint64)))
+    members = (1.0 + rng.random((37, 1))) * LAGS ** (0.4 + 0.3 * rng.random((37, len(LAGS))))
+    curve = VariogramCurve(LAGS, members.mean(axis=0), "time", member_values=members)
+    for seed in (0, 5):
+        fit = fit_exponent(curve, bootstrap=200, seed=seed)
+        lo, hi = _reference_interval(curve, 200, seed)
+        assert abs(fit.ci_low - lo) <= 1e-12 and abs(fit.ci_high - hi) <= 1e-12
+    # one nonpositive member curve: some resample is all but certain to draw
+    # it often enough to turn a mean nonpositive
+    members[3] = -100.0
+    curve = VariogramCurve(LAGS, np.abs(members).mean(axis=0), "time", member_values=members)
+    with pytest.raises(DegenerateFit, match="bootstrap"):
+        fit_exponent(curve, bootstrap=200, seed=0)
+
+
 def test_empirical_variogram_input_validation():
     sample = FieldSample(
         grid=TimeGrid(dt=0.5, n=4),
