@@ -106,7 +106,7 @@ _SCHEMA = {
         "dt": ("0.00390625", "float", "time step"),
         "n": ("4096", "int", "samples per path"),
         "ensemble": ("64", "int", "paths per mode"),
-        "seed": ("0", "int", "base seed for counter-based streams"),
+        "seed": ("0", "int", "base seed; mode k draws from SFC64 child k of its SeedSequence"),
         "method": ("ce", "choice:ce,ss,ou",
                    "ce=exact: state-space recursion or circulant embedding, "
                    "ss=spectral, ou=memoryless"),
@@ -600,7 +600,7 @@ def cmd_hoelder(args, cfg: RunConfig) -> int:
     """Fit the roughness exponent of a sampled field along one axis.
 
     Writes a JSON report with the fitted gamma, its bootstrap CI, the fit
-    quality, and the variogram itself.  With --config, quadrature oracle
+    quality, and the variogram itself.  With --config, closed-form oracle
     values for the same lags are included (mode-level when the input has no
     x column, field-level with --N otherwise).
     """
@@ -624,7 +624,9 @@ def cmd_hoelder(args, cfg: RunConfig) -> int:
         measure, basis, weights = _model(cfg)
         if args.axis == "time":
             if xs.size == 1:
-                theory = theoretical_variogram(measure, _mode(basis, weights, args.k), curve.lags)
+                theory = theoretical_variogram(
+                    measure, _mode(basis, weights, args.k), curve.lags, dynamics=args.dynamics
+                )
             else:
                 theory = theoretical_field_variogram(
                     measure, basis, weights, args.N, xs, curve.lags,
@@ -778,7 +780,7 @@ _COMMANDS = {
     "hoelder": ("fit a roughness exponent from a sample CSV", [
         ("--in", {"required": True, "dest": "infile", "help": "paths.csv or field.csv"}),
         ("--axis", {"choices": ("time", "space"), "default": "time"}), "--lags", "--bootstrap",
-        ("--config", {"help": "include quadrature oracle values"}),
+        ("--config", {"help": "include closed-form oracle values"}),
         ("--k", {"help": "oracle mode index (mode-level input)"}),
         ("--N", {"default": 128, "help": "oracle mode count (field input)"}), "--dynamics",
         ("--out", {"default": "report.json"})]),

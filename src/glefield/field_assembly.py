@@ -199,8 +199,9 @@ def check_wellposedness(
     """Gate the stationary variance series sum_k lambda_k^2 / alpha_k.
 
     Built-in weight rules on built-in bases decay like a power of k, so the
-    tail is closed analytically from the fitted power; convergence requires
-    that power to exceed 1.  For Explicit weights the same partial-sum plus
+    tail is estimated, not bounded: a power fitted to the last decade of
+    probe terms is integrated past the probe; convergence requires that
+    power to exceed 1.  For Explicit weights the same partial-sum plus
     decay-fit heuristic applies to however many weights were given.  With
     raise_on_divergent (the default for simulation entry points) a divergent
     series raises Divergent instead of returning.
@@ -279,8 +280,9 @@ class FieldSample:
 
 
 def tail_variance_bound(basis, weights, n_modes: int, n_probe: int = 4000) -> float:
-    """Analytic bound on the pointwise variance lost to truncation,
-    sum_{k > n_modes} lambda_k^2 c_k^2 / alpha_k."""
+    """Estimate, not a bound, of the pointwise variance lost to truncation,
+    sum_{k > n_modes} lambda_k^2 c_k^2 / alpha_k: the terms up to the probe
+    plus a fitted-power tail past it."""
     probe = max(n_probe, 2 * n_modes)
     if isinstance(weights, Explicit):
         probe = len(weights.values)
@@ -324,7 +326,7 @@ def assemble_field(
 
     Raises Divergent if the variance series fails its gate and
     TailBudgetExceeded if truncation leaves more than tail_budget of
-    pointwise variance (by the analytic bound).
+    pointwise variance (by the fitted-power tail estimate).
     """
     if n_modes < 1:
         raise ValueError("n_modes must be positive")
@@ -337,7 +339,7 @@ def assemble_field(
     tail = tail_variance_bound(basis, weights, n_modes)
     if tail > tail_budget:
         raise TailBudgetExceeded(
-            f"truncation at {n_modes} modes leaves variance bound {tail:.3e} "
+            f"truncation at {n_modes} modes leaves variance estimate {tail:.3e} "
             f"> budget {tail_budget:.3e}"
         )
 

@@ -208,6 +208,21 @@ class _Markov:
             step = step @ step
         return self.variance * cols[0, :count]
 
+    def increment(self, lags) -> np.ndarray:
+        """E|u(t+h) - u(t)|^2 = 2 (r(0) - r(h)) at each lag h > 0, exactly.
+
+        In the eigenbasis it is -2 r(0) Re sum_i c_i expm1(mu_i h), which
+        keeps small lags free of the cancellation in r(0) - r(h); without
+        one it is 2 r(0) (1 - Phi(h)[0, 0]) from :meth:`transition`.
+        """
+        h = np.asarray(lags, dtype=float)
+        if self.eig is None:
+            phi = [self.transition(t)[0][0, 0] for t in h.ravel()]
+            return 2.0 * self.variance * (1.0 - np.reshape(phi, h.shape))
+        mu, head, inv = self.eig
+        terms = (head * inv[:, 0]) * np.expm1(np.multiply.outer(h, mu))
+        return -2.0 * self.variance * terms.sum(axis=-1).real
+
     def transition(self, dt: float):
         """Exact one-step law: v(t + dt) = Phi v(t) + N(0, Q).
 

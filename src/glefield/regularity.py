@@ -3,7 +3,7 @@
 The empirical variogram of a field at lag h along an axis is the ensemble
 and volume average of squared increments; on a log-log scale its slope is
 twice the Hoelder exponent of the sample paths.  This module computes
-empirical and quadrature-exact theoretical variograms and fits the exponent
+empirical and closed-form theoretical variograms and fits the exponent
 with a bootstrap confidence interval over ensemble members.
 """
 
@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import spectral
 from .cm_kernel import KernelMeasure
 from .field_assembly import FieldSample, _mode
-from .spectral import Mode, SpectralDensity
+from .mode_sampler import _Markov
+from .spectral import Mode
 
 
 class DegenerateFit(Exception):
@@ -47,6 +47,8 @@ class VariogramCurve:
             raise ValueError(f"axis {self.axis!r} must be 'time' or 'space'")
         if self.lags.ndim != 1 or self.lags.shape != self.values.shape:
             raise ValueError("lags and values must be matching 1d arrays")
+        if not (np.all(np.isfinite(self.lags)) and np.all(np.isfinite(self.values))):
+            raise ValueError("lags and values must be finite")
         if len(self.lags) < 4:
             raise ValueError(f"need at least 4 lags, got {len(self.lags)}")
         if np.any(np.diff(self.lags) <= 0.0) or self.lags[0] <= 0.0:
@@ -167,47 +169,46 @@ def empirical_variogram(sample: FieldSample, axis: str, lag_steps) -> VariogramC
     )
 
 
-def theoretical_variogram(
-    kernel: KernelMeasure, mode: Mode, lags, rel_tol: float = 1e-8
-) -> VariogramCurve:
-    """Quadrature-exact single-mode time variogram E|u(t+h) - u(t)|^2."""
+def _time_variogram(kernel: KernelMeasure, terms, lags, dynamics: str) -> VariogramCurve:
+    """sum_k w_k E|u_k(t+h) - u_k(t)|^2 over (mode, w_k) terms, in closed form:
+    gle (and its spectral cross-check) from the mode's Markovian embedding,
+    heat the OU law (lambda^2/alpha)(1 - e^{-alpha h}).  The curve is built
+    first, so bad lags fail before any mode is evaluated."""
+    if dynamics not in ("gle", "heat", "spectral"):
+        raise ValueError(f"unknown dynamics {dynamics!r}")
     lag_arr = np.asarray(lags, dtype=float)
-    sd = SpectralDensity(kernel, mode)
-    vals = np.array([spectral.increment_second_moment(sd, h, rel_tol) for h in lag_arr])
-    return VariogramCurve(lags=lag_arr, values=vals, axis="time", stderr=np.zeros(len(lag_arr)))
+    curve = VariogramCurve(lag_arr, np.zeros(len(lag_arr)), "time", np.zeros(len(lag_arr)))
+    for mode, weight in terms:
+        alpha, lam = mode.alpha_k, mode.lambda_k
+        if weight == 0.0 or lam == 0.0:
+            continue
+        if dynamics == "heat":
+            inc = -(lam * lam / alpha) * np.expm1(-alpha * curve.lags)
+        else:
+            inc = _Markov(kernel, mode).increment(curve.lags)
+        curve.values += inc * weight
+    return curve
+
+
+def theoretical_variogram(
+    kernel: KernelMeasure, mode: Mode, lags, dynamics: str = "gle"
+) -> VariogramCurve:
+    """Exact single-mode time variogram E|u(t+h) - u(t)|^2."""
+    return _time_variogram(kernel, [(mode, 1.0)], lags, dynamics)
 
 
 def theoretical_field_variogram(
-    kernel: KernelMeasure,
-    basis,
-    weights,
-    n_modes: int,
-    x: float,
-    lags,
-    dynamics: str = "gle",
-    rel_tol: float = 1e-8,
+    kernel: KernelMeasure, basis, weights, n_modes: int, x, lags, dynamics: str = "gle"
 ) -> VariogramCurve:
     """Truncated-series time variogram of the field,
     sum_k E|u_k(t+h) - u_k(t)|^2 * e_k(x)^2, with e_k(x)^2 averaged over x
     when an array of probe positions is given."""
-    lag_arr = np.asarray(lags, dtype=float)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    total = np.zeros(len(lag_arr))
-    for k in range(1, n_modes + 1):
-        mode = _mode(basis, weights, k)
-        alpha, lam = mode.alpha_k, mode.lambda_k
-        ek_sq = float(np.mean(np.square(basis.eval(k, x_arr))))
-        if ek_sq == 0.0 or lam == 0.0:
-            continue
-        if dynamics == "heat":
-            inc = (lam * lam / alpha) * (1.0 - np.exp(-alpha * lag_arr))
-        else:
-            sd = SpectralDensity(kernel, mode)
-            inc = np.array(
-                [spectral.increment_second_moment(sd, h, rel_tol) for h in lag_arr]
-            )
-        total += inc * ek_sq
-    return VariogramCurve(lags=lag_arr, values=total, axis="time", stderr=np.zeros(len(lag_arr)))
+    terms = (
+        (_mode(basis, weights, k), float(np.mean(np.square(basis.eval(k, x_arr)))))
+        for k in range(1, n_modes + 1)
+    )
+    return _time_variogram(kernel, terms, lags, dynamics)
 
 
 def theoretical_space_variogram(

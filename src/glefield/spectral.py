@@ -246,13 +246,13 @@ def _pieces(sd: SpectralDensity, budget: float):
     return list(zip(pts[:-1], pts[1:]))
 
 
-def _integrate(sd: SpectralDensity, rel_tol: float, piece, scale: int = 1) -> float:
-    """2 * scale * integral_0^cutoff of an integrand bounded by scale * rho.
+def _integrate(sd: SpectralDensity, rel_tol: float, piece) -> float:
+    """2 * integral_0^cutoff of an integrand bounded by rho.
 
     piece(f, a, b, epsabs, epsrel) integrates one subinterval given the
     scalar density f and returns (value, error estimate).  The tolerance is
-    relative to lam^2/alpha; the neglected tail, at most scale times the rho
-    tail, is certified below a quarter of that budget.
+    relative to lam^2/alpha; the neglected tail, at most the rho tail, is
+    certified below a quarter of that budget.
     """
     if not 1e-12 <= rel_tol <= 1e-3:
         raise ValueError(f"rel_tol {rel_tol} outside [1e-12, 1e-3]")
@@ -260,9 +260,9 @@ def _integrate(sd: SpectralDensity, rel_tol: float, piece, scale: int = 1) -> fl
     if lam == 0.0:
         return 0.0
     budget = rel_tol * lam * lam / sd.mode.alpha_k
-    pieces = _pieces(sd, budget / (8.0 * scale))
-    epsabs = budget / (8.0 * scale * len(pieces))
-    epsrel = rel_tol / (8.0 * scale)
+    pieces = _pieces(sd, budget / 8.0)
+    epsabs = budget / (8.0 * len(pieces))
+    epsrel = rel_tol / 8.0
     f = _scalar_rho(sd)
     total = 0.0
     est_err = 0.0
@@ -270,11 +270,11 @@ def _integrate(sd: SpectralDensity, rel_tol: float, piece, scale: int = 1) -> fl
         value, err = piece(f, a, b, epsabs, epsrel)
         total += value
         est_err += err
-    if 2.0 * scale * est_err > budget:
+    if 2.0 * est_err > budget:
         raise ToleranceNotMet(
-            f"quadrature error estimate {2.0 * scale * est_err:.3e} exceeds budget {budget:.3e}"
+            f"quadrature error estimate {2.0 * est_err:.3e} exceeds budget {budget:.3e}"
         )
-    return 2.0 * scale * total
+    return 2.0 * total
 
 
 def _plain(f, a, b, epsabs, epsrel):
@@ -315,30 +315,6 @@ def autocovariance(sd: SpectralDensity, tau: float, rel_tol: float = 1e-8) -> fl
     return _integrate(
         sd, rel_tol, lambda f, a, b, epsabs, epsrel: _cosine(f, a, b, epsabs, epsrel, tau)
     )
-
-
-def increment_second_moment(sd: SpectralDensity, h: float, rel_tol: float = 1e-8) -> float:
-    """E|u(t+h) - u(t)|^2 = 2 * integral_R (1 - cos(h*omega)) rho(omega) d omega.
-
-    Integrates the increment integrand directly (it is not assembled from
-    autocovariance calls), so comparing against 2*(r(0) - r(h)) exercises two
-    genuinely different quadrature routes.  Tolerance is relative to lam^2/alpha.
-    """
-    if not (np.isfinite(h) and h >= 0.0):
-        raise ValueError(f"h {h} must be finite and nonnegative")
-    if h == 0.0:
-        return 0.0
-
-    def piece(f, a, b, epsabs, epsrel):
-        if (b - a) * h <= 16.0 * math.pi:
-            return _plain(lambda w: 2.0 * math.sin(0.5 * h * w) ** 2 * f(w), a, b, epsabs, epsrel)
-        # long piece: many oscillations, integrate rho and cos*rho separately
-        plain = _plain(f, a, b, epsabs / 2, epsrel)
-        osc = _cosine(f, a, b, epsabs / 2, epsrel, h)
-        return plain[0] - osc[0], plain[1] + osc[1]
-
-    # 0 <= 1 - cos <= 2, so the neglected tail costs at most twice the rho tail
-    return _integrate(sd, rel_tol, piece, scale=2)
 
 
 @dataclass(frozen=True)

@@ -312,6 +312,22 @@ def test_hoelder_mode_roundtrip_with_oracle(tmp_path):
     assert report["ci"][0] <= report["gamma_hat"] <= report["ci"][1]
 
 
+def test_hoelder_mode_oracle_follows_dynamics(tmp_path):
+    # a memoryless mode CSV checked against the memoryless law, not the gle one
+    paths = tmp_path / "ou.csv"
+    assert main(["sample-mode", "--dt", str(2.0**-8), "--n", "1024", "--method", "ou",
+                 "--ensemble", "32", "--seed", "4", "--out", str(paths)]) == 0
+    cfg = tmp_path / "cfg.ini"
+    cfg.write_text("[kernel]\nkernel = expsum\n")
+    out = tmp_path / "report.json"
+    assert main(["hoelder", "--in", str(paths), "--axis", "time", "--dynamics", "heat",
+                 "--lags", "8,16,32,64,128", "--config", str(cfg), "--k", "1",
+                 "--out", str(out)]) == 0
+    report = load_json(out)
+    dev = np.abs(np.array(report["values"]) - np.array(report["oracle_values"]))
+    assert np.all(dev <= 4.0 * np.array(report["stderr"]))
+
+
 def test_hoelder_space_axis_with_field_oracle(tmp_path):
     field = tmp_path / "field.csv"
     assert main(["sample-field", "--N", "8", "--nx", "17", "--dt", "4.0",

@@ -61,12 +61,22 @@ def test_variogram_curve_validation():
         VariogramCurve(np.array([0.0, 2.0, 4.0, 32.0]), np.ones(4), "time")
     with pytest.raises(ValueError):
         VariogramCurve(LAGS, np.ones(len(LAGS)), "omega")
+    for lags, values in (
+        ([math.nan, 1.0, 2.0, 40.0], np.ones(4)),
+        ([1.0, 2.0, 4.0, math.inf], np.ones(4)),
+        (LAGS, np.array([1.0, 2.0, math.nan, 4.0, 5.0, 6.0])),
+    ):
+        with pytest.raises(ValueError, match="finite"):
+            VariogramCurve(np.array(lags), values, "time")
 
 
 def test_bootstrap_interval_is_seeded_and_brackets_estimate():
     rng = np.random.Generator(np.random.Philox(key=np.array([123, 0], dtype=np.uint64)))
+    # each member has its own level and its own slope, so resampled slopes
+    # spread for real and not only through rounding
     scales = 1.0 + 0.2 * rng.standard_normal(64) ** 2
-    members = scales[:, None] * LAGS[None, :]
+    slopes = 1.0 + 0.1 * rng.standard_normal(64)
+    members = scales[:, None] * LAGS[None, :] ** slopes[:, None]
     curve = VariogramCurve(
         LAGS, members.mean(axis=0), "time", member_values=members
     )
@@ -187,6 +197,11 @@ def test_field_variogram_is_weighted_single_mode_variogram():
     field = theoretical_field_variogram(SINGLE, BASIS, Flat(1.0), 1, x, LAGS)
     expected = single.values * BASIS.eval(1, x) ** 2
     assert np.allclose(field.values, expected, rtol=1e-12)
+
+
+def test_field_variogram_rejects_unknown_dynamics():
+    with pytest.raises(ValueError, match="unknown dynamics"):
+        theoretical_field_variogram(SINGLE, BASIS, Flat(1.0), 1, 0.7, LAGS, dynamics="wave")
 
 
 def test_space_variogram_matches_covariance_identity():

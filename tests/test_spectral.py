@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from glefield.cm_kernel import KernelMeasure, PowerLaw, discretize
+from glefield.mode_sampler import _Markov
 from glefield.spectral import (
     InequalityViolated,
     Mode,
@@ -15,7 +16,6 @@ from glefield.spectral import (
     autocovariance_sequence,
     check_resonance_inequality,
     find_resonance,
-    increment_second_moment,
     integrate_rho,
     rho,
 )
@@ -101,7 +101,6 @@ def test_integrate_rho_tolerance_domain():
     routines = (
         integrate_rho,
         lambda sd, rel_tol: autocovariance(sd, 1.0, rel_tol),
-        lambda sd, rel_tol: increment_second_moment(sd, 1.0, rel_tol),
     )
     for routine in routines:
         for bad in (1e-13, 1e-2, 0.5, 0.0, -1e-6):
@@ -132,26 +131,35 @@ def test_autocovariance_bounded_by_variance():
         assert abs(autocovariance(sd, tau, 1e-8)) <= r0 * (1.0 + 1e-8)
 
 
+def increment(sd, h):
+    return float(_Markov(sd.kernel, sd.mode).increment(h))
+
+
 def test_increment_monotone_to_zero():
     sd = sd_single(10.0)
     hs = [1.0 / 2**j for j in range(8)]
-    vals = [increment_second_moment(sd, h, 1e-8) for h in hs]
+    vals = [increment(sd, h) for h in hs]
     assert all(b < a for a, b in zip(vals, vals[1:]))
     assert vals[-1] < 1e-2 * vals[0]
 
 
 def test_increment_bounded_by_twice_variance():
-    val = increment_second_moment(sd_single(100.0), 10.0, 1e-8)
+    val = increment(sd_single(100.0), 10.0)
     assert val <= 0.02 + 2e-8
 
 
 def test_increment_two_route_agreement():
-    # direct quadrature of 2*(1-cos) rho vs 2*(r(0) - r(h))
-    sd = sd_single(100.0)
-    h = 0.1
-    direct = increment_second_moment(sd, h, 1e-10)
-    via_cov = 2.0 * (autocovariance(sd, 0.0, 1e-10) - autocovariance(sd, h, 1e-10))
-    assert direct == pytest.approx(via_cov, rel=1e-8)
+    # the embedding's closed form vs quadrature of 2*(r(0) - r(h)); alpha
+    # 0.25 on one atom is critical damping, the step-matrix route
+    cases = (
+        (sd_single(100.0), 0.1),
+        (sd_single(0.25), 0.5),
+        (SpectralDensity(discretize(PowerLaw(1.0, 64)), Mode(4, 16.0, 1.0)), 2.0**-6),
+    )
+    assert _Markov(SINGLE, Mode(1, 0.25, 1.0)).eig is None
+    for sd, h in cases:
+        via_cov = 2.0 * (autocovariance(sd, 0.0, 1e-10) - autocovariance(sd, h, 1e-10))
+        assert increment(sd, h) == pytest.approx(via_cov, rel=1e-8)
 
 
 def test_increment_ratio_bound_across_modes():
@@ -163,7 +171,7 @@ def test_increment_ratio_bound_across_modes():
         sd = SpectralDensity(SINGLE, Mode(k, alpha, 1.0))
         for j in (4, 6, 8, 10):
             h = 2.0**-j
-            ratio = increment_second_moment(sd, h, 1e-8) / (h**0.5 * alpha**-0.65)
+            ratio = increment(sd, h) / (h**0.5 * alpha**-0.65)
             assert ratio <= c_frozen
 
 
