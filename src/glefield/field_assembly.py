@@ -48,8 +48,8 @@ class DirichletInterval:
         if not (self.length > 0.0 and np.isfinite(self.length)):
             raise ValueError(f"interval length {self.length} must be positive")
 
-    def alpha(self, k: int) -> float:
-        return (k * math.pi / self.length) ** 2
+    def alpha(self, k):
+        return _pow(k * math.pi / self.length, 2)
 
     def sup_const(self, k: int) -> float:
         return math.sqrt(2.0 / self.length)
@@ -64,7 +64,8 @@ class CustomBasis:
     """Explicit eigenvalue/constant sequences with a user evaluation rule.
 
     Sequences must be nondecreasing: modes are ordered by stiffness and the
-    tail estimates rely on it.
+    tail estimates rely on it.  The gates probe at most the listed modes, and
+    a mode beyond the list raises ValueError.
     """
 
     alphas: tuple
@@ -83,11 +84,11 @@ class CustomBasis:
         object.__setattr__(self, "alphas", tuple(float(v) for v in a))
         object.__setattr__(self, "sup_consts", tuple(float(v) for v in c))
 
-    def alpha(self, k: int) -> float:
-        return self.alphas[k - 1]
+    def alpha(self, k):
+        return _listed(self.alphas, k, "eigenvalues")
 
-    def sup_const(self, k: int) -> float:
-        return self.sup_consts[k - 1]
+    def sup_const(self, k):
+        return _listed(self.sup_consts, k, "sup-norm constants")
 
     def eval(self, k: int, x) -> np.ndarray:
         if self.eval_fn is None:
@@ -119,8 +120,8 @@ class PowerDecay:
         if not np.isfinite(self.s):
             raise ValueError("decay exponent must be finite")
 
-    def weight(self, basis, k: int) -> float:
-        return basis.alpha(k) ** (-self.s)
+    def weight(self, basis, k):
+        return _pow(basis.alpha(k), -self.s)
 
 
 @dataclass(frozen=True)
@@ -137,22 +138,55 @@ class Explicit:
             raise ValueError("weights must be finite and nonnegative")
         object.__setattr__(self, "values", tuple(float(x) for x in v))
 
-    def weight(self, basis, k: int) -> float:
-        if k > len(self.values):
-            raise ValueError(f"mode {k} beyond the {len(self.values)} explicit weights")
-        return self.values[k - 1]
+    def weight(self, basis, k):
+        return _listed(self.values, k, "explicit weights")
+
+
+def _listed(values: tuple, k, what: str):
+    """values[k - 1]: a float for one mode index k, an array for an integer
+    array of them; ValueError for an index outside the list."""
+    k_arr = np.asarray(k)
+    outside = k_arr[(k_arr < 1) | (k_arr > len(values))]
+    if outside.size:
+        raise ValueError(f"mode {outside.flat[0]} beyond the {len(values)} {what}")
+    return np.asarray(values)[k_arr - 1] if k_arr.ndim else values[int(k) - 1]
+
+
+def _pow(x, p: float):
+    """x ** p for a float or elementwise for a 1-d array, always with the C
+    library's pow, as Python's float power computes it.  numpy's vectorized
+    power differs from it by one ulp on about one value in twenty at
+    non-integer p, and even its square (x * x) differs now and then (k = 283
+    of the interval of length 2); this keeps a series term computed for an
+    array of modes byte-identical to the same term for one mode."""
+    if np.ndim(x) == 0:
+        return float(x) ** p
+    if p == 1.0:
+        return x
+    # np.float64 subclasses float, so float.__rpow__ takes the elements one
+    # at a time, with no list of Python floats (about 0.3 MB at 4000 terms)
+    return np.fromiter(map(float(p).__rpow__, x), float, x.size)
 
 
 def _series_terms(basis, weights, exponent: float, count: int, use_sup: bool) -> np.ndarray:
-    """Terms lambda_k^2 [c_k^2] / alpha_k^exponent for k = 1..count."""
-    out = np.empty(count)
-    for k in range(1, count + 1):
-        lam = weights.weight(basis, k)
-        term = lam * lam / basis.alpha(k) ** exponent
-        if use_sup:
-            term *= basis.sup_const(k) ** 2
-        out[k - 1] = term
-    return out
+    """Terms lambda_k^2 [c_k^2] / alpha_k^exponent for k = 1..count, in one
+    array expression: the bases' ``alpha`` and ``sup_const`` and the weight
+    rules take an integer array of mode indices as well as one index."""
+    k = np.arange(1, count + 1)
+    lam = weights.weight(basis, k)
+    terms = lam * lam / _pow(basis.alpha(k), exponent)
+    if use_sup:
+        terms = terms * _pow(basis.sup_const(k), 2)
+    return terms
+
+
+def _probe(basis, weights, n_probe: int) -> int:
+    """n_probe clipped to the length of any finite list behind the series."""
+    if isinstance(weights, Explicit):
+        n_probe = min(n_probe, len(weights.values))
+    if isinstance(basis, CustomBasis):
+        n_probe = min(n_probe, len(basis.alphas))
+    return n_probe
 
 
 def _tail_by_fitted_power(terms: np.ndarray) -> tuple[float, float]:
@@ -206,8 +240,7 @@ def check_wellposedness(
     raise_on_divergent (the default for simulation entry points) a divergent
     series raises Divergent instead of returning.
     """
-    if isinstance(weights, Explicit):
-        n_probe = min(n_probe, len(weights.values))
+    n_probe = _probe(basis, weights, n_probe)
     if n_probe < 10:
         raise ValueError("need at least 10 probe terms")
     terms = _series_terms(basis, weights, 1.0, n_probe, use_sup=False)
@@ -232,8 +265,7 @@ def check_regularity_assumption(
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta {eta} must lie in (0, 1)")
-    if isinstance(weights, Explicit):
-        n_probe = min(n_probe, len(weights.values))
+    n_probe = _probe(basis, weights, n_probe)
     if n_probe < 10:
         raise ValueError("need at least 10 probe terms")
     terms = _series_terms(basis, weights, eta, n_probe, use_sup=True)
@@ -283,11 +315,10 @@ def tail_variance_bound(basis, weights, n_modes: int, n_probe: int = 4000) -> fl
     """Estimate, not a bound, of the pointwise variance lost to truncation,
     sum_{k > n_modes} lambda_k^2 c_k^2 / alpha_k: the terms up to the probe
     plus a fitted-power tail past it."""
-    probe = max(n_probe, 2 * n_modes)
-    if isinstance(weights, Explicit):
-        probe = len(weights.values)
-        if n_modes >= probe:
-            return 0.0
+    probe = len(weights.values) if isinstance(weights, Explicit) else max(n_probe, 2 * n_modes)
+    probe = _probe(basis, weights, probe)
+    if n_modes >= probe:
+        return 0.0
     terms = _series_terms(basis, weights, 1.0, probe, use_sup=True)
     tail_past_probe, p = _tail_by_fitted_power(terms)
     if not math.isfinite(tail_past_probe):
@@ -343,9 +374,13 @@ def assemble_field(
             f"> budget {tail_budget:.3e}"
         )
 
+    modes = [_mode(basis, weights, k) for k in range(1, n_modes + 1)]
+    # every gle mode's embedding, step law and gain in one stacked pass
+    setup = mode_sampler._Markov(kernel, modes, grid) if dynamics == "gle" else None
+
     def run_mode(k: int) -> PathEnsemble:
-        mode = _mode(basis, weights, k)
-        return mode_sampler._sample(dynamics, kernel, mode, grid, m, seed, node_count)
+        return mode_sampler._sample(dynamics, kernel, modes[k - 1], grid, m, seed, node_count,
+                                    setup)
 
     out = np.zeros((m, grid.n, x_arr.size))
     paths = np.empty((_MODE_BLOCK, m, grid.n))

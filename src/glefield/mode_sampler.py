@@ -11,6 +11,13 @@ Three routes produce paths on a uniform time grid:
   per step.  Any other mode takes whichever exact route draws fewer
   normals: the state recursion, d per step, or circulant embedding
   (Davies-Harte) of the closed-form covariance sequence.
+
+  The set-up happens once per field: :class:`_Markov` builds the
+  embeddings of all of a field's modes in one stacked pass (one
+  eigendecomposition of the stacked drifts, the step laws, the innovations
+  gain sweep), and each mode is then only drawn and filtered.  A mode
+  sampled on its own is a stack of one, through the same code and with the
+  same bits.
 * :func:`sample_gle_mode_spectral` - truncated harmonic superposition driven
   directly by the spectral density.  Slower and only asymptotically exact;
   kept as an independent cross-check of the exact sampler.
@@ -152,10 +159,11 @@ _GAIN_TOL = 1e-14
 
 
 class _Markov:
-    """Markovian embedding of one mode (Ceriotti, Bussi and Parrinello 2010).
+    """Markovian embeddings of the modes of one kernel, built together
+    (Ceriotti, Bussi and Parrinello 2010).
 
-    The mode solves u' = sum_i y_i with dy_i = (-x_i y_i - alpha w_i u) dt +
-    lambda sqrt(2 w_i x_i) dW_i.  The state is kept in the coordinates
+    Mode k solves u' = sum_i y_i with dy_i = (-x_i y_i - alpha w_i u) dt +
+    lambda sqrt(2 w_i x_i) dW_i.  Its state is kept in the coordinates
     v = (sqrt(alpha) u, y_1/sqrt(w_1), ..., y_p/sqrt(w_p)), where the drift
     is A = [[0, b^T], [-b, -diag(x)]] with b_i = sqrt(alpha w_i), the noise
     covariance is D = diag(0, 2 lambda^2 x_i), and the Lyapunov equation
@@ -163,52 +171,100 @@ class _Markov:
     So u = v_0 / sqrt(alpha) has variance lambda^2/alpha exactly, the
     paper's variance identity.
 
-    A is diagonalized once.  When its eigenvectors are ill-conditioned (the
-    eigenvalues merge at critical damping) ``eig`` is None and the
-    covariance and the paths come from the real step matrix e^{A dt}.
+    The modes with lambda != 0 are stacked (a zero-weight mode is the zero
+    path and has no embedding): mode ``slot[mode]`` is row i of every
+    stack, and the per-mode methods take that i.  The (K, d, d) drifts are
+    diagonalized by one ``eig`` call, with ``cond`` and ``inv`` run over
+    it too; LAPACK runs the same routine on each matrix, so every mode gets
+    the bits it would get alone.  When a mode's eigenvectors are
+    ill-conditioned (its eigenvalues merge at critical damping) its ``eig``
+    entry is None and its covariance and paths come from the real step
+    matrix e^{A dt}.
+
+    Given a grid, the innovations form of every one-atom mode with an
+    eigenbasis is built here as well, in one array pass over those modes
+    (step law, gain sweep, poles), so that sampling such a mode only draws
+    normals and filters them.  Only what sampling reads is kept: poles,
+    read-out weights, rows of V^-1 and each mode's gain up to its settling
+    step.
     """
 
-    def __init__(self, kernel: KernelMeasure, mode: Mode):
-        alpha, lam = mode.alpha_k, mode.lambda_k
-        b = np.sqrt(alpha * kernel.weights)
-        self.dim = b.size + 1
-        self.drift = np.diag(np.concatenate(([0.0], -kernel.rates)))
-        self.drift[0, 1:] = b
-        self.drift[1:, 0] = -b
-        self.noise = np.concatenate(([0.0], 2.0 * lam * lam * kernel.rates))
-        self.lam = lam
+    def __init__(self, kernel: KernelMeasure, modes, grid: TimeGrid | None = None):
+        modes = [mode for mode in modes if mode.lambda_k != 0.0]
+        self.kernel = kernel
+        self.grid = grid
+        self.slot = {mode: i for i, mode in enumerate(modes)}
+        self.alpha = alpha = np.array([mode.alpha_k for mode in modes])
+        self.lam = lam = np.array([mode.lambda_k for mode in modes])
+        self.dim = kernel.weights.size + 1
+        self.noise = np.zeros((len(modes), self.dim))
+        self.noise[:, 1:] = (2.0 * lam * lam)[:, None] * kernel.rates
         self.variance = lam * lam / alpha
-        self.scale = 1.0 / math.sqrt(alpha)
-        mu, vecs = np.linalg.eig(self.drift)
-        self.eig = None
-        if np.linalg.cond(vecs) <= _MAX_EIGVEC_COND:
-            # one eigenvalue of each conjugate pair, read out twice
-            keep = mu.imag >= 0.0
-            head = vecs[0, keep] * np.where(mu.imag[keep] > 0.0, 2.0, 1.0)
-            self.eig = (mu[keep], head, np.linalg.inv(vecs)[keep])
+        self.scale = 1.0 / np.sqrt(alpha)
+        self.eig = self._eigenbases()
+        self._gains = {}
+        if grid is not None and self.dim == 2:
+            self._sweep(grid)
 
-    def covariance(self, dt: float, count: int) -> np.ndarray:
+    def drift(self, rows=None) -> np.ndarray:
+        """The drifts A of the modes in ``rows`` (all by default), stacked.
+
+        Built on demand from alpha rather than kept: only the
+        eigendecomposition and the step laws read them."""
+        alpha = self.alpha if rows is None else self.alpha[rows]
+        b = np.sqrt(alpha[:, None] * self.kernel.weights)
+        diag = np.arange(1, self.dim)
+        drift = np.zeros((len(alpha), self.dim, self.dim))
+        drift[:, diag, diag] = -self.kernel.rates
+        drift[:, 0, 1:] = b
+        drift[:, 1:, 0] = -b
+        return drift
+
+    def _eigenbases(self) -> list:
+        """Per mode (kept eigenvalues, read-out head, rows of V^-1), or None.
+
+        One eigenvalue of each conjugate pair is kept and read out twice.
+        numpy hands back a real decomposition only when the whole stack is
+        real, so the modes with real spectra (overdamped) are split off and
+        taken in real arithmetic, as they would be alone.
+        """
+        mu, vecs = np.linalg.eig(self.drift())
+        bases = [None] * len(mu)
+        real = (mu.imag == 0.0).all(axis=-1)
+        for rows, is_real in ((np.flatnonzero(real), True), (np.flatnonzero(~real), False)):
+            group_mu, group_vecs = mu[rows], vecs[rows]
+            if is_real:
+                group_mu, group_vecs = group_mu.real, group_vecs.real
+            ok = np.linalg.cond(group_vecs) <= _MAX_EIGVEC_COND
+            inverses = np.linalg.inv(group_vecs[ok])
+            for i, mu_i, vecs_i, inv_i in zip(rows[ok], group_mu[ok], group_vecs[ok], inverses):
+                keep = mu_i.imag >= 0.0
+                head = vecs_i[0, keep] * np.where(mu_i.imag[keep] > 0.0, 2.0, 1.0)
+                bases[i] = (mu_i[keep], head, inv_i[keep])
+        return bases
+
+    def covariance(self, i: int, dt: float, count: int) -> np.ndarray:
         """r(j*dt) = e0^T e^{A j dt} S e0 / alpha for j = 0..count-1, exactly.
 
         In the eigenbasis r(t) = Re sum_i c_i e^{mu_i t}; without a usable
         eigenbasis the columns e^{A j dt} e0 come from repeated doubling of
         the step matrix.
         """
-        if self.eig is not None:
-            mu, head, inv = self.eig
+        if self.eig[i] is not None:
+            mu, head, inv = self.eig[i]
             lags = dt * np.arange(count)
             r = np.zeros(count)
             for mu_i, c_i in zip(mu, head * inv[:, 0]):
                 r += (c_i * np.exp(mu_i * lags)).real
-            return self.variance * r
-        step, _ = self.transition(dt)
+            return self.variance[i] * r
+        step = self.transition(dt, [i])[0][0]
         cols = np.eye(self.dim, 1)
         while cols.shape[1] < count:
             cols = np.hstack([cols, step @ cols])
             step = step @ step
-        return self.variance * cols[0, :count]
+        return self.variance[i] * cols[0, :count]
 
-    def increment(self, lags) -> np.ndarray:
+    def increment(self, i: int, lags) -> np.ndarray:
         """E|u(t+h) - u(t)|^2 = 2 (r(0) - r(h)) at each lag h > 0, exactly.
 
         In the eigenbasis it is -2 r(0) Re sum_i c_i expm1(mu_i h), which
@@ -216,53 +272,129 @@ class _Markov:
         one it is 2 r(0) (1 - Phi(h)[0, 0]) from :meth:`transition`.
         """
         h = np.asarray(lags, dtype=float)
-        if self.eig is None:
-            phi = [self.transition(t)[0][0, 0] for t in h.ravel()]
-            return 2.0 * self.variance * (1.0 - np.reshape(phi, h.shape))
-        mu, head, inv = self.eig
+        if self.eig[i] is None:
+            phi = [self.transition(t, [i])[0][0, 0, 0] for t in h.ravel()]
+            return 2.0 * self.variance[i] * (1.0 - np.reshape(phi, h.shape))
+        mu, head, inv = self.eig[i]
         terms = (head * inv[:, 0]) * np.expm1(np.multiply.outer(h, mu))
-        return -2.0 * self.variance * terms.sum(axis=-1).real
+        return -2.0 * self.variance[i] * terms.sum(axis=-1).real
 
-    def transition(self, dt: float):
-        """Exact one-step law: v(t + dt) = Phi v(t) + N(0, Q).
+    def transition(self, dt: float, rows=None):
+        """Exact one-step laws v(t + dt) = Phi v(t) + N(0, Q), stacked.
 
-        Van Loan's block exponential exp([[-A, D], [0, A^T]] h) holds
-        Phi^T = e^{A^T h} and, in its corner, e^{-A h} Q with
-        Q = int_0^h e^{A s} D e^{A^T s} ds.  It is taken on a step
-        h = dt / 2^s with |A h|_1 <= 1/2 (|A| is symmetric, so A^T obeys the
-        same bound), where a degree-16 Taylor polynomial is exact to
-        rounding (the corner is linear in D, so D's size does not matter)
-        and needs only small matrix products, which numpy runs on one
-        thread.  s doublings Phi <- Phi^2, Q <- Phi Q Phi^T + Q then reach
-        dt; every term added to Q is positive semidefinite, so nothing
+        Returns (Phi, Q), each of shape (len(rows), d, d), for the modes in
+        ``rows`` (all by default).  Van Loan's block exponential
+        exp([[-A, D], [0, A^T]] h) holds Phi^T = e^{A^T h} and, in its
+        corner, e^{-A h} Q with Q = int_0^h e^{A s} D e^{A^T s} ds.  It is
+        taken on a step h = dt / 2^s with |A h|_1 <= 1/2 (|A| is symmetric,
+        so A^T obeys the same bound), where a degree-16 Taylor polynomial is
+        exact to rounding (the corner is linear in D, so D's size does not
+        matter) and needs only small matrix products, which numpy runs on
+        one thread.  s doublings Phi <- Phi^2, Q <- Phi Q Phi^T + Q then
+        reach dt; every term added to Q is positive semidefinite, so nothing
         cancels.
+
+        Each mode takes its own s.  The modes are taken in descending order
+        of s, so those still doubling are always a leading slice of the
+        stack, and each mode's products see the operands, in the memory
+        layout, that a one-mode call gives them: BLAS rounds a product of
+        large odd-sized matrices (d = 17, 33, 65) differently by layout.
         """
+        rows = np.arange(len(self.alpha)) if rows is None else np.asarray(rows, dtype=int)
         d = self.dim
-        halvings = max(0, math.ceil(math.log2(2.0 * np.linalg.norm(self.drift, 1) * dt)))
-        h = dt / 2.0**halvings
-        block = np.zeros((2 * d, 2 * d))
-        block[:d, :d] = -h * self.drift
-        block[:d, d:] = np.diag(h * self.noise)
-        block[d:, d:] = h * self.drift.T
+        drift = self.drift(rows)
+        norms = np.abs(drift).sum(axis=-2).max(axis=-1)
+        halvings = [max(0, math.ceil(math.log2(2.0 * norm * dt))) for norm in norms.tolist()]
+        order = sorted(range(len(rows)), key=halvings.__getitem__, reverse=True)
+        halvings = [halvings[r] for r in order]
+        drift = drift[order]
+        h = np.array([dt / 2.0**s for s in halvings])
+        diag = np.arange(d)
+        block = np.zeros((len(rows), 2 * d, 2 * d))
+        block[:, :d, :d] = -h[:, None, None] * drift
+        block[:, diag, d + diag] = h[:, None] * self.noise[rows[order]]
+        block[:, d:, d:] = h[:, None, None] * np.swapaxes(drift, -1, -2)
         exp_block = term = np.eye(2 * d)
         for k in range(1, 17):
             term = term @ block / k
             exp_block = exp_block + term
-        step = exp_block[d:, d:].T
-        q = step @ exp_block[:d, d:]
-        for _ in range(halvings):
-            q = step @ q @ step.T + q
-            step = step @ step
-        return step, 0.5 * (q + q.T)
+        step = np.swapaxes(exp_block[:, d:, d:], -1, -2)
+        q = step @ exp_block[:, :d, d:]
+        for s in range(max(halvings, default=0)):
+            live = sum(1 for count in halvings if count > s)
+            head = step[:live]
+            q = np.concatenate([head @ q[:live] @ np.swapaxes(head, -1, -2) + q[:live], q[live:]])
+            step = np.concatenate([head @ head, step[live:]])
+        back = sorted(range(len(order)), key=order.__getitem__)
+        return step[back], (0.5 * (q + np.swapaxes(q, -1, -2)))[back]
 
-    def recursion(self, dt: float, n: int):
-        """Exact linear map from standard normals to (m, n) stationary paths.
+    def _sweep(self, grid: TimeGrid) -> None:
+        """Innovations form of every one-atom mode with an eigenbasis, in one pass.
+
+        The time-varying Kalman predictor of u started from the stationary
+        law (Anderson and Moore 1979), i.e. the Cholesky factor of
+        Toeplitz(r) in state-space form.  With P_0 = S, omega_j = P_j[0, 0]
+        and K_j = P_j e0 / omega_j, the path is u_j = e0.s_j / sqrt(alpha)
+        with s_j = Phi s_{j-1} + K_j sqrt(omega_j) z_j and s_{-1} = 0.  For
+        d = 2 the updated covariance P_j - omega_j K_j K_j^T is c_j e1 e1^T,
+        so the gain sweep is the scalar recursion
+        c_j = P_j[1, 1] - P_j[0, 1]^2 / P_j[0, 0], P_{j+1} = c_j phi phi^T + Q
+        with phi = Phi e1, run here as one array recursion over the modes.
+        A mode drops out once its c is constant to relative ``_GAIN_TOL``;
+        its gain is constant after that, so only the steps up to there are
+        kept.  Fills ``_gains[i]`` with (poles, read-out weights, rows of
+        V^-1, gain rows (sqrt(omega_j), P_j[0, 1] / sqrt(omega_j))).
+        """
+        rows = np.array([i for i, basis in enumerate(self.eig) if basis is not None], dtype=int)
+        if not rows.size:
+            return
+        step, q = self.transition(grid.dt, rows)
+        f0, f1 = step[:, 0, 1], step[:, 1, 1]
+        q00, q01, q11 = q[:, 0, 0], q[:, 0, 1], q[:, 1, 1]
+        p00 = p11 = self.lam[rows] * self.lam[rows]
+        p01 = np.zeros(len(rows))
+        c_prev = np.full(len(rows), math.nan)
+        live = np.arange(len(rows))
+        ids, gains = [], []
+        for _ in range(grid.n):
+            root = np.sqrt(p00)
+            ids.append(live)
+            gains.append(np.stack((root, p01 / root), axis=-1))
+            c = p11 - p01 * p01 / p00
+            moving = ~(np.abs(c - c_prev) <= _GAIN_TOL * c)
+            if not moving.all():
+                live, c, f0, f1, q00, q01, q11 = (
+                    a[moving] for a in (live, c, f0, f1, q00, q01, q11))
+                if not live.size:
+                    break
+            c_prev = c
+            p00, p01, p11 = c * f0 * f0 + q00, c * f0 * f1 + q01, c * f1 * f1 + q11
+        # step j's rows belong to the modes sweeping then, so one buffer holds
+        # every mode's rows in step order, mode r's at offsets start_r + j
+        counts = np.zeros(len(rows), dtype=int)
+        for sweeping in ids:
+            counts[sweeping] += 1
+        ends = np.cumsum(counts)
+        flat = np.empty((ends[-1], 2))
+        for j, (sweeping, gain) in enumerate(zip(ids, gains)):
+            flat[ends[sweeping] - counts[sweeping] + j] = gain
+        for i, end, count in zip(rows.tolist(), ends.tolist(), counts.tolist()):
+            mu, head, inv = self.eig[i]
+            self._gains[i] = (np.exp(mu * grid.dt), self.scale[i] * head, inv,
+                              flat[end - count : end])
+
+    def recursion(self, i: int):
+        """Exact linear map from standard normals to (m, n) stationary paths
+        of mode i on the set-up's grid.
 
         Returns (shape, synth): synth maps (m, *shape) standard normals to
-        (m, n) paths.  A 2-dimensional embedding with an eigenbasis (one
-        atom) takes the innovations form of :meth:`_innovations`, one normal
-        per step (shape (n,)); any other takes the state recursion, d normals
-        per step (shape (d, n)).
+        (m, n) paths.  A one-atom mode with an eigenbasis takes the
+        innovations form built by :meth:`_sweep`, one normal per step
+        (shape (n,)); any other takes the state recursion, d normals per
+        step (shape (d, n)).
+
+        Innovations form: each conjugate pair is one complex AR(1) run by
+        ``lfilter`` whose input is z times one complex per-step weight.
 
         State recursion: column 0 of each path's normals draws the
         stationary start v_0 = lambda z; column j > 0 draws the innovation
@@ -274,26 +406,43 @@ class _Markov:
         ``lfilter``, one per conjugate pair, with the read-out weight folded
         into its input; without one the real state is stepped.
         """
-        if self.dim == 2 and self.eig is not None:
-            return (n,), self._innovations(dt, n)
-        step, q = self.transition(dt)
+        dt, n = self.grid.dt, self.grid.n
+        if i in self._gains:
+            poles, readout, inv, gain = self._gains[i]
+            settled = len(gain)
+            weights = np.empty((len(poles), n), dtype=complex)
+            # V^-1 sqrt(omega_j) K_j by broadcasting: numpy's mixed
+            # complex-real matmul is about 20x slower here
+            weights[:, :settled] = readout[:, None] * (inv[:, :1] * gain[:, 0]
+                                                       + inv[:, 1:] * gain[:, 1])
+            weights[:, settled:] = weights[:, settled - 1 : settled]
+
+            def innovations(normals):
+                out = np.zeros(normals.shape)
+                for pole, weight in zip(poles, weights):
+                    out += lfilter([1.0], [1.0, -pole], weight * normals, axis=1).real
+                return out
+
+            return (n,), innovations
+        step, q = (stack[0] for stack in self.transition(dt, [i]))
         val, vec = np.linalg.eigh(q)
         root = vec * np.sqrt(np.maximum(val, 0.0))
-        if self.eig is None:
+        lam, scale = self.lam[i], self.scale[i]
+        if self.eig[i] is None:
 
             def stepped(normals):
-                state = self.lam * normals[:, :, 0]
+                state = lam * normals[:, :, 0]
                 out = np.empty((normals.shape[0], normals.shape[2]))
                 out[:, 0] = state[:, 0]
                 for j in range(1, normals.shape[2]):
                     state = state @ step.T + normals[:, :, j] @ root.T
                     out[:, j] = state[:, 0]
-                return self.scale * out
+                return scale * out
 
             return (self.dim, n), stepped
-        mu, head, inv = self.eig
-        start = (self.lam * self.scale) * head[:, None] * inv
-        drive = self.scale * head[:, None] * (inv @ root)
+        mu, head, inv = self.eig[i]
+        start = (lam * scale) * head[:, None] * inv
+        drive = scale * head[:, None] * (inv @ root)
         poles = np.exp(mu * dt)
 
         def filtered(normals):
@@ -311,57 +460,9 @@ class _Markov:
 
         return (self.dim, n), filtered
 
-    def _innovations(self, dt: float, n: int):
-        """Map (m, n) standard normals to (m, n) paths of a d = 2 embedding.
 
-        The time-varying Kalman predictor of u started from the stationary
-        law (Anderson and Moore 1979), i.e. the Cholesky factor of
-        Toeplitz(r) in state-space form.  With P_0 = S, omega_j = P_j[0, 0]
-        and K_j = P_j e0 / omega_j, the path is u_j = e0.s_j / sqrt(alpha)
-        with s_j = Phi s_{j-1} + K_j sqrt(omega_j) z_j and s_{-1} = 0.  For
-        d = 2 the updated covariance P_j - omega_j K_j K_j^T is c_j e1 e1^T,
-        so the gain sweep is the scalar recursion
-        c_j = P_j[1, 1] - P_j[0, 1]^2 / P_j[0, 0], P_{j+1} = c_j phi phi^T + Q
-        with phi = Phi e1.  It stops once c is constant to relative
-        ``_GAIN_TOL``; the gain is constant after that.  In the eigenbasis
-        each conjugate pair is one complex AR(1) run by ``lfilter`` whose
-        input is z times one complex per-step weight.
-        """
-        step, q = self.transition(dt)
-        f0, f1 = step[:, 1]
-        q00, q01, q11 = q[0, 0], q[0, 1], q[1, 1]
-        p00 = p11 = self.lam * self.lam
-        p01 = 0.0
-        # gain[j] = (sqrt(omega_j), P_j[0, 1] / sqrt(omega_j)) = sqrt(omega_j) K_j
-        gain = np.empty((n, 2))
-        c_prev = math.nan
-        for j in range(n):
-            root = math.sqrt(p00)
-            gain[j] = root, p01 / root
-            c = p11 - p01 * p01 / p00
-            if abs(c - c_prev) <= _GAIN_TOL * c:
-                gain[j + 1 :] = gain[j]
-                break
-            c_prev = c
-            p00, p01, p11 = c * f0 * f0 + q00, c * f0 * f1 + q01, c * f1 * f1 + q11
-        mu, head, inv = self.eig
-        # V^-1 sqrt(omega_j) K_j by broadcasting: numpy's mixed complex-real
-        # matmul is about 20x slower here
-        gain_eig = inv[:, :1] * gain[:, 0] + inv[:, 1:] * gain[:, 1]
-        weights = self.scale * head[:, None] * gain_eig
-        poles = np.exp(mu * dt)
-
-        def innovations(normals):
-            out = np.zeros(normals.shape)
-            for pole, weight in zip(poles, weights):
-                out += lfilter([1.0], [1.0, -pole], weight * normals, axis=1).real
-            return out
-
-        return innovations
-
-
-def _embed(emb: _Markov, grid: TimeGrid):
-    """Circulant eigenvalues of the exact covariance, or None for the recursion.
+def _embed(emb: _Markov, i: int, grid: TimeGrid):
+    """Circulant eigenvalues of mode i's exact covariance, or None for the recursion.
 
     Walks L = n, 2n, 4n, 8n.  At each L the recursion is taken when its
     state form would draw no more normals per path (n*d) than the circulant
@@ -376,8 +477,8 @@ def _embed(emb: _Markov, grid: TimeGrid):
     for L in (n, 2 * n, 4 * n, 8 * n):
         if emb.dim * n <= 2 * L:
             return None, L
-        eig = circulant_eigenvalues(emb.covariance(grid.dt, L + 1))
-        if eig.min() >= -1e-8 * emb.variance:
+        eig = circulant_eigenvalues(emb.covariance(i, grid.dt, L + 1))
+        if eig.min() >= -1e-8 * emb.variance[i]:
             return eig, L
     return None, L
 
@@ -386,7 +487,8 @@ _PATH_CHUNK = 256
 
 
 def sample_gle_mode(
-    kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int
+    kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int,
+    setup: _Markov | None = None,
 ) -> PathEnsemble:
     """Sample m stationary memory-kernel paths, exact in law.
 
@@ -398,16 +500,25 @@ def sample_gle_mode(
     the i-th block of that many normals from the mode's stream (2L on the
     circulant).  Each chunk of paths is one draw, and a chunk's normals never
     outnumber 256 rows of a length-2L circulant embedding.
+
+    ``setup`` is a :class:`_Markov` built for ``kernel`` and ``grid`` over
+    modes that include this one, as :func:`assemble_field` builds once per
+    field; without it one is built for this mode alone.  Either way the
+    paths are the same.
     """
     _check_sampling_args(m, seed)
     out = np.empty((m, grid.n))
     if mode.lambda_k == 0.0:
         out[:] = 0.0
         return PathEnsemble(grid, out, mode, seed, "recursion")
-    emb = _Markov(kernel, mode)
-    eig, L = _embed(emb, grid)
+    if setup is None:
+        setup = _Markov(kernel, [mode], grid)
+    elif setup.kernel != kernel or setup.grid != grid or mode not in setup.slot:
+        raise ValueError("the set-up was built for another kernel, grid or mode list")
+    i = setup.slot[mode]
+    eig, L = _embed(setup, i, grid)
     if eig is None:
-        shape, synth = emb.recursion(grid.dt, grid.n)
+        shape, synth = setup.recursion(i)
         chunk = min(_PATH_CHUNK, max(1, 2 * _PATH_CHUNK * L // math.prod(shape)))
         route = ("recursion",)
     else:
@@ -517,11 +628,12 @@ def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int) -> PathEnsembl
 
 
 def _sample(law: str, kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int,
-            node_count: int = 4096) -> PathEnsemble:
-    """One mode's paths under ``law``: "gle" exact, "spectral" the superposition
-    cross-check, "heat" memoryless; a sampler rebound on this module is the one called."""
+            node_count: int = 4096, setup: _Markov | None = None) -> PathEnsemble:
+    """One mode's paths under ``law``: "gle" exact (from ``setup`` when given),
+    "spectral" the superposition cross-check, "heat" memoryless; a sampler
+    rebound on this module is the one called."""
     if law == "heat":
         return sample_ou_mode(mode, grid, m, seed)
     if law == "spectral":
         return sample_gle_mode_spectral(kernel, mode, grid, m, seed, node_count)
-    return sample_gle_mode(kernel, mode, grid, m, seed)
+    return sample_gle_mode(kernel, mode, grid, m, seed, setup=setup)

@@ -170,22 +170,24 @@ def empirical_variogram(sample: FieldSample, axis: str, lag_steps) -> VariogramC
 
 
 def _time_variogram(kernel: KernelMeasure, terms, lags, dynamics: str) -> VariogramCurve:
-    """sum_k w_k E|u_k(t+h) - u_k(t)|^2 over (mode, w_k) terms, in closed form:
-    gle (and its spectral cross-check) from the mode's Markovian embedding,
+    """sum_k w_k E|u_k(t+h) - u_k(t)|^2 over (mode, w_k) terms, in closed form,
+    accumulated in the terms' order: gle (and its spectral cross-check) from
+    the modes' Markovian embeddings, built together in one stacked pass,
     heat the OU law (lambda^2/alpha)(1 - e^{-alpha h}).  The curve is built
     first, so bad lags fail before any mode is evaluated."""
     if dynamics not in ("gle", "heat", "spectral"):
         raise ValueError(f"unknown dynamics {dynamics!r}")
     lag_arr = np.asarray(lags, dtype=float)
     curve = VariogramCurve(lag_arr, np.zeros(len(lag_arr)), "time", np.zeros(len(lag_arr)))
+    terms = [(mode, weight) for mode, weight in terms if weight != 0.0 and mode.lambda_k != 0.0]
+    if dynamics != "heat":
+        emb = _Markov(kernel, [mode for mode, _ in terms])
     for mode, weight in terms:
         alpha, lam = mode.alpha_k, mode.lambda_k
-        if weight == 0.0 or lam == 0.0:
-            continue
         if dynamics == "heat":
             inc = -(lam * lam / alpha) * np.expm1(-alpha * curve.lags)
         else:
-            inc = _Markov(kernel, mode).increment(curve.lags)
+            inc = emb.increment(emb.slot[mode], curve.lags)
         curve.values += inc * weight
     return curve
 

@@ -14,6 +14,7 @@ from glefield.field_assembly import (
     Explicit,
     Flat,
     PowerDecay,
+    _series_terms,
     TailBudgetExceeded,
     assemble_field,
     check_regularity_assumption,
@@ -64,6 +65,47 @@ def test_custom_basis():
         CustomBasis(alphas=(-1.0, 1.0), sup_consts=(1.0, 1.0))
     with pytest.raises(ValueError):
         CustomBasis(alphas=(1.0, 4.0), sup_consts=(1.0, 1.0)).eval(1, 0.5)
+
+
+def test_gates_probe_at_most_a_custom_basis_list():
+    # a finite CustomBasis shorter than the probe: the gates probe the
+    # listed modes only, and a mode beyond the list is a ValueError
+    ks = np.arange(1, 51)
+    basis = CustomBasis(alphas=tuple(ks**2.0), sup_consts=(1.0,) * 50)
+    well = check_wellposedness(basis, Flat(1.0))
+    assert well.n_probe == 50 and well.convergent
+    assert check_regularity_assumption(basis, Flat(1.0), 0.75).n_probe == 50
+    assert tail_variance_bound(basis, Flat(1.0), 16) > 0.0
+    assert tail_variance_bound(basis, Flat(1.0), 50) == 0.0
+    assert basis.alpha(50) == 2500.0 and basis.sup_const(50) == 1.0
+    for lookup in (basis.alpha, basis.sup_const):
+        for k in (51, 0, np.arange(45, 52)):
+            with pytest.raises(ValueError):
+                lookup(k)
+
+
+def _series_terms_by_mode(basis, weights, exponent, count, use_sup):
+    # the per-mode loop the array expression replaced, as the reference
+    out = np.empty(count)
+    for k in range(1, count + 1):
+        lam = weights.weight(basis, k)
+        term = lam * lam / basis.alpha(k) ** exponent
+        if use_sup:
+            term *= basis.sup_const(k) ** 2
+        out[k - 1] = term
+    return out
+
+
+def test_series_terms_equal_the_per_mode_rule():
+    custom = CustomBasis(alphas=tuple(np.linspace(0.5, 900.0, 300)),
+                         sup_consts=tuple(np.linspace(1.0, 1.7, 300)))
+    rules = [Flat(0.3), PowerDecay(0.2), PowerDecay(-0.1), Explicit(tuple(1.0 / np.arange(1, 301)))]
+    for basis in (BASIS, DirichletInterval(2.0), custom):
+        for weights in rules:
+            for exponent, use_sup in ((1.0, False), (1.0, True), (0.6, True), (0.25, True)):
+                args = (basis, weights, exponent, 300, use_sup)
+                terms = _series_terms(*args)
+                assert terms.tobytes() == _series_terms_by_mode(*args).tobytes()
 
 
 def test_weight_rules():
@@ -143,6 +185,21 @@ def test_assembly_equals_manual_mode_sum():
     assert np.all(np.abs(sample.values - manual) <= bound)
     assert sample.n_modes == 3
     assert sample.m == 5
+
+
+def test_assembly_builds_every_gle_embedding_in_one_pass(monkeypatch):
+    # one stacked eigendecomposition for the whole field, not one per mode
+    calls = []
+    eig = np.linalg.eig
+
+    def counted(a):
+        calls.append(np.shape(a))
+        return eig(a)
+
+    monkeypatch.setattr(np.linalg, "eig", counted)
+    grid = TimeGrid(dt=4.0, n=16)
+    assemble_field(SINGLE, BASIS, Flat(1.0), 128, grid, [0.5, 1.5], 2, seed=3, workers=2)
+    assert calls == [(128, 2, 2)]
 
 
 def test_assembly_worker_count_is_immaterial():

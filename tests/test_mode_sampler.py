@@ -183,11 +183,11 @@ def test_embedding_stationary_covariance_solves_lyapunov():
     # innovation covariance S - Phi S Phi^T
     for kernel, mode in [(SINGLE, Mode(1, 3.0, 0.7)),
                          (discretize(PowerLaw(1.0, 64)), Mode(1, 10.0, 1.0))] + CRITICAL:
-        emb = _Markov(kernel, mode)
+        emb = _Markov(kernel, [mode])
         lam2 = mode.lambda_k ** 2
-        S = solve_continuous_lyapunov(emb.drift, -np.diag(emb.noise))
+        S = solve_continuous_lyapunov(emb.drift()[0], -np.diag(emb.noise[0]))
         assert np.abs(S - lam2 * np.eye(emb.dim)).max() <= 1e-13 * lam2
-        step, q = emb.transition(2.0**-8)
+        step, q = (stack[0] for stack in emb.transition(2.0**-8))
         assert np.abs(q - lam2 * (np.eye(emb.dim) - step @ step.T)).max() <= 1e-14 * lam2
 
 
@@ -197,21 +197,57 @@ def test_closed_form_covariance_matches_quadrature():
               discretize(PowerLaw(0.5, 24))]
     cases = [(kernel, Mode(1, alpha, lam)) for kernel in corpus
              for alpha in (0.5, 2.0, 10.0, 1e2, 1e3, 1e4) for lam in (1.0, 0.3)]
+    # each kernel's modes share one stacked embedding
+    embeddings = {kernel: _Markov(kernel, [m for k, m in cases if k is kernel]) for kernel in corpus}
+    embeddings.update((kernel, _Markov(kernel, [mode])) for kernel, mode in CRITICAL)
     for kernel, mode in cases + CRITICAL:
         r0 = mode.lambda_k ** 2 / mode.alpha_k
-        r = _Markov(kernel, mode).covariance(0.5, 7)
+        emb = embeddings[kernel]
+        r = emb.covariance(emb.slot[mode], 0.5, 7)
         sd = SpectralDensity(kernel, mode)
         truth = [autocovariance(sd, 0.5 * j, 1e-10) for j in range(7)]
         assert np.abs(r - truth).max() <= 1e-10 * r0, (kernel, mode)
 
 
+def test_stacked_setup_samples_each_mode_as_alone():
+    # one set-up over a mixed batch, then every mode's paths byte-equal to
+    # the mode sampled with a set-up of its own.  One atom: underdamped,
+    # overdamped (two real poles), critical (the step-matrix fallback) and
+    # zero-weight; two atoms: real and complex spectra on the state
+    # recursion, and a mode on the circulant
+    grid = TimeGrid(dt=0.125, n=16)
+    two = KernelMeasure([(0.5, 1.0), (0.5, 2.0)])
+    batches = [
+        (SINGLE, [Mode(1, 5.0, 1.0), Mode(2, 0.1, 1.0), Mode(3, 0.25, 1.0), Mode(4, 3.0, 0.0)],
+         ["recursion"] * 4),
+        (two, [Mode(1, 0.05, 0.8), Mode(2, 2.0, 0.8), Mode(3, 200.0, 0.8)],
+         ["recursion", "recursion", "circulant"]),
+    ]
+    for kernel, modes, routes in batches:
+        setup = _Markov(kernel, modes, grid)
+        # the zero-weight mode is left out of the stack
+        assert list(setup.slot) == [mode for mode in modes if mode.lambda_k != 0.0]
+        for mode, route in zip(modes, routes):
+            batch = sample_gle_mode(kernel, mode, grid, 5, seed=9, setup=setup)
+            alone = sample_gle_mode(kernel, mode, grid, 5, seed=9)
+            assert batch.method == alone.method == route
+            assert batch.values.tobytes() == alone.values.tobytes(), mode
+    single = _Markov(SINGLE, batches[0][1], grid)
+    assert np.isreal(single.eig[1][0]).all() and single.eig[2] is None
+    assert sorted(single._gains) == [0, 1]
+    with pytest.raises(ValueError):
+        sample_gle_mode(SINGLE, Mode(1, 5.0, 1.0), TimeGrid(dt=0.25, n=16), 2, 0, setup=single)
+    with pytest.raises(ValueError):
+        sample_gle_mode(SINGLE, Mode(5, 5.0, 1.0), grid, 2, 0, setup=single)
+
+
 def test_degenerate_eigenbasis_falls_back_to_the_step_matrix():
     for kernel, mode in CRITICAL:
-        assert _Markov(kernel, mode).eig is None
+        assert _Markov(kernel, [mode]).eig == [None]
         ens = sample_gle_mode(kernel, mode, TimeGrid(dt=0.25, n=64), 2, seed=0)
         assert ens.method == "recursion"
         assert np.isfinite(ens.values).all()
-    assert _Markov(SINGLE, Mode(1, 5.0, 1.0)).eig is not None
+    assert _Markov(SINGLE, [Mode(1, 5.0, 1.0)]).eig[0] is not None
 
 
 def test_recursion_reproduces_toeplitz_exactly():
@@ -225,17 +261,17 @@ def test_recursion_reproduces_toeplitz_exactly():
     state = [(THREE, Mode(1, 10.0, 0.5), 0.1, 12)] + [(k, m, 0.1, 12) for k, m in CRITICAL]
     for cases, one_normal in ((one_atom, True), (state, False)):
         for kernel, mode, dt, n in cases:
-            emb = _Markov(kernel, mode)
-            shape, synth = emb.recursion(dt, n)
+            emb = _Markov(kernel, [mode], TimeGrid(dt, n))
+            shape, synth = emb.recursion(0)
             assert shape == ((n,) if one_normal else (emb.dim, n))
             size = math.prod(shape)
             images = synth(np.eye(size).reshape(size, *shape))
             gram = images.T @ images
-            cov = emb.covariance(dt, n)
+            cov = emb.covariance(0, dt, n)
             toeplitz = np.array([[cov[abs(i - j)] for j in range(n)] for i in range(n)])
             assert np.abs(gram - toeplitz).max() <= 1e-13, (kernel, mode, dt, n)
     # the overdamped mode really has two real poles
-    assert np.isreal(_Markov(SINGLE, Mode(1, 0.1, 1.0)).eig[0]).all()
+    assert np.isreal(_Markov(SINGLE, [Mode(1, 0.1, 1.0)]).eig[0][0]).all()
 
 
 def _record_draws(monkeypatch):

@@ -132,7 +132,7 @@ def test_autocovariance_bounded_by_variance():
 
 
 def increment(sd, h):
-    return float(_Markov(sd.kernel, sd.mode).increment(h))
+    return float(_Markov(sd.kernel, [sd.mode]).increment(0, h))
 
 
 def test_increment_monotone_to_zero():
@@ -156,7 +156,7 @@ def test_increment_two_route_agreement():
         (sd_single(0.25), 0.5),
         (SpectralDensity(discretize(PowerLaw(1.0, 64)), Mode(4, 16.0, 1.0)), 2.0**-6),
     )
-    assert _Markov(SINGLE, Mode(1, 0.25, 1.0)).eig is None
+    assert _Markov(SINGLE, [Mode(1, 0.25, 1.0)]).eig == [None]
     for sd, h in cases:
         via_cov = 2.0 * (autocovariance(sd, 0.0, 1e-10) - autocovariance(sd, h, 1e-10))
         assert increment(sd, h) == pytest.approx(via_cov, rel=1e-8)
