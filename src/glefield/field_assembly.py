@@ -21,7 +21,7 @@ import numpy as np
 
 from .cm_kernel import KernelMeasure
 from . import mode_sampler
-from .mode_sampler import PathEnsemble, TimeGrid
+from .mode_sampler import TimeGrid
 from .spectral import Mode
 
 
@@ -54,9 +54,12 @@ class DirichletInterval:
     def sup_const(self, k: int) -> float:
         return math.sqrt(2.0 / self.length)
 
-    def eval(self, k: int, x) -> np.ndarray:
+    def eval(self, k, x) -> np.ndarray:
+        """e_k(x) for one mode index k (the shape of x), or one row per index
+        for an integer array of them (shape (len(k), len(x)))."""
         x_arr = np.asarray(x, dtype=float)
-        return math.sqrt(2.0 / self.length) * np.sin(k * math.pi * x_arr / self.length)
+        phase = np.multiply.outer(np.asarray(k) * math.pi, x_arr)
+        return math.sqrt(2.0 / self.length) * np.sin(phase / self.length)
 
 
 @dataclass(frozen=True)
@@ -90,10 +93,14 @@ class CustomBasis:
     def sup_const(self, k):
         return _listed(self.sup_consts, k, "sup-norm constants")
 
-    def eval(self, k: int, x) -> np.ndarray:
+    def eval(self, k, x) -> np.ndarray:
+        """eval_fn(k, x) for one mode index k, or one row per index for an
+        integer array of them, each taken with a Python int."""
         if self.eval_fn is None:
             raise ValueError("this basis has no eigenfunction evaluation rule")
-        return np.asarray(self.eval_fn(k, x), dtype=float)
+        if np.ndim(k) == 0:
+            return np.asarray(self.eval_fn(k, x), dtype=float)
+        return np.array([self.eval_fn(j, x) for j in np.asarray(k).tolist()], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -330,6 +337,12 @@ def tail_variance_bound(basis, weights, n_modes: int, n_probe: int = 4000) -> fl
 # never depends on the worker count
 _MODE_BLOCK = 8
 
+# elements of one row-chunk product.  Besides bounding the scratch, this
+# keeps the field byte-equal to one product per member row: at 2**17 (32
+# rows at field_space scale, M = 512) OpenBLAS's sums differed from those
+# in the last bits, on one thread and on two
+_CHUNK_ELEMENTS = 2**16
+
 
 def assemble_field(
     kernel: KernelMeasure,
@@ -349,10 +362,14 @@ def assemble_field(
 
     Modes are sampled independently (streams keyed by mode index, so results
     do not depend on worker count) and summed in fixed blocks of
-    ``_MODE_BLOCK`` modes in k order; the modes of one block are sampled
-    concurrently, so workers beyond the block size stay idle.  dynamics
-    selects the trajectory law: "gle" for the kernel-driven paths, "heat" for
-    the memoryless baseline, "spectral" for the superposition cross-check
+    ``_MODE_BLOCK`` modes in k order.  Each mode's paths are written straight
+    into its slot of the block buffer; worker w samples slots w, w +
+    workers, ... of a block, so workers beyond the block size stay idle.
+    A block is added to the field one chunk of member rows at a time, one
+    matrix product per chunk into a scratch of at most ``_CHUNK_ELEMENTS``
+    elements (one row when a row alone is larger).  dynamics selects the
+    trajectory law: "gle" for the kernel-driven paths, "heat" for the
+    memoryless baseline, "spectral" for the superposition cross-check
     route.
 
     Raises Divergent if the variance series fails its gate and
@@ -377,24 +394,33 @@ def assemble_field(
     modes = [_mode(basis, weights, k) for k in range(1, n_modes + 1)]
     # every gle mode's embedding, step law and gain in one stacked pass
     setup = mode_sampler._Markov(kernel, modes, grid) if dynamics == "gle" else None
+    n, nx = grid.n, x_arr.size
+    out = np.zeros((m, n, nx))
+    paths = np.empty((_MODE_BLOCK, m, n))
+    clipped = [0.0] * n_modes
 
-    def run_mode(k: int) -> PathEnsemble:
-        return mode_sampler._sample(dynamics, kernel, modes[k - 1], grid, m, seed, node_count,
-                                    setup)
+    def fill(ks) -> None:
+        for k in ks:
+            ens = mode_sampler._sample(dynamics, kernel, modes[k - 1], grid, m, seed, node_count,
+                                       setup, out=paths[(k - 1) % _MODE_BLOCK])
+            clipped[k - 1] = ens.clipped_mass
 
-    out = np.zeros((m, grid.n, x_arr.size))
-    paths = np.empty((_MODE_BLOCK, m, grid.n))
-    clipped = []
-    # each path row gets one matrix product per block: (n, b) paths @ (b, nx) shapes
+    # a chunk of `rows` member rows is one (rows n, b) paths @ (b, nx) shapes product
+    rows = max(1, _CHUNK_ELEMENTS // (n * nx))
+    scratch = np.empty((min(rows, m) * n, nx))
+    fields = out.reshape(m * n, nx)
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for start in range(1, n_modes + 1, _MODE_BLOCK):
             ks = range(start, min(start + _MODE_BLOCK, n_modes + 1))
-            ensembles = pool.map(run_mode, ks) if pool is not None else map(run_mode, ks)
-            for slot, ens in enumerate(ensembles):
-                paths[slot] = ens.values
-                clipped.append(ens.clipped_mass)
-            shapes = np.stack([basis.eval(k, x_arr) for k in ks])
-            block = paths[: len(ks)]
-            for i, row in enumerate(out):
-                row += block[:, i, :].T @ shapes
+            if pool is None:
+                fill(ks)
+            else:
+                tasks = [pool.submit(fill, ks[w::workers]) for w in range(min(workers, len(ks)))]
+                for task in tasks:
+                    task.result()
+            shapes = basis.eval(np.asarray(ks), x_arr)
+            flat = paths[: len(ks)].reshape(len(ks), m * n)
+            for lo in range(0, m * n, rows * n):
+                hi = min(lo + rows * n, m * n)
+                fields[lo:hi] += np.matmul(flat[:, lo:hi].T, shapes, out=scratch[: hi - lo])
     return FieldSample(grid, x_arr, out, n_modes, dynamics, seed, tuple(clipped))

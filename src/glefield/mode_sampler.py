@@ -60,8 +60,10 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ValueError(f"dt {self.dt} must be positive")
-        if self.n < 2:
-            raise ValueError(f"grid length {self.n} must be at least 2")
+        if not _is_integer(self.n) or self.n < 2:
+            raise ValueError(f"grid length {self.n!r} must be an integer of at least 2")
+        if not np.isfinite(self.t0):
+            raise ValueError(f"start time {self.t0} must be finite")
 
     @property
     def times(self) -> np.ndarray:
@@ -92,11 +94,27 @@ class PathEnsemble:
         return self.values.shape[0]
 
 
+def _is_integer(value) -> bool:
+    """A Python or numpy integer; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_sampling_args(m: int, seed: int) -> None:
-    if m < 1:
-        raise ValueError(f"ensemble size {m} must be positive")
-    if not isinstance(seed, (int, np.integer)) or not 0 <= int(seed) < 2**64:
+    if not _is_integer(m) or m < 1:
+        raise ValueError(f"ensemble size {m!r} must be a positive integer")
+    if not _is_integer(seed) or not 0 <= int(seed) < 2**64:
         raise ValueError(f"seed {seed!r} must be an integer in [0, 2**64)")
+
+
+def _paths_out(out, m: int, n: int) -> np.ndarray:
+    """The (m, n) array the paths are written to: ``out`` when given, which
+    must be a writeable C-contiguous float64 array of that shape, else a new one."""
+    if out is None:
+        return np.empty((m, n))
+    if not (isinstance(out, np.ndarray) and out.shape == (m, n) and out.dtype == np.float64
+            and out.flags.c_contiguous and out.flags.writeable):
+        raise ValueError(f"out must be a writeable C-contiguous float64 array of shape {(m, n)}")
+    return out
 
 
 def _stream(seed: int, mode_index: int) -> np.random.Generator:
@@ -387,11 +405,11 @@ class _Markov:
         """Exact linear map from standard normals to (m, n) stationary paths
         of mode i on the set-up's grid.
 
-        Returns (shape, synth): synth maps (m, *shape) standard normals to
-        (m, n) paths.  A one-atom mode with an eigenbasis takes the
-        innovations form built by :meth:`_sweep`, one normal per step
-        (shape (n,)); any other takes the state recursion, d normals per
-        step (shape (d, n)).
+        Returns (shape, synth): ``synth(normals, out)`` maps (m, *shape)
+        standard normals to (m, n) paths and writes them to ``out``.  A
+        one-atom mode with an eigenbasis takes the innovations form built by
+        :meth:`_sweep`, one normal per step (shape (n,)); any other takes
+        the state recursion, d normals per step (shape (d, n)).
 
         Innovations form: each conjugate pair is one complex AR(1) run by
         ``lfilter`` whose input is z times one complex per-step weight.
@@ -417,11 +435,10 @@ class _Markov:
                                                        + inv[:, 1:] * gain[:, 1])
             weights[:, settled:] = weights[:, settled - 1 : settled]
 
-            def innovations(normals):
-                out = np.zeros(normals.shape)
+            def innovations(normals, out):
+                out[...] = 0.0
                 for pole, weight in zip(poles, weights):
                     out += lfilter([1.0], [1.0, -pole], weight * normals, axis=1).real
-                return out
 
             return (n,), innovations
         step, q = (stack[0] for stack in self.transition(dt, [i]))
@@ -430,14 +447,13 @@ class _Markov:
         lam, scale = self.lam[i], self.scale[i]
         if self.eig[i] is None:
 
-            def stepped(normals):
+            def stepped(normals, out):
                 state = lam * normals[:, :, 0]
-                out = np.empty((normals.shape[0], normals.shape[2]))
                 out[:, 0] = state[:, 0]
                 for j in range(1, normals.shape[2]):
                     state = state @ step.T + normals[:, :, j] @ root.T
                     out[:, j] = state[:, 0]
-                return scale * out
+                out *= scale
 
             return (self.dim, n), stepped
         mu, head, inv = self.eig[i]
@@ -445,9 +461,9 @@ class _Markov:
         drive = scale * head[:, None] * (inv @ root)
         poles = np.exp(mu * dt)
 
-        def filtered(normals):
+        def filtered(normals, out):
             m, d, n = normals.shape
-            out = np.zeros((m, n))
+            out[...] = 0.0
             noise = np.empty((m, n), dtype=complex)
             for pole, first, rest in zip(poles, start, drive):
                 noise[:, 0] = first[0] * normals[:, 0, 0]
@@ -456,7 +472,6 @@ class _Markov:
                     noise[:, 0] += first[k] * normals[:, k, 0]
                     noise[:, 1:] += rest[k] * normals[:, k, 1:]
                 out += lfilter([1.0], [1.0, -pole], noise, axis=1).real
-            return out
 
         return (self.dim, n), filtered
 
@@ -488,7 +503,7 @@ _PATH_CHUNK = 256
 
 def sample_gle_mode(
     kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int,
-    setup: _Markov | None = None,
+    setup: _Markov | None = None, out: np.ndarray | None = None,
 ) -> PathEnsemble:
     """Sample m stationary memory-kernel paths, exact in law.
 
@@ -504,10 +519,11 @@ def sample_gle_mode(
     ``setup`` is a :class:`_Markov` built for ``kernel`` and ``grid`` over
     modes that include this one, as :func:`assemble_field` builds once per
     field; without it one is built for this mode alone.  Either way the
-    paths are the same.
+    paths are the same.  The paths are written to ``out`` when it is given
+    (see :func:`_paths_out`), and ``values`` is that array.
     """
     _check_sampling_args(m, seed)
-    out = np.empty((m, grid.n))
+    out = _paths_out(out, m, grid.n)
     if mode.lambda_k == 0.0:
         out[:] = 0.0
         return PathEnsemble(grid, out, mode, seed, "recursion")
@@ -522,7 +538,9 @@ def sample_gle_mode(
         chunk = min(_PATH_CHUNK, max(1, 2 * _PATH_CHUNK * L // math.prod(shape)))
         route = ("recursion",)
     else:
-        synth = lambda normals: paths_from_normals(eig, normals, grid.n)
+        def synth(normals, rows):
+            rows[...] = paths_from_normals(eig, normals, grid.n)
+
         shape = (eig.shape[0],)
         chunk = _PATH_CHUNK
         neg = eig[eig < 0.0].sum()
@@ -532,7 +550,7 @@ def sample_gle_mode(
     buf = np.empty((min(chunk, m), *shape))
     for start in range(0, m, chunk):
         normals = gen.standard_normal(out=buf[: m - start])
-        out[start : start + len(normals)] = synth(normals)
+        synth(normals, out[start : start + len(normals)])
     return PathEnsemble(grid, out, mode, seed, *route)
 
 
@@ -576,14 +594,16 @@ def sample_gle_mode_spectral(
     m: int,
     seed: int,
     node_count: int = 4096,
+    out: np.ndarray | None = None,
 ) -> PathEnsemble:
     """Harmonic-superposition sampler: u(t) = sum_j a_j (xi_j cos + eta_j sin)(w_j t)
     with a_j = sqrt(2 rho(w_j) dw_j).  Independent of the embedding route.
     Path i takes the i-th block of 2 normals per node (all xi, then eta) from
-    the mode's stream, one draw per chunk of paths."""
+    the mode's stream, one draw per chunk of paths.  ``out`` as for
+    :func:`sample_gle_mode`."""
     _check_sampling_args(m, seed)
     sd = SpectralDensity(kernel, mode)
-    out = np.empty((m, grid.n))
+    out = _paths_out(out, m, grid.n)
     if mode.lambda_k == 0.0:
         out[:] = 0.0
         return PathEnsemble(grid, out, mode, seed, "spectral", node_count=node_count)
@@ -602,15 +622,16 @@ def sample_gle_mode_spectral(
     return PathEnsemble(grid, out, mode, seed, "spectral", node_count=k)
 
 
-def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int) -> PathEnsemble:
+def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int,
+                   out: np.ndarray | None = None) -> PathEnsemble:
     """Exact stationary AR(1) recursion for the memoryless baseline mode:
     u_{j+1} = e^{-alpha dt} u_j + lambda * sqrt((1 - e^{-2 alpha dt})/(2 alpha)) * xi_j.
     Path i takes the i-th block of n normals from the mode's stream, one draw
-    per chunk of paths."""
+    per chunk of paths.  ``out`` as for :func:`sample_gle_mode`."""
     _check_sampling_args(m, seed)
     alpha = mode.alpha_k
     lam = mode.lambda_k
-    out = np.empty((m, grid.n))
+    out = _paths_out(out, m, grid.n)
     if lam == 0.0:
         out[:] = 0.0
         return PathEnsemble(grid, out, mode, seed, "ou")
@@ -628,12 +649,14 @@ def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int) -> PathEnsembl
 
 
 def _sample(law: str, kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int,
-            node_count: int = 4096, setup: _Markov | None = None) -> PathEnsemble:
-    """One mode's paths under ``law``: "gle" exact (from ``setup`` when given),
-    "spectral" the superposition cross-check, "heat" memoryless; a sampler
-    rebound on this module is the one called."""
+            node_count: int = 4096, setup: _Markov | None = None,
+            out: np.ndarray | None = None) -> PathEnsemble:
+    """One mode's paths under ``law``, written to ``out`` when given: "gle"
+    exact (from ``setup`` when given), "spectral" the superposition
+    cross-check, "heat" memoryless; a sampler rebound on this module is the
+    one called."""
     if law == "heat":
-        return sample_ou_mode(mode, grid, m, seed)
+        return sample_ou_mode(mode, grid, m, seed, out=out)
     if law == "spectral":
-        return sample_gle_mode_spectral(kernel, mode, grid, m, seed, node_count)
-    return sample_gle_mode(kernel, mode, grid, m, seed, setup=setup)
+        return sample_gle_mode_spectral(kernel, mode, grid, m, seed, node_count, out=out)
+    return sample_gle_mode(kernel, mode, grid, m, seed, setup=setup, out=out)

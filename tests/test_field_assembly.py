@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import polygamma
 
+from glefield import field_assembly, mode_sampler
 from glefield.cm_kernel import KernelMeasure
 from glefield.field_assembly import (
     CustomBasis,
@@ -39,6 +40,33 @@ def test_dirichlet_interval_basis():
     assert BASIS.eval(1, x) == pytest.approx(math.sqrt(2.0 / math.pi) * math.sin(x))
     with pytest.raises(ValueError):
         DirichletInterval(0.0)
+
+
+def test_basis_eval_takes_an_array_of_modes():
+    # one row per mode index, byte-equal to the one-index calls the
+    # assembly made before it built a block's shapes in one expression
+    ks = np.arange(1, 1025)
+    grids = [np.array([0.3]), np.linspace(0.0, 1.0, 17), np.arange(1, 256) / 256.0,
+             np.random.default_rng(0).uniform(0.0, 1.0, 40), np.linspace(0.1, 0.9, 1000)]
+    for length in (math.pi, 2.0, 0.37):
+        basis = DirichletInterval(length)
+        for x in grids:
+            rows = basis.eval(ks, length * x)
+            assert rows.shape == (ks.size, x.size)
+            by_mode = np.stack([basis.eval(int(k), length * x) for k in ks])
+            assert rows.tobytes() == by_mode.tobytes()
+    seen = []
+
+    def rule(k, x):
+        seen.append(type(k))
+        return np.cos(k * np.asarray(x))
+
+    custom = CustomBasis(alphas=(1.0, 4.0, 9.0), sup_consts=(1.0,) * 3, eval_fn=rule)
+    x = np.linspace(0.0, 1.0, 5)
+    rows = custom.eval(np.array([1, 3]), x)
+    assert rows.shape == (2, 5)
+    assert rows.tobytes() == np.stack([custom.eval(1, x), custom.eval(3, x)]).tobytes()
+    assert set(seen) == {int}
 
 
 def test_dirichlet_gradient_bound():
@@ -200,6 +228,82 @@ def test_assembly_builds_every_gle_embedding_in_one_pass(monkeypatch):
     grid = TimeGrid(dt=4.0, n=16)
     assemble_field(SINGLE, BASIS, Flat(1.0), 128, grid, [0.5, 1.5], 2, seed=3, workers=2)
     assert calls == [(128, 2, 2)]
+
+
+def _assemble_by_row(kernel, basis, weights, n_modes, grid, xs, m, seed, dynamics):
+    # the accumulation the row-chunk products replaced, as the reference:
+    # blocks of 8 modes in k order, one product per member row and block
+    xs = np.asarray(xs, dtype=float)
+    out = np.zeros((m, grid.n, xs.size))
+    for start in range(1, n_modes + 1, 8):
+        ks = range(start, min(start + 8, n_modes + 1))
+        block = np.stack([
+            mode_sampler._sample(dynamics, kernel, field_assembly._mode(basis, weights, k),
+                                 grid, m, seed).values
+            for k in ks])
+        shapes = np.stack([basis.eval(k, xs) for k in ks])
+        for i, row in enumerate(out):
+            row += block[:, i, :].T @ shapes
+    return out
+
+
+@pytest.mark.parametrize("n_modes, grid, nx, m, dynamics", [
+    (16, TimeGrid(dt=4.0, n=16), 255, 48, "gle"),    # 16-row chunks
+    (16, TimeGrid(dt=4.0, n=16), 255, 37, "heat"),   # m not a multiple of 16
+    (8, TimeGrid(dt=0.25, n=256), 256, 3, "gle"),    # one-row chunks
+    (24, TimeGrid(dt=4.0, n=16), 1, 300, "gle"),     # nx = 1
+    (13, TimeGrid(dt=0.25, n=32), 5, 3, "gle"),      # a partial last block
+])
+def test_assembly_equals_the_per_row_products(n_modes, grid, nx, m, dynamics):
+    xs = np.linspace(0.2, 2.9, nx)
+    ref = _assemble_by_row(SINGLE, BASIS, Flat(1.0), n_modes, grid, xs, m, 5, dynamics)
+    for workers in (1, 2, 3):
+        sample = assemble_field(SINGLE, BASIS, Flat(1.0), n_modes, grid, xs, m, 5,
+                                dynamics=dynamics, tail_budget=1.0, workers=workers)
+        assert sample.values.tobytes() == ref.tobytes(), workers
+
+
+def test_assembly_takes_one_product_per_row_chunk(monkeypatch):
+    # a block of modes is added by one product per chunk of member rows
+    # (16 rows of 16 x 255 points, or one row of 256 x 256), and the pool
+    # gets one task per worker per block
+    products, tasks = [], []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda *a, **kw: products.append(1) or matmul(*a, **kw))
+
+    class Pool(field_assembly.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            tasks.append(1)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(field_assembly, "ThreadPoolExecutor", Pool)
+    for n, nx, m, chunks in ((16, 255, 40, 3), (256, 256, 3, 3)):
+        products.clear()
+        tasks.clear()
+        grid = TimeGrid(dt=4.0 if n == 16 else 0.25, n=n)
+        assemble_field(SINGLE, BASIS, Flat(1.0), 13, grid, np.linspace(0.2, 2.9, nx), m, 5,
+                       dynamics="heat", tail_budget=1.0, workers=3)
+        # 13 modes: a block of 8 and a block of 5
+        assert len(products) == 2 * chunks
+        assert len(tasks) == 2 * 3
+
+
+def test_clipped_masses_stay_in_mode_order(monkeypatch):
+    # workers fill a block's slots out of k order; each mode's clipped mass
+    # (here tagged with its index) still lands at its own place
+    sample_mode = mode_sampler._sample
+
+    def tagged(*args, **kwargs):
+        ens = sample_mode(*args, **kwargs)
+        ens.clipped_mass = ens.mode.index / 100.0
+        return ens
+
+    monkeypatch.setattr(mode_sampler, "_sample", tagged)
+    grid = TimeGrid(dt=0.25, n=32)
+    for workers in (1, 2, 3):
+        sample = assemble_field(SINGLE, BASIS, Flat(1.0), 13, grid, [1.0], 2, 4,
+                                tail_budget=1.0, workers=workers)
+        assert sample.clipped_masses == tuple(k / 100.0 for k in range(1, 14))
 
 
 def test_assembly_worker_count_is_immaterial():

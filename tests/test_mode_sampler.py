@@ -33,10 +33,12 @@ CRITICAL = [(KernelMeasure([(1.0, 2.0)]), Mode(1, 1.0, 1.0)),
 def test_time_grid():
     grid = TimeGrid(dt=0.25, n=5, t0=1.0)
     assert np.array_equal(grid.times, 1.0 + 0.25 * np.arange(5))
-    with pytest.raises(ValueError):
-        TimeGrid(dt=0.0, n=4)
-    with pytest.raises(ValueError):
-        TimeGrid(dt=0.1, n=1)
+    assert TimeGrid(dt=0.25, n=np.int64(5), t0=1.0).times.tobytes() == grid.times.tobytes()
+    for bad in (dict(dt=0.0, n=4), dict(dt=0.1, n=1), dict(dt=0.1, n=16.5),
+                dict(dt=0.1, n=16.0), dict(dt=0.1, n=True), dict(dt=0.1, n=16, t0=math.nan),
+                dict(dt=0.1, n=16, t0=-math.inf)):
+        with pytest.raises(ValueError):
+            TimeGrid(**bad)
 
 
 def test_synthesis_map_reproduces_toeplitz_exactly():
@@ -125,6 +127,66 @@ def test_sampling_argument_validation():
         sample_gle_mode(SINGLE, mode, grid, 0, seed=0)
     with pytest.raises(ValueError):
         sample_ou_mode(mode, grid, 4, seed=-1)
+    # a bool or a float is not a seed or an ensemble size (True would pass for 1)
+    for m, seed in ((4, True), (4, False), (True, 1), (2.0, 1), (4, 1.0)):
+        for sampler in (sample_gle_mode, sample_gle_mode_spectral):
+            with pytest.raises(ValueError):
+                sampler(SINGLE, mode, grid, m, seed)
+        with pytest.raises(ValueError):
+            sample_ou_mode(mode, grid, m, seed)
+    # numpy integers stay valid
+    a = sample_ou_mode(mode, grid, np.int64(3), seed=np.int64(7)).values
+    assert a.tobytes() == sample_ou_mode(mode, grid, 3, seed=7).values.tobytes()
+
+
+# every route of every sampler: innovations form, two-atom state recursion,
+# circulant, critical damping (the real step matrix), zero weight, AR(1)
+# baseline and superposition
+_TWO = KernelMeasure([(0.5, 1.0), (0.5, 2.0)])
+_ROUTES = {
+    "innovations": (lambda g, m, **kw: sample_gle_mode(SINGLE, Mode(2, 5.0, 1.0), g, m, 3, **kw),
+                    "recursion"),
+    "state": (lambda g, m, **kw: sample_gle_mode(_TWO, Mode(1, 0.05, 0.8), g, m, 3, **kw),
+              "recursion"),
+    "circulant": (lambda g, m, **kw: sample_gle_mode(THREE, Mode(3, 10.0, 1.0), g, m, 3, **kw),
+                  "circulant"),
+    "critical": (lambda g, m, **kw: sample_gle_mode(*CRITICAL[0], g, m, 3, **kw), "recursion"),
+    "zero": (lambda g, m, **kw: sample_gle_mode(SINGLE, Mode(1, 4.0, 0.0), g, m, 3, **kw),
+             "recursion"),
+    "ou": (lambda g, m, **kw: sample_ou_mode(Mode(2, 5.0, 1.0), g, m, 3, **kw), "ou"),
+    "spectral": (lambda g, m, **kw: sample_gle_mode_spectral(SINGLE, Mode(2, 5.0, 1.0), g, m, 3,
+                                                             node_count=256, **kw), "spectral"),
+}
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_out_takes_the_allocating_calls_bytes(route):
+    sampler, method = _ROUTES[route]
+    grid = TimeGrid(dt=0.125, n=64)
+    alone = sampler(grid, 5)
+    assert alone.method == method
+    if route == "state":
+        # three state coordinates per step
+        assert _Markov(_TWO, [Mode(1, 0.05, 0.8)], grid).recursion(0)[0] == (3, grid.n)
+    # a slot of a block buffer, filled with garbage first
+    block = np.full((3, 5, grid.n), np.nan)
+    slot = block[1]
+    assert sampler(grid, 5, out=slot).values is slot
+    assert slot.tobytes() == alone.values.tobytes()
+    assert np.isnan(block[[0, 2]]).all()
+
+
+@pytest.mark.parametrize("route", sorted(_ROUTES))
+def test_out_must_fit_the_paths(route):
+    sampler = _ROUTES[route][0]
+    grid = TimeGrid(dt=0.125, n=64)
+    frozen = np.empty((5, grid.n))
+    frozen.flags.writeable = False
+    for bad in (np.empty((5, grid.n + 1)), np.empty((4, grid.n)), np.empty(5 * grid.n),
+                np.empty((5, grid.n), dtype=np.float32), np.empty((grid.n, 5)).T,
+                np.empty((5, 2 * grid.n))[:, ::2], frozen, [[0.0] * grid.n] * 5):
+        with pytest.raises(ValueError):
+            sampler(grid, 5, out=bad)
 
 
 def test_seeds_must_fit_in_64_bits():
@@ -265,7 +327,8 @@ def test_recursion_reproduces_toeplitz_exactly():
             shape, synth = emb.recursion(0)
             assert shape == ((n,) if one_normal else (emb.dim, n))
             size = math.prod(shape)
-            images = synth(np.eye(size).reshape(size, *shape))
+            images = np.empty((size, n))
+            synth(np.eye(size).reshape(size, *shape), images)
             gram = images.T @ images
             cov = emb.covariance(0, dt, n)
             toeplitz = np.array([[cov[abs(i - j)] for j in range(n)] for i in range(n)])
