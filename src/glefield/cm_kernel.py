@@ -21,8 +21,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.special import gamma as _gamma_fn
-from scipy.special import roots_genlaguerre
 
 
 class KernelError(ValueError):
@@ -175,7 +173,10 @@ def discretize(family) -> KernelMeasure:
     if isinstance(family, KernelMeasure):
         return family
     if isinstance(family, PowerLaw):
+        # imported here so that kernels given as atoms never load scipy
+        from scipy.special import gamma, roots_genlaguerre
+
         nodes, weights = roots_genlaguerre(family.nodes, family.exponent - 1.0)
-        weights = weights / _gamma_fn(family.exponent)
+        weights = weights / gamma(family.exponent)
         return KernelMeasure(tuple(zip(weights, nodes)))
     raise KernelError(f"unknown kernel family {family!r}")

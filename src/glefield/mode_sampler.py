@@ -24,6 +24,10 @@ Three routes produce paths on a uniform time grid:
 * :func:`sample_ou_mode` - exact AR(1) recursion for the memoryless
   (Ornstein-Uhlenbeck) mode used by the classical-dynamics baseline.
 
+Every recursion, real or complex, runs through :func:`_recur`, a blocked
+prefix-sum form of the first-order filter in numpy alone; sampling imports
+no scipy.
+
 Randomness: mode k under seed s draws from one SFC64 stream, child k of the
 seed's ``SeedSequence``, and path i takes the i-th consecutive block of its
 normals: n of them for the innovations form and the AR(1) baseline, d*n for
@@ -42,7 +46,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .cm_kernel import KernelMeasure
 from . import spectral
@@ -174,6 +177,101 @@ _MAX_EIGVEC_COND = 1e5
 # as settled (14 steps on the comparison_1d time modes); c's rounding noise
 # is about 1e-16 relative, so a tighter value may never be met
 _GAIN_TOL = 1e-14
+
+
+# e-folds of decay one block of :func:`_recur` may span.  A pole with
+# per-step decay a = -log|p| is run in blocks of B = max(1, floor(G / a))
+# steps (the whole path when a n <= G): the in-block weights p^-i stay below
+# e^G, so the sums stay far from overflow, the factors p^t stay above e^-G,
+# and a normal reaches the blocks after its own only through the next one's
+# carry; what it would add further on is scaled by less than e^-G, far below
+# rounding
+_BLOCK_DECAY = 300.0
+
+
+def _recur(pole, weights, normals: np.ndarray, out: np.ndarray, add: bool = False) -> None:
+    """out (+)= Re(y) for y_j = pole y_{j-1} + sum_k weights[k, j] normals[:, k, j], y_{-1} = 0.
+
+    ``normals`` are real, of shape (m, n) or (m, d, n), and ``weights`` is a
+    real or complex per-step table of shape (n,) or (d, n); ``out`` is (m, n)
+    and is overwritten, or added to when ``add``.  The pole must satisfy
+    |pole| <= 1; a real pole takes the real part of the weights and one real
+    chain only.
+
+    Time is cut into blocks of B steps (see ``_BLOCK_DECAY``).  Inside a
+    block y_{s+t} = pole^t (sum_{i<=t} w_i z_{s+i} + pole^B S) with
+    w_i = weights_{s+i} pole^-i: one real prefix sum per chain, the real and
+    imaginary parts of w z for a complex pole, so no complex (m, n) array is
+    made.  The carry S is the previous block's own total; what the blocks
+    before it add is scaled by less than e^-G and left out.  The weights are
+    divided by their largest magnitude inside the sums and that factor goes
+    back with pole^t, or on its own after them when pole^t times it could
+    leave the normal range, so only G bounds the range of the sums.  The
+    powers are running products of the pole itself, so their error grows
+    like t eps at most whatever the pole's angle (the step angle reaches
+    512 rad at dt = 4), not like its angle times t eps.  Every row is
+    summed alone, so a row's bits do not depend on m.
+    """
+    m, n = out.shape
+    z = normals.reshape(m, -1, n)
+    c = np.reshape(weights, (z.shape[1], n))
+    pole = complex(pole)
+    if pole.imag == 0.0:
+        pole, c = pole.real, c.real
+    decay = -math.log(abs(pole)) if pole else math.inf
+    size = n if decay * n <= _BLOCK_DECAY else max(1, int(_BLOCK_DECAY / decay))
+    full, tail = divmod(n, size)
+    powers = np.full(size + 1, pole)
+    powers[0] = 1.0
+    np.multiply.accumulate(powers, out=powers)
+    top = float(np.abs(c).max()) or 1.0
+    # pole^t for each step's place t in its block
+    cycle = np.empty((-(-n // size), size), dtype=powers.dtype)
+    cycle[...] = powers[:size]
+    cycle = cycle.reshape(-1)[:n]
+    table = (c / top) / cycle
+    # top times pole^t, down to top e^-G, must stay a normal double
+    apart = top * math.exp(-_BLOCK_DECAY) < np.finfo(float).tiny
+    scale = cycle.conjugate() if apart else top * cycle.conjugate()
+    # one real chain per part of the weights: Re(y_t) = Re(p^t) A_t - Im(p^t) B_t
+    # for A, B the sums over Re(w) z and Im(w) z, so the scale rows are the
+    # parts of conj(p^t); all rows are strided views of the complex tables
+    chains = 2 if isinstance(pole, complex) else 1
+    table = table.view(float).reshape(len(c), n, chains).transpose(2, 0, 1)
+    scale = scale.view(float).reshape(n, chains).T
+    sums = out[None] if chains == 1 and not add else np.empty((chains, m, n))
+    np.multiply(z[:, 0], table[:, :1], out=sums)
+    if len(c) > 1:
+        term = np.empty_like(sums)
+        for k in range(1, len(c)):
+            sums += np.multiply(z[:, k], table[:, k : k + 1], out=term)
+    body = sums[:, :, : full * size].reshape(chains, m, full, size)
+    if full + (tail > 0) > 1:
+        # every block but the first starts from pole^B times the own total
+        # of the block before it
+        ends = np.add.reduce(body[:, :, : full - (tail == 0)], axis=3)
+        carry = powers[size]
+        if chains == 1:
+            ends *= carry
+        else:
+            re, im = ends
+            ends = np.stack((carry.real * re - carry.imag * im, carry.real * im + carry.imag * re))
+        sums[:, :, size::size] += ends
+    if size > 1:
+        np.add.accumulate(body, axis=3, out=body)
+    if size > 1 and tail:
+        rest = sums[:, :, full * size :]
+        np.add.accumulate(rest, axis=2, out=rest)
+    sums *= scale[:, None]
+    if chains == 2 and add:
+        sums[0] += sums[1]
+    elif chains == 2:
+        np.add(sums[0], sums[1], out=out)
+    paths = sums[0] if add else out
+    if apart:
+        paths *= top
+    if add:
+        out += paths
 
 
 class _Markov:
@@ -378,7 +476,7 @@ class _Markov:
             root = np.sqrt(p00)
             ids.append(live)
             gains.append(np.stack((root, p01 / root), axis=-1))
-            c = p11 - p01 * p01 / p00
+            c = p11 - p01 * (p01 / p00)  # no square: lambda^4 leaves the double range
             moving = ~(np.abs(c - c_prev) <= _GAIN_TOL * c)
             if not moving.all():
                 live, c, f0, f1, q00, q01, q11 = (
@@ -412,7 +510,7 @@ class _Markov:
         the state recursion, d normals per step (shape (d, n)).
 
         Innovations form: each conjugate pair is one complex AR(1) run by
-        ``lfilter`` whose input is z times one complex per-step weight.
+        :func:`_recur` whose input is z times one complex per-step weight.
 
         State recursion: column 0 of each path's normals draws the
         stationary start v_0 = lambda z; column j > 0 draws the innovation
@@ -421,8 +519,9 @@ class _Markov:
         for the 64-node power law at dt = 2^-8) and rounding can leave it a
         hair indefinite, so negative eigenvalues are clipped to 0.  In the
         eigenbasis each coordinate is a complex AR(1) recursion run by
-        ``lfilter``, one per conjugate pair, with the read-out weight folded
-        into its input; without one the real state is stepped.
+        :func:`_recur`, one per conjugate pair, whose input sums the d
+        normals of a step with the read-out weight folded into their
+        weights; without one the real state is stepped.
         """
         dt, n = self.grid.dt, self.grid.n
         if i in self._gains:
@@ -436,9 +535,8 @@ class _Markov:
             weights[:, settled:] = weights[:, settled - 1 : settled]
 
             def innovations(normals, out):
-                out[...] = 0.0
-                for pole, weight in zip(poles, weights):
-                    out += lfilter([1.0], [1.0, -pole], weight * normals, axis=1).real
+                for j, (pole, weight) in enumerate(zip(poles, weights)):
+                    _recur(pole, weight, normals, out, add=j > 0)
 
             return (n,), innovations
         step, q = (stack[0] for stack in self.transition(dt, [i]))
@@ -462,16 +560,10 @@ class _Markov:
         poles = np.exp(mu * dt)
 
         def filtered(normals, out):
-            m, d, n = normals.shape
-            out[...] = 0.0
-            noise = np.empty((m, n), dtype=complex)
-            for pole, first, rest in zip(poles, start, drive):
-                noise[:, 0] = first[0] * normals[:, 0, 0]
-                noise[:, 1:] = rest[0] * normals[:, 0, 1:]
-                for k in range(1, d):
-                    noise[:, 0] += first[k] * normals[:, k, 0]
-                    noise[:, 1:] += rest[k] * normals[:, k, 1:]
-                out += lfilter([1.0], [1.0, -pole], noise, axis=1).real
+            for j, (pole, first, rest) in enumerate(zip(poles, start, drive)):
+                weights = np.repeat(rest[:, None], n, axis=1)
+                weights[:, 0] = first
+                _recur(pole, weights, normals, out, add=j > 0)
 
         return (self.dim, n), filtered
 
@@ -638,13 +730,13 @@ def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int,
     phi = math.exp(-alpha * grid.dt)
     sigma = lam / math.sqrt(2.0 * alpha)
     innovation = sigma * math.sqrt(1.0 - phi * phi)
+    weights = np.full(grid.n, innovation)
+    weights[0] = sigma
     gen = _stream(seed, mode.index)
     buf = np.empty((min(_PATH_CHUNK, m), grid.n))
     for start in range(0, m, _PATH_CHUNK):
         noise = gen.standard_normal(out=buf[: m - start])
-        noise[:, 0] *= sigma
-        noise[:, 1:] *= innovation
-        out[start : start + len(noise)] = lfilter([1.0], [1.0, -phi], noise, axis=1)
+        _recur(phi, weights, noise, out[start : start + len(noise)])
     return PathEnsemble(grid, out, mode, seed, "ou")
 
 

@@ -21,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .cm_kernel import KernelMeasure, k_cos, k_sin, k_sin_over_omega
 
@@ -278,11 +277,15 @@ def _integrate(sd: SpectralDensity, rel_tol: float, piece) -> float:
 
 
 def _plain(f, a, b, epsabs, epsrel):
+    from scipy.integrate import quad  # imported on first use: the samplers need no scipy
+
     return quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1)[:2]
 
 
 def _cosine(f, a, b, epsabs, epsrel, tau):
     """Clenshaw-Curtis cosine-weight rule for integral_a^b cos(tau*omega) f."""
+    from scipy.integrate import quad
+
     return quad(
         f, a, b, weight="cos", wvar=tau, epsabs=epsabs, epsrel=epsrel, limit=400,
         full_output=1,

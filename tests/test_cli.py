@@ -403,3 +403,53 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("glefield")
+
+
+_SCIPY_FREE_RUN = """
+import json
+import sys
+from glefield import cli
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+tmp = sys.argv[1]
+grid = ["--dt", "0.25", "--n", "64", "--ensemble", "2"]
+field = ["sample-field", "--N", "4", "--nx", "3", "--tail-budget", "1.0", *grid]
+runs = [
+    [*field, "--dynamics", "gle", "--out", tmp + "/gle.csv"],
+    [*field, "--dynamics", "heat", "--out", tmp + "/heat.csv"],
+    ["sample-mode", *grid, "--method", "ce", "--out", tmp + "/ce.csv"],
+    ["sample-mode", *grid, "--method", "ou", "--out", tmp + "/ou.csv"],
+    ["hoelder", "--in", tmp + "/gle.csv", "--lags", "1,2,4,16", "--out", tmp + "/h.json"],
+    ["hoelder", "--in", tmp + "/ce.csv", "--lags", "1,2,4,16", "--config", tmp + "/atoms.ini",
+     "--k", "1", "--out", tmp + "/hm.json"],
+    ["spectrum", "--points", "8", "--out", tmp + "/s.csv"],
+]
+for argv in runs:
+    assert cli.main(argv) == 0, argv
+print(json.dumps(scipy_modules()))
+for argv in (["kernel", "--config", tmp + "/power.ini", "--out", tmp + "/k.csv"],
+             ["verify", "--k-list", "1,2", "--out", tmp + "/v.json"]):
+    assert cli.main(argv) == 0, argv
+print(json.dumps(scipy_modules()))
+"""
+
+
+def test_sampling_and_fitting_never_load_scipy(tmp_path):
+    # a fresh interpreter: sampling, fitting and tabulating a spectrum are
+    # numpy only; the power-law nodes and the quadrature commands import
+    # scipy when they run
+    (tmp_path / "atoms.ini").write_text("[kernel]\nkernel = expsum\n")
+    (tmp_path / "power.ini").write_text("[kernel]\nkernel = powerlaw\nnodes = 16\n")
+    src = str(Path(glefield.__file__).resolve().parents[1])
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_FREE_RUN, str(tmp_path)], capture_output=True,
+        text=True, check=False, env={**os.environ, "PYTHONPATH": path},
+    )
+    assert proc.returncode == 0, proc.stderr
+    before, after = (json.loads(line) for line in proc.stdout.splitlines())
+    assert before == []
+    assert {"scipy.integrate", "scipy.special"} <= set(after)
+    assert not any(name.startswith("scipy.signal") for name in after)

@@ -1,5 +1,6 @@
 """Path synthesis: exact recursion or circulant embedding, harmonic superposition, AR(1) baseline."""
 
+import cmath
 import math
 import random
 
@@ -7,12 +8,14 @@ import numpy as np
 import pytest
 
 from scipy.linalg import solve_continuous_lyapunov
+from scipy.signal import lfilter
 
 from glefield import mode_sampler, spectral
 from glefield.cm_kernel import KernelMeasure, PowerLaw, discretize
 from glefield.mode_sampler import (
     TimeGrid,
     _Markov,
+    _recur,
     _stream,
     circulant_eigenvalues,
     paths_from_normals,
@@ -335,6 +338,135 @@ def test_recursion_reproduces_toeplitz_exactly():
             assert np.abs(gram - toeplitz).max() <= 1e-13, (kernel, mode, dt, n)
     # the overdamped mode really has two real poles
     assert np.isreal(_Markov(SINGLE, [Mode(1, 0.1, 1.0)]).eig[0][0]).all()
+
+
+def _recursion_reference(pole, weights, normals):
+    """Re(y) of y_j = pole y_{j-1} + sum_k weights[k, j] normals[:, k, j],
+    looped step by step in np.longdouble, and the path scale: the root of
+    the largest E|y_j|^2."""
+    m, n = normals.shape[0], normals.shape[-1]
+    z = normals.reshape(m, -1, n).astype(np.longdouble)
+    c = np.reshape(weights, (z.shape[1], n))
+    xr = (z * c.real.astype(np.longdouble)).sum(axis=1)
+    xi = (z * np.imag(c).astype(np.longdouble)).sum(axis=1)
+    pr, pi = np.longdouble(np.real(pole)), np.longdouble(np.imag(pole))
+    yr = yi = np.zeros(m, dtype=np.longdouble)
+    paths = np.empty((m, n), dtype=np.longdouble)
+    power, decay = (np.abs(c) ** 2).sum(axis=0), abs(pole) ** 2
+    var = top = 0.0
+    for j in range(n):
+        yr, yi = pr * yr - pi * yi + xr[:, j], pr * yi + pi * yr + xi[:, j]
+        paths[:, j] = yr
+        var = decay * var + power[j]
+        top = max(top, var)
+    return paths, math.sqrt(top)
+
+
+# per-step decays -log|p|: one block for every n below, a few blocks, many
+# short blocks of 15 and 6 steps, and blocks of one step
+_DECAYS = (1e-4, 1e-2, 0.5, 20.0, 50.0, 1e3)
+
+
+@pytest.mark.parametrize("n", (2, 16, 1000, 4096))
+@pytest.mark.parametrize("angle", (0.0, 0.1, 3.0, 512.0))
+def test_recursion_kernel_matches_a_long_double_loop(n, angle):
+    # bound fixed before the first run, from rounding (about eps * sqrt(steps
+    # in play)): 1e-13 of the path scale.  The leading weights vary per step,
+    # as the innovations gains do; d = 3 stacks normals as the state route
+    # does.  Each pole is written, then a second pole added on top.
+    rng = np.random.default_rng(n + int(10 * angle))
+    bound = 1e-13
+    for decay in _DECAYS:
+        poles = [cmath.exp(complex(-decay, angle)), cmath.exp(complex(-2.0 * decay, -angle))]
+        if angle == 0.0:
+            poles = [pole.real for pole in poles]
+        for d in (1, 3):
+            out = np.empty((3, n))
+            expected = np.zeros((3, n), dtype=np.longdouble)
+            scale = 0.0
+            for j, pole in enumerate(poles):
+                weights = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
+                weights[:, 20:] = weights[:, 19:20]
+                normals = rng.standard_normal((3, d, n) if d > 1 else (3, n))
+                _recur(pole, weights if d > 1 else weights[0], normals, out, add=j > 0)
+                paths, path_scale = _recursion_reference(pole, weights, normals)
+                expected += paths
+                scale += path_scale
+                if d == 1:
+                    assert np.abs(out - expected).max() <= bound * scale, (decay, pole, j)
+                    if j == 0:
+                        old = lfilter([1.0], [1.0, -pole], weights[0] * normals, axis=1).real
+                        assert np.abs(out - old).max() <= 2.0 * bound * scale
+            assert np.abs(out - expected).max() <= bound * scale, (decay, d)
+
+
+def test_recursion_kernel_rows_do_not_depend_on_their_neighbours():
+    # 39 rows at once, one row and two rows must give the same bits, as
+    # chunked and m-prefix ensembles rely on
+    rng = np.random.default_rng(5)
+    m, n = 39, 1000
+    normals = rng.standard_normal((m, n))
+    weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for decay in _DECAYS:
+        for pole in (cmath.exp(complex(-decay, 0.3)), math.exp(-decay)):
+            whole, rows = np.empty((m, n)), np.empty((m, n))
+            _recur(pole, weights, normals, whole)
+            for i in range(0, m, 3):
+                _recur(pole, weights, normals[i : i + 1], rows[i : i + 1])
+                _recur(pole, weights, normals[i + 1 : i + 3], rows[i + 1 : i + 3])
+            assert whole.tobytes() == rows.tobytes(), (decay, pole)
+
+
+@pytest.mark.parametrize("factor", (1e250, 1e-150, 1e-200))
+def test_recursion_kernel_scales_with_its_weights(factor):
+    # the in-block weights reach e^300 times the largest weight, so only the
+    # kernel's own normalisation keeps 1e250 finite; at 1e-200 the factors
+    # pole^t times the weight would fall below the normal range (e^-300 is
+    # about 5e-131), so the weight must be applied on its own
+    rng = np.random.default_rng(8)
+    n = 1000
+    normals = rng.standard_normal((3, n))
+    weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    for decay in _DECAYS:
+        for pole in (cmath.exp(complex(-decay, 0.7)), math.exp(-decay)):
+            unit, scaled = np.empty((3, n)), np.empty((3, n))
+            _recur(pole, weights, normals, unit)
+            _recur(pole, factor * weights, normals, scaled)
+            assert np.isfinite(scaled).all()
+            assert np.abs(scaled / factor - unit).max() <= 1e-14 * np.abs(unit).max()
+
+
+@pytest.mark.parametrize("lam", (1e100, 1e-100, 1e-200))
+def test_paths_at_extreme_weights_are_finite_and_scale_exactly(lam):
+    # the gain sweep squares no covariance entry (lam^4 leaves the double
+    # range), so paths neither overflow nor underflow and are lam times the
+    # lam = 1 paths; their variance is lam^2/alpha (gle) or lam^2/(2 alpha)
+    # (memoryless), within 5 standard errors over independent paths.  At
+    # 1e-200 only the memoryless mode is checked: the gle routes' covariances
+    # hold lam^2 itself, below the double range
+    grid = TimeGrid(dt=0.05, n=512)
+    m = 256
+    # the three-atom kernel's state recursion, d = 4 normals per step
+    normals = _stream(2, 1).standard_normal((m, 4, grid.n))
+
+    def state(mode):
+        paths = np.empty((m, grid.n))
+        _Markov(THREE, [mode], grid).recursion(0)[1](normals, paths)
+        return paths
+
+    ensembles = [
+        (lambda mode: sample_gle_mode(SINGLE, mode, grid, m, seed=2).values, 1.0),
+        (state, 1.0),
+        (lambda mode: sample_ou_mode(mode, grid, m, seed=2).values, 0.5),
+    ]
+    for draw, share in ensembles[2:] if lam < 1e-150 else ensembles:
+        paths = draw(Mode(1, 10.0, lam))
+        assert np.isfinite(paths).all()
+        unit = draw(Mode(1, 10.0, 1.0))
+        assert np.abs(paths / lam - unit).max() <= 1e-14 * np.abs(unit).max()
+        per_path = ((paths / lam) ** 2).mean(axis=1)
+        se = per_path.std(ddof=1) / math.sqrt(m)
+        assert abs(per_path.mean() - share / 10.0) <= 5.0 * se
 
 
 def _record_draws(monkeypatch):

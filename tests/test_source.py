@@ -52,3 +52,29 @@ def test_every_library_exception_class_is_raised():
     exceptions = {name for name in classes if is_exception(name)}
     assert exceptions
     assert sorted(classes[name][0] for name in exceptions - raised) == []
+
+
+def test_scipy_is_imported_only_where_it_is_used():
+    # an import that runs when its module loads (outside any function) loads
+    # scipy in every process that imports glefield, sampling included;
+    # scipy.signal is not used at all
+    found = []
+    for path, tree in _library_trees():
+        in_functions = {inner for node in ast.walk(tree)
+                        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                module = node.module or ""
+                names = [module] + [f"{module}.{alias.name}" for alias in node.names]
+            elif isinstance(node, ast.Attribute):
+                names = [ast.unparse(node)]
+            else:
+                continue
+            scipy = [name for name in names if name.split(".")[0] == "scipy"]
+            loads = isinstance(node, (ast.Import, ast.ImportFrom)) and node not in in_functions
+            if scipy and (loads or any(name.startswith("scipy.signal") for name in scipy)):
+                found.append(f"{path.name}:{node.lineno}: {scipy[0]}")
+    assert found == []
