@@ -312,21 +312,8 @@ def _model(cfg: RunConfig):
 
 
 def _threads(args) -> int:
-    flag = getattr(args, "threads", None)
-    if flag is not None:
-        if flag < 1:
-            raise ConfigError("--threads must be >= 1")
-        return flag
-    env = os.environ.get("GLEFIELD_THREADS")
-    if env is not None:
-        try:
-            value = int(env)
-        except ValueError:
-            raise ConfigError(f"GLEFIELD_THREADS={env!r} is not an integer") from None
-        if value < 1:
-            raise ConfigError(f"GLEFIELD_THREADS={env!r} must be >= 1")
-        return value
-    return os.cpu_count() or 1
+    """--threads, or the machine's CPU count without it."""
+    return args.threads or os.cpu_count() or 1
 
 
 def _write_columns(path: str, header: list, columns) -> None:
@@ -539,7 +526,8 @@ def cmd_sample_field(args, cfg: RunConfig) -> int:
 
 
 def _read_field_csv(path: str):
-    """Reconstruct (values[m, nt, nx], TimeGrid, x) from a sample CSV."""
+    """Reconstruct (values[m, nt, nx], TimeGrid, x) from a sample CSV; x is
+    None for a mode CSV (no x column), whose values have one x slot."""
     if not os.path.exists(path):
         raise ConfigError(f"input file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -578,7 +566,7 @@ def _read_field_csv(path: str):
         raise ConfigError(f"{path}: duplicate (path, t, x) rows")
     values[pi, ti, xi] = data[:, -1]
     grid = TimeGrid(dt=float(dts[0]), n=nt, t0=float(times[0]))
-    return values, grid, xs
+    return values, grid, xs if has_x else None
 
 
 def _lag_steps(spec_text, size: int) -> list:
@@ -605,25 +593,18 @@ def cmd_hoelder(args, cfg: RunConfig) -> int:
     x column, field-level with --N otherwise).
     """
     values, grid, xs = _read_field_csv(args.infile)
-    if args.axis == "space" and xs.size < 2:
+    if args.axis == "space" and (xs is None or xs.size < 2):
         raise ConfigError("space axis needs a field CSV with an x column")
     size = values.shape[1] if args.axis == "time" else values.shape[2]
     steps = _lag_steps(cfg.get("regularity", "lags"), size)
-    sample = FieldSample(
-        grid=grid,
-        x=xs,
-        values=values,
-        n_modes=0,
-        dynamics="unknown",
-        seed=0,
-    )
+    sample = FieldSample(grid=grid, x=np.zeros(1) if xs is None else xs, values=values, n_modes=0)
     curve = empirical_variogram(sample, args.axis, steps)
     fit = fit_exponent(curve, bootstrap=cfg.get("regularity", "bootstrap"))
     oracle = None
     if args.config is not None:
         measure, basis, weights = _model(cfg)
         if args.axis == "time":
-            if xs.size == 1:
+            if xs is None:
                 theory = theoretical_variogram(
                     measure, _mode(basis, weights, args.k), curve.lags, dynamics=args.dynamics
                 )
@@ -751,7 +732,7 @@ _FLAGS = {
     "--nx": {"type": int, "low": 1},
     "--k": {"type": int, "default": 1},
     "--points": {"type": int},
-    "--threads": {"type": int},
+    "--threads": {"type": int, "low": 1},
     "--dynamics": {"choices": ("gle", "heat", "spectral"), "default": "gle"},
 }
 

@@ -187,6 +187,13 @@ def _series_terms(basis, weights, exponent: float, count: int, use_sup: bool) ->
     return terms
 
 
+# series terms the gates sum before closing with a fitted-power tail: the
+# variance and smoothness gates, and the truncation estimate (which probes
+# at least twice the modes kept)
+_N_PROBE = 2000
+_TAIL_PROBE = 4000
+
+
 def _probe(basis, weights, n_probe: int) -> int:
     """n_probe clipped to the length of any finite list behind the series."""
     if isinstance(weights, Explicit):
@@ -234,20 +241,18 @@ class SummabilityReport:
         return self.partial_sum + self.tail_estimate
 
 
-def check_wellposedness(
-    basis, weights, n_probe: int = 2000, raise_on_divergent: bool = True
-) -> SummabilityReport:
+def check_wellposedness(basis, weights, raise_on_divergent: bool = True) -> SummabilityReport:
     """Gate the stationary variance series sum_k lambda_k^2 / alpha_k.
 
     Built-in weight rules on built-in bases decay like a power of k, so the
-    tail is estimated, not bounded: a power fitted to the last decade of
-    probe terms is integrated past the probe; convergence requires that
+    tail is estimated, not bounded: a power fitted to the last decade of the
+    ``_N_PROBE`` probe terms is integrated past the probe; convergence requires that
     power to exceed 1.  For Explicit weights the same partial-sum plus
     decay-fit heuristic applies to however many weights were given.  With
     raise_on_divergent (the default for simulation entry points) a divergent
     series raises Divergent instead of returning.
     """
-    n_probe = _probe(basis, weights, n_probe)
+    n_probe = _probe(basis, weights, _N_PROBE)
     if n_probe < 10:
         raise ValueError("need at least 10 probe terms")
     terms = _series_terms(basis, weights, 1.0, n_probe, use_sup=False)
@@ -262,9 +267,7 @@ def check_wellposedness(
     return report
 
 
-def check_regularity_assumption(
-    basis, weights, eta: float, n_probe: int = 2000
-) -> SummabilityReport:
+def check_regularity_assumption(basis, weights, eta: float) -> SummabilityReport:
     """Gate the smoothness series sum_k lambda_k^2 c_k^2 / alpha_k^eta.
 
     Convergence at a given eta in (0, 1) certifies time regularity of every
@@ -272,7 +275,7 @@ def check_regularity_assumption(
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta {eta} must lie in (0, 1)")
-    n_probe = _probe(basis, weights, n_probe)
+    n_probe = _probe(basis, weights, _N_PROBE)
     if n_probe < 10:
         raise ValueError("need at least 10 probe terms")
     terms = _series_terms(basis, weights, eta, n_probe, use_sup=True)
@@ -281,24 +284,11 @@ def check_regularity_assumption(
     return SummabilityReport(float(terms.sum()), tail, p, n_probe, convergent)
 
 
-def minimal_admissible_eta(
-    basis, weights, grid=None, n_probe: int = 2000
-) -> tuple[float, tuple[float, float]]:
-    """Smallest grid eta whose smoothness series converges, with the implied
-    open interval (0, 1 - eta) of certified time exponents."""
-    etas = np.round(np.arange(0.05, 1.0, 0.05), 2) if grid is None else np.asarray(grid)
-    for eta in etas:
-        if check_regularity_assumption(basis, weights, float(eta), n_probe).convergent:
-            return float(eta), (0.0, 1.0 - float(eta))
-    raise Divergent("smoothness series diverges for every eta on the grid")
-
-
 def _mode(basis, weights, k: int) -> Mode:
-    """Mode k of the series: the basis's alpha_k and c_k, the weight rule's lambda_k."""
+    """Mode k of the series: the basis's alpha_k, the weight rule's lambda_k."""
     if k < 1:
         raise ValueError(f"mode index {k} must be >= 1")
-    return Mode(index=k, alpha_k=basis.alpha(k), lambda_k=weights.weight(basis, k),
-                c_k=basis.sup_const(k))
+    return Mode(index=k, alpha_k=basis.alpha(k), lambda_k=weights.weight(basis, k))
 
 
 @dataclass(eq=False)
@@ -309,8 +299,6 @@ class FieldSample:
     x: np.ndarray
     values: np.ndarray  # shape (m, n_t, n_x)
     n_modes: int
-    dynamics: str
-    seed: int
     clipped_masses: tuple = ()
 
     @property
@@ -318,11 +306,11 @@ class FieldSample:
         return self.values.shape[0]
 
 
-def tail_variance_bound(basis, weights, n_modes: int, n_probe: int = 4000) -> float:
+def tail_variance_bound(basis, weights, n_modes: int) -> float:
     """Estimate, not a bound, of the pointwise variance lost to truncation,
     sum_{k > n_modes} lambda_k^2 c_k^2 / alpha_k: the terms up to the probe
-    plus a fitted-power tail past it."""
-    probe = len(weights.values) if isinstance(weights, Explicit) else max(n_probe, 2 * n_modes)
+    (``_TAIL_PROBE`` or twice n_modes) plus a fitted-power tail past it."""
+    probe = len(weights.values) if isinstance(weights, Explicit) else max(_TAIL_PROBE, 2 * n_modes)
     probe = _probe(basis, weights, probe)
     if n_modes >= probe:
         return 0.0
@@ -356,7 +344,6 @@ def assemble_field(
     dynamics: str = "gle",
     tail_budget: float = 1e-2,
     workers: int = 1,
-    node_count: int = 4096,
 ) -> FieldSample:
     """Sample the truncated eigenfunction series on a time grid and x points.
 
@@ -401,8 +388,8 @@ def assemble_field(
 
     def fill(ks) -> None:
         for k in ks:
-            ens = mode_sampler._sample(dynamics, kernel, modes[k - 1], grid, m, seed, node_count,
-                                       setup, out=paths[(k - 1) % _MODE_BLOCK])
+            ens = mode_sampler._sample(dynamics, kernel, modes[k - 1], grid, m, seed, setup,
+                                       out=paths[(k - 1) % _MODE_BLOCK])
             clipped[k - 1] = ens.clipped_mass
 
     # a chunk of `rows` member rows is one (rows n, b) paths @ (b, nx) shapes product
@@ -423,4 +410,4 @@ def assemble_field(
             for lo in range(0, m * n, rows * n):
                 hi = min(lo + rows * n, m * n)
                 fields[lo:hi] += np.matmul(flat[:, lo:hi].T, shapes, out=scratch[: hi - lo])
-    return FieldSample(grid, x_arr, out, n_modes, dynamics, seed, tuple(clipped))
+    return FieldSample(grid, x_arr, out, n_modes, tuple(clipped))

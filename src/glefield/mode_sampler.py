@@ -75,7 +75,7 @@ class TimeGrid:
 
 @dataclass(eq=False)
 class PathEnsemble:
-    """m sampled paths on a common grid plus the provenance needed to redraw them.
+    """m sampled paths on a common grid and the route that drew them.
 
     method is "recursion" (innovations form or state recursion) or
     "circulant" for :func:`sample_gle_mode`; embedding_length (2L) and
@@ -85,8 +85,6 @@ class PathEnsemble:
 
     grid: TimeGrid
     values: np.ndarray  # shape (m, n)
-    mode: Mode
-    seed: int
     method: str
     clipped_mass: float = 0.0
     embedding_length: int = 0
@@ -279,13 +277,16 @@ class _Markov:
     (Ceriotti, Bussi and Parrinello 2010).
 
     Mode k solves u' = sum_i y_i with dy_i = (-x_i y_i - alpha w_i u) dt +
-    lambda sqrt(2 w_i x_i) dW_i.  Its state is kept in the coordinates
-    v = (sqrt(alpha) u, y_1/sqrt(w_1), ..., y_p/sqrt(w_p)), where the drift
-    is A = [[0, b^T], [-b, -diag(x)]] with b_i = sqrt(alpha w_i), the noise
-    covariance is D = diag(0, 2 lambda^2 x_i), and the Lyapunov equation
-    A S + S A^T + D = 0 is solved by S = lambda^2 I (the equilibrium law).
-    So u = v_0 / sqrt(alpha) has variance lambda^2/alpha exactly, the
-    paper's variance identity.
+    lambda sqrt(2 w_i x_i) dW_i.  The law is linear in lambda, so the
+    embedding is built for unit noise and lambda enters only where paths
+    are read out: nothing here holds lambda^2, which leaves the double
+    range below lambda ~ 1e-154.  The state is kept in the coordinates
+    v = (sqrt(alpha) u, y_1/sqrt(w_1), ..., y_p/sqrt(w_p)) / lambda, where
+    the drift is A = [[0, b^T], [-b, -diag(x)]] with b_i = sqrt(alpha w_i),
+    the noise covariance is D = diag(0, 2 x_i), one vector for the kernel,
+    and the Lyapunov equation A S + S A^T + D = 0 is solved by S = I (the
+    equilibrium law).  So u = lambda v_0 / sqrt(alpha) has variance
+    lambda^2/alpha exactly, the paper's variance identity.
 
     The modes with lambda != 0 are stacked (a zero-weight mode is the zero
     path and has no embedding): mode ``slot[mode]`` is row i of every
@@ -311,11 +312,11 @@ class _Markov:
         self.grid = grid
         self.slot = {mode: i for i, mode in enumerate(modes)}
         self.alpha = alpha = np.array([mode.alpha_k for mode in modes])
-        self.lam = lam = np.array([mode.lambda_k for mode in modes])
+        self.lam = np.array([mode.lambda_k for mode in modes])
         self.dim = kernel.weights.size + 1
-        self.noise = np.zeros((len(modes), self.dim))
-        self.noise[:, 1:] = (2.0 * lam * lam)[:, None] * kernel.rates
-        self.variance = lam * lam / alpha
+        self.noise = np.concatenate(([0.0], 2.0 * kernel.rates))
+        # r(0) of the unit-noise law; the mode's is lambda^2 times it
+        self.variance = 1.0 / alpha
         self.scale = 1.0 / np.sqrt(alpha)
         self.eig = self._eigenbases()
         self._gains = {}
@@ -360,7 +361,8 @@ class _Markov:
         return bases
 
     def covariance(self, i: int, dt: float, count: int) -> np.ndarray:
-        """r(j*dt) = e0^T e^{A j dt} S e0 / alpha for j = 0..count-1, exactly.
+        """r(j*dt) = e0^T e^{A j dt} S e0 / alpha for j = 0..count-1, exactly,
+        for unit noise (the mode's covariance is lambda^2 times it).
 
         In the eigenbasis r(t) = Re sum_i c_i e^{mu_i t}; without a usable
         eigenbasis the columns e^{A j dt} e0 come from repeated doubling of
@@ -381,7 +383,8 @@ class _Markov:
         return self.variance[i] * cols[0, :count]
 
     def increment(self, i: int, lags) -> np.ndarray:
-        """E|u(t+h) - u(t)|^2 = 2 (r(0) - r(h)) at each lag h > 0, exactly.
+        """E|u(t+h) - u(t)|^2 = 2 (r(0) - r(h)) at each lag h > 0, exactly,
+        for unit noise (the mode's is lambda^2 times it).
 
         In the eigenbasis it is -2 r(0) Re sum_i c_i expm1(mu_i h), which
         keeps small lags free of the cancellation in r(0) - r(h); without
@@ -396,7 +399,8 @@ class _Markov:
         return -2.0 * self.variance[i] * terms.sum(axis=-1).real
 
     def transition(self, dt: float, rows=None):
-        """Exact one-step laws v(t + dt) = Phi v(t) + N(0, Q), stacked.
+        """Exact one-step laws v(t + dt) = Phi v(t) + N(0, Q), stacked, with
+        Q = I - Phi Phi^T for the unit-noise law.
 
         Returns (Phi, Q), each of shape (len(rows), d, d), for the modes in
         ``rows`` (all by default).  Van Loan's block exponential
@@ -428,7 +432,7 @@ class _Markov:
         diag = np.arange(d)
         block = np.zeros((len(rows), 2 * d, 2 * d))
         block[:, :d, :d] = -h[:, None, None] * drift
-        block[:, diag, d + diag] = h[:, None] * self.noise[rows[order]]
+        block[:, diag, d + diag] = h[:, None] * self.noise
         block[:, d:, d:] = h[:, None, None] * np.swapaxes(drift, -1, -2)
         exp_block = term = np.eye(2 * d)
         for k in range(1, 17):
@@ -449,8 +453,8 @@ class _Markov:
 
         The time-varying Kalman predictor of u started from the stationary
         law (Anderson and Moore 1979), i.e. the Cholesky factor of
-        Toeplitz(r) in state-space form.  With P_0 = S, omega_j = P_j[0, 0]
-        and K_j = P_j e0 / omega_j, the path is u_j = e0.s_j / sqrt(alpha)
+        Toeplitz(r) in state-space form.  With P_0 = S = I, omega_j = P_j[0, 0]
+        and K_j = P_j e0 / omega_j, the path is u_j = lambda e0.s_j / sqrt(alpha)
         with s_j = Phi s_{j-1} + K_j sqrt(omega_j) z_j and s_{-1} = 0.  For
         d = 2 the updated covariance P_j - omega_j K_j K_j^T is c_j e1 e1^T,
         so the gain sweep is the scalar recursion
@@ -467,7 +471,7 @@ class _Markov:
         step, q = self.transition(grid.dt, rows)
         f0, f1 = step[:, 0, 1], step[:, 1, 1]
         q00, q01, q11 = q[:, 0, 0], q[:, 0, 1], q[:, 1, 1]
-        p00 = p11 = self.lam[rows] * self.lam[rows]
+        p00 = p11 = np.ones(len(rows))
         p01 = np.zeros(len(rows))
         c_prev = np.full(len(rows), math.nan)
         live = np.arange(len(rows))
@@ -476,7 +480,7 @@ class _Markov:
             root = np.sqrt(p00)
             ids.append(live)
             gains.append(np.stack((root, p01 / root), axis=-1))
-            c = p11 - p01 * (p01 / p00)  # no square: lambda^4 leaves the double range
+            c = p11 - p01 * (p01 / p00)
             moving = ~(np.abs(c - c_prev) <= _GAIN_TOL * c)
             if not moving.all():
                 live, c, f0, f1, q00, q01, q11 = (
@@ -496,7 +500,7 @@ class _Markov:
             flat[ends[sweeping] - counts[sweeping] + j] = gain
         for i, end, count in zip(rows.tolist(), ends.tolist(), counts.tolist()):
             mu, head, inv = self.eig[i]
-            self._gains[i] = (np.exp(mu * grid.dt), self.scale[i] * head, inv,
+            self._gains[i] = (np.exp(mu * grid.dt), (self.lam[i] * self.scale[i]) * head, inv,
                               flat[end - count : end])
 
     def recursion(self, i: int):
@@ -513,15 +517,16 @@ class _Markov:
         :func:`_recur` whose input is z times one complex per-step weight.
 
         State recursion: column 0 of each path's normals draws the
-        stationary start v_0 = lambda z; column j > 0 draws the innovation
+        stationary start v_0 = z; column j > 0 draws the innovation
         of step j through a square root of Q from its symmetric
         eigendecomposition, not Cholesky: Q is ill-conditioned (about 1e8
         for the 64-node power law at dt = 2^-8) and rounding can leave it a
         hair indefinite, so negative eigenvalues are clipped to 0.  In the
         eigenbasis each coordinate is a complex AR(1) recursion run by
         :func:`_recur`, one per conjugate pair, whose input sums the d
-        normals of a step with the read-out weight folded into their
-        weights; without one the real state is stepped.
+        normals of a step with the read-out weight, lambda included, folded
+        into their weights; without one the real state is stepped and
+        scaled at the end.
         """
         dt, n = self.grid.dt, self.grid.n
         if i in self._gains:
@@ -542,21 +547,21 @@ class _Markov:
         step, q = (stack[0] for stack in self.transition(dt, [i]))
         val, vec = np.linalg.eigh(q)
         root = vec * np.sqrt(np.maximum(val, 0.0))
-        lam, scale = self.lam[i], self.scale[i]
+        readout = self.lam[i] * self.scale[i]
         if self.eig[i] is None:
 
             def stepped(normals, out):
-                state = lam * normals[:, :, 0]
+                state = normals[:, :, 0]
                 out[:, 0] = state[:, 0]
                 for j in range(1, normals.shape[2]):
                     state = state @ step.T + normals[:, :, j] @ root.T
                     out[:, j] = state[:, 0]
-                out *= scale
+                out *= readout
 
             return (self.dim, n), stepped
         mu, head, inv = self.eig[i]
-        start = (lam * scale) * head[:, None] * inv
-        drive = scale * head[:, None] * (inv @ root)
+        start = readout * head[:, None] * inv
+        drive = readout * head[:, None] * (inv @ root)
         poles = np.exp(mu * dt)
 
         def filtered(normals, out):
@@ -569,7 +574,8 @@ class _Markov:
 
 
 def _embed(emb: _Markov, i: int, grid: TimeGrid):
-    """Circulant eigenvalues of mode i's exact covariance, or None for the recursion.
+    """Circulant eigenvalues of mode i's exact unit-noise covariance, or None
+    for the recursion.
 
     Walks L = n, 2n, 4n, 8n.  At each L the recursion is taken when its
     state form would draw no more normals per path (n*d) than the circulant
@@ -618,7 +624,7 @@ def sample_gle_mode(
     out = _paths_out(out, m, grid.n)
     if mode.lambda_k == 0.0:
         out[:] = 0.0
-        return PathEnsemble(grid, out, mode, seed, "recursion")
+        return PathEnsemble(grid, out, "recursion")
     if setup is None:
         setup = _Markov(kernel, [mode], grid)
     elif setup.kernel != kernel or setup.grid != grid or mode not in setup.slot:
@@ -631,7 +637,7 @@ def sample_gle_mode(
         route = ("recursion",)
     else:
         def synth(normals, rows):
-            rows[...] = paths_from_normals(eig, normals, grid.n)
+            np.multiply(paths_from_normals(eig, normals, grid.n), mode.lambda_k, out=rows)
 
         shape = (eig.shape[0],)
         chunk = _PATH_CHUNK
@@ -643,20 +649,22 @@ def sample_gle_mode(
     for start in range(0, m, chunk):
         normals = gen.standard_normal(out=buf[: m - start])
         synth(normals, out[start : start + len(normals)])
-    return PathEnsemble(grid, out, mode, seed, *route)
+    return PathEnsemble(grid, out, *route)
 
 
-def spectral_nodes(sd: SpectralDensity, node_count: int, q: float = 0.5):
-    """Midpoint frequency nodes and weights, concentrated on the resonant window.
+# frequency nodes of the harmonic superposition
+_NODE_COUNT = 4096
 
-    Half the nodes cover [omega_r - omega_r^q, omega_r + omega_r^q] when a
-    resonance exists; the remainder split between the inner stretch and the
-    tail up to a cutoff carrying all but ~0.2% of the variance.
+
+def spectral_nodes(sd: SpectralDensity):
+    """``_NODE_COUNT`` midpoint frequency nodes and weights, concentrated on
+    the resonant window.
+
+    Half the nodes cover [omega_r - omega_r^q, omega_r + omega_r^q]
+    (q = ``spectral.WINDOW_Q``) when a resonance exists; the remainder split
+    between the inner stretch and the tail up to a cutoff carrying all but
+    ~0.2% of the variance.
     """
-    if node_count < 256:
-        raise ValueError(f"node_count {node_count} must be at least 256")
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"window exponent q={q} must lie in (0, 1)")
     lam = sd.mode.lambda_k
     omega_r, omega_cut = spectral._cutoff(sd, 2e-3 * lam * lam / sd.mode.alpha_k)
 
@@ -665,13 +673,14 @@ def spectral_nodes(sd: SpectralDensity, node_count: int, q: float = 0.5):
         return 0.5 * (edges[:-1] + edges[1:]), np.diff(edges)
 
     if omega_r is None:
-        return midpoints(0.0, omega_cut, node_count)
-    lo = max(omega_r - omega_r**q, 0.0)
-    hi = min(omega_r + omega_r**q, omega_cut)
-    quarter = node_count // 4
+        return midpoints(0.0, omega_cut, _NODE_COUNT)
+    half = omega_r**spectral.WINDOW_Q
+    lo = max(omega_r - half, 0.0)
+    hi = min(omega_r + half, omega_cut)
+    quarter = _NODE_COUNT // 4
     segs = [
         midpoints(0.0, lo, quarter) if lo > 0.0 else (np.empty(0), np.empty(0)),
-        midpoints(lo, hi, node_count - 2 * quarter + (0 if lo > 0.0 else quarter)),
+        midpoints(lo, hi, _NODE_COUNT - 2 * quarter + (0 if lo > 0.0 else quarter)),
         midpoints(hi, omega_cut, quarter),
     ]
     nodes = np.concatenate([s[0] for s in segs])
@@ -685,7 +694,6 @@ def sample_gle_mode_spectral(
     grid: TimeGrid,
     m: int,
     seed: int,
-    node_count: int = 4096,
     out: np.ndarray | None = None,
 ) -> PathEnsemble:
     """Harmonic-superposition sampler: u(t) = sum_j a_j (xi_j cos + eta_j sin)(w_j t)
@@ -698,8 +706,8 @@ def sample_gle_mode_spectral(
     out = _paths_out(out, m, grid.n)
     if mode.lambda_k == 0.0:
         out[:] = 0.0
-        return PathEnsemble(grid, out, mode, seed, "spectral", node_count=node_count)
-    nodes, widths = spectral_nodes(sd, node_count)
+        return PathEnsemble(grid, out, "spectral", node_count=_NODE_COUNT)
+    nodes, widths = spectral_nodes(sd)
     amp = np.sqrt(2.0 * np.asarray(spectral.rho(sd, nodes)) * widths)
     phases = np.outer(nodes, grid.times)
     cos_m = np.cos(phases)
@@ -711,7 +719,7 @@ def sample_gle_mode_spectral(
     for start in range(0, m, _PATH_CHUNK):
         draws = gen.standard_normal(out=buf[: m - start])
         out[start : start + len(draws)] = (draws[:, 0] * amp) @ cos_m + (draws[:, 1] * amp) @ sin_m
-    return PathEnsemble(grid, out, mode, seed, "spectral", node_count=k)
+    return PathEnsemble(grid, out, "spectral", node_count=k)
 
 
 def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int,
@@ -726,7 +734,7 @@ def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int,
     out = _paths_out(out, m, grid.n)
     if lam == 0.0:
         out[:] = 0.0
-        return PathEnsemble(grid, out, mode, seed, "ou")
+        return PathEnsemble(grid, out, "ou")
     phi = math.exp(-alpha * grid.dt)
     sigma = lam / math.sqrt(2.0 * alpha)
     innovation = sigma * math.sqrt(1.0 - phi * phi)
@@ -737,12 +745,11 @@ def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int,
     for start in range(0, m, _PATH_CHUNK):
         noise = gen.standard_normal(out=buf[: m - start])
         _recur(phi, weights, noise, out[start : start + len(noise)])
-    return PathEnsemble(grid, out, mode, seed, "ou")
+    return PathEnsemble(grid, out, "ou")
 
 
 def _sample(law: str, kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int,
-            node_count: int = 4096, setup: _Markov | None = None,
-            out: np.ndarray | None = None) -> PathEnsemble:
+            setup: _Markov | None = None, out: np.ndarray | None = None) -> PathEnsemble:
     """One mode's paths under ``law``, written to ``out`` when given: "gle"
     exact (from ``setup`` when given), "spectral" the superposition
     cross-check, "heat" memoryless; a sampler rebound on this module is the
@@ -750,5 +757,5 @@ def _sample(law: str, kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int,
     if law == "heat":
         return sample_ou_mode(mode, grid, m, seed, out=out)
     if law == "spectral":
-        return sample_gle_mode_spectral(kernel, mode, grid, m, seed, node_count, out=out)
+        return sample_gle_mode_spectral(kernel, mode, grid, m, seed, out=out)
     return sample_gle_mode(kernel, mode, grid, m, seed, setup=setup, out=out)

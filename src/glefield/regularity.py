@@ -72,13 +72,12 @@ class ExponentFit:
     ci_low: float
     ci_high: float
     r_squared: float
-    slope: float
-    intercept: float
     n_members: int
     flagged: bool
 
 
-def _loglog_fit(lags: np.ndarray, values: np.ndarray) -> tuple[float, float, float]:
+def _loglog_fit(lags: np.ndarray, values: np.ndarray) -> tuple[float, float]:
+    """(slope, r_squared) of the OLS line through log values on log lags."""
     if np.any(values <= 0.0):
         raise DegenerateFit("variogram has nonpositive values; cannot take logs")
     lx = np.log(lags)
@@ -88,7 +87,7 @@ def _loglog_fit(lags: np.ndarray, values: np.ndarray) -> tuple[float, float, flo
     ss_res = float(((ly - fitted) ** 2).sum())
     ss_tot = float(((ly - ly.mean()) ** 2).sum())
     r_sq = 1.0 - ss_res / ss_tot if ss_tot > 0.0 else 1.0
-    return float(slope), float(intercept), r_sq
+    return float(slope), r_sq
 
 
 def fit_exponent(curve: VariogramCurve, bootstrap: int = 200, seed: int = 0) -> ExponentFit:
@@ -100,10 +99,10 @@ def fit_exponent(curve: VariogramCurve, bootstrap: int = 200, seed: int = 0) -> 
     """
     if bootstrap < 0:
         raise ValueError(f"bootstrap {bootstrap} must be >= 0")
-    slope, intercept, r_sq = _loglog_fit(curve.lags, curve.values)
+    slope, r_sq = _loglog_fit(curve.lags, curve.values)
     gamma = 0.5 * slope
     if curve.member_values is None or bootstrap < 1:
-        return ExponentFit(gamma, gamma, gamma, r_sq, slope, intercept, 0, r_sq < 0.9)
+        return ExponentFit(gamma, gamma, gamma, r_sq, 0, r_sq < 0.9)
     members = np.asarray(curve.member_values, dtype=float)
     if members.ndim != 2 or members.shape[1] != len(curve.lags):
         raise ValueError("member_values must have shape (m, len(lags))")
@@ -115,7 +114,7 @@ def fit_exponent(curve: VariogramCurve, bootstrap: int = 200, seed: int = 0) -> 
         raise DegenerateFit("bootstrap resample produced nonpositive variogram")
     draws = 0.5 * np.polyfit(np.log(curve.lags), np.log(resampled).T, 1)[0]
     lo, hi = np.percentile(draws, [2.5, 97.5])
-    return ExponentFit(gamma, float(lo), float(hi), r_sq, slope, intercept, m, r_sq < 0.9)
+    return ExponentFit(gamma, float(lo), float(hi), r_sq, m, r_sq < 0.9)
 
 
 def empirical_variogram(sample: FieldSample, axis: str, lag_steps) -> VariogramCurve:
@@ -171,8 +170,9 @@ def empirical_variogram(sample: FieldSample, axis: str, lag_steps) -> VariogramC
 
 def _time_variogram(kernel: KernelMeasure, terms, lags, dynamics: str) -> VariogramCurve:
     """sum_k w_k E|u_k(t+h) - u_k(t)|^2 over (mode, w_k) terms, in closed form,
-    accumulated in the terms' order: gle (and its spectral cross-check) from
-    the modes' Markovian embeddings, built together in one stacked pass,
+    accumulated in the terms' order: gle (and its spectral cross-check)
+    lambda^2 times the unit-noise increment of the modes' Markovian
+    embeddings, built together in one stacked pass,
     heat the OU law (lambda^2/alpha)(1 - e^{-alpha h}).  The curve is built
     first, so bad lags fail before any mode is evaluated."""
     if dynamics not in ("gle", "heat", "spectral"):
@@ -187,7 +187,7 @@ def _time_variogram(kernel: KernelMeasure, terms, lags, dynamics: str) -> Variog
         if dynamics == "heat":
             inc = -(lam * lam / alpha) * np.expm1(-alpha * curve.lags)
         else:
-            inc = emb.increment(emb.slot[mode], curve.lags)
+            inc = (lam * lam) * emb.increment(emb.slot[mode], curve.lags)
         curve.values += inc * weight
     return curve
 

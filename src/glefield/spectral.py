@@ -24,6 +24,11 @@ import numpy as np
 
 from .cm_kernel import KernelMeasure, k_cos, k_sin, k_sin_over_omega
 
+# the paper's resonance window [omega_r - omega_r^q, omega_r + omega_r^q]:
+# the quadrature breakpoints, the superposition's dense nodes and the
+# inequality scan all read this one q
+WINDOW_Q = 0.5
+
 
 class NoResonance(Exception):
     """The mode is too weakly coupled for a resonant frequency to exist."""
@@ -44,13 +49,12 @@ class InequalityViolated(Exception):
 
 @dataclass(frozen=True)
 class Mode:
-    """One spatial mode: eigenvalue alpha_k > 0 of the (negative) generator,
-    noise weight lambda_k >= 0, and sup-norm constant c_k of the eigenfunction."""
+    """One spatial mode: eigenvalue alpha_k > 0 of the (negative) generator
+    and noise weight lambda_k >= 0."""
 
     index: int
     alpha_k: float
     lambda_k: float
-    c_k: float = 1.0
 
     def __post_init__(self):
         if self.index < 0:
@@ -59,8 +63,6 @@ class Mode:
             raise ValueError(f"alpha_k {self.alpha_k} must be positive")
         if not (self.lambda_k >= 0.0 and np.isfinite(self.lambda_k)):
             raise ValueError(f"lambda_k {self.lambda_k} must be nonnegative")
-        if not (self.c_k > 0.0 and np.isfinite(self.c_k)):
-            raise ValueError(f"c_k {self.c_k} must be positive")
 
 
 @dataclass(frozen=True)
@@ -73,11 +75,10 @@ class SpectralDensity:
 
 @dataclass(frozen=True)
 class Resonance:
-    """Resonant frequency with the window exponent q and the constant of the
-    linear lower bound |alpha*K_sin(omega)/omega - 1| >= (c/omega_r)|omega - omega_r|."""
+    """Resonant frequency with the constant of the linear lower bound
+    |alpha*K_sin(omega)/omega - 1| >= (c/omega_r)|omega - omega_r|."""
 
     omega_r: float
-    q: float
     lower_bound_constant: float
 
 
@@ -124,7 +125,7 @@ def _scalar_rho(sd: SpectralDensity):
     return f_many
 
 
-def find_resonance(sd: SpectralDensity, q: float = 0.5) -> Resonance:
+def find_resonance(sd: SpectralDensity) -> Resonance:
     """Locate the unique root of g(omega) = 1 - alpha * K_sin(omega)/omega.
 
     g is strictly increasing because K_sin(omega)/omega is strictly decreasing,
@@ -133,8 +134,6 @@ def find_resonance(sd: SpectralDensity, q: float = 0.5) -> Resonance:
 
     Raises NoResonance when g(0+) >= 0, i.e. alpha * sum_i w_i/x_i^2 <= 1.
     """
-    if not 0.0 < q < 1.0:
-        raise ValueError(f"window exponent q={q} must lie in (0, 1)")
     alpha = sd.mode.alpha_k
     mass = sd.kernel.mass
     atoms = sd.kernel.atoms
@@ -168,7 +167,7 @@ def find_resonance(sd: SpectralDensity, q: float = 0.5) -> Resonance:
             break
     omega_r = 0.5 * (lo + hi)
     const = k_sin(sd.kernel, 1.0) / (4.0 * mass)
-    return Resonance(omega_r=omega_r, q=q, lower_bound_constant=const)
+    return Resonance(omega_r=omega_r, lower_bound_constant=const)
 
 
 def _tail_bound(sd: SpectralDensity, omega_cut: float) -> float:
@@ -225,8 +224,9 @@ def _cutoff(sd: SpectralDensity, budget: float):
 def _pieces(sd: SpectralDensity, budget: float):
     """Finite subintervals covering [0, cutoff] with the tail below budget.
 
-    Breakpoints bracket the resonant window [omega_r - omega_r^(1/2),
-    omega_r + omega_r^(1/2)], the unit neighborhood [omega_r - 1, omega_r + 1],
+    Breakpoints bracket the resonant window [omega_r - omega_r^q,
+    omega_r + omega_r^q] (q = ``WINDOW_Q``), the unit neighborhood
+    [omega_r - 1, omega_r + 1],
     and omega_r itself.  The stretch beyond them is split geometrically
     (factor 8) so no single subinterval spans many decades; adaptive
     quadrature on very long intervals is prone to extrapolation roundoff.
@@ -234,7 +234,7 @@ def _pieces(sd: SpectralDensity, budget: float):
     omega_r, omega_cut = _cutoff(sd, budget)
     pts = [0.0]
     if omega_r is not None:
-        half = omega_r**0.5
+        half = omega_r**WINDOW_Q
         inner = (omega_r - half, omega_r - 1.0, omega_r, omega_r + 1.0, omega_r + half)
         pts += sorted({p for p in inner if 0.0 < p < omega_cut})
     edge = max(pts[-1], 1.0)
@@ -331,30 +331,31 @@ class SlackReport:
     skipped: bool = False
 
 
-def check_resonance_inequality(
-    sd: SpectralDensity, resonance: Resonance, n_points: int = 1024
-) -> SlackReport:
+# uniform points of the inequality scan over the resonance window
+_SCAN_POINTS = 1024
+
+
+def check_resonance_inequality(sd: SpectralDensity, resonance: Resonance) -> SlackReport:
     """Scan |alpha*K_sin/omega - 1| >= (c/omega_r)*|omega - omega_r| on the window.
 
-    The window is [omega_r - omega_r^q, omega_r + omega_r^q] with
+    The window is [omega_r - omega_r^q, omega_r + omega_r^q] (q =
+    ``WINDOW_Q``, ``_SCAN_POINTS`` uniform points) with
     c = K_sin(1) / (4*K(0)); the bound is only claimed for omega_r > 1, so the
     scan is skipped (not failed) otherwise.  Raises InequalityViolated with the
     witness frequency if any grid point has negative slack.
     """
-    if n_points < 2:
-        raise ValueError("n_points must be at least 2")
-    omega_r, q = resonance.omega_r, resonance.q
+    omega_r = resonance.omega_r
     if omega_r <= 1.0:
         return SlackReport(math.nan, math.nan, 0, skipped=True)
     alpha = sd.mode.alpha_k
     c = resonance.lower_bound_constant
-    half = omega_r**q
-    grid = np.linspace(omega_r - half, omega_r + half, n_points)
+    half = omega_r**WINDOW_Q
+    grid = np.linspace(omega_r - half, omega_r + half, _SCAN_POINTS)
     lhs = np.abs(alpha * k_sin_over_omega(sd.kernel, grid) - 1.0)
     rhs = (c / omega_r) * np.abs(grid - omega_r)
     slack = lhs - rhs
     i = int(np.argmin(slack))
-    report = SlackReport(float(slack[i]), float(grid[i]), n_points)
+    report = SlackReport(float(slack[i]), float(grid[i]), _SCAN_POINTS)
     if report.min_slack < 0.0:
         raise InequalityViolated(
             f"resonance bound fails at omega={report.omega_at_min:.6f} "

@@ -102,12 +102,12 @@ def test_criterion_4_resonance_inequality():
         for alpha in ALPHAS:
             sd = SpectralDensity(measure, Mode(1, alpha, 1.0))
             try:
-                res = find_resonance(sd, q=0.5)
+                res = find_resonance(sd)
             except NoResonance:
                 continue
             if res.omega_r <= 1.0:
                 continue
-            slack = check_resonance_inequality(sd, res, n_points=1024)
+            slack = check_resonance_inequality(sd, res)
             checked += 1
             worst = min(worst, slack.min_slack)
             if slack.min_slack < 0.0:

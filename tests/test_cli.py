@@ -16,6 +16,7 @@ import pytest
 import glefield
 from glefield import cli
 from glefield.cli import _write_columns, _write_field_csv, load_config, main
+from glefield.regularity import theoretical_field_variogram
 
 
 def read(path):
@@ -328,6 +329,24 @@ def test_hoelder_mode_oracle_follows_dynamics(tmp_path):
     assert np.all(dev <= 4.0 * np.array(report["stderr"]))
 
 
+def test_hoelder_one_point_field_gets_the_field_oracle(tmp_path):
+    # a field CSV with one x point has an x column, so its oracle is the
+    # field's at that point, not mode k's
+    field = tmp_path / "field.csv"
+    assert main(["sample-field", "--N", "16", "--nx", "1", "--n", "256", "--ensemble", "8",
+                 "--tail-budget", "1.0", "--out", str(field)]) == 0
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[weights]\nrule = flat\n")
+    out = tmp_path / "report.json"
+    assert main(["hoelder", "--in", str(field), "--config", str(cfg), "--N", "16",
+                 "--out", str(out)]) == 0
+    report = load_json(out)
+    kernel, basis, weights = cli._model(load_config(str(cfg)))
+    field_oracle = theoretical_field_variogram(kernel, basis, weights, 16,
+                                               cli._interior_grid(math.pi, 1), report["lags"])
+    assert report["oracle_values"] == field_oracle.values.tolist()
+
+
 def test_hoelder_space_axis_with_field_oracle(tmp_path):
     field = tmp_path / "field.csv"
     assert main(["sample-field", "--N", "8", "--nx", "17", "--dt", "4.0",
@@ -360,21 +379,16 @@ def test_hoelder_dyadic_default_lags(tmp_path):
     assert report["oracle_values"] is None
 
 
-def test_thread_configuration_errors(tmp_path, capsys, monkeypatch):
+def test_thread_configuration_errors(tmp_path, capsys):
     base = ["sample-field", "--N", "1", "--nx", "2", "--n", "8", "--ensemble", "2",
             "--tail-budget", "1.0", "--out", str(tmp_path / "f.csv")]
     assert main(base + ["--threads", "0"]) == 2
-    monkeypatch.setenv("GLEFIELD_THREADS", "abc")
-    assert main(base) == 2
-    assert "GLEFIELD_THREADS" in capsys.readouterr().err
+    assert "--threads" in capsys.readouterr().err
 
 
-def test_reproduce_checks_threads_before_creating_out(tmp_path, monkeypatch):
+def test_reproduce_checks_threads_before_creating_out(tmp_path):
     out = tmp_path / "run"
     assert main(["reproduce", "--threads", "0", "--out", str(out)]) == 2
-    assert not out.exists()
-    monkeypatch.setenv("GLEFIELD_THREADS", "0")
-    assert main(["reproduce", "--out", str(out)]) == 2
     assert not out.exists()
 
 

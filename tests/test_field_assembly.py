@@ -20,7 +20,6 @@ from glefield.field_assembly import (
     assemble_field,
     check_regularity_assumption,
     check_wellposedness,
-    minimal_admissible_eta,
     tail_variance_bound,
 )
 from glefield.mode_sampler import TimeGrid, sample_gle_mode
@@ -179,15 +178,6 @@ def test_regularity_assumption_threshold():
         check_regularity_assumption(BASIS, Flat(1.0), 1.2)
 
 
-def test_minimal_admissible_eta():
-    eta, window = minimal_admissible_eta(BASIS, Flat(1.0))
-    assert eta == pytest.approx(0.55)
-    assert window == pytest.approx((0.0, 0.45))
-    eta2, window2 = minimal_admissible_eta(BASIS, PowerDecay(0.5))
-    assert eta2 == pytest.approx(0.05)
-    assert window2 == pytest.approx((0.0, 0.95))
-
-
 def test_tail_variance_bound_polygamma():
     bound = tail_variance_bound(BASIS, Flat(1.0), 64)
     expected = (2.0 / math.pi) * float(polygamma(1, 65))
@@ -293,9 +283,9 @@ def test_clipped_masses_stay_in_mode_order(monkeypatch):
     # (here tagged with its index) still lands at its own place
     sample_mode = mode_sampler._sample
 
-    def tagged(*args, **kwargs):
-        ens = sample_mode(*args, **kwargs)
-        ens.clipped_mass = ens.mode.index / 100.0
+    def tagged(law, kernel, mode, *args, **kwargs):
+        ens = sample_mode(law, kernel, mode, *args, **kwargs)
+        ens.clipped_mass = mode.index / 100.0
         return ens
 
     monkeypatch.setattr(mode_sampler, "_sample", tagged)

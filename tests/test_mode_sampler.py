@@ -108,7 +108,7 @@ def test_samplers_draw_no_os_entropy(monkeypatch):
     mode = Mode(1, 5.0, 1.0)
     sample_ou_mode(mode, grid, 4, seed=3)
     sample_gle_mode(SINGLE, mode, grid, 4, seed=3)
-    sample_gle_mode_spectral(SINGLE, mode, grid, 2, seed=3, node_count=256)
+    sample_gle_mode_spectral(SINGLE, mode, grid, 2, seed=3)
     assert calls == []
 
 
@@ -158,7 +158,7 @@ _ROUTES = {
              "recursion"),
     "ou": (lambda g, m, **kw: sample_ou_mode(Mode(2, 5.0, 1.0), g, m, 3, **kw), "ou"),
     "spectral": (lambda g, m, **kw: sample_gle_mode_spectral(SINGLE, Mode(2, 5.0, 1.0), g, m, 3,
-                                                             node_count=256, **kw), "spectral"),
+                                                             **kw), "spectral"),
 }
 
 
@@ -244,16 +244,15 @@ def test_clipped_mass_is_never_negative_zero():
 
 
 def test_embedding_stationary_covariance_solves_lyapunov():
-    # S = lambda^2 I in the embedding's coordinates; Q is the one-step
-    # innovation covariance S - Phi S Phi^T
+    # the embedding is built for unit noise: S = I in its coordinates, and Q
+    # is the one-step innovation covariance I - Phi Phi^T, whatever lambda is
     for kernel, mode in [(SINGLE, Mode(1, 3.0, 0.7)),
                          (discretize(PowerLaw(1.0, 64)), Mode(1, 10.0, 1.0))] + CRITICAL:
         emb = _Markov(kernel, [mode])
-        lam2 = mode.lambda_k ** 2
-        S = solve_continuous_lyapunov(emb.drift()[0], -np.diag(emb.noise[0]))
-        assert np.abs(S - lam2 * np.eye(emb.dim)).max() <= 1e-13 * lam2
+        S = solve_continuous_lyapunov(emb.drift()[0], -np.diag(emb.noise))
+        assert np.abs(S - np.eye(emb.dim)).max() <= 1e-13
         step, q = (stack[0] for stack in emb.transition(2.0**-8))
-        assert np.abs(q - lam2 * (np.eye(emb.dim) - step @ step.T)).max() <= 1e-14 * lam2
+        assert np.abs(q - (np.eye(emb.dim) - step @ step.T)).max() <= 1e-14
 
 
 def test_closed_form_covariance_matches_quadrature():
@@ -268,7 +267,7 @@ def test_closed_form_covariance_matches_quadrature():
     for kernel, mode in cases + CRITICAL:
         r0 = mode.lambda_k ** 2 / mode.alpha_k
         emb = embeddings[kernel]
-        r = emb.covariance(emb.slot[mode], 0.5, 7)
+        r = mode.lambda_k ** 2 * emb.covariance(emb.slot[mode], 0.5, 7)
         sd = SpectralDensity(kernel, mode)
         truth = [autocovariance(sd, 0.5 * j, 1e-10) for j in range(7)]
         assert np.abs(r - truth).max() <= 1e-10 * r0, (kernel, mode)
@@ -333,7 +332,7 @@ def test_recursion_reproduces_toeplitz_exactly():
             images = np.empty((size, n))
             synth(np.eye(size).reshape(size, *shape), images)
             gram = images.T @ images
-            cov = emb.covariance(0, dt, n)
+            cov = mode.lambda_k ** 2 * emb.covariance(0, dt, n)
             toeplitz = np.array([[cov[abs(i - j)] for j in range(n)] for i in range(n)])
             assert np.abs(gram - toeplitz).max() <= 1e-13, (kernel, mode, dt, n)
     # the overdamped mode really has two real poles
@@ -438,12 +437,13 @@ def test_recursion_kernel_scales_with_its_weights(factor):
 
 @pytest.mark.parametrize("lam", (1e100, 1e-100, 1e-200))
 def test_paths_at_extreme_weights_are_finite_and_scale_exactly(lam):
-    # the gain sweep squares no covariance entry (lam^4 leaves the double
-    # range), so paths neither overflow nor underflow and are lam times the
+    # every route builds its law for unit noise and applies lam once, where
+    # paths are read out, so nothing holds lam^2 (below the double range at
+    # 1e-200): paths neither overflow nor underflow and are lam times the
     # lam = 1 paths; their variance is lam^2/alpha (gle) or lam^2/(2 alpha)
-    # (memoryless), within 5 standard errors over independent paths.  At
-    # 1e-200 only the memoryless mode is checked: the gle routes' covariances
-    # hold lam^2 itself, below the double range
+    # (memoryless), within 5 standard errors over independent paths.  Routes:
+    # innovations form, state recursion, circulant, the critical-damping
+    # step matrix and the AR(1) baseline
     grid = TimeGrid(dt=0.05, n=512)
     m = 256
     # the three-atom kernel's state recursion, d = 4 normals per step
@@ -454,12 +454,18 @@ def test_paths_at_extreme_weights_are_finite_and_scale_exactly(lam):
         _Markov(THREE, [mode], grid).recursion(0)[1](normals, paths)
         return paths
 
+    # critical damping at alpha 10: x^2 = 4 alpha w
+    critical = KernelMeasure([(0.1, 2.0)])
+    assert _Markov(critical, [Mode(1, 10.0, 1.0)]).eig == [None]
+    assert sample_gle_mode(THREE, Mode(1, 10.0, 1.0), grid, 1, seed=2).method == "circulant"
     ensembles = [
         (lambda mode: sample_gle_mode(SINGLE, mode, grid, m, seed=2).values, 1.0),
         (state, 1.0),
+        (lambda mode: sample_gle_mode(THREE, mode, grid, m, seed=2).values, 1.0),
+        (lambda mode: sample_gle_mode(critical, mode, grid, m, seed=2).values, 1.0),
         (lambda mode: sample_ou_mode(mode, grid, m, seed=2).values, 0.5),
     ]
-    for draw, share in ensembles[2:] if lam < 1e-150 else ensembles:
+    for draw, share in ensembles:
         paths = draw(Mode(1, 10.0, lam))
         assert np.isfinite(paths).all()
         unit = draw(Mode(1, 10.0, 1.0))
@@ -504,7 +510,7 @@ _SAMPLERS = {
     "recursion": lambda grid, m: sample_gle_mode(SINGLE, Mode(2, 5.0, 1.0), grid, m, seed=3),
     "circulant": lambda grid, m: sample_gle_mode(THREE, Mode(3, 10.0, 1.0), grid, m, seed=3),
     "spectral": lambda grid, m: sample_gle_mode_spectral(SINGLE, Mode(2, 5.0, 1.0), grid, m,
-                                                         seed=3, node_count=256),
+                                                         seed=3),
     "ou": lambda grid, m: sample_ou_mode(Mode(2, 5.0, 1.0), grid, m, seed=3),
 }
 
@@ -633,8 +639,6 @@ def test_ensemble_metadata():
 
 def test_spectral_nodes_cover_variance():
     sd = SpectralDensity(SINGLE, Mode(1, 100.0, 1.0))
-    nodes, widths = spectral_nodes(sd, 4096)
+    nodes, widths = spectral_nodes(sd)
     covered = 2.0 * float(np.sum(rho(sd, nodes) * widths))
     assert covered == pytest.approx(0.01, rel=5e-3)
-    with pytest.raises(ValueError):
-        spectral_nodes(sd, 128)

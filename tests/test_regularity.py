@@ -129,8 +129,6 @@ def test_empirical_variogram_input_validation():
         x=np.array([0.1, 0.2, 0.5]),
         values=np.zeros((2, 4, 3)),
         n_modes=1,
-        dynamics="gle",
-        seed=0,
     )
     with pytest.raises(ValueError):
         empirical_variogram(sample, "space", [1, 2])
@@ -149,8 +147,6 @@ def test_time_variogram_holds_one_field_sized_temporary():
         x=np.linspace(0.1, 1.0, 16),
         values=rng.standard_normal((4, 2048, 16)),
         n_modes=1,
-        dynamics="gle",
-        seed=0,
     )
     tracemalloc.start()
     try:

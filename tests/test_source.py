@@ -78,3 +78,18 @@ def test_scipy_is_imported_only_where_it_is_used():
             if scipy and (loads or any(name.startswith("scipy.signal") for name in scipy)):
                 found.append(f"{path.name}:{node.lineno}: {scipy[0]}")
     assert found == []
+
+
+def test_library_reads_no_environment_variables():
+    # every setting is a flag or a config key, so a run is fixed by its
+    # command line and config file alone
+    reads = {"environ", "getenv"}
+    found = []
+    for path, tree in _library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and node.attr in reads:
+                found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os" and any(
+                    alias.name in reads for alias in node.names):
+                found.append(f"{path.name}:{node.lineno}: from os import")
+    assert found == []

@@ -5,8 +5,9 @@ import math
 import numpy as np
 import pytest
 
+from glefield import mode_sampler, spectral
 from glefield.cm_kernel import KernelMeasure, PowerLaw, discretize
-from glefield.mode_sampler import _Markov
+from glefield.mode_sampler import _Markov, spectral_nodes
 from glefield.spectral import (
     InequalityViolated,
     Mode,
@@ -78,12 +79,6 @@ def test_no_resonance_small_alpha():
         find_resonance(sd_single(0.5))
 
 
-def test_find_resonance_rejects_bad_q():
-    for q in (0.0, 1.0, -0.5):
-        with pytest.raises(ValueError):
-            find_resonance(sd_single(100.0), q)
-
-
 def test_integrate_rho_variance_identity():
     assert integrate_rho(sd_single(100.0), 1e-8) == pytest.approx(0.01, abs=1e-10)
 
@@ -132,7 +127,7 @@ def test_autocovariance_bounded_by_variance():
 
 
 def increment(sd, h):
-    return float(_Markov(sd.kernel, [sd.mode]).increment(0, h))
+    return sd.mode.lambda_k**2 * float(_Markov(sd.kernel, [sd.mode]).increment(0, h))
 
 
 def test_increment_monotone_to_zero():
@@ -192,6 +187,30 @@ def test_inequality_slack_nonnegative():
     assert report.n_points == 1024
 
 
+def test_resonance_window_is_decided_in_one_place(monkeypatch):
+    # spectral.WINDOW_Q alone sets the window [omega_r - omega_r^q,
+    # omega_r + omega_r^q] of the quadrature breakpoints, the
+    # superposition's dense nodes and the inequality scan
+    sd = sd_single(100.0)
+    omega_r = find_resonance(sd).omega_r
+    monkeypatch.setattr(spectral, "WINDOW_Q", 0.25)
+    lo, hi = omega_r - omega_r**0.25, omega_r + omega_r**0.25
+    breaks = {p for piece in spectral._pieces(sd, 1e-10) for p in piece}
+    assert {lo, hi} <= breaks
+    assert not {omega_r - omega_r**0.5, omega_r + omega_r**0.5} & breaks
+    nodes, widths = spectral_nodes(sd)
+    # a quarter of the nodes below the window, half in it, a quarter above
+    first, last = mode_sampler._NODE_COUNT // 4, -mode_sampler._NODE_COUNT // 4 - 1
+    assert nodes[first] - 0.5 * widths[first] == pytest.approx(lo, rel=1e-14)
+    assert nodes[last] + 0.5 * widths[last] == pytest.approx(hi, rel=1e-14)
+    scanned = []
+    transform = spectral.k_sin_over_omega
+    monkeypatch.setattr(spectral, "k_sin_over_omega",
+                        lambda kernel, omega: scanned.append(omega) or transform(kernel, omega))
+    check_resonance_inequality(sd, find_resonance(sd))
+    assert (scanned[0][0], scanned[0][-1]) == (lo, hi)
+
+
 def test_inequality_slack_mixture_large_alpha():
     sd = SpectralDensity(MIX, Mode(5, 1e4, 1.0))
     report = check_resonance_inequality(sd, find_resonance(sd))
@@ -237,5 +256,3 @@ def test_mode_validation():
         Mode(1, 1.0, -1.0)
     with pytest.raises(ValueError):
         Mode(-1, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        Mode(1, 1.0, 1.0, c_k=0.0)
