@@ -29,6 +29,7 @@ import math
 import os
 import re
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -191,25 +192,21 @@ def _canon(kind: str, text: str, where: str):
 class RunConfig:
     """Effective configuration: schema defaults, file values, flag overrides.
 
-    Holds typed values alongside canonical strings; the canonical text is
-    what gets hashed into provenance sidecars, so two configs that mean the
-    same thing hash identically regardless of spelling.
+    Holds only canonical strings, which ``get`` parses back exactly (repr
+    floats, str ints, JSON lists); they are what gets hashed into provenance
+    sidecars, so two configs that mean the same thing hash identically.
     """
 
-    def __init__(self, values: dict, texts: dict):
-        self._values = values
+    def __init__(self, texts: dict):
         self._texts = texts
 
     def get(self, section: str, key: str):
-        return self._values[section][key]
+        return _canon(_SCHEMA[section][key][1], self._texts[section][key], f"{section}.{key}")[0]
 
     def override(self, section: str, key: str, raw) -> None:
-        if raw is None:
-            return
-        kind = _SCHEMA[section][key][1]
-        value, canon = _canon(kind, str(raw), f"--{key.replace('_', '-')}")
-        self._values[section][key] = value
-        self._texts[section][key] = canon
+        if raw is not None:
+            kind = _SCHEMA[section][key][1]
+            self._texts[section][key] = _canon(kind, str(raw), f"--{key.replace('_', '-')}")[1]
 
     def canonical_text(self) -> str:
         lines = []
@@ -251,11 +248,9 @@ def load_config(path: str | None) -> RunConfig:
     Unknown sections or keys, malformed syntax, and untyped values are all
     ConfigError with a file:line anchor.
     """
-    values = {s: {k: _canon(spec[1], spec[0], f"{s}.{k}")[0] for k, spec in kv.items()}
-              for s, kv in _SCHEMA.items()}
     texts = {s: {k: _canon(spec[1], spec[0], f"{s}.{k}")[1] for k, spec in kv.items()}
              for s, kv in _SCHEMA.items()}
-    cfg = RunConfig(values, texts)
+    cfg = RunConfig(texts)
     if path is None:
         return cfg
     if not os.path.exists(path):
@@ -281,11 +276,8 @@ def load_config(path: str | None) -> RunConfig:
                 line = anchors.get((section, key), anchors.get((section, None), 0))
                 raise ConfigError(f"{path}:{line}: unknown key {key!r} in [{section}]")
             line = anchors.get((section, key), 0)
-            kind = _SCHEMA[section][key][1]
-            value, canon = _canon(kind, raw, f"{path}:{line}")
-            values[section][key] = value
-            texts[section][key] = canon
-    if values["weights"]["rule"] == "explicit" and not values["weights"]["values"]:
+            texts[section][key] = _canon(_SCHEMA[section][key][1], raw, f"{path}:{line}")[1]
+    if cfg.get("weights", "rule") == "explicit" and not cfg.get("weights", "values"):
         line = anchors.get(("weights", "rule"), anchors.get(("weights", None), 0))
         raise ConfigError(f"{path}:{line}: rule = explicit needs weights.values")
     return cfg
@@ -398,7 +390,9 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 
     Reports integral vs lambda_k^2/alpha_k, the resonance frequency and its
     alpha-ratio, and the inequality slack; exits 3 if any relative error
-    exceeds tolerances.verify_rel_tol or the inequality fails.
+    exceeds tolerances.verify_rel_tol or the inequality fails.  The identity is
+    linear in lambda_k^2, so it is checked at unit weight (rel_err), whatever
+    lambda_k; integral and expected are lambda_k^2 times the unit values.
     """
     measure, basis, weights = _model(cfg)
     try:
@@ -413,16 +407,16 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     failed = False
     for k in k_list:
         mode = _mode(basis, weights, k)
-        sd = SpectralDensity(measure, mode)
+        sd = SpectralDensity(measure, replace(mode, lambda_k=1.0))
         integral = integrate_rho(sd, rel_tol=rel_tol)
-        expected = mode.lambda_k**2 / mode.alpha_k
-        rel_err = abs(integral - expected) / expected if expected else abs(integral)
+        expected = 1.0 / mode.alpha_k
+        rel_err = abs(integral - expected) / expected
         record = {
             "k": k,
             "alpha_k": mode.alpha_k,
             "lambda_k": mode.lambda_k,
-            "integral": integral,
-            "expected": expected,
+            "integral": mode.lambda_k**2 * integral,
+            "expected": mode.lambda_k**2 * expected,
             "rel_err": rel_err,
             "omega_k": None,
             "omega_k_sq_over_alpha_k": None,

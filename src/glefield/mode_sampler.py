@@ -655,6 +655,10 @@ def sample_gle_mode(
 # frequency nodes of the harmonic superposition
 _NODE_COUNT = 4096
 
+# time columns per block of the superposition's (_NODE_COUNT, _TIME_BLOCK)
+# phase and cos tables: 8 MiB each, whatever the path length
+_TIME_BLOCK = 256
+
 
 def spectral_nodes(sd: SpectralDensity):
     """``_NODE_COUNT`` midpoint frequency nodes and weights, concentrated on
@@ -663,10 +667,9 @@ def spectral_nodes(sd: SpectralDensity):
     Half the nodes cover [omega_r - omega_r^q, omega_r + omega_r^q]
     (q = ``spectral.WINDOW_Q``) when a resonance exists; the remainder split
     between the inner stretch and the tail up to a cutoff carrying all but
-    ~0.2% of the variance.
+    ~0.2% of the variance (the unit-noise budget 2e-3/alpha).
     """
-    lam = sd.mode.lambda_k
-    omega_r, omega_cut = spectral._cutoff(sd, 2e-3 * lam * lam / sd.mode.alpha_k)
+    omega_r, omega_cut = spectral._cutoff(sd, 2e-3 / sd.mode.alpha_k)
 
     def midpoints(a: float, b: float, count: int):
         edges = np.linspace(a, b, count + 1)
@@ -697,10 +700,11 @@ def sample_gle_mode_spectral(
     out: np.ndarray | None = None,
 ) -> PathEnsemble:
     """Harmonic-superposition sampler: u(t) = sum_j a_j (xi_j cos + eta_j sin)(w_j t)
-    with a_j = sqrt(2 rho(w_j) dw_j).  Independent of the embedding route.
-    Path i takes the i-th block of 2 normals per node (all xi, then eta) from
-    the mode's stream, one draw per chunk of paths.  ``out`` as for
-    :func:`sample_gle_mode`."""
+    with a_j = lambda sqrt(2 rho_1(w_j) dw_j), rho_1 the unit-noise density.
+    Independent of the embedding route.  Path i takes the i-th block of 2
+    normals per node (all xi, then eta) from the mode's stream, one draw per
+    chunk of paths, whose cos and sin tables are built ``_TIME_BLOCK`` time
+    columns at a time.  ``out`` as for :func:`sample_gle_mode`."""
     _check_sampling_args(m, seed)
     sd = SpectralDensity(kernel, mode)
     out = _paths_out(out, m, grid.n)
@@ -708,17 +712,19 @@ def sample_gle_mode_spectral(
         out[:] = 0.0
         return PathEnsemble(grid, out, "spectral", node_count=_NODE_COUNT)
     nodes, widths = spectral_nodes(sd)
-    amp = np.sqrt(2.0 * np.asarray(spectral.rho(sd, nodes)) * widths)
-    phases = np.outer(nodes, grid.times)
-    cos_m = np.cos(phases)
-    sin_m = np.sin(phases)
-    k = nodes.shape[0]
+    amp = np.sqrt(2.0 * spectral._unit_rho(sd, nodes) * widths) * mode.lambda_k
+    k, times = nodes.shape[0], grid.times
     gen = _stream(seed, mode.index)
     # row i holds path i's 2k draws: xi then eta
     buf = np.empty((min(_PATH_CHUNK, m), 2, k))
     for start in range(0, m, _PATH_CHUNK):
         draws = gen.standard_normal(out=buf[: m - start])
-        out[start : start + len(draws)] = (draws[:, 0] * amp) @ cos_m + (draws[:, 1] * amp) @ sin_m
+        xi, eta = draws[:, 0] * amp, draws[:, 1] * amp
+        for lo in range(0, grid.n, _TIME_BLOCK):
+            phases = np.outer(nodes, times[lo : lo + _TIME_BLOCK])
+            block = xi @ np.cos(phases)
+            block += eta @ np.sin(phases, out=phases)
+            out[start : start + len(draws), lo : lo + _TIME_BLOCK] = block
     return PathEnsemble(grid, out, "spectral", node_count=k)
 
 

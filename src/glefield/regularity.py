@@ -239,8 +239,6 @@ def theoretical_space_variogram(
     total = np.zeros(len(steps))
     for k in range(1, n_modes + 1):
         lam = weights.weight(basis, k)
-        if lam == 0.0:
-            continue
         v_k = lam * lam / basis.alpha(k)
         if dynamics == "heat":
             v_k *= 0.5

@@ -84,20 +84,24 @@ class Resonance:
 
 def rho(sd: SpectralDensity, omega):
     """Evaluate the spectral density; scalar in, scalar out (arrays likewise)."""
-    om = np.abs(np.asarray(omega, dtype=float))
-    alpha = sd.mode.alpha_k
-    lam = sd.mode.lambda_k
-    kc = k_cos(sd.kernel, om)
-    ks = k_sin(sd.kernel, om)
-    denom = (alpha * kc) ** 2 + (om - alpha * ks) ** 2
-    out = (lam * lam / math.pi) * kc / denom
+    out = sd.mode.lambda_k**2 * _unit_rho(sd, omega)
     return out if np.asarray(out).shape else float(out)
 
 
-def _scalar_rho(sd: SpectralDensity):
-    """Closure evaluating rho at a python float, tuned for quadrature loops."""
+def _unit_rho(sd: SpectralDensity, omega) -> np.ndarray:
+    """rho for unit noise (lambda = 1), as an array: rho / lambda^2."""
+    om = np.abs(np.asarray(omega, dtype=float))
     alpha = sd.mode.alpha_k
-    scale = sd.mode.lambda_k ** 2 / math.pi
+    kc = k_cos(sd.kernel, om)
+    ks = k_sin(sd.kernel, om)
+    denom = (alpha * kc) ** 2 + (om - alpha * ks) ** 2
+    return (1.0 / math.pi) * kc / denom
+
+
+def _scalar_rho(sd: SpectralDensity):
+    """Closure evaluating the unit-noise rho at a float, tuned for quadrature loops."""
+    alpha = sd.mode.alpha_k
+    scale = 1.0 / math.pi
     atoms = sd.kernel.atoms
     if len(atoms) <= 8:
 
@@ -171,35 +175,34 @@ def find_resonance(sd: SpectralDensity) -> Resonance:
 
 
 def _tail_bound(sd: SpectralDensity, omega_cut: float) -> float:
-    """Closed-form bound on integral_{omega_cut}^inf rho.
+    """Closed-form bound on integral_{omega_cut}^inf of the unit-noise rho.
 
     Two rigorous bounds are combined.  From omega*K_cos <= K(0)/2:
 
-        tail <= lam^2 * K(0) / (4*pi*(omega_cut^2 - alpha*K(0)))
+        tail <= K(0) / (4*pi*(omega_cut^2 - alpha*K(0)))
 
     and from K_cos(omega) <= B/omega^2 with B = sum_i w_i x_i (the first
     moment of the measure):
 
-        tail <= lam^2 * B / (3*pi*gamma^2*omega_cut^3),  gamma = 1 - alpha*K(0)/omega_cut^2.
+        tail <= B / (3*pi*gamma^2*omega_cut^3),  gamma = 1 - alpha*K(0)/omega_cut^2.
 
     Both require omega_cut^2 > alpha*K(0); the second decays a power faster
     and keeps cutoffs short at tight tolerances.
     """
     alpha = sd.mode.alpha_k
-    lam = sd.mode.lambda_k
     mass = sd.kernel.mass
     gap = omega_cut * omega_cut - alpha * mass
     if gap <= 0.0:
         return math.inf
-    by_half_mass = lam * lam * mass / (4.0 * math.pi * gap)
+    by_half_mass = mass / (4.0 * math.pi * gap)
     first_moment = float(sum(w * x for w, x in sd.kernel.atoms))
     shrink = gap / (omega_cut * omega_cut)
-    by_moment = lam * lam * first_moment / (3.0 * math.pi * shrink**2 * omega_cut**3)
+    by_moment = first_moment / (3.0 * math.pi * shrink**2 * omega_cut**3)
     return min(by_half_mass, by_moment)
 
 
 def _cutoff(sd: SpectralDensity, budget: float):
-    """Resonant frequency (None without one) and a cutoff with its tail below budget.
+    """Resonant frequency (None without one) and a cutoff with its unit tail below budget.
 
     The search starts at four times omega_r, or four times
     max(sqrt(alpha*K(0)), 1) without a resonance, and doubles until the
@@ -222,7 +225,7 @@ def _cutoff(sd: SpectralDensity, budget: float):
 
 
 def _pieces(sd: SpectralDensity, budget: float):
-    """Finite subintervals covering [0, cutoff] with the tail below budget.
+    """Finite subintervals covering [0, cutoff] with the unit tail below budget.
 
     Breakpoints bracket the resonant window [omega_r - omega_r^q,
     omega_r + omega_r^q] (q = ``WINDOW_Q``), the unit neighborhood
@@ -249,16 +252,13 @@ def _integrate(sd: SpectralDensity, rel_tol: float, piece) -> float:
     """2 * integral_0^cutoff of an integrand bounded by rho.
 
     piece(f, a, b, epsabs, epsrel) integrates one subinterval given the
-    scalar density f and returns (value, error estimate).  The tolerance is
-    relative to lam^2/alpha; the neglected tail, at most the rho tail, is
-    certified below a quarter of that budget.
+    scalar density f and returns (value, error estimate).  It integrates the
+    unit-noise rho to the budget rel_tol/alpha (the neglected tail certified
+    below a quarter of it) and scales by lam^2 once, on return.
     """
     if not 1e-12 <= rel_tol <= 1e-3:
         raise ValueError(f"rel_tol {rel_tol} outside [1e-12, 1e-3]")
-    lam = sd.mode.lambda_k
-    if lam == 0.0:
-        return 0.0
-    budget = rel_tol * lam * lam / sd.mode.alpha_k
+    budget = rel_tol / sd.mode.alpha_k
     pieces = _pieces(sd, budget / 8.0)
     epsabs = budget / (8.0 * len(pieces))
     epsrel = rel_tol / 8.0
@@ -273,7 +273,7 @@ def _integrate(sd: SpectralDensity, rel_tol: float, piece) -> float:
         raise ToleranceNotMet(
             f"quadrature error estimate {2.0 * est_err:.3e} exceeds budget {budget:.3e}"
         )
-    return 2.0 * total
+    return sd.mode.lambda_k**2 * (2.0 * total)
 
 
 def _plain(f, a, b, epsabs, epsrel):
@@ -373,21 +373,19 @@ def autocovariance_sequence(
 
     Samples rho on a uniform grid omega_m = (m + 1/2)*d_omega with
     d_omega = 2*pi/(P*dt) and evaluates all lags at once through a length-P
-    FFT.  The grid cutoff is certified by the closed-form tail bound; the grid
-    spacing is validated by recomputing at double resolution until successive
-    answers agree within the budget (rel_tol * lam^2/alpha, uniformly in j).
-    Much faster than per-lag quadrature when count is large, and cross-checked
-    against :func:`autocovariance` in the tests.
+    FFT, for unit noise, scaled by lam^2 on return.  The grid cutoff is
+    certified by the closed-form tail bound; the grid spacing is validated
+    by recomputing at double resolution until successive answers agree
+    within the budget (rel_tol/alpha, uniformly in j).  Much faster than
+    per-lag quadrature when count is large, and cross-checked against
+    :func:`autocovariance` in the tests.
     """
     if count < 1:
         raise ValueError("count must be positive")
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ValueError(f"dt {dt} must be positive")
-    lam = sd.mode.lambda_k
     alpha = sd.mode.alpha_k
-    if lam == 0.0:
-        return np.zeros(count)
-    budget = rel_tol * lam * lam / alpha
+    budget = rel_tol / alpha
 
     omega_r, omega_cut = _cutoff(sd, budget / 4.0)
 
@@ -406,7 +404,7 @@ def autocovariance_sequence(
         step = 2.0 * math.pi / (p * dt)
         m = int(math.ceil(omega_cut / step))
         om = (np.arange(m) + 0.5) * step
-        vals = np.asarray(rho(sd, om))
+        vals = _unit_rho(sd, om)
         # frequencies step*p apart alias exactly on the lag grid: fold them
         if m > p:
             vals = np.concatenate([vals, np.zeros(-m % p)])
@@ -427,6 +425,6 @@ def autocovariance_sequence(
         p *= 2
         cur = transform(p)
         if np.max(np.abs(cur - prev)) <= 0.5 * budget:
-            return cur
+            return sd.mode.lambda_k**2 * cur
         prev = cur
     raise ToleranceNotMet(f"cosine-transform grid did not converge at P={p}")

@@ -208,6 +208,34 @@ def test_verify_report_structure(tmp_path):
     assert two["omega_k"] == pytest.approx(math.sqrt(3.0), abs=1e-9)
     assert two["omega_k_sq_over_alpha_k"] == pytest.approx(0.75, abs=1e-9)
     assert two["inequality_min_slack"] >= 0.0
+    # a zero-weight mode is checked at unit weight too: the identity is
+    # linear in lambda^2, so its record carries the unit rel_err, not 0
+    cfg = tmp_path / "zero.ini"
+    cfg.write_text("[weights]\nrule = explicit\nvalues = 1.0, 0.0\n")
+    assert main(["verify", "--config", str(cfg), "--k-list", "1,2", "--out", str(out)]) == 0
+    zero = load_json(out)["results"][1]
+    assert zero["lambda_k"] == 0.0 and zero["integral"] == zero["expected"] == 0.0
+    assert zero["rel_err"] == two["rel_err"] > 0.0
+
+
+def test_verify_checks_tiny_weights_at_unit_weight(tmp_path):
+    # lambda^2 = 1e-400 leaves the double range; checked at unit weight the
+    # identity still fails a bar the quadrature cannot meet
+    flat = tmp_path / "flat.ini"
+    flat.write_text("[tolerances]\nverify_rel_tol = 1e-12\n")
+    tiny = tmp_path / "tiny.ini"
+    tiny.write_text("[weights]\nrule = explicit\nvalues = 1e-200, 1e-200\n"
+                    "[tolerances]\nverify_rel_tol = 1e-12\n")
+    reports = []
+    for cfg in (flat, tiny):
+        out = tmp_path / f"{cfg.stem}.json"
+        assert main(["verify", "--config", str(cfg), "--k-list", "1,2", "--out", str(out)]) == 3
+        reports.append(load_json(out))
+    unit, small = reports
+    assert small["passed"] is False
+    for u, s in zip(unit["results"], small["results"]):
+        assert s["lambda_k"] == 1e-200
+        assert s["rel_err"] == u["rel_err"] > 1e-12
 
 
 def test_verify_fails_unreachable_bar(tmp_path, capsys):

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -435,7 +436,7 @@ def test_recursion_kernel_scales_with_its_weights(factor):
             assert np.abs(scaled / factor - unit).max() <= 1e-14 * np.abs(unit).max()
 
 
-@pytest.mark.parametrize("lam", (1e100, 1e-100, 1e-200))
+@pytest.mark.parametrize("lam", (1e100, 1e-100, 1e-160, 1e-200))
 def test_paths_at_extreme_weights_are_finite_and_scale_exactly(lam):
     # every route builds its law for unit noise and applies lam once, where
     # paths are read out, so nothing holds lam^2 (below the double range at
@@ -443,7 +444,7 @@ def test_paths_at_extreme_weights_are_finite_and_scale_exactly(lam):
     # lam = 1 paths; their variance is lam^2/alpha (gle) or lam^2/(2 alpha)
     # (memoryless), within 5 standard errors over independent paths.  Routes:
     # innovations form, state recursion, circulant, the critical-damping
-    # step matrix and the AR(1) baseline
+    # step matrix, the AR(1) baseline and the harmonic superposition
     grid = TimeGrid(dt=0.05, n=512)
     m = 256
     # the three-atom kernel's state recursion, d = 4 normals per step
@@ -464,6 +465,7 @@ def test_paths_at_extreme_weights_are_finite_and_scale_exactly(lam):
         (lambda mode: sample_gle_mode(THREE, mode, grid, m, seed=2).values, 1.0),
         (lambda mode: sample_gle_mode(critical, mode, grid, m, seed=2).values, 1.0),
         (lambda mode: sample_ou_mode(mode, grid, m, seed=2).values, 0.5),
+        (lambda mode: sample_gle_mode_spectral(SINGLE, mode, grid, m, seed=2).values, 1.0),
     ]
     for draw, share in ensembles:
         paths = draw(Mode(1, 10.0, lam))
@@ -473,6 +475,22 @@ def test_paths_at_extreme_weights_are_finite_and_scale_exactly(lam):
         per_path = ((paths / lam) ** 2).mean(axis=1)
         se = per_path.std(ddof=1) / math.sqrt(m)
         assert abs(per_path.mean() - share / 10.0) <= 5.0 * se
+
+
+def test_superposition_memory_does_not_grow_with_path_length():
+    # the cos and sin tables are built one block of _TIME_BLOCK columns at
+    # a time: two (4096, 256) float tables are 16 MiB, the paths, draws
+    # and weighted draws about 1 MiB more; whole (4096, n) tables would take
+    # three times 512 MiB here
+    grid = TimeGrid(dt=0.05, n=16384)
+    tracemalloc.start()
+    try:
+        ens = sample_gle_mode_spectral(SINGLE, Mode(1, 10.0, 1.0), grid, 4, seed=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert np.isfinite(ens.values).all()
+    assert peak <= 24 * 2**20
 
 
 def _record_draws(monkeypatch):

@@ -93,3 +93,23 @@ def test_library_reads_no_environment_variables():
                     alias.name in reads for alias in node.names):
                 found.append(f"{path.name}:{node.lineno}: from os import")
     assert found == []
+
+
+def test_only_read_outs_read_the_noise_weight():
+    # the spectral laws are built for unit noise and lambda is applied once,
+    # where a value is read out: below lambda ~ 1e-154 lambda^2 leaves the
+    # double range, so a budget, cutoff or tail bound that held it would
+    # underflow.  Of the private helpers only `_integrate`, the quadrature, scales
+    # its result; the superposition's nodes read no weight at all
+    root = Path(glefield.__file__).parent
+    readers = []
+    for module, wanted in (("spectral", lambda name: name.startswith("_")),
+                           ("mode_sampler", lambda name: name == "spectral_nodes")):
+        tree = ast.parse((root / f"{module}.py").read_text())
+        for node in tree.body:
+            if (isinstance(node, ast.FunctionDef) and wanted(node.name)
+                    and node.name != "_integrate"
+                    and any(isinstance(inner, ast.Attribute) and inner.attr == "lambda_k"
+                            for inner in ast.walk(node))):
+                readers.append(f"{module}.{node.name}")
+    assert readers == []
