@@ -357,8 +357,6 @@ def cmd_kernel(args, cfg: RunConfig) -> int:
     measure = build_kernel(cfg)
     if not (args.t_max > 0.0 and math.isfinite(args.t_max)):
         raise ConfigError(f"--t-max {args.t_max} must be positive")
-    if args.points < 2:
-        raise ConfigError("--points must be >= 2")
     ts = np.linspace(0.0, args.t_max, args.points)
     _write_columns(args.out, ["t", "value"], [ts, eval_kernel(measure, ts)])
     _write_sidecar(args.out, "kernel", cfg,
@@ -375,8 +373,6 @@ def cmd_spectrum(args, cfg: RunConfig) -> int:
         omega_max = 2.0 * math.sqrt(2.0 * mode.alpha_k * measure.mass)
     if not (omega_max > 0.0 and math.isfinite(omega_max)):
         raise ConfigError(f"--omega-max {omega_max} must be positive")
-    if args.points < 2:
-        raise ConfigError("--points must be >= 2")
     omegas = np.linspace(0.0, omega_max, args.points)
     rho_vals = spectral.rho(SpectralDensity(measure, mode), omegas)
     _write_columns(args.out, ["omega", "rho", "k_cos", "k_sin"],
@@ -487,7 +483,7 @@ def cmd_sample_field(args, cfg: RunConfig) -> int:
     xs = _interior_grid(basis.length, args.nx)
     workers = _threads(args)
     # the sidecar's gates run before sampling, so input they reject leaves no artifact
-    wellposed = check_wellposedness(basis, weights, raise_on_divergent=False)
+    wellposed = check_wellposedness(basis, weights)
     regularity = check_regularity_assumption(basis, weights, cfg.get("assumption", "eta"))
     tail_bound = tail_variance_bound(basis, weights, args.N)
     sample = assemble_field(
@@ -559,7 +555,7 @@ def _read_field_csv(path: str):
     if not filled.all():
         raise ConfigError(f"{path}: duplicate (path, t, x) rows")
     values[pi, ti, xi] = data[:, -1]
-    grid = TimeGrid(dt=float(dts[0]), n=nt, t0=float(times[0]))
+    grid = TimeGrid(dt=float(dts[0]), n=nt)
     return values, grid, xs if has_x else None
 
 
@@ -725,7 +721,7 @@ _FLAGS = {
     "--N": {"type": int, "low": 1},
     "--nx": {"type": int, "low": 1},
     "--k": {"type": int, "default": 1},
-    "--points": {"type": int},
+    "--points": {"type": int, "low": 2},
     "--threads": {"type": int, "low": 1},
     "--dynamics": {"choices": ("gle", "heat", "spectral"), "default": "gle"},
 }

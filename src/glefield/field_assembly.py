@@ -241,28 +241,33 @@ class SummabilityReport:
         return self.partial_sum + self.tail_estimate
 
 
-def check_wellposedness(basis, weights, raise_on_divergent: bool = True) -> SummabilityReport:
+def _summability(basis, weights, exponent: float, use_sup: bool) -> SummabilityReport:
+    """Partial sum of the first ``_N_PROBE`` terms (fewer when a finite list
+    ends sooner, at least 10), closed with a fitted-power tail."""
+    n_probe = _probe(basis, weights, _N_PROBE)
+    if n_probe < 10:
+        raise ValueError("need at least 10 probe terms")
+    terms = _series_terms(basis, weights, exponent, n_probe, use_sup)
+    tail, p = _tail_by_fitted_power(terms)
+    convergent = p > 1.0 and math.isfinite(tail)
+    return SummabilityReport(float(terms.sum()), tail, p, n_probe, convergent)
+
+
+def check_wellposedness(basis, weights) -> SummabilityReport:
     """Gate the stationary variance series sum_k lambda_k^2 / alpha_k.
 
     Built-in weight rules on built-in bases decay like a power of k, so the
     tail is estimated, not bounded: a power fitted to the last decade of the
     ``_N_PROBE`` probe terms is integrated past the probe; convergence requires that
     power to exceed 1.  For Explicit weights the same partial-sum plus
-    decay-fit heuristic applies to however many weights were given.  With
-    raise_on_divergent (the default for simulation entry points) a divergent
-    series raises Divergent instead of returning.
+    decay-fit heuristic applies to however many weights were given.  A
+    divergent series raises Divergent instead of returning.
     """
-    n_probe = _probe(basis, weights, _N_PROBE)
-    if n_probe < 10:
-        raise ValueError("need at least 10 probe terms")
-    terms = _series_terms(basis, weights, 1.0, n_probe, use_sup=False)
-    tail, p = _tail_by_fitted_power(terms)
-    convergent = p > 1.0 and math.isfinite(tail)
-    report = SummabilityReport(float(terms.sum()), tail, p, n_probe, convergent)
-    if raise_on_divergent and not convergent:
+    report = _summability(basis, weights, 1.0, use_sup=False)
+    if not report.convergent:
         raise Divergent(
-            f"variance series diverges: fitted decay power {p:.3f} <= 1 "
-            f"(partial sum {report.partial_sum:.6g} after {n_probe} terms)"
+            f"variance series diverges: fitted decay power {report.decay_power:.3f} <= 1 "
+            f"(partial sum {report.partial_sum:.6g} after {report.n_probe} terms)"
         )
     return report
 
@@ -275,13 +280,7 @@ def check_regularity_assumption(basis, weights, eta: float) -> SummabilityReport
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta {eta} must lie in (0, 1)")
-    n_probe = _probe(basis, weights, _N_PROBE)
-    if n_probe < 10:
-        raise ValueError("need at least 10 probe terms")
-    terms = _series_terms(basis, weights, eta, n_probe, use_sup=True)
-    tail, p = _tail_by_fitted_power(terms)
-    convergent = p > 1.0 and math.isfinite(tail)
-    return SummabilityReport(float(terms.sum()), tail, p, n_probe, convergent)
+    return _summability(basis, weights, eta, use_sup=True)
 
 
 def _mode(basis, weights, k: int) -> Mode:

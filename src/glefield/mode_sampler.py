@@ -54,23 +54,20 @@ from .spectral import Mode, SpectralDensity
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform grid t_j = t0 + j*dt for j = 0..n-1."""
+    """Uniform grid t_j = j*dt for j = 0..n-1."""
 
     dt: float
     n: int
-    t0: float = 0.0
 
     def __post_init__(self):
         if not (self.dt > 0.0 and np.isfinite(self.dt)):
             raise ValueError(f"dt {self.dt} must be positive")
         if not _is_integer(self.n) or self.n < 2:
             raise ValueError(f"grid length {self.n!r} must be an integer of at least 2")
-        if not np.isfinite(self.t0):
-            raise ValueError(f"start time {self.t0} must be finite")
 
     @property
     def times(self) -> np.ndarray:
-        return self.t0 + self.dt * np.arange(self.n)
+        return self.dt * np.arange(self.n)
 
 
 @dataclass(eq=False)

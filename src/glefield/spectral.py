@@ -18,7 +18,7 @@ All quadrature routines split the axis around that peak before integrating.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -366,65 +366,19 @@ def check_resonance_inequality(sd: SpectralDensity, resonance: Resonance) -> Sla
     return report
 
 
-def autocovariance_sequence(
-    sd: SpectralDensity, dt: float, count: int, rel_tol: float = 1e-6
-) -> np.ndarray:
-    """r(j*dt) for j = 0..count-1 via one midpoint cosine transform.
+def autocovariance_sequence(sd: SpectralDensity, dt: float, count: int) -> np.ndarray:
+    """r(j*dt) for j = 0..count-1, exactly, from the mode's Markovian embedding.
 
-    Samples rho on a uniform grid omega_m = (m + 1/2)*d_omega with
-    d_omega = 2*pi/(P*dt) and evaluates all lags at once through a length-P
-    FFT, for unit noise, scaled by lam^2 on return.  The grid cutoff is
-    certified by the closed-form tail bound; the grid spacing is validated
-    by recomputing at double resolution until successive answers agree
-    within the budget (rel_tol/alpha, uniformly in j).  Much faster than
-    per-lag quadrature when count is large, and cross-checked against
-    :func:`autocovariance` in the tests.
+    The closed form of :meth:`mode_sampler._Markov.covariance` for unit
+    noise, scaled by lam^2 on return; :func:`autocovariance` is the
+    independent quadrature route to the same values.
     """
+    # imported here: the embedding is built on this module
+    from .mode_sampler import _Markov
+
     if count < 1:
         raise ValueError("count must be positive")
     if not (dt > 0.0 and np.isfinite(dt)):
         raise ValueError(f"dt {dt} must be positive")
-    alpha = sd.mode.alpha_k
-    budget = rel_tol / alpha
-
-    omega_r, omega_cut = _cutoff(sd, budget / 4.0)
-
-    # initial spacing: resolve the resonant peak (width ~ alpha*K_cos(omega_r))
-    # and keep the alias period 2*pi/d_omega beyond four lag spans
-    if omega_r is not None:
-        width = alpha * k_cos(sd.kernel, omega_r)
-    else:
-        width = max(math.sqrt(alpha * sd.kernel.mass), 1.0)
-    tau_max = (count - 1) * dt
-    d_omega = min(width / 16.0, 0.25)
-    if tau_max > 0.0:
-        d_omega = min(d_omega, 2.0 * math.pi / (4.0 * tau_max))
-
-    def transform(p: int) -> np.ndarray:
-        step = 2.0 * math.pi / (p * dt)
-        m = int(math.ceil(omega_cut / step))
-        om = (np.arange(m) + 0.5) * step
-        vals = _unit_rho(sd, om)
-        # frequencies step*p apart alias exactly on the lag grid: fold them
-        if m > p:
-            vals = np.concatenate([vals, np.zeros(-m % p)])
-            spec = vals.reshape(-1, p).sum(axis=0)
-        else:
-            spec = np.zeros(p)
-            spec[:m] = vals
-        bins = np.fft.rfft(spec)[:count]
-        phase = np.exp(-1j * math.pi * np.arange(count) / p)
-        return 2.0 * step * (phase * bins).real
-
-    p = 1 << max(
-        int(math.ceil(math.log2(2.0 * math.pi / (dt * d_omega)))),
-        int(math.ceil(math.log2(max(2 * count, 16)))),
-    )
-    prev = transform(p)
-    for _ in range(24):
-        p *= 2
-        cur = transform(p)
-        if np.max(np.abs(cur - prev)) <= 0.5 * budget:
-            return sd.mode.lambda_k**2 * cur
-        prev = cur
-    raise ToleranceNotMet(f"cosine-transform grid did not converge at P={p}")
+    unit = _Markov(sd.kernel, [replace(sd.mode, lambda_k=1.0)]).covariance(0, dt, count)
+    return sd.mode.lambda_k**2 * unit

@@ -321,6 +321,14 @@ def test_seed_beyond_64_bits_exits_2(tmp_path, capsys):
     assert "seed" in capsys.readouterr().err
 
 
+def test_table_of_one_point_exits_2(tmp_path, capsys):
+    for command in ("kernel", "spectrum"):
+        out = tmp_path / f"{command}.csv"
+        assert main([command, "--points", "1", "--out", str(out)]) == 2
+        assert "--points 1 must be >= 2" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+
 def test_hoelder_mode_roundtrip_with_oracle(tmp_path):
     paths = tmp_path / "paths.csv"
     assert main(["sample-mode", "--dt", str(2.0**-8), "--n", "4096",

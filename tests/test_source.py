@@ -113,3 +113,45 @@ def test_only_read_outs_read_the_noise_weight():
                             for inner in ast.walk(node))):
                 readers.append(f"{module}.{node.name}")
     assert readers == []
+
+
+# the package's modules, lowest layer first; the package root holds only the
+# version, so it sits below them all
+_LAYERS = ("__init__", "cm_kernel", "spectral", "mode_sampler", "field_assembly",
+           "regularity", "cli", "__main__")
+
+
+def _imported_modules(node):
+    """Short names of the package modules an import statement reads."""
+    if isinstance(node, ast.Import):
+        return [alias.name.split(".")[1] for alias in node.names
+                if alias.name.startswith("glefield.")]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    module = node.module or ""
+    if node.level == 0:
+        if module.split(".")[0] != "glefield":
+            return []
+        module = module[len("glefield."):]
+    if module:
+        return [module.split(".")[0]]
+    return [alias.name if alias.name in _LAYERS else "__init__" for alias in node.names]
+
+
+def test_modules_import_only_lower_layers():
+    # imports run down the layers, so each layer can be read and tested with
+    # only those below it loaded.  The one exception is the public covariance
+    # sequence of `spectral`, which reads the embedding of `mode_sampler`
+    # inside the function, after both modules have loaded
+    upward = []
+    for path, tree in _library_trees():
+        rank = _LAYERS.index(path.stem)
+        enclosing = {}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                enclosing.update((inner, node.name) for inner in ast.walk(node))
+        for node in ast.walk(tree):
+            for target in _imported_modules(node):
+                if _LAYERS.index(target) >= rank:
+                    upward.append((path.stem, enclosing.get(node), target))
+    assert upward == [("spectral", "autocovariance_sequence", "mode_sampler")]

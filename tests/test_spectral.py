@@ -23,6 +23,9 @@ from glefield.spectral import (
 
 SINGLE = KernelMeasure([(1.0, 1.0)])
 MIX = KernelMeasure([(0.5, 1.0), (0.5, 2.0)])
+# critically damped modes: the drift has a double eigenvalue and is defective
+CRITICAL = [(KernelMeasure([(1.0, 2.0)]), Mode(1, 1.0, 1.0)),
+            (KernelMeasure([(0.25, 1.0)]), Mode(1, 1.0, 1.0))]
 
 # independent oracle for r(5) at kernel e^{-t}, alpha=2, lambda=1:
 # trapezoid rule on [0, 2000] with up to 8e6 points and Richardson
@@ -234,16 +237,26 @@ def test_inequality_skipped_below_unit_resonance():
 
 
 def test_sequence_matches_oscillatory_quadrature():
-    sd = SpectralDensity(MIX, Mode(2, 30.0, 1.0))
+    # the closed form against the independent quadrature route: atoms with
+    # an eigenbasis, both critically damped modes (whose covariance comes
+    # from step doubling), a 64-atom power law, and a zero weight
+    cases = [(MIX, Mode(2, 30.0, 1.0)), (discretize(PowerLaw(1.0, 64)), Mode(1, 10.0, 0.3))]
+    cases += CRITICAL
+    assert all(_Markov(kernel, [mode]).eig[0] is None for kernel, mode in CRITICAL)
     dt = 2.0**-6
-    seq = autocovariance_sequence(sd, dt, 65, 1e-8)
-    for j in (0, 1, 5, 17, 64):
-        assert seq[j] == pytest.approx(autocovariance(sd, j * dt, 1e-10), rel=2e-8, abs=1e-12)
+    for kernel, mode in cases:
+        sd = SpectralDensity(kernel, mode)
+        seq = autocovariance_sequence(sd, dt, 65)
+        for j in (0, 1, 5, 17, 64):
+            assert seq[j] == pytest.approx(autocovariance(sd, j * dt, 1e-10),
+                                           rel=2e-8, abs=1e-12)
+    zero = autocovariance_sequence(SpectralDensity(MIX, Mode(2, 30.0, 0.0)), dt, 65)
+    assert np.array_equal(zero, np.zeros(65))
 
 
 def test_sequence_toeplitz_is_psd():
     sd = sd_single(50.0)
-    seq = autocovariance_sequence(sd, 2.0**-5, 128, 1e-8)
+    seq = autocovariance_sequence(sd, 2.0**-5, 128)
     toeplitz = np.array([[seq[abs(i - j)] for j in range(128)] for i in range(128)])
     eigs = np.linalg.eigvalsh(toeplitz)
     assert eigs.min() >= -1e-8 * seq[0]
