@@ -13,7 +13,8 @@ The parser is declared, not written: ``_FLAGS`` gives each flag its argparse
 keywords, the config (section, key) it overrides and the least value it
 accepts; ``_COMMANDS`` lists each subcommand's flags in --help order with that
 command's own help and defaults.  ``_config`` loads --config and applies every
-bound flag before the handler ``cmd_<command>`` runs.
+bound flag before the handler ``cmd_<command>`` runs.  The sampling law every
+command reads is the one key [sampler] dynamics, which --dynamics overrides.
 
 Exit codes: 0 success, 2 configuration or input validation error,
 3 numerical tolerance failure.
@@ -57,7 +58,7 @@ from .field_assembly import (
     check_wellposedness,
     tail_variance_bound,
 )
-from .mode_sampler import TimeGrid, _sample
+from .mode_sampler import LAWS, TimeGrid, _sample
 from .regularity import (
     DegenerateFit,
     empirical_variogram,
@@ -108,9 +109,8 @@ _SCHEMA = {
         "n": ("4096", "int", "samples per path"),
         "ensemble": ("64", "int", "paths per mode"),
         "seed": ("0", "int", "base seed; mode k draws from SFC64 child k of its SeedSequence"),
-        "method": ("ce", "choice:ce,ss,ou",
-                   "ce=exact: state-space recursion or circulant embedding, "
-                   "ss=spectral, ou=memoryless"),
+        "dynamics": ("gle", "choice:" + ",".join(LAWS),
+                     "gle=memory-driven (exact), heat=memoryless, spectral=superposition of gle"),
     },
     "regularity": {
         "lags": ("dyadic", "lags", "variogram lag steps: 'dyadic' or comma ints"),
@@ -445,24 +445,18 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     return 3 if failed else 0
 
 
-# sample-mode's --method names for the sampling laws of mode_sampler._sample
-_LAWS = {"ce": "gle", "ss": "spectral", "ou": "heat"}
-
-
 def cmd_sample_mode(args, cfg: RunConfig) -> int:
     """Sample one mode's trajectories to CSV columns path_id, t, value."""
     measure, basis, weights = _model(cfg)
     mode = _mode(basis, weights, args.k)
     grid = TimeGrid(dt=cfg.get("sampler", "dt"), n=cfg.get("sampler", "n"))
-    method = cfg.get("sampler", "method")
-    ens = _sample(_LAWS[method], measure, mode, grid,
+    ens = _sample(cfg.get("sampler", "dynamics"), measure, mode, grid,
                   cfg.get("sampler", "ensemble"), cfg.get("sampler", "seed"))
     _write_field_csv(args.out, grid.times, None, ens.values[:, :, None])
     _write_sidecar(
         args.out, "sample-mode", cfg,
         {
             "k": args.k,
-            "method": method,
             "route": ens.method,
             "clipped_mass": ens.clipped_mass,
             "embedding_length": ens.embedding_length,
@@ -487,8 +481,8 @@ def cmd_sample_field(args, cfg: RunConfig) -> int:
     regularity = check_regularity_assumption(basis, weights, cfg.get("assumption", "eta"))
     tail_bound = tail_variance_bound(basis, weights, args.N)
     sample = assemble_field(
-        measure, basis, weights, args.N, grid, xs,
-        cfg.get("sampler", "ensemble"), cfg.get("sampler", "seed"), dynamics=args.dynamics,
+        measure, basis, weights, args.N, grid, xs, cfg.get("sampler", "ensemble"),
+        cfg.get("sampler", "seed"), dynamics=cfg.get("sampler", "dynamics"),
         tail_budget=cfg.get("tolerances", "tail_budget"), workers=workers,
     )
     _write_field_csv(args.out, grid.times, xs, sample.values)
@@ -496,7 +490,6 @@ def cmd_sample_field(args, cfg: RunConfig) -> int:
         args.out, "sample-field", cfg,
         {
             "N": args.N,
-            "dynamics": args.dynamics,
             "tail_bound": tail_bound,
             "max_clipped_mass": max(sample.clipped_masses, default=0.0),
             "wellposedness": {
@@ -580,7 +573,7 @@ def cmd_hoelder(args, cfg: RunConfig) -> int:
     Writes a JSON report with the fitted gamma, its bootstrap CI, the fit
     quality, and the variogram itself.  With --config, closed-form oracle
     values for the same lags are included (mode-level when the input has no
-    x column, field-level with --N otherwise).
+    x column, field-level with --N otherwise) under [sampler] dynamics.
     """
     values, grid, xs = _read_field_csv(args.infile)
     if args.axis == "space" and (xs is None or xs.size < 2):
@@ -593,20 +586,14 @@ def cmd_hoelder(args, cfg: RunConfig) -> int:
     oracle = None
     if args.config is not None:
         measure, basis, weights = _model(cfg)
-        if args.axis == "time":
-            if xs is None:
-                theory = theoretical_variogram(
-                    measure, _mode(basis, weights, args.k), curve.lags, dynamics=args.dynamics
-                )
-            else:
-                theory = theoretical_field_variogram(
-                    measure, basis, weights, args.N, xs, curve.lags,
-                    dynamics=args.dynamics,
-                )
+        law = cfg.get("sampler", "dynamics")
+        if args.axis == "space":
+            theory = theoretical_space_variogram(basis, weights, args.N, xs, steps, law)
+        elif xs is None:
+            theory = theoretical_variogram(measure, _mode(basis, weights, args.k), curve.lags, law)
         else:
-            theory = theoretical_space_variogram(
-                basis, weights, args.N, xs, steps, dynamics=args.dynamics
-            )
+            theory = theoretical_field_variogram(measure, basis, weights, args.N, xs,
+                                                 curve.lags, law)
         oracle = [float(v) for v in theory.values]
     report = {
         "axis": args.axis,
@@ -714,7 +701,7 @@ _FLAGS = {
     "--n": {"type": int, "binds": ("sampler", "n")},
     "--ensemble": {"type": int, "binds": ("sampler", "ensemble")},
     "--seed": {"type": int, "binds": ("sampler", "seed")},
-    "--method": {"choices": ("ce", "ss", "ou"), "binds": ("sampler", "method")},
+    "--dynamics": {"choices": LAWS, "binds": ("sampler", "dynamics")},
     "--tail-budget": {"type": float, "binds": ("tolerances", "tail_budget")},
     "--lags": {"help": "'dyadic' or comma-separated steps", "binds": ("regularity", "lags")},
     "--bootstrap": {"type": int, "binds": ("regularity", "bootstrap")},
@@ -723,7 +710,6 @@ _FLAGS = {
     "--k": {"type": int, "default": 1},
     "--points": {"type": int, "low": 2},
     "--threads": {"type": int, "low": 1},
-    "--dynamics": {"choices": ("gle", "heat", "spectral"), "default": "gle"},
 }
 
 # command -> (help, its flags in --help order, each a flag or (flag, this
@@ -741,7 +727,7 @@ _COMMANDS = {
         "--config", ("--k-list", {"default": "1,10,100", "help": "comma-separated mode indices"}),
         ("--out", {"default": "verify.json"})]),
     "sample-mode": ("sample one mode's trajectories", [
-        "--config", "--k", "--dt", "--n", "--ensemble", "--seed", "--method",
+        "--config", "--k", "--dt", "--n", "--ensemble", "--seed", "--dynamics",
         ("--out", {"default": "paths.csv"})]),
     "sample-field": ("sample the truncated field", [
         "--config", ("--N", {"default": 64, "help": "modes kept in the series"}),

@@ -354,9 +354,9 @@ def assemble_field(
     A block is added to the field one chunk of member rows at a time, one
     matrix product per chunk into a scratch of at most ``_CHUNK_ELEMENTS``
     elements (one row when a row alone is larger).  dynamics selects the
-    trajectory law: "gle" for the kernel-driven paths, "heat" for the
-    memoryless baseline, "spectral" for the superposition cross-check
-    route.
+    trajectory law, one of ``mode_sampler.LAWS``: "gle" for the
+    kernel-driven paths, "heat" for the memoryless baseline, "spectral" for
+    the superposition cross-check route.
 
     Raises Divergent if the variance series fails its gate and
     TailBudgetExceeded if truncation leaves more than tail_budget of
@@ -364,7 +364,7 @@ def assemble_field(
     """
     if n_modes < 1:
         raise ValueError("n_modes must be positive")
-    if dynamics not in ("gle", "heat", "spectral"):
+    if dynamics not in mode_sampler.LAWS:
         raise ValueError(f"unknown dynamics {dynamics!r}")
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if x_arr.ndim != 1 or x_arr.size == 0:

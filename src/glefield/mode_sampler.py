@@ -751,14 +751,20 @@ def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int,
     return PathEnsemble(grid, out, "ou")
 
 
+# the sampling laws: memory-driven, memoryless, superposition cross-check of gle
+LAWS = ("gle", "heat", "spectral")
+
+
 def _sample(law: str, kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int,
             setup: _Markov | None = None, out: np.ndarray | None = None) -> PathEnsemble:
-    """One mode's paths under ``law``, written to ``out`` when given: "gle"
-    exact (from ``setup`` when given), "spectral" the superposition
-    cross-check, "heat" memoryless; a sampler rebound on this module is the
-    one called."""
+    """One mode's paths under ``law``, one of :data:`LAWS`, written to ``out``
+    when given: "gle" exact (from ``setup`` when given), "spectral" the
+    superposition cross-check, "heat" memoryless; a sampler rebound on this
+    module is the one called.  Any other law is a ValueError."""
     if law == "heat":
         return sample_ou_mode(mode, grid, m, seed, out=out)
     if law == "spectral":
         return sample_gle_mode_spectral(kernel, mode, grid, m, seed, out=out)
-    return sample_gle_mode(kernel, mode, grid, m, seed, setup=setup, out=out)
+    if law == "gle":
+        return sample_gle_mode(kernel, mode, grid, m, seed, setup=setup, out=out)
+    raise ValueError(f"unknown dynamics {law!r}")

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cm_kernel import KernelMeasure
-from .field_assembly import FieldSample, _mode
-from .mode_sampler import _Markov
+from .field_assembly import FieldSample, _mode, check_wellposedness
+from .mode_sampler import LAWS, _Markov
 from .spectral import Mode
 
 
@@ -175,7 +175,7 @@ def _time_variogram(kernel: KernelMeasure, terms, lags, dynamics: str) -> Variog
     embeddings, built together in one stacked pass,
     heat the OU law (lambda^2/alpha)(1 - e^{-alpha h}).  The curve is built
     first, so bad lags fail before any mode is evaluated."""
-    if dynamics not in ("gle", "heat", "spectral"):
+    if dynamics not in LAWS:
         raise ValueError(f"unknown dynamics {dynamics!r}")
     lag_arr = np.asarray(lags, dtype=float)
     curve = VariogramCurve(lag_arr, np.zeros(len(lag_arr)), "time", np.zeros(len(lag_arr)))
@@ -204,7 +204,8 @@ def theoretical_field_variogram(
 ) -> VariogramCurve:
     """Truncated-series time variogram of the field,
     sum_k E|u_k(t+h) - u_k(t)|^2 * e_k(x)^2, with e_k(x)^2 averaged over x
-    when an array of probe positions is given."""
+    when an array of probe positions is given; Divergent if the series diverges."""
+    check_wellposedness(basis, weights)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     terms = (
         (_mode(basis, weights, k), float(np.mean(np.square(basis.eval(k, x_arr)))))
@@ -225,10 +226,12 @@ def theoretical_space_variogram(
         E|u(t, x+h) - u(t, x)|^2 = sum_k v_k * mean_x (e_k(x+h) - e_k(x))^2
 
     with v_k = lambda_k^2 / alpha_k for the memory dynamics (the variance
-    identity) and lambda_k^2 / (2 alpha_k) for the memoryless baseline.
+    identity) and lambda_k^2 / (2 alpha_k) for the memoryless baseline;
+    Divergent if the variance series fails its gate, as in ``assemble_field``.
     """
-    if dynamics not in ("gle", "heat", "spectral"):
+    if dynamics not in LAWS:
         raise ValueError(f"unknown dynamics {dynamics!r}")
+    check_wellposedness(basis, weights)
     xs = np.asarray(x, dtype=float)
     dx = np.diff(xs)
     if len(xs) < 2 or not np.allclose(dx, dx[0], rtol=1e-9, atol=0.0):

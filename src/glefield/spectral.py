@@ -98,12 +98,16 @@ def _unit_rho(sd: SpectralDensity, omega) -> np.ndarray:
     return (1.0 / math.pi) * kc / denom
 
 
+# most atoms _scalar_rho sums in a Python loop: up to here the loop beats numpy's fixed cost
+_LOOP_ATOMS = 32
+
+
 def _scalar_rho(sd: SpectralDensity):
     """Closure evaluating the unit-noise rho at a float, tuned for quadrature loops."""
     alpha = sd.mode.alpha_k
     scale = 1.0 / math.pi
     atoms = sd.kernel.atoms
-    if len(atoms) <= 8:
+    if len(atoms) <= _LOOP_ATOMS:
 
         def f(om: float) -> float:
             kc = 0.0

@@ -1,5 +1,6 @@
 """Command-line interface: config handling, artifacts, exit codes."""
 
+import configparser
 import csv
 import hashlib
 import json
@@ -46,13 +47,18 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_unknown_key_is_line_anchored(tmp_path, capsys):
-    # configparser lowercases keys, so a mixed-case key is anchored through it
+    # configparser lowercases keys, so a mixed-case key is anchored through
+    # it; method, the sampling law's removed key, is unknown like any other
     cfg = tmp_path / "bad.ini"
-    for key in ("bogus_key", "Bogus_Key"):
-        cfg.write_text(f"[kernel]\nkernel = expsum\n{key} = 1\n")
+    for section, known, key in (("kernel", "kernel = expsum", "bogus_key"),
+                                ("kernel", "kernel = expsum", "Bogus_Key"),
+                                ("sampler", "seed = 3", "method")):
+        cfg.write_text(f"[{section}]\n{known}\n{key} = ce\n")
         code = main(["kernel", "--config", str(cfg), "--out", str(tmp_path / "k.csv")])
         assert code == 2
-        assert f"{cfg}:3: unknown key 'bogus_key' in [kernel]" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"{cfg}:3: unknown key {key.lower()!r} in [{section}]" in err
+        assert not list(tmp_path.glob("k.csv*"))
 
 
 def test_unknown_section_is_line_anchored(tmp_path, capsys):
@@ -78,6 +84,20 @@ def test_explicit_rule_requires_values(tmp_path, capsys):
     code = main(["kernel", "--config", str(cfg), "--out", str(tmp_path / "k.csv")])
     assert code == 2
     assert "rule = explicit needs weights.values" in capsys.readouterr().err
+
+
+def test_readme_config_block_is_the_defaults(tmp_path):
+    # the documented config names every schema key, each at its default, so
+    # a renamed or added key cannot leave the README behind
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg = tmp_path / "readme.ini"
+    cfg.write_text(block)
+    assert load_config(str(cfg)).canonical_text() == load_config(None).canonical_text()
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
+    parser.read_string(block)
+    named = {section: set(parser[section]) for section in parser.sections()}
+    assert named == {section: set(keys) for section, keys in cli._SCHEMA.items()}
 
 
 def test_kernel_csv_and_sidecar(tmp_path):
@@ -117,7 +137,8 @@ def test_sample_mode_is_deterministic(tmp_path):
     assert main(args + ["--out", str(b)]) == 0
     assert read(a) == read(b)
     sidecar = load_json(tmp_path / "a.csv.provenance.json")
-    assert sidecar["method"] == "ce"
+    assert sidecar["config"]["sampler"]["dynamics"] == "gle"
+    assert "method" not in sidecar
     assert sidecar["seed"] == 9
     assert sidecar["route"] == "recursion"
     assert sidecar["clipped_mass"] == 0.0
@@ -133,7 +154,8 @@ def test_sample_field_thread_count_is_immaterial(tmp_path):
     assert read(a) == read(b)
     sidecar = load_json(tmp_path / "f1.csv.provenance.json")
     assert sidecar["N"] == 8
-    assert sidecar["dynamics"] == "gle"
+    assert sidecar["config"]["sampler"]["dynamics"] == "gle"
+    assert "dynamics" not in sidecar
     assert sidecar["wellposedness"]["convergent"] is True
     assert sidecar["regularity_assumption"]["convergent"] is True
     assert 0.0 < sidecar["tail_bound"] < 1.0
@@ -181,6 +203,41 @@ def test_sample_field_gates_run_before_sampling(tmp_path, capsys):
     assert "eta 1.5 must lie in (0, 1)" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "f.csv.provenance.json").exists()
+
+
+def test_sample_field_reads_dynamics_from_the_config(tmp_path):
+    # the config key and the flag are one setting: same bytes, same record
+    base = ["sample-field", "--N", "4", "--nx", "3", "--n", "32", "--ensemble", "2",
+            "--tail-budget", "1.0"]
+    cfg = tmp_path / "heat.ini"
+    cfg.write_text("[sampler]\ndynamics = heat\n")
+    by_flag, by_config, gle = (tmp_path / f"{n}.csv" for n in ("flag", "config", "gle"))
+    assert main(base + ["--dynamics", "heat", "--out", str(by_flag)]) == 0
+    assert main(base + ["--config", str(cfg), "--out", str(by_config)]) == 0
+    assert main(base + ["--out", str(gle)]) == 0
+    assert read(by_config) == read(by_flag) != read(gle)
+    for path in (by_flag, by_config):
+        sidecar = load_json(Path(f"{path}.provenance.json"))
+        assert sidecar["config"]["sampler"]["dynamics"] == "heat"
+
+
+def test_hoelder_field_oracle_is_gated(tmp_path, capsys):
+    # weights whose variance series diverges describe no field, so they give
+    # no oracle for one, on either axis
+    field = tmp_path / "field.csv"
+    assert main(["sample-field", "--N", "8", "--nx", "17", "--dt", "0.25", "--n", "64",
+                 "--ensemble", "2", "--tail-budget", "1.0", "--out", str(field)]) == 0
+    div = tmp_path / "div.ini"
+    div.write_text("[weights]\nrule = power\ns = -0.25\n")
+    assert main(["sample-field", "--config", str(div), "--out", str(tmp_path / "f.csv")]) == 2
+    assert "variance series diverges" in capsys.readouterr().err
+    out = tmp_path / "report.json"
+    for axis in ("time", "space"):
+        code = main(["hoelder", "--in", str(field), "--axis", axis, "--lags", "1,2,4,16",
+                     "--config", str(div), "--N", "8", "--out", str(out)])
+        assert code == 2
+        assert "variance series diverges" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_handlers_are_looked_up_when_the_parser_is_built(tmp_path, monkeypatch):
@@ -350,19 +407,25 @@ def test_hoelder_mode_roundtrip_with_oracle(tmp_path):
 
 
 def test_hoelder_mode_oracle_follows_dynamics(tmp_path):
-    # a memoryless mode CSV checked against the memoryless law, not the gle one
+    # a memoryless mode CSV checked against the memoryless law, not the gle
+    # one, whether the law comes from the flag or from the config
     paths = tmp_path / "ou.csv"
-    assert main(["sample-mode", "--dt", str(2.0**-8), "--n", "1024", "--method", "ou",
+    assert main(["sample-mode", "--dt", str(2.0**-8), "--n", "1024", "--dynamics", "heat",
                  "--ensemble", "32", "--seed", "4", "--out", str(paths)]) == 0
     cfg = tmp_path / "cfg.ini"
     cfg.write_text("[kernel]\nkernel = expsum\n")
+    heat = tmp_path / "heat.ini"
+    heat.write_text("[kernel]\nkernel = expsum\n[sampler]\ndynamics = heat\n")
     out = tmp_path / "report.json"
-    assert main(["hoelder", "--in", str(paths), "--axis", "time", "--dynamics", "heat",
-                 "--lags", "8,16,32,64,128", "--config", str(cfg), "--k", "1",
-                 "--out", str(out)]) == 0
-    report = load_json(out)
-    dev = np.abs(np.array(report["values"]) - np.array(report["oracle_values"]))
-    assert np.all(dev <= 4.0 * np.array(report["stderr"]))
+    oracles = []
+    for law in (["--config", str(cfg), "--dynamics", "heat"], ["--config", str(heat)]):
+        assert main(["hoelder", "--in", str(paths), "--axis", "time", *law,
+                     "--lags", "8,16,32,64,128", "--k", "1", "--out", str(out)]) == 0
+        report = load_json(out)
+        dev = np.abs(np.array(report["values"]) - np.array(report["oracle_values"]))
+        assert np.all(dev <= 4.0 * np.array(report["stderr"]))
+        oracles.append(report["oracle_values"])
+    assert oracles[0] == oracles[1]
 
 
 def test_hoelder_one_point_field_gets_the_field_oracle(tmp_path):
@@ -469,8 +532,8 @@ field = ["sample-field", "--N", "4", "--nx", "3", "--tail-budget", "1.0", *grid]
 runs = [
     [*field, "--dynamics", "gle", "--out", tmp + "/gle.csv"],
     [*field, "--dynamics", "heat", "--out", tmp + "/heat.csv"],
-    ["sample-mode", *grid, "--method", "ce", "--out", tmp + "/ce.csv"],
-    ["sample-mode", *grid, "--method", "ou", "--out", tmp + "/ou.csv"],
+    ["sample-mode", *grid, "--dynamics", "gle", "--out", tmp + "/ce.csv"],
+    ["sample-mode", *grid, "--dynamics", "heat", "--out", tmp + "/ou.csv"],
     ["hoelder", "--in", tmp + "/gle.csv", "--lags", "1,2,4,16", "--out", tmp + "/h.json"],
     ["hoelder", "--in", tmp + "/ce.csv", "--lags", "1,2,4,16", "--config", tmp + "/atoms.ini",
      "--k", "1", "--out", tmp + "/hm.json"],

@@ -654,6 +654,15 @@ def test_ensemble_metadata():
     assert ou.method == "ou"
 
 
+def test_sample_knows_exactly_the_listed_laws():
+    grid = TimeGrid(dt=0.125, n=16)
+    routes = [mode_sampler._sample(law, SINGLE, Mode(2, 5.0, 1.0), grid, 2, seed=3).method
+              for law in mode_sampler.LAWS]
+    assert routes == ["recursion", "ou", "spectral"]
+    with pytest.raises(ValueError, match="unknown dynamics 'wave'"):
+        mode_sampler._sample("wave", SINGLE, Mode(2, 5.0, 1.0), grid, 2, seed=3)
+
+
 def test_spectral_nodes_cover_variance():
     sd = SpectralDensity(SINGLE, Mode(1, 100.0, 1.0))
     nodes, widths = spectral_nodes(sd)

@@ -63,6 +63,21 @@ def test_rho_vectorized_matches_scalar():
         assert v == pytest.approx(rho(sd, float(w)), rel=1e-15)
 
 
+@pytest.mark.parametrize("count", [1, 32, 33, 64])
+def test_both_scalar_rho_closures_match_the_array_rho(count, monkeypatch):
+    # the loop closure (at most _LOOP_ATOMS atoms) and the numpy one (more)
+    # are the same function, whichever side of the switch a kernel falls
+    kernel = KernelMeasure(list(zip(np.full(count, 1.0 / count), np.geomspace(0.1, 50.0, count))))
+    sd = SpectralDensity(kernel, Mode(3, 9.0, 1.0))
+    grid = np.concatenate([[0.0], np.geomspace(1e-3, 1e3, 25)])
+    want = spectral._unit_rho(sd, grid)
+    for switch in (count, count - 1):
+        monkeypatch.setattr(spectral, "_LOOP_ATOMS", switch)
+        f = spectral._scalar_rho(sd)
+        got = np.array([f(float(om)) for om in grid])
+        np.testing.assert_allclose(got, want, rtol=1e-13, atol=0.0)
+
+
 def test_find_resonance_closed_forms():
     res = find_resonance(sd_single(100.0))
     assert res.omega_r == pytest.approx(math.sqrt(99.0), abs=1e-11)
