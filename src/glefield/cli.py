@@ -664,7 +664,7 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
     for key in ("dt", "n", "ensemble", "seed"):
         cfg.override("sampler", key, profile["time"][key])
     measure, basis, weights = _model(cfg)
-    summary = {"profile": args.profile}
+    summary, laws = {"profile": args.profile}, {}
     for axis in ("time", "space"):
         spec = profile[axis]
         grid = TimeGrid(dt=spec["dt"], n=spec["n"])
@@ -679,6 +679,7 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
                 curve, bootstrap=cfg.get("regularity", "bootstrap"), seed=spec["fit_seed"]
             )
             name = f"{dynamics}_{axis}"
+            laws[name] = dynamics
             _write_columns(os.path.join(args.out, f"{name}_variogram.csv"),
                            ["lag", "value", "stderr"], [curve.lags, curve.values, curve.stderr])
             summary[name] = {
@@ -689,7 +690,7 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
             }
     _write_json(os.path.join(args.out, "summary.json"), summary)
     _write_sidecar(os.path.join(args.out, "reproduce"), "reproduce", cfg,
-                   {"profile": args.profile, "n_modes": profile["n_modes"]})
+                   {"profile": args.profile, "n_modes": profile["n_modes"], "laws": laws})
     return 0
 
 
@@ -731,7 +732,7 @@ _COMMANDS = {
         ("--out", {"default": "paths.csv"})]),
     "sample-field": ("sample the truncated field", [
         "--config", ("--N", {"default": 64, "help": "modes kept in the series"}),
-        ("--nx", {"default": 16, "help": "interior spatial points"}),
+        ("--nx", {"default": 64, "help": "interior spatial points"}),
         "--dt", "--n", "--ensemble", "--seed", "--dynamics", "--tail-budget", "--threads",
         ("--out", {"default": "field.csv"})]),
     "hoelder": ("fit a roughness exponent from a sample CSV", [

@@ -349,8 +349,11 @@ def assemble_field(
     Modes are sampled independently (streams keyed by mode index, so results
     do not depend on worker count) and summed in fixed blocks of
     ``_MODE_BLOCK`` modes in k order.  Each mode's paths are written straight
-    into its slot of the block buffer; worker w samples slots w, w +
-    workers, ... of a block, so workers beyond the block size stay idle.
+    into its slot of the block buffer.  On paths of at most
+    ``mode_sampler._STEP_LOOP_STEPS`` steps a block's AR(1) and
+    innovations-form modes are sampled together by one step loop on the
+    calling thread; worker w of the pool samples the w-th, (w + workers)-th,
+    ... of the block's other modes.
     A block is added to the field one chunk of member rows at a time, one
     matrix product per chunk into a scratch of at most ``_CHUNK_ELEMENTS``
     elements (one row when a row alone is larger).  dynamics selects the
@@ -377,7 +380,10 @@ def assemble_field(
             f"> budget {tail_budget:.3e}"
         )
 
-    modes = [_mode(basis, weights, k) for k in range(1, n_modes + 1)]
+    # the modes' alpha and lambda as arrays: the rules give the bits they give one mode
+    index = np.arange(1, n_modes + 1)
+    lams = np.broadcast_to(weights.weight(basis, index), index.shape).tolist()
+    modes = [Mode(*mode) for mode in zip(index.tolist(), basis.alpha(index).tolist(), lams)]
     # every gle mode's embedding, step law and gain in one stacked pass
     setup = mode_sampler._Markov(kernel, modes, grid) if dynamics == "gle" else None
     n, nx = grid.n, x_arr.size
@@ -397,15 +403,22 @@ def assemble_field(
     fields = out.reshape(m * n, nx)
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
         for start in range(1, n_modes + 1, _MODE_BLOCK):
-            ks = range(start, min(start + _MODE_BLOCK, n_modes + 1))
+            block = range(start, min(start + _MODE_BLOCK, n_modes + 1))
+            # short paths: the block's filter modes by one step loop, on this thread
+            looped = mode_sampler._sample_block(dynamics, modes[start - 1 : block.stop - 1], grid,
+                                                m, seed, setup, paths[: len(block)])
+            for k, ens in zip(block, looped):
+                clipped[k - 1] = 0.0 if ens is None else ens.clipped_mass
+            # the pool gets the modes the step loop left
+            ks = [k for k, ens in zip(block, looped) if ens is None]
             if pool is None:
                 fill(ks)
             else:
                 tasks = [pool.submit(fill, ks[w::workers]) for w in range(min(workers, len(ks)))]
                 for task in tasks:
                     task.result()
-            shapes = basis.eval(np.asarray(ks), x_arr)
-            flat = paths[: len(ks)].reshape(len(ks), m * n)
+            shapes = basis.eval(np.asarray(block), x_arr)
+            flat = paths[: len(block)].reshape(len(block), m * n)
             for lo in range(0, m * n, rows * n):
                 hi = min(lo + rows * n, m * n)
                 fields[lo:hi] += np.matmul(flat[:, lo:hi].T, shapes, out=scratch[: hi - lo])

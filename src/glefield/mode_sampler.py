@@ -24,9 +24,11 @@ Three routes produce paths on a uniform time grid:
 * :func:`sample_ou_mode` - exact AR(1) recursion for the memoryless
   (Ornstein-Uhlenbeck) mode used by the classical-dynamics baseline.
 
-Every recursion, real or complex, runs through :func:`_recur`, a blocked
-prefix-sum form of the first-order filter in numpy alone; sampling imports
-no scipy.
+The innovations form and the AR(1) baseline are sums of one-pole filters
+run by :func:`_filter_paths`: up to ``_STEP_LOOP_STEPS`` steps by one step
+loop across the rows of all the modes given (a field's block of modes,
+:func:`_sample_block`), beyond that by :func:`_recur`, the blocked
+prefix-sum filter the state recursion takes too.  Sampling imports no scipy.
 
 Randomness: mode k under seed s draws from one SFC64 stream, child k of the
 seed's ``SeedSequence``, and path i takes the i-th consecutive block of its
@@ -269,6 +271,61 @@ def _recur(pole, weights, normals: np.ndarray, out: np.ndarray, add: bool = Fals
         out += paths
 
 
+# paths of at most this many steps take the step loop of :func:`_filter_paths`,
+# longer ones :func:`_recur`.  Filtering 8 modes on a 2-vCPU host, the loop
+# took 55-362 us against 155-640 at n 16 (m 16 to 256) and stayed ahead up to
+# n 48; at n 64 it fell behind for m >= 128 (gle, m 256: 1776 against 1513 us)
+_STEP_LOOP_STEPS = 48
+
+
+def _filter_paths(poles, weights, chains, normals: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = the sum over the chains[k] filters of slot k of Re(y), with
+    y_j = pole y_{j-1} + weights[j] normals[k, :, j] and y_{-1} = 0.
+
+    ``poles`` (C,) and ``weights`` (C, n) stack the filters of all K slots,
+    C = sum(chains); ``normals`` and ``out`` are (K, m, n), and may be one
+    array up to ``_STEP_LOOP_STEPS`` steps; a slot with no chains is left
+    alone.  Past that each chain runs through :func:`_recur`; up to it all
+    C m rows take one vector step per time step, the real and imaginary
+    parts of y as two real chains (one when poles and weights are real), in
+    real ufuncs only.  So the route depends on n alone and a row's bits on nothing
+    else.  The loop takes a pole whose one-step decay exceeds
+    ``_BLOCK_DECAY`` as 0, as :func:`_recur` drops what it carries, and no
+    product turns subnormal.
+    """
+    owner = [k for k, count in enumerate(chains) for _ in range(count)]
+    n = normals.shape[-1]
+    if n > _STEP_LOOP_STEPS:
+        for c, k in enumerate(owner):
+            _recur(poles[c], weights[c], normals[k], out[k], add=c > 0 and owner[c - 1] == k)
+        return
+    chains = np.asarray(chains)
+    first = np.cumsum(chains) - chains
+    poles = np.asarray(poles, dtype=complex)
+    poles[np.abs(poles) < math.exp(-_BLOCK_DECAY)] = 0.0
+    if not poles.any():  # every step is its own input
+        paths = np.real(weights)[:, None] * normals[owner]
+    else:
+        parts = 2 if np.iscomplexobj(weights) or poles.imag.any() else 1
+        # state[j, part, c, i]: the input w_j z_j of step j, then y_j; C
+        # order, so that each step is one contiguous slice
+        state = np.empty((n, parts, len(owner), normals.shape[1]))
+        w = np.stack((np.real(weights), np.imag(weights))[:parts]).transpose(2, 0, 1)
+        np.multiply(w[..., None], normals.transpose(2, 0, 1)[:, None, owner], out=state)
+        # full-size factors on y_{j-1} and on y_{j-1} with its parts swapped
+        grow, turn, spin = np.empty((3, *state.shape[1:]))
+        grow[...] = poles.real[:, None]
+        turn[...] = np.stack((-poles.imag, poles.imag))[:parts, :, None]
+        for prev, now in zip(state, state[1:]):
+            np.add(now, np.multiply(grow, prev, out=spin), out=now)
+            if parts == 2:
+                np.add(now, np.multiply(turn, prev[::-1], out=spin), out=now)
+        paths = state[:, 0].transpose(1, 2, 0)
+    out[chains > 0] = paths[first[chains > 0]]
+    for c in range(1, chains.max()):
+        out[chains > c] += paths[first[chains > c] + c]
+
+
 class _Markov:
     """Markovian embeddings of the modes of one kernel, built together
     (Ceriotti, Bussi and Parrinello 2010).
@@ -500,6 +557,20 @@ class _Markov:
             self._gains[i] = (np.exp(mu * grid.dt), (self.lam[i] * self.scale[i]) * head, inv,
                               flat[end - count : end])
 
+    def innovations(self, i: int):
+        """(poles, weights) of mode i's innovations form from :meth:`_sweep`:
+        one AR(1) filter per kept eigenvalue whose input is z times one
+        complex weight per step, lambda included."""
+        poles, readout, inv, gain = self._gains[i]
+        settled = len(gain)
+        weights = np.empty((len(poles), self.grid.n), dtype=complex)
+        # V^-1 sqrt(omega_j) K_j by broadcasting: numpy's mixed complex-real
+        # matmul is about 20x slower here
+        weights[:, :settled] = readout[:, None] * (inv[:, :1] * gain[:, 0]
+                                                   + inv[:, 1:] * gain[:, 1])
+        weights[:, settled:] = weights[:, settled - 1 : settled]
+        return poles, weights
+
     def recursion(self, i: int):
         """Exact linear map from standard normals to (m, n) stationary paths
         of mode i on the set-up's grid.
@@ -510,8 +581,8 @@ class _Markov:
         :meth:`_sweep`, one normal per step (shape (n,)); any other takes
         the state recursion, d normals per step (shape (d, n)).
 
-        Innovations form: each conjugate pair is one complex AR(1) run by
-        :func:`_recur` whose input is z times one complex per-step weight.
+        Innovations form: the filters of :meth:`innovations`, run by
+        :func:`_filter_paths`.
 
         State recursion: column 0 of each path's normals draws the
         stationary start v_0 = z; column j > 0 draws the innovation
@@ -527,20 +598,9 @@ class _Markov:
         """
         dt, n = self.grid.dt, self.grid.n
         if i in self._gains:
-            poles, readout, inv, gain = self._gains[i]
-            settled = len(gain)
-            weights = np.empty((len(poles), n), dtype=complex)
-            # V^-1 sqrt(omega_j) K_j by broadcasting: numpy's mixed
-            # complex-real matmul is about 20x slower here
-            weights[:, :settled] = readout[:, None] * (inv[:, :1] * gain[:, 0]
-                                                       + inv[:, 1:] * gain[:, 1])
-            weights[:, settled:] = weights[:, settled - 1 : settled]
-
-            def innovations(normals, out):
-                for j, (pole, weight) in enumerate(zip(poles, weights)):
-                    _recur(pole, weight, normals, out, add=j > 0)
-
-            return (n,), innovations
+            poles, weights = self.innovations(i)
+            return (n,), lambda normals, out: _filter_paths(poles, weights, [len(poles)],
+                                                            normals[None], out[None])
         step, q = (stack[0] for stack in self.transition(dt, [i]))
         val, vec = np.linalg.eigh(q)
         root = vec * np.sqrt(np.maximum(val, 0.0))
@@ -732,23 +792,60 @@ def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int,
     Path i takes the i-th block of n normals from the mode's stream, one draw
     per chunk of paths.  ``out`` as for :func:`sample_gle_mode`."""
     _check_sampling_args(m, seed)
-    alpha = mode.alpha_k
-    lam = mode.lambda_k
     out = _paths_out(out, m, grid.n)
-    if lam == 0.0:
+    if mode.lambda_k == 0.0:
         out[:] = 0.0
         return PathEnsemble(grid, out, "ou")
-    phi = math.exp(-alpha * grid.dt)
-    sigma = lam / math.sqrt(2.0 * alpha)
-    innovation = sigma * math.sqrt(1.0 - phi * phi)
-    weights = np.full(grid.n, innovation)
-    weights[0] = sigma
+    poles, weights = _filter("heat", mode, grid, None)
     gen = _stream(seed, mode.index)
     buf = np.empty((min(_PATH_CHUNK, m), grid.n))
     for start in range(0, m, _PATH_CHUNK):
         noise = gen.standard_normal(out=buf[: m - start])
-        _recur(phi, weights, noise, out[start : start + len(noise)])
+        _filter_paths(poles, weights, [1], noise[None], out[None, start : start + len(noise)])
     return PathEnsemble(grid, out, "ou")
+
+
+def _filter(law: str, mode: Mode, grid: TimeGrid, setup: _Markov | None):
+    """(poles, weights) of the one-pole filters whose real parts add up to
+    the paths of a mode with nonzero weight: the AR(1) baseline, and gle's
+    innovations form read from ``setup``; None for any other mode."""
+    if mode.lambda_k == 0.0:
+        return None
+    if law == "heat":
+        phi = math.exp(-mode.alpha_k * grid.dt)
+        sigma = mode.lambda_k / math.sqrt(2.0 * mode.alpha_k)
+        weights = np.full((1, grid.n), sigma * math.sqrt(1.0 - phi * phi))
+        weights[0, 0] = sigma
+        return np.array([phi]), weights
+    if law == "gle" and setup.slot[mode] in setup._gains:
+        return setup.innovations(setup.slot[mode])
+    return None
+
+
+def _sample_block(law: str, modes, grid: TimeGrid, m: int, seed: int,
+                  setup: _Markov | None, out: np.ndarray) -> list:
+    """On paths of at most ``_STEP_LOOP_STEPS`` steps, sample the modes of
+    ``modes`` that have one-pole filters (:func:`_filter`) into their slots
+    of ``out`` (len(modes), m, n), all by one step loop per chunk of paths,
+    and return their PathEnsembles, None for the other modes.  Each mode
+    draws from its own stream, so its paths are those it gets alone, bit for
+    bit."""
+    _check_sampling_args(m, seed)
+    filters = [_filter(law, mode, grid, setup) if grid.n <= _STEP_LOOP_STEPS else None
+               for mode in modes]
+    took = [k for k, f in enumerate(filters) if f is not None]
+    if took:
+        poles, weights = (np.concatenate(stack) for stack in zip(*(filters[k] for k in took)))
+        chains = [0 if f is None else len(f[0]) for f in filters]
+        streams = [(k, _stream(seed, modes[k].index)) for k in took]
+        for lo in range(0, m, _PATH_CHUNK):
+            paths = out[:, lo : lo + _PATH_CHUNK]
+            for k, gen in streams:
+                gen.standard_normal(out=paths[k])
+            _filter_paths(poles, weights, chains, paths, paths)
+    route = "ou" if law == "heat" else "recursion"
+    return [None if f is None else PathEnsemble(grid, out[k], route)
+            for k, f in enumerate(filters)]
 
 
 # the sampling laws: memory-driven, memoryless, superposition cross-check of gle

@@ -170,6 +170,10 @@ def test_criterion_6_roughness_comparison(tmp_path):
             problems.append(f"{cell} r^2 {got['r_squared']:.4f} < 0.97")
     if not summary["heat_time"]["ci_high"] < summary["gle_time"]["ci_low"]:
         problems.append("time CIs not disjoint")
+    # the sidecar names the law each cell ran, not the one [sampler] default
+    laws = json.loads((out / "reproduce.provenance.json").read_text())["laws"]
+    if laws != {cell: cell.split("_")[0] for cell in bands}:
+        problems.append(f"sidecar laws {laws}")
     if elapsed > 1200.0:
         problems.append(f"runtime {elapsed:.0f} s > 1200 s")
     ok = not problems

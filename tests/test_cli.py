@@ -478,6 +478,18 @@ def test_hoelder_dyadic_default_lags(tmp_path):
     assert report["oracle_values"] is None
 
 
+def test_sample_field_defaults_round_trip_on_the_space_axis(tmp_path):
+    # at the default --nx the dyadic lags reach 16 steps, the span of 16 the
+    # fit needs: at 16 points they stopped at 4 (3 lags) and at 32 at 8
+    field = tmp_path / "field.csv"
+    assert main(["sample-field", "--dt", "4.0", "--n", "4", "--ensemble", "2",
+                 "--out", str(field)]) == 0
+    out = tmp_path / "space.json"
+    assert main(["hoelder", "--in", str(field), "--axis", "space", "--out", str(out)]) == 0
+    report = load_json(out)
+    assert report["lags"] == pytest.approx([s * math.pi / 65.0 for s in (1, 2, 4, 8, 16)])
+
+
 def test_thread_configuration_errors(tmp_path, capsys):
     base = ["sample-field", "--N", "1", "--nx", "2", "--n", "8", "--ensemble", "2",
             "--tail-budget", "1.0", "--out", str(tmp_path / "f.csv")]

@@ -253,8 +253,9 @@ def test_assembly_equals_the_per_row_products(n_modes, grid, nx, m, dynamics):
 
 def test_assembly_takes_one_product_per_row_chunk(monkeypatch):
     # a block of modes is added by one product per chunk of member rows
-    # (16 rows of 16 x 255 points, or one row of 256 x 256), and the pool
-    # gets one task per worker per block
+    # (16 rows of 16 x 255 points, or one row of 256 x 256); the pool gets
+    # one task per worker per block on long paths and none on short ones,
+    # whose blocks take the step loop on the calling thread
     products, tasks = [], []
     matmul = np.matmul
     monkeypatch.setattr(np, "matmul", lambda *a, **kw: products.append(1) or matmul(*a, **kw))
@@ -265,7 +266,7 @@ def test_assembly_takes_one_product_per_row_chunk(monkeypatch):
             return super().submit(*args, **kwargs)
 
     monkeypatch.setattr(field_assembly, "ThreadPoolExecutor", Pool)
-    for n, nx, m, chunks in ((16, 255, 40, 3), (256, 256, 3, 3)):
+    for n, nx, m, chunks, per_block in ((16, 255, 40, 3, 0), (256, 256, 3, 3, 3)):
         products.clear()
         tasks.clear()
         grid = TimeGrid(dt=4.0 if n == 16 else 0.25, n=n)
@@ -273,25 +274,93 @@ def test_assembly_takes_one_product_per_row_chunk(monkeypatch):
                        dynamics="heat", tail_budget=1.0, workers=3)
         # 13 modes: a block of 8 and a block of 5
         assert len(products) == 2 * chunks
-        assert len(tasks) == 2 * 3
+        assert len(tasks) == 2 * per_block
 
 
 def test_clipped_masses_stay_in_mode_order(monkeypatch):
-    # workers fill a block's slots out of k order; each mode's clipped mass
-    # (here tagged with its index) still lands at its own place
-    sample_mode = mode_sampler._sample
+    # workers fill a block's slots out of k order, and the step loop takes a
+    # whole block at once; each mode's clipped mass (here tagged with its
+    # index) still lands at its own place, on the block route (n = 32) and
+    # on the pool's (n = 128)
+    sample_mode, sample_block = mode_sampler._sample, mode_sampler._sample_block
 
     def tagged(law, kernel, mode, *args, **kwargs):
         ens = sample_mode(law, kernel, mode, *args, **kwargs)
         ens.clipped_mass = mode.index / 100.0
         return ens
 
+    def tagged_block(law, modes, *args, **kwargs):
+        ensembles = sample_block(law, modes, *args, **kwargs)
+        for mode, ens in zip(modes, ensembles):
+            if ens is not None:
+                ens.clipped_mass = mode.index / 100.0
+        return ensembles
+
     monkeypatch.setattr(mode_sampler, "_sample", tagged)
-    grid = TimeGrid(dt=0.25, n=32)
+    monkeypatch.setattr(mode_sampler, "_sample_block", tagged_block)
+    for n in (32, 128):
+        grid = TimeGrid(dt=0.25, n=n)
+        for workers in (1, 2, 3):
+            sample = assemble_field(SINGLE, BASIS, Flat(1.0), 13, grid, [1.0], 2, 4,
+                                    tail_budget=1.0, workers=workers)
+            assert sample.clipped_masses == tuple(k / 100.0 for k in range(1, 14))
+
+
+@pytest.mark.parametrize("dynamics", ["gle", "heat"])
+def test_block_paths_are_the_modes_alone(monkeypatch, dynamics):
+    # the step loop filters a whole block of short paths at once; each
+    # mode's paths are byte-equal to the mode sampled alone, in every slot
+    # of a full block (8 modes) and a partial one (5), whatever the worker
+    # count.  Under this kernel modes 1 and 2 are overdamped (two real poles
+    # each) and the others have one complex pole; the zero-weight mode 7
+    # has no filter and is left to _sample
+    seen = {}
+    sample_block = mode_sampler._sample_block
+
+    def recording(law, modes, *args):
+        ensembles = sample_block(law, modes, *args)
+        for mode, ens in zip(modes, ensembles):
+            if ens is not None:
+                seen[mode] = ens.values.copy()
+        return ensembles
+
+    monkeypatch.setattr(mode_sampler, "_sample_block", recording)
+    kernel = KernelMeasure([(1.0, 5.0)])
+    weights = Explicit((1.0,) * 6 + (0.0,) + (0.5,) * 6)
+    grid = TimeGrid(dt=0.25, n=16)
     for workers in (1, 2, 3):
-        sample = assemble_field(SINGLE, BASIS, Flat(1.0), 13, grid, [1.0], 2, 4,
-                                tail_budget=1.0, workers=workers)
-        assert sample.clipped_masses == tuple(k / 100.0 for k in range(1, 14))
+        seen.clear()
+        assemble_field(kernel, BASIS, weights, 13, grid, [1.0], 3, 9, dynamics=dynamics,
+                       tail_budget=1.0, workers=workers)
+        assert sorted(mode.index for mode in seen) == [k for k in range(1, 14) if k != 7]
+        for mode, paths in seen.items():
+            alone = (mode_sampler.sample_ou_mode(mode, grid, 3, 9) if dynamics == "heat"
+                     else sample_gle_mode(kernel, mode, grid, 3, 9))
+            assert paths.tobytes() == alone.values.tobytes(), (workers, mode)
+    setup = mode_sampler._Markov(kernel, list(seen), grid)
+    assert [len(setup.innovations(i)[0]) for i in range(3)] == [2, 2, 1]
+
+
+def test_pool_gets_only_the_modes_the_step_loop_leaves(monkeypatch):
+    # one route rule per mode, from n alone: on short paths the filter modes
+    # take the step loop on the calling thread and the pool gets no task; on
+    # long paths it gets one task per worker per block, as do short-path
+    # modes with no one-pole filter (the superposition)
+    tasks = []
+
+    class Pool(field_assembly.ThreadPoolExecutor):
+        def submit(self, *args, **kwargs):
+            tasks.append(1)
+            return super().submit(*args, **kwargs)
+
+    monkeypatch.setattr(field_assembly, "ThreadPoolExecutor", Pool)
+    for dynamics, n, n_modes, count in (("gle", 16, 13, 0), ("heat", 48, 13, 0),
+                                        ("gle", 49, 13, 2 * 3), ("heat", 128, 13, 2 * 3),
+                                        ("spectral", 16, 2, 2)):
+        tasks.clear()
+        assemble_field(SINGLE, BASIS, Flat(1.0), n_modes, TimeGrid(dt=0.25, n=n), [1.0], 2, 4,
+                       dynamics=dynamics, tail_budget=1.0, workers=3)
+        assert len(tasks) == count, (dynamics, n)
 
 
 def test_assembly_worker_count_is_immaterial():

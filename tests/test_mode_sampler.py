@@ -16,6 +16,7 @@ from glefield.cm_kernel import KernelMeasure, PowerLaw, discretize
 from glefield.mode_sampler import (
     TimeGrid,
     _Markov,
+    _filter_paths,
     _recur,
     _stream,
     circulant_eigenvalues,
@@ -414,6 +415,42 @@ def test_recursion_kernel_rows_do_not_depend_on_their_neighbours():
                 _recur(pole, weights, normals[i : i + 1], rows[i : i + 1])
                 _recur(pole, weights, normals[i + 1 : i + 3], rows[i + 1 : i + 3])
             assert whole.tobytes() == rows.tobytes(), (decay, pole)
+
+
+@pytest.mark.parametrize("n", (2, 16, 64))
+@pytest.mark.parametrize("poles_kind, weights_kind", [("real", "real"), ("complex", "complex"),
+                                                      ("complex", "real")])
+def test_step_loop_matches_a_long_double_loop(monkeypatch, n, poles_kind, weights_kind):
+    # bound fixed before the first run, as for _recur: 1e-13 of the path
+    # scale.  One call stacks six filters, each with its own pole and per-step
+    # weights (real or complex poles at any angle, real or complex weights),
+    # from |p| near 1 to a pole whose one-step decay passes _BLOCK_DECAY.
+    # The loop is held to it up to n 64, past the route's crossover
+    monkeypatch.setattr(mode_sampler, "_STEP_LOOP_STEPS", 64)
+    rng = np.random.default_rng(n)
+    decays = (1e-9, 1e-4, 0.5, 20.0, 250.0, 400.0)
+    angles = (0.1, 3.0, 512.0, 1.0, -2.0, 0.7) if poles_kind == "complex" else (0.0,) * 6
+    poles = [cmath.exp(complex(-d, a)) for d, a in zip(decays, angles)]
+    if poles_kind == "real":
+        poles = [pole.real for pole in poles]
+    weights = rng.standard_normal((6, n)) + 1j * rng.standard_normal((6, n))
+    if weights_kind == "real":
+        weights = weights.real.copy()
+    # the last filter's every other step has no input of its own
+    weights[5, 1::2] = 0.0
+    normals = rng.standard_normal((6, 3, n))
+    out = np.empty_like(normals)
+    _filter_paths(poles, weights, [1] * 6, normals, out)
+    for pole, row_weights, row_normals, paths in zip(poles, weights, normals, out):
+        expected, scale = _recursion_reference(pole, row_weights, row_normals)
+        assert np.abs(paths - expected).max() <= 1e-13 * scale, (n, pole)
+    # e^-400 is taken as exactly 0, so every step is its own input: the steps
+    # with no input are 0, not e^-400 times the step before
+    assert (out[5] == weights[5].real * normals[5]).all()
+    assert not out[5, :, 1::2].any()
+    # one array for normals and paths gives the same bits
+    _filter_paths(poles, weights, [1] * 6, normals, normals)
+    assert normals.tobytes() == out.tobytes()
 
 
 @pytest.mark.parametrize("factor", (1e250, 1e-150, 1e-200))
