@@ -320,15 +320,18 @@ def tail_variance_bound(basis, weights, n_modes: int) -> float:
     return float(terms[n_modes:].sum()) + tail_past_probe
 
 
-# modes summed per matrix product; a constant, so that the summation order
-# never depends on the worker count
+# modes per step-loop call or pool round, and the fewest in a product block
 _MODE_BLOCK = 8
 
-# elements of one row-chunk product.  Besides bounding the scratch, this
-# keeps the field byte-equal to one product per member row: at 2**17 (32
-# rows at field_space scale, M = 512) OpenBLAS's sums differed from those
-# in the last bits, on one thread and on two
-_CHUNK_ELEMENTS = 2**16
+# bytes of paths per product block, as many modes as fit: a short field takes
+# one block or a few, and field_time's 8-mode block (16 x 4096 steps) is 4 MiB
+_BLOCK_BYTES = 2**22
+
+# multiply-adds per product, a cap the time rows are chunked to.  At 8.4e6
+# (K = 128, 16 members at field_space shape) OpenBLAS woke its second thread,
+# which cut wall time by a sixth but raised cpu time by half; at this cap every
+# product stays on the calling thread.  It is field_time's 4096 x 8 x 16
+_PRODUCT_MACS = 2**19
 
 
 def assemble_field(
@@ -347,16 +350,17 @@ def assemble_field(
     """Sample the truncated eigenfunction series on a time grid and x points.
 
     Modes are sampled independently (streams keyed by mode index, so results
-    do not depend on worker count) and summed in fixed blocks of
-    ``_MODE_BLOCK`` modes in k order.  Each mode's paths are written straight
-    into its slot of the block buffer.  On paths of at most
-    ``mode_sampler._STEP_LOOP_STEPS`` steps a block's AR(1) and
-    innovations-form modes are sampled together by one step loop on the
-    calling thread; worker w of the pool samples the w-th, (w + workers)-th,
-    ... of the block's other modes.
-    A block is added to the field one chunk of member rows at a time, one
-    matrix product per chunk into a scratch of at most ``_CHUNK_ELEMENTS``
-    elements (one row when a row alone is larger).  dynamics selects the
+    do not depend on worker count) and summed in k order, one product block
+    at a time: as many modes as ``_BLOCK_BYTES`` of paths hold, at least
+    ``_MODE_BLOCK``, a rule that reads the shape alone.  Each mode's paths
+    are written straight into its slot of the block buffer, ``_MODE_BLOCK``
+    modes at a time.  On paths of at most ``mode_sampler._STEP_LOOP_STEPS``
+    steps those modes' AR(1) and innovations-form filters run as one step
+    loop on the calling thread; worker w of the pool samples the w-th,
+    (w + workers)-th, ... of the others.
+    A block is added to the field one chunk of time rows at a time, one
+    matrix product of at most ``_PRODUCT_MACS`` multiply-adds per chunk
+    (one row when a row alone is larger).  dynamics selects the
     trajectory law, one of ``mode_sampler.LAWS``: "gle" for the
     kernel-driven paths, "heat" for the memoryless baseline, "spectral" for
     the superposition cross-check route.
@@ -388,38 +392,43 @@ def assemble_field(
     setup = mode_sampler._Markov(kernel, modes, grid) if dynamics == "gle" else None
     n, nx = grid.n, x_arr.size
     out = np.zeros((m, n, nx))
-    paths = np.empty((_MODE_BLOCK, m, n))
+    # modes per product block, from the shape alone
+    width = min(n_modes, max(_MODE_BLOCK, _BLOCK_BYTES // (8 * m * n)))
+    paths = np.empty((width, m, n))
     clipped = [0.0] * n_modes
 
     def fill(ks) -> None:
         for k in ks:
             ens = mode_sampler._sample(dynamics, kernel, modes[k - 1], grid, m, seed, setup,
-                                       out=paths[(k - 1) % _MODE_BLOCK])
+                                       out=paths[(k - 1) % width])
             clipped[k - 1] = ens.clipped_mass
 
-    # a chunk of `rows` member rows is one (rows n, b) paths @ (b, nx) shapes product
-    rows = max(1, _CHUNK_ELEMENTS // (n * nx))
-    scratch = np.empty((min(rows, m) * n, nx))
+    # a chunk of `rows` time rows is one (rows, b) paths @ (b, nx) shapes product
+    rows = max(1, _PRODUCT_MACS // (width * nx))
+    scratch = np.empty((min(rows, m * n), nx))
     fields = out.reshape(m * n, nx)
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
-        for start in range(1, n_modes + 1, _MODE_BLOCK):
-            block = range(start, min(start + _MODE_BLOCK, n_modes + 1))
-            # short paths: the block's filter modes by one step loop, on this thread
-            looped = mode_sampler._sample_block(dynamics, modes[start - 1 : block.stop - 1], grid,
-                                                m, seed, setup, paths[: len(block)])
-            for k, ens in zip(block, looped):
-                clipped[k - 1] = 0.0 if ens is None else ens.clipped_mass
-            # the pool gets the modes the step loop left
-            ks = [k for k, ens in zip(block, looped) if ens is None]
-            if pool is None:
-                fill(ks)
-            else:
-                tasks = [pool.submit(fill, ks[w::workers]) for w in range(min(workers, len(ks)))]
-                for task in tasks:
-                    task.result()
+        for start in range(1, n_modes + 1, width):
+            block = range(start, min(start + width, n_modes + 1))
+            for i in range(0, len(block), _MODE_BLOCK):
+                part = block[i : i + _MODE_BLOCK]
+                # short paths: the part's filter modes by one step loop, on this thread
+                looped = mode_sampler._sample_block(dynamics, [modes[k - 1] for k in part], grid,
+                                                    m, seed, setup, paths[i : i + len(part)])
+                for k, ens in zip(part, looped):
+                    clipped[k - 1] = 0.0 if ens is None else ens.clipped_mass
+                # the pool gets the modes the step loop left
+                ks = [k for k, ens in zip(part, looped) if ens is None]
+                if pool is None:
+                    fill(ks)
+                else:
+                    tasks = [pool.submit(fill, ks[w::workers])
+                             for w in range(min(workers, len(ks)))]
+                    for task in tasks:
+                        task.result()
             shapes = basis.eval(np.asarray(block), x_arr)
             flat = paths[: len(block)].reshape(len(block), m * n)
-            for lo in range(0, m * n, rows * n):
-                hi = min(lo + rows * n, m * n)
+            for lo in range(0, m * n, rows):
+                hi = min(lo + rows, m * n)
                 fields[lo:hi] += np.matmul(flat[:, lo:hi].T, shapes, out=scratch[: hi - lo])
     return FieldSample(grid, x_arr, out, n_modes, tuple(clipped))

@@ -407,11 +407,17 @@ class _Markov:
             if is_real:
                 group_mu, group_vecs = group_mu.real, group_vecs.real
             ok = np.linalg.cond(group_vecs) <= _MAX_EIGVEC_COND
-            inverses = np.linalg.inv(group_vecs[ok])
-            for i, mu_i, vecs_i, inv_i in zip(rows[ok], group_mu[ok], group_vecs[ok], inverses):
-                keep = mu_i.imag >= 0.0
-                head = vecs_i[0, keep] * np.where(mu_i.imag[keep] > 0.0, 2.0, 1.0)
-                bases[i] = (mu_i[keep], head, inv_i[keep])
+            rows, group_mu, group_vecs = rows[ok], group_mu[ok], group_vecs[ok]
+            keep = group_mu.imag >= 0.0
+            # x 2 or x 1 is exact, so weighting before the cut gives the bits it gives after
+            heads = group_vecs[:, 0] * np.where(group_mu.imag > 0.0, 2.0, 1.0)
+            stacks = (group_mu, heads, np.linalg.inv(group_vecs))
+            kept = keep.sum(axis=-1)
+            for c in np.unique(kept).tolist():
+                same = kept == c
+                cut = (a[same][keep[same]].reshape(-1, c, *a.shape[2:]) for a in stacks)
+                for i, basis in zip(rows[same].tolist(), zip(*cut)):
+                    bases[i] = basis
         return bases
 
     def covariance(self, i: int, dt: float, count: int) -> np.ndarray:

@@ -218,13 +218,25 @@ def test_assembly_builds_every_gle_embedding_in_one_pass(monkeypatch):
     assert calls == [(128, 2, 2)]
 
 
-def _assemble_by_row(kernel, basis, weights, n_modes, grid, xs, m, seed, dynamics):
+def _interior(nx):
+    # nx points evenly inside the interval, as the benchmark workloads take them
+    return np.arange(1, nx + 1) * (math.pi / (nx + 1))
+
+
+def _block_width(n_modes, m, n):
+    # the product block rule: as many modes as fit in the byte budget of
+    # paths, at least 8, at most the field's
+    return min(n_modes, max(8, field_assembly._BLOCK_BYTES // (8 * m * n)))
+
+
+def _assemble_by_row(kernel, basis, weights, n_modes, grid, xs, m, seed, dynamics, width=None):
     # the accumulation the row-chunk products replaced, as the reference:
-    # blocks of 8 modes in k order, one product per member row and block
+    # product blocks of modes in k order, one product per member row and block
     xs = np.asarray(xs, dtype=float)
+    width = _block_width(n_modes, m, grid.n) if width is None else width
     out = np.zeros((m, grid.n, xs.size))
-    for start in range(1, n_modes + 1, 8):
-        ks = range(start, min(start + 8, n_modes + 1))
+    for start in range(1, n_modes + 1, width):
+        ks = range(start, min(start + width, n_modes + 1))
         block = np.stack([
             mode_sampler._sample(dynamics, kernel, field_assembly._mode(basis, weights, k),
                                  grid, m, seed).values
@@ -251,11 +263,75 @@ def test_assembly_equals_the_per_row_products(n_modes, grid, nx, m, dynamics):
         assert sample.values.tobytes() == ref.tobytes(), workers
 
 
+@pytest.mark.parametrize("m, nx, dynamics, workers", [
+    (16, 16, "gle", 1),    # the field_time shape: 8 modes fill the byte budget
+    (20, 5, "heat", 2),    # 6 modes would fill it; a block never takes fewer than 8
+])
+def test_long_paths_keep_8_mode_blocks(m, nx, dynamics, workers):
+    grid = TimeGrid(dt=2.0**-10, n=4096)
+    assert _block_width(13, m, grid.n) == 8
+    xs = np.linspace(0.2, 2.9, nx)
+    ref = _assemble_by_row(SINGLE, BASIS, Flat(1.0), 13, grid, xs, m, 5, dynamics, width=8)
+    sample = assemble_field(SINGLE, BASIS, Flat(1.0), 13, grid, xs, m, 5,
+                            dynamics=dynamics, tail_budget=1.0, workers=workers)
+    assert sample.values.tobytes() == ref.tobytes()
+
+
+def test_products_stay_under_the_multiply_add_cap(monkeypatch):
+    # at the field_space, field_time and cli_roundtrip shapes every product
+    # takes at most 2**19 multiply-adds, under the size at which OpenBLAS
+    # hands a product to a second thread; the block takes all the modes of
+    # a short field and 8 of a long one
+    products = []
+    matmul = np.matmul
+
+    def counted(a, b, **kwargs):
+        products.append((a.shape[0], a.shape[1], b.shape[1]))
+        return matmul(a, b, **kwargs)
+
+    monkeypatch.setattr(np, "matmul", counted)
+    shapes = [(128, TimeGrid(dt=4.0, n=16), 128, 255, 128),
+              (128, TimeGrid(dt=2.0**-10, n=4096), 16, 16, 8),
+              (64, TimeGrid(dt=0.01, n=256), 4, 64, 64)]
+    for n_modes, grid, m, nx, width in shapes:
+        products.clear()
+        assemble_field(SINGLE, BASIS, Flat(1.0), n_modes, grid, _interior(nx), m, 5,
+                       dynamics="heat", workers=2)
+        assert {k for _, k, _ in products} == {width}
+        assert sum(rows for rows, _, _ in products) == m * grid.n * n_modes // width
+        assert max(rows * k * cols for rows, k, cols in products) <= 2**19
+
+
+@pytest.mark.parametrize("n_modes, grid, m, nx, dynamics", [
+    (128, TimeGrid(dt=4.0, n=16), 48, 255, "gle"),     # the space cells' shape
+    (128, TimeGrid(dt=4.0, n=16), 48, 255, "heat"),
+    (64, TimeGrid(dt=0.01, n=256), 4, 64, "heat"),     # cli_roundtrip's
+])
+def test_short_fields_match_a_long_double_mode_sum(n_modes, grid, m, nx, dynamics):
+    # one product block sums all the modes in another order than one mode at
+    # a time, so the field moves at rounding level: it stays within 1e-13
+    # of the field's scale (its root mean square) of the mode-by-mode sum
+    # in long double, and does not depend on the worker count
+    xs = _interior(nx)
+    ref = np.zeros((m, grid.n, nx), dtype=np.longdouble)
+    for k in range(1, n_modes + 1):
+        paths = mode_sampler._sample(dynamics, SINGLE, field_assembly._mode(BASIS, Flat(1.0), k),
+                                     grid, m, 5).values
+        ref += paths.astype(np.longdouble)[..., None] * BASIS.eval(k, xs).astype(np.longdouble)
+    scale = np.sqrt(np.mean(ref * ref))
+    samples = [assemble_field(SINGLE, BASIS, Flat(1.0), n_modes, grid, xs, m, 5,
+                              dynamics=dynamics, workers=workers) for workers in (1, 2, 3)]
+    assert np.abs(samples[0].values - ref).max() <= 1e-13 * scale
+    for sample in samples[1:]:
+        assert sample.values.tobytes() == samples[0].values.tobytes()
+
+
 def test_assembly_takes_one_product_per_row_chunk(monkeypatch):
-    # a block of modes is added by one product per chunk of member rows
-    # (16 rows of 16 x 255 points, or one row of 256 x 256); the pool gets
-    # one task per worker per block on long paths and none on short ones,
-    # whose blocks take the step loop on the calling thread
+    # a block of modes (here all 13, whose paths fit the byte budget) is
+    # added by one product per chunk of time rows (158 rows of 255 points,
+    # or 157 of 256); the pool gets one task per worker per 8 modes on long
+    # paths and none on short ones, which take the step loop on the calling
+    # thread
     products, tasks = [], []
     matmul = np.matmul
     monkeypatch.setattr(np, "matmul", lambda *a, **kw: products.append(1) or matmul(*a, **kw))
@@ -266,15 +342,15 @@ def test_assembly_takes_one_product_per_row_chunk(monkeypatch):
             return super().submit(*args, **kwargs)
 
     monkeypatch.setattr(field_assembly, "ThreadPoolExecutor", Pool)
-    for n, nx, m, chunks, per_block in ((16, 255, 40, 3, 0), (256, 256, 3, 3, 3)):
+    for n, nx, m, chunks, per_part in ((16, 255, 40, 5, 0), (256, 256, 3, 5, 3)):
         products.clear()
         tasks.clear()
         grid = TimeGrid(dt=4.0 if n == 16 else 0.25, n=n)
         assemble_field(SINGLE, BASIS, Flat(1.0), 13, grid, np.linspace(0.2, 2.9, nx), m, 5,
                        dynamics="heat", tail_budget=1.0, workers=3)
-        # 13 modes: a block of 8 and a block of 5
-        assert len(products) == 2 * chunks
-        assert len(tasks) == 2 * per_block
+        # 13 modes: one block, sampled as 8 modes and 5
+        assert len(products) == chunks
+        assert len(tasks) == 2 * per_part
 
 
 def test_clipped_masses_stay_in_mode_order(monkeypatch):

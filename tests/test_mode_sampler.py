@@ -315,6 +315,41 @@ def test_degenerate_eigenbasis_falls_back_to_the_step_matrix():
     assert _Markov(SINGLE, [Mode(1, 5.0, 1.0)]).eig[0] is not None
 
 
+def _eigenbases_by_mode(setup):
+    # the per-mode loop that cutting the stacks replaced, as the reference
+    mu, vecs = np.linalg.eig(setup.drift())
+    bases = [None] * len(mu)
+    real = (mu.imag == 0.0).all(axis=-1)
+    for rows, is_real in ((np.flatnonzero(real), True), (np.flatnonzero(~real), False)):
+        group_mu, group_vecs = mu[rows], vecs[rows]
+        if is_real:
+            group_mu, group_vecs = group_mu.real, group_vecs.real
+        ok = np.linalg.cond(group_vecs) <= mode_sampler._MAX_EIGVEC_COND
+        inverses = np.linalg.inv(group_vecs[ok])
+        for i, mu_i, vecs_i, inv_i in zip(rows[ok], group_mu[ok], group_vecs[ok], inverses):
+            keep = mu_i.imag >= 0.0
+            head = vecs_i[0, keep] * np.where(mu_i.imag[keep] > 0.0, 2.0, 1.0)
+            bases[i] = (mu_i[keep], head, inv_i[keep])
+    return bases
+
+
+def test_eigenbases_equal_the_per_mode_cut():
+    # underdamped (one complex eigenvalue kept), overdamped (two real ones)
+    # and critically damped (no eigenbasis) one-atom modes in one stack, and
+    # a three-atom stack keeping three eigenvalues or four: every mode's
+    # basis is byte-equal to the one the per-mode loop cuts
+    stacks = [(SINGLE, [5.0, 0.1, 0.25, 3.0, 0.05, 0.25, 40.0, 0.2]),
+              (THREE, [0.001, 0.05, 0.3, 1.0, 30.0, 1000.0])]
+    for kernel, alphas in stacks:
+        setup = _Markov(kernel, [Mode(k, a, 1.0) for k, a in enumerate(alphas, 1)])
+        ref = _eigenbases_by_mode(setup)
+        assert [basis is None for basis in setup.eig] == [basis is None for basis in ref]
+        assert len({None if basis is None else len(basis[0]) for basis in ref}) >= 2
+        for got, want in zip(setup.eig, ref):
+            for a, b in zip(got or (), want or ()):
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
+
+
 def test_recursion_reproduces_toeplitz_exactly():
     # drive the linear map with unit vectors: the Gram matrix is the path
     # covariance.  One-atom modes take the innovations form, one normal per
