@@ -257,8 +257,10 @@ def load_config(path: str | None) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
+    # configparser merges a [DEFAULT] section into every other; a name no
+    # header line can hold makes [DEFAULT] an ordinary, hence unknown, section
     parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#", ";"), strict=True
+        interpolation=None, inline_comment_prefixes=("#", ";"), strict=True, default_section="\n"
     )
     anchors = _scan_lines(text, parser.optionxform)
     try:

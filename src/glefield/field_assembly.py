@@ -246,7 +246,9 @@ def _summability(basis, weights, exponent: float, use_sup: bool) -> SummabilityR
     ends sooner, at least 10), closed with a fitted-power tail."""
     n_probe = _probe(basis, weights, _N_PROBE)
     if n_probe < 10:
-        raise ValueError("need at least 10 probe terms")
+        short = ("explicit weights" if isinstance(weights, Explicit)
+                 and len(weights.values) == n_probe else "custom-basis list")
+        raise ValueError(f"the series gates need at least 10 terms; the {short} gave {n_probe}")
     terms = _series_terms(basis, weights, exponent, n_probe, use_sup)
     tail, p = _tail_by_fitted_power(terms)
     convergent = p > 1.0 and math.isfinite(tail)
@@ -354,10 +356,11 @@ def assemble_field(
     at a time: as many modes as ``_BLOCK_BYTES`` of paths hold, at least
     ``_MODE_BLOCK``, a rule that reads the shape alone.  Each mode's paths
     are written straight into its slot of the block buffer, ``_MODE_BLOCK``
-    modes at a time.  On paths of at most ``mode_sampler._STEP_LOOP_STEPS``
-    steps those modes' AR(1) and innovations-form filters run as one step
-    loop on the calling thread; worker w of the pool samples the w-th,
-    (w + workers)-th, ... of the others.
+    modes at a time, by one thread rule: on paths of at most
+    ``mode_sampler._STEP_LOOP_STEPS`` steps their one-pole filter modes
+    take one step loop on the calling thread (``mode_sampler._sample_block``);
+    worker w of the pool samples the w-th, (w + workers)-th, ... of the
+    others, each by the public sampler of its law.
     A block is added to the field one chunk of time rows at a time, one
     matrix product of at most ``_PRODUCT_MACS`` multiply-adds per chunk
     (one row when a row alone is larger).  dynamics selects the
@@ -412,13 +415,14 @@ def assemble_field(
             block = range(start, min(start + width, n_modes + 1))
             for i in range(0, len(block), _MODE_BLOCK):
                 part = block[i : i + _MODE_BLOCK]
-                # short paths: the part's filter modes by one step loop, on this thread
-                looped = mode_sampler._sample_block(dynamics, [modes[k - 1] for k in part], grid,
-                                                    m, seed, setup, paths[i : i + len(part)])
-                for k, ens in zip(part, looped):
-                    clipped[k - 1] = 0.0 if ens is None else ens.clipped_mass
-                # the pool gets the modes the step loop left
-                ks = [k for k, ens in zip(part, looped) if ens is None]
+                # the thread rule: on short paths the part's filter modes take one
+                # step loop on this thread, clipping nothing; the pool gets the rest
+                looped = []
+                if n <= mode_sampler._STEP_LOOP_STEPS:
+                    looped = mode_sampler._sample_block(dynamics, [modes[k - 1] for k in part],
+                                                        grid, m, seed, setup,
+                                                        paths[i : i + len(part)])
+                ks = [k for j, k in enumerate(part) if j not in looped]
                 if pool is None:
                     fill(ks)
                 else:

@@ -25,10 +25,11 @@ Three routes produce paths on a uniform time grid:
   (Ornstein-Uhlenbeck) mode used by the classical-dynamics baseline.
 
 The innovations form and the AR(1) baseline are sums of one-pole filters
-run by :func:`_filter_paths`: up to ``_STEP_LOOP_STEPS`` steps by one step
-loop across the rows of all the modes given (a field's block of modes,
-:func:`_sample_block`), beyond that by :func:`_recur`, the blocked
-prefix-sum filter the state recursion takes too.  Sampling imports no scipy.
+(:func:`_filter`) with one sampler at any path length, :func:`_sample_block`,
+for a mode alone or a field's block of them.  :func:`_filter_paths` runs
+them, up to ``_STEP_LOOP_STEPS`` steps by one step loop across the rows of
+all the modes given, beyond that by :func:`_recur`, the blocked prefix-sum
+filter the state recursion takes too.  Sampling imports no scipy.
 
 Randomness: mode k under seed s draws from one SFC64 stream, child k of the
 seed's ``SeedSequence``, and path i takes the i-th consecutive block of its
@@ -284,8 +285,9 @@ def _filter_paths(poles, weights, chains, normals: np.ndarray, out: np.ndarray) 
 
     ``poles`` (C,) and ``weights`` (C, n) stack the filters of all K slots,
     C = sum(chains); ``normals`` and ``out`` are (K, m, n), and may be one
-    array up to ``_STEP_LOOP_STEPS`` steps; a slot with no chains is left
-    alone.  Past that each chain runs through :func:`_recur`; up to it all
+    array; a slot with no chains is left alone.  Past ``_STEP_LOOP_STEPS``
+    steps each chain runs through :func:`_recur`, a slot's chains one after
+    another on a copy of its normals when it has more than one; up to it all
     C m rows take one vector step per time step, the real and imaginary
     parts of y as two real chains (one when poles and weights are real), in
     real ufuncs only.  So the route depends on n alone and a row's bits on nothing
@@ -297,7 +299,10 @@ def _filter_paths(poles, weights, chains, normals: np.ndarray, out: np.ndarray) 
     n = normals.shape[-1]
     if n > _STEP_LOOP_STEPS:
         for c, k in enumerate(owner):
-            _recur(poles[c], weights[c], normals[k], out[k], add=c > 0 and owner[c - 1] == k)
+            add = c > 0 and owner[c - 1] == k
+            if not add:  # a slot's first chain may overwrite the normals its second reads
+                z = normals[k].copy() if chains[k] > 1 else normals[k]
+            _recur(poles[c], weights[c], z, out[k], add=add)
         return
     chains = np.asarray(chains)
     first = np.cumsum(chains) - chains
@@ -582,31 +587,23 @@ class _Markov:
         of mode i on the set-up's grid.
 
         Returns (shape, synth): ``synth(normals, out)`` maps (m, *shape)
-        standard normals to (m, n) paths and writes them to ``out``.  A
-        one-atom mode with an eigenbasis takes the innovations form built by
-        :meth:`_sweep`, one normal per step (shape (n,)); any other takes
-        the state recursion, d normals per step (shape (d, n)).
+        standard normals to (m, n) paths and writes them to ``out``, by the
+        state recursion, d normals per step (shape (d, n)).  A one-atom mode
+        with an eigenbasis is not sampled here: its innovations form
+        (:meth:`innovations`) goes through :func:`_sample_block`.
 
-        Innovations form: the filters of :meth:`innovations`, run by
-        :func:`_filter_paths`.
-
-        State recursion: column 0 of each path's normals draws the
-        stationary start v_0 = z; column j > 0 draws the innovation
-        of step j through a square root of Q from its symmetric
-        eigendecomposition, not Cholesky: Q is ill-conditioned (about 1e8
-        for the 64-node power law at dt = 2^-8) and rounding can leave it a
-        hair indefinite, so negative eigenvalues are clipped to 0.  In the
-        eigenbasis each coordinate is a complex AR(1) recursion run by
-        :func:`_recur`, one per conjugate pair, whose input sums the d
-        normals of a step with the read-out weight, lambda included, folded
-        into their weights; without one the real state is stepped and
-        scaled at the end.
+        Column 0 of each path's normals draws the stationary start v_0 = z;
+        column j > 0 draws the innovation of step j through a square root of
+        Q from its symmetric eigendecomposition, not Cholesky: Q is
+        ill-conditioned (about 1e8 for the 64-node power law at dt = 2^-8)
+        and rounding can leave it a hair indefinite, so negative eigenvalues
+        are clipped to 0.  In the eigenbasis each coordinate is a complex
+        AR(1) recursion run by :func:`_recur`, one per conjugate pair, whose
+        input sums the d normals of a step with the read-out weight, lambda
+        included, folded into their weights; without one the real state is
+        stepped and scaled at the end.
         """
         dt, n = self.grid.dt, self.grid.n
-        if i in self._gains:
-            poles, weights = self.innovations(i)
-            return (n,), lambda normals, out: _filter_paths(poles, weights, [len(poles)],
-                                                            normals[None], out[None])
         step, q = (stack[0] for stack in self.transition(dt, [i]))
         val, vec = np.linalg.eigh(q)
         root = vec * np.sqrt(np.maximum(val, 0.0))
@@ -644,10 +641,10 @@ def _embed(emb: _Markov, i: int, grid: TimeGrid):
     state form would draw no more normals per path (n*d) than the circulant
     would (2L); otherwise the circulant of length 2L is taken when its most
     negative eigenvalue is at least -1e-8 * r(0).  Past 8n the recursion is
-    taken.  A one-atom mode (d = 2) therefore recurses at L = n, where
-    :meth:`_Markov.recursion` gives it the innovations form (n normals per
-    path) whenever it has an eigenbasis.  Returns the eigenvalues (None for
-    the recursion) and the last L walked.
+    taken.  A one-atom mode (d = 2) therefore recurses at L = n; it comes
+    here only without an eigenbasis, as one with one takes the innovations
+    form (:func:`_sample_block`).  Returns the eigenvalues (None for the
+    recursion) and the last L walked.
     """
     n = grid.n
     for L in (n, 2 * n, 4 * n, 8 * n):
@@ -670,9 +667,9 @@ def sample_gle_mode(
 
     Marginal variance is r(0) = lambda_k^2 / alpha_k and lagged covariances
     are the closed-form r(j*dt) of the Markovian embedding, before Monte
-    Carlo error.  The route (``method``) is the one :func:`_embed` picks;
-    on "recursion" a one-atom mode with an eigenbasis draws one normal per
-    step (innovations form) and any other mode d per step.  Path i takes
+    Carlo error.  A one-atom mode with an eigenbasis takes the innovations
+    form (:func:`_sample_block`), one normal per step; any other the route
+    :func:`_embed` picks, d normals per step on "recursion".  Path i takes
     the i-th block of that many normals from the mode's stream (2L on the
     circulant).  Each chunk of paths is one draw, and a chunk's normals never
     outnumber 256 rows of a length-2L circulant embedding.
@@ -692,6 +689,8 @@ def sample_gle_mode(
         setup = _Markov(kernel, [mode], grid)
     elif setup.kernel != kernel or setup.grid != grid or mode not in setup.slot:
         raise ValueError("the set-up was built for another kernel, grid or mode list")
+    if _sample_block("gle", [mode], grid, m, seed, setup, out[None]):
+        return PathEnsemble(grid, out, "recursion")
     i = setup.slot[mode]
     eig, L = _embed(setup, i, grid)
     if eig is None:
@@ -799,15 +798,8 @@ def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int,
     per chunk of paths.  ``out`` as for :func:`sample_gle_mode`."""
     _check_sampling_args(m, seed)
     out = _paths_out(out, m, grid.n)
-    if mode.lambda_k == 0.0:
-        out[:] = 0.0
-        return PathEnsemble(grid, out, "ou")
-    poles, weights = _filter("heat", mode, grid, None)
-    gen = _stream(seed, mode.index)
-    buf = np.empty((min(_PATH_CHUNK, m), grid.n))
-    for start in range(0, m, _PATH_CHUNK):
-        noise = gen.standard_normal(out=buf[: m - start])
-        _filter_paths(poles, weights, [1], noise[None], out[None, start : start + len(noise)])
+    if not _sample_block("heat", [mode], grid, m, seed, None, out[None]):
+        out[:] = 0.0  # a zero-weight mode has no filter
     return PathEnsemble(grid, out, "ou")
 
 
@@ -830,15 +822,14 @@ def _filter(law: str, mode: Mode, grid: TimeGrid, setup: _Markov | None):
 
 def _sample_block(law: str, modes, grid: TimeGrid, m: int, seed: int,
                   setup: _Markov | None, out: np.ndarray) -> list:
-    """On paths of at most ``_STEP_LOOP_STEPS`` steps, sample the modes of
-    ``modes`` that have one-pole filters (:func:`_filter`) into their slots
-    of ``out`` (len(modes), m, n), all by one step loop per chunk of paths,
-    and return their PathEnsembles, None for the other modes.  Each mode
-    draws from its own stream, so its paths are those it gets alone, bit for
-    bit."""
+    """The one sampler of one-pole filter modes: sample the modes of
+    ``modes`` that have filters (:func:`_filter`) into their slots of
+    ``out`` (len(modes), m, n), leave the other slots alone and return the
+    places taken.  Each chunk of paths draws every such mode's normals into
+    its slot, from the mode's own stream, and filters them there by one
+    :func:`_filter_paths` call, so no mode's paths depend on the others'."""
     _check_sampling_args(m, seed)
-    filters = [_filter(law, mode, grid, setup) if grid.n <= _STEP_LOOP_STEPS else None
-               for mode in modes]
+    filters = [_filter(law, mode, grid, setup) for mode in modes]
     took = [k for k, f in enumerate(filters) if f is not None]
     if took:
         poles, weights = (np.concatenate(stack) for stack in zip(*(filters[k] for k in took)))
@@ -849,9 +840,7 @@ def _sample_block(law: str, modes, grid: TimeGrid, m: int, seed: int,
             for k, gen in streams:
                 gen.standard_normal(out=paths[k])
             _filter_paths(poles, weights, chains, paths, paths)
-    route = "ou" if law == "heat" else "recursion"
-    return [None if f is None else PathEnsemble(grid, out[k], route)
-            for k, f in enumerate(filters)]
+    return took
 
 
 # the sampling laws: memory-driven, memoryless, superposition cross-check of gle

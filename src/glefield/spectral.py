@@ -252,14 +252,16 @@ def _pieces(sd: SpectralDensity, budget: float):
     return list(zip(pts[:-1], pts[1:]))
 
 
-def _integrate(sd: SpectralDensity, rel_tol: float, piece) -> float:
+def _integrate(sd: SpectralDensity, rel_tol: float, **options) -> float:
     """2 * integral_0^cutoff of an integrand bounded by rho.
 
-    piece(f, a, b, epsabs, epsrel) integrates one subinterval given the
-    scalar density f and returns (value, error estimate).  It integrates the
-    unit-noise rho to the budget rel_tol/alpha (the neglected tail certified
-    below a quarter of it) and scales by lam^2 once, on return.
+    Each subinterval is one scipy ``quad`` call with ``options`` (its limit,
+    and a weight such as the cosine rule); the integrand is the unit-noise
+    rho, integrated to the budget rel_tol/alpha (the neglected tail
+    certified below a quarter of it) and scaled by lam^2 once, on return.
     """
+    from scipy.integrate import quad  # imported on first use: the samplers need no scipy
+
     if not 1e-12 <= rel_tol <= 1e-3:
         raise ValueError(f"rel_tol {rel_tol} outside [1e-12, 1e-3]")
     budget = rel_tol / sd.mode.alpha_k
@@ -270,7 +272,7 @@ def _integrate(sd: SpectralDensity, rel_tol: float, piece) -> float:
     total = 0.0
     est_err = 0.0
     for a, b in pieces:
-        value, err = piece(f, a, b, epsabs, epsrel)
+        value, err = quad(f, a, b, epsabs=epsabs, epsrel=epsrel, full_output=1, **options)[:2]
         total += value
         est_err += err
     if 2.0 * est_err > budget:
@@ -278,22 +280,6 @@ def _integrate(sd: SpectralDensity, rel_tol: float, piece) -> float:
             f"quadrature error estimate {2.0 * est_err:.3e} exceeds budget {budget:.3e}"
         )
     return sd.mode.lambda_k**2 * (2.0 * total)
-
-
-def _plain(f, a, b, epsabs, epsrel):
-    from scipy.integrate import quad  # imported on first use: the samplers need no scipy
-
-    return quad(f, a, b, epsabs=epsabs, epsrel=epsrel, limit=200, full_output=1)[:2]
-
-
-def _cosine(f, a, b, epsabs, epsrel, tau):
-    """Clenshaw-Curtis cosine-weight rule for integral_a^b cos(tau*omega) f."""
-    from scipy.integrate import quad
-
-    return quad(
-        f, a, b, weight="cos", wvar=tau, epsabs=epsabs, epsrel=epsrel, limit=400,
-        full_output=1,
-    )[:2]
 
 
 def integrate_rho(sd: SpectralDensity, rel_tol: float = 1e-8) -> float:
@@ -304,7 +290,7 @@ def integrate_rho(sd: SpectralDensity, rel_tol: float = 1e-8) -> float:
     is 2 * integral_0^cutoff with the neglected tail certified below a quarter
     of that budget.
     """
-    return _integrate(sd, rel_tol, _plain)
+    return _integrate(sd, rel_tol, limit=200)
 
 
 def autocovariance(sd: SpectralDensity, tau: float, rel_tol: float = 1e-8) -> float:
@@ -319,9 +305,7 @@ def autocovariance(sd: SpectralDensity, tau: float, rel_tol: float = 1e-8) -> fl
     tau = abs(float(tau))
     if tau == 0.0:
         return integrate_rho(sd, rel_tol)
-    return _integrate(
-        sd, rel_tol, lambda f, a, b, epsabs, epsrel: _cosine(f, a, b, epsabs, epsrel, tau)
-    )
+    return _integrate(sd, rel_tol, weight="cos", wvar=tau, limit=400)
 
 
 @dataclass(frozen=True)

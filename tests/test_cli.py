@@ -69,6 +69,20 @@ def test_unknown_section_is_line_anchored(tmp_path, capsys):
     assert f"{cfg}:4: unknown section [wavelets]" in capsys.readouterr().err
 
 
+def test_default_section_is_an_unknown_section(tmp_path, capsys):
+    # configparser would merge [DEFAULT] into every section: alone it would
+    # run at seed 0, beside [sampler] it would set that section's seed
+    cfg = tmp_path / "d.ini"
+    out = tmp_path / "mode.csv"
+    for text, line in (("[DEFAULT]\nseed = 3\n", 1),
+                       ("[sampler]\nn = 64\n[DEFAULT]\nseed = 3\n", 3)):
+        cfg.write_text(text)
+        code = main(["sample-mode", "--config", str(cfg), "--out", str(out)])
+        assert code == 2
+        assert f"{cfg}:{line}: unknown section [DEFAULT]" in capsys.readouterr().err
+        assert not list(tmp_path.glob("mode.csv*"))
+
+
 def test_untyped_value_is_line_anchored(tmp_path, capsys):
     cfg = tmp_path / "bad.ini"
     for key in ("n", "N"):
@@ -203,6 +217,20 @@ def test_sample_field_gates_run_before_sampling(tmp_path, capsys):
     assert "eta 1.5 must lie in (0, 1)" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "f.csv.provenance.json").exists()
+
+
+def test_short_explicit_list_names_its_length(tmp_path, capsys):
+    # the series gates need 10 terms; two explicit weights describe no field,
+    # but verify checks each listed mode and takes them
+    cfg = tmp_path / "two.ini"
+    cfg.write_text("[weights]\nrule = explicit\nvalues = 1.0, 0.5\n")
+    out = tmp_path / "f.csv"
+    assert main(["sample-field", "--config", str(cfg), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "at least 10 terms; the explicit weights gave 2" in err
+    assert not list(tmp_path.glob("f.csv*"))
+    report = tmp_path / "v.json"
+    assert main(["verify", "--config", str(cfg), "--k-list", "1,2", "--out", str(report)]) == 0
 
 
 def test_sample_field_reads_dynamics_from_the_config(tmp_path):

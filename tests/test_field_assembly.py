@@ -354,32 +354,24 @@ def test_assembly_takes_one_product_per_row_chunk(monkeypatch):
 
 
 def test_clipped_masses_stay_in_mode_order(monkeypatch):
-    # workers fill a block's slots out of k order, and the step loop takes a
-    # whole block at once; each mode's clipped mass (here tagged with its
-    # index) still lands at its own place, on the block route (n = 32) and
-    # on the pool's (n = 128)
-    sample_mode, sample_block = mode_sampler._sample, mode_sampler._sample_block
+    # workers fill a block's slots out of k order; each mode's clipped mass
+    # (here tagged with its index) still lands at its own place on the
+    # pool's route (n = 128).  On short paths (n = 32) the step loop takes
+    # every mode, and a filter clips nothing
+    sample_mode = mode_sampler._sample
 
     def tagged(law, kernel, mode, *args, **kwargs):
         ens = sample_mode(law, kernel, mode, *args, **kwargs)
         ens.clipped_mass = mode.index / 100.0
         return ens
 
-    def tagged_block(law, modes, *args, **kwargs):
-        ensembles = sample_block(law, modes, *args, **kwargs)
-        for mode, ens in zip(modes, ensembles):
-            if ens is not None:
-                ens.clipped_mass = mode.index / 100.0
-        return ensembles
-
     monkeypatch.setattr(mode_sampler, "_sample", tagged)
-    monkeypatch.setattr(mode_sampler, "_sample_block", tagged_block)
-    for n in (32, 128):
+    for n, masses in ((32, (0.0,) * 13), (128, tuple(k / 100.0 for k in range(1, 14)))):
         grid = TimeGrid(dt=0.25, n=n)
         for workers in (1, 2, 3):
             sample = assemble_field(SINGLE, BASIS, Flat(1.0), 13, grid, [1.0], 2, 4,
                                     tail_budget=1.0, workers=workers)
-            assert sample.clipped_masses == tuple(k / 100.0 for k in range(1, 14))
+            assert sample.clipped_masses == masses
 
 
 @pytest.mark.parametrize("dynamics", ["gle", "heat"])
@@ -393,12 +385,11 @@ def test_block_paths_are_the_modes_alone(monkeypatch, dynamics):
     seen = {}
     sample_block = mode_sampler._sample_block
 
-    def recording(law, modes, *args):
-        ensembles = sample_block(law, modes, *args)
-        for mode, ens in zip(modes, ensembles):
-            if ens is not None:
-                seen[mode] = ens.values.copy()
-        return ensembles
+    def recording(law, modes, grid, m, seed, setup, out):
+        took = sample_block(law, modes, grid, m, seed, setup, out)
+        for k in took:
+            seen[modes[k]] = out[k].copy()
+        return took
 
     monkeypatch.setattr(mode_sampler, "_sample_block", recording)
     kernel = KernelMeasure([(1.0, 5.0)])

@@ -353,26 +353,48 @@ def test_eigenbases_equal_the_per_mode_cut():
 def test_recursion_reproduces_toeplitz_exactly():
     # drive the linear map with unit vectors: the Gram matrix is the path
     # covariance.  One-atom modes take the innovations form, one normal per
-    # step (underdamped, overdamped with two real poles, the field_space grid,
+    # step, filtered in place as the sampler does (underdamped, overdamped
+    # with two real poles on the step loop and past it, the field_space grid,
     # and a grid shorter than the point where the gain settles); the others
     # the state recursion in the eigenbasis or through the real step matrix
     one_atom = [(SINGLE, Mode(1, 5.0, 1.0), 0.1, 12), (SINGLE, Mode(1, 0.1, 1.0), 0.1, 12),
+                (SINGLE, Mode(1, 0.1, 1.0), 0.125, 2 * mode_sampler._STEP_LOOP_STEPS),
                 (SINGLE, Mode(1, 5.0, 1.0), 4.0, 16), (SINGLE, Mode(1, 1.0, 1.0), 2.0**-10, 8)]
     state = [(THREE, Mode(1, 10.0, 0.5), 0.1, 12)] + [(k, m, 0.1, 12) for k, m in CRITICAL]
     for cases, one_normal in ((one_atom, True), (state, False)):
         for kernel, mode, dt, n in cases:
             emb = _Markov(kernel, [mode], TimeGrid(dt, n))
-            shape, synth = emb.recursion(0)
-            assert shape == ((n,) if one_normal else (emb.dim, n))
-            size = math.prod(shape)
-            images = np.empty((size, n))
-            synth(np.eye(size).reshape(size, *shape), images)
+            if one_normal:
+                poles, weights = emb.innovations(0)
+                images = np.eye(n)
+                _filter_paths(poles, weights, [len(poles)], images[None], images[None])
+            else:
+                shape, synth = emb.recursion(0)
+                assert shape == (emb.dim, n)
+                images = np.empty((emb.dim * n, n))
+                synth(np.eye(emb.dim * n).reshape(-1, *shape), images)
             gram = images.T @ images
             cov = mode.lambda_k ** 2 * emb.covariance(0, dt, n)
             toeplitz = np.array([[cov[abs(i - j)] for j in range(n)] for i in range(n)])
             assert np.abs(gram - toeplitz).max() <= 1e-13, (kernel, mode, dt, n)
     # the overdamped mode really has two real poles
     assert np.isreal(_Markov(SINGLE, [Mode(1, 0.1, 1.0)]).eig[0][0]).all()
+
+
+def test_two_pole_mode_filters_its_normals_in_place_past_the_step_loop():
+    # the sampler draws normals into the paths' array and filters them there;
+    # past the step loop an overdamped mode's two real poles run one after
+    # the other, and the second must still read the normals, not the first's
+    # paths: byte-equal to the same normals filtered into a separate array
+    mode, grid = Mode(1, 0.1, 1.0), TimeGrid(0.125, 256)
+    assert grid.n > mode_sampler._STEP_LOOP_STEPS
+    emb = _Markov(SINGLE, [mode], grid)
+    poles, weights = emb.innovations(0)
+    assert len(poles) == 2 and np.isreal(poles).all()
+    normals = _stream(3, mode.index).standard_normal((1, 5, grid.n))
+    expected = np.empty_like(normals)
+    _filter_paths(poles, weights, [2], normals, expected)
+    assert sample_gle_mode(SINGLE, mode, grid, 5, 3).values.tobytes() == expected.tobytes()
 
 
 def _recursion_reference(pole, weights, normals):

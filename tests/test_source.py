@@ -155,3 +155,18 @@ def test_modules_import_only_lower_layers():
                 if _LAYERS.index(target) >= rank:
                     upward.append((path.stem, enclosing.get(node), target))
     assert upward == [("spectral", "autocovariance_sequence", "mode_sampler")]
+
+
+def test_filters_are_sampled_by_one_function():
+    # the AR(1) baseline and gle's innovations form have one sampler, for a
+    # mode alone or a block of them at any path length: a second caller of
+    # the filters would be a second path that must agree with it bit for bit
+    callers = []
+    for path, tree in _library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                callers += [(path.stem, node.name, _name(inner)) for inner in ast.walk(node)
+                            if isinstance(inner, ast.Call)
+                            and _name(inner) in ("_filter", "_filter_paths")]
+    assert sorted(callers) == [("mode_sampler", "_sample_block", "_filter"),
+                               ("mode_sampler", "_sample_block", "_filter_paths")]
