@@ -1,9 +1,11 @@
 """Command line entry point: the pipeline as subcommands with config files.
 
 Configuration is INI-style text with [section] headers and key = value
-lines.  Every key has a documented default (run with --help to see the
-schema), keys are case-insensitive, unknown sections or keys are hard errors
-anchored to their line number, and subcommand flags override file values.
+lines, read by ``load_config`` in one pass.  Every key has a documented
+default (run with --help to see the schema), keys are case-insensitive,
+every malformed line, unknown section or key is an error anchored to its
+line number, and subcommand flags override file values: file lines, flags
+and profile values all set a key through ``RunConfig.set``.
 Each run writes its artifact plus a JSON provenance sidecar
 (<artifact>.provenance.json) carrying the effective configuration, its
 SHA-256 hash, the seed, and the tolerance settings; re-serializing the
@@ -12,9 +14,10 @@ sidecar's config reproduces the hash.
 The parser is declared, not written: ``_FLAGS`` gives each flag its argparse
 keywords, the config (section, key) it overrides and the least value it
 accepts; ``_COMMANDS`` lists each subcommand's flags in --help order with that
-command's own help and defaults.  ``_config`` loads --config and applies every
-bound flag before the handler ``cmd_<command>`` runs.  The sampling law every
-command reads is the one key [sampler] dynamics, which --dynamics overrides.
+command's own help and defaults (a bound flag's help defaults to its key's).
+``_config`` loads --config and sets every bound flag before the handler
+``cmd_<command>`` runs.  The sampling law every command reads is the one key
+[sampler] dynamics, which --dynamics overrides.
 
 Exit codes: 0 success, 2 configuration or input validation error,
 3 numerical tolerance failure.
@@ -23,7 +26,6 @@ Exit codes: 0 success, 2 configuration or input validation error,
 from __future__ import annotations
 
 import argparse
-import configparser
 import hashlib
 import json
 import math
@@ -123,9 +125,6 @@ _SCHEMA = {
     },
 }
 
-_SECTION_RE = re.compile(r"^\s*\[(?P<name>[^\]]+)\]\s*([#;].*)?$")
-_KEY_RE = re.compile(r"^\s*(?P<name>[^\s=:\[#;][^=:]*?)\s*[=:]")
-
 
 def _canon(kind: str, text: str, where: str):
     """Parse one config value; returns (typed value, canonical text)."""
@@ -190,23 +189,28 @@ def _canon(kind: str, text: str, where: str):
 
 
 class RunConfig:
-    """Effective configuration: schema defaults, file values, flag overrides.
+    """Effective configuration: schema defaults, then file lines, flags and
+    profile values, each through :meth:`set`.
 
     Holds only canonical strings, which ``get`` parses back exactly (repr
     floats, str ints, JSON lists); they are what gets hashed into provenance
     sidecars, so two configs that mean the same thing hash identically.
     """
 
-    def __init__(self, texts: dict):
-        self._texts = texts
+    def __init__(self):
+        self._texts = {section: {} for section in _SCHEMA}
+        for section, keys in _SCHEMA.items():
+            for key, (default, _, _) in keys.items():
+                self.set(section, key, default, f"{section}.{key}")
 
     def get(self, section: str, key: str):
         return _canon(_SCHEMA[section][key][1], self._texts[section][key], f"{section}.{key}")[0]
 
-    def override(self, section: str, key: str, raw) -> None:
-        if raw is not None:
-            kind = _SCHEMA[section][key][1]
-            self._texts[section][key] = _canon(kind, str(raw), f"--{key.replace('_', '-')}")[1]
+    def set(self, section: str, key: str, raw, where: str) -> None:
+        """Set one key from its text; ``where`` (file:line, flag, profile) anchors errors."""
+        if key not in _SCHEMA[section]:
+            raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
+        self._texts[section][key] = _canon(_SCHEMA[section][key][1], str(raw), where)[1]
 
     def canonical_text(self) -> str:
         lines = []
@@ -223,64 +227,57 @@ class RunConfig:
         return {s: dict(kv) for s, kv in sorted(self._texts.items())}
 
 
-def _scan_lines(text: str, optionxform) -> dict:
-    """Map (section, key) and (section, None) to 1-based line numbers; keys
-    pass through the parser's optionxform, so they match what it reports."""
-    anchors = {}
-    section = None
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        m = _SECTION_RE.match(line)
-        if m:
-            section = m.group("name").strip()
-            anchors.setdefault((section, None), lineno)
-            continue
-        if section is None:
-            continue
-        m = _KEY_RE.match(line)
-        if m:
-            anchors.setdefault((section, optionxform(m.group("name").strip())), lineno)
-    return anchors
-
-
 def load_config(path: str | None) -> RunConfig:
-    """Parse a config file against the schema; None means all defaults.
+    """Read a config file against the schema in one pass; None means all defaults.
 
-    Unknown sections or keys, malformed syntax, and untyped values are all
-    ConfigError with a file:line anchor.
+    A line is blank, a comment (``#`` or ``;`` at its start or after
+    whitespace ends the line's text), a ``[section]`` header alone on its
+    line (names are case-sensitive), ``key = value`` or ``key: value`` (keys
+    are case-folded), or, when indented deeper than the key line before it,
+    a continuation of that key's value; blank and comment lines do not end a
+    value.  Each error is a ConfigError at its file:line.
     """
-    texts = {s: {k: _canon(spec[1], spec[0], f"{s}.{k}")[1] for k, spec in kv.items()}
-             for s, kv in _SCHEMA.items()}
-    cfg = RunConfig(texts)
+    cfg = RunConfig()
     if path is None:
         return cfg
     if not os.path.exists(path):
         raise ConfigError(f"config file not found: {path}")
+    entries, sections = {}, set()  # (section, key) -> (line, value lines), in file order
+    section, value, indent = None, None, 0
     with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    # configparser merges a [DEFAULT] section into every other; a name no
-    # header line can hold makes [DEFAULT] an ordinary, hence unknown, section
-    parser = configparser.ConfigParser(
-        interpolation=None, inline_comment_prefixes=("#", ";"), strict=True, default_section="\n"
-    )
-    anchors = _scan_lines(text, parser.optionxform)
-    try:
-        parser.read_string(text, source=path)
-    except configparser.Error as exc:
-        lineno = getattr(exc, "lineno", None)
-        anchor = f"{path}:{lineno}" if lineno else path
-        raise ConfigError(f"{anchor}: {exc.message}") from None
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            line = anchors.get((section, None), 0)
-            raise ConfigError(f"{path}:{line}: unknown section [{section}]")
-        for key, raw in parser.items(section):
-            if key not in _SCHEMA[section]:
-                line = anchors.get((section, key), anchors.get((section, None), 0))
-                raise ConfigError(f"{path}:{line}: unknown key {key!r} in [{section}]")
-            line = anchors.get((section, key), 0)
-            texts[section][key] = _canon(_SCHEMA[section][key][1], raw, f"{path}:{line}")[1]
+        for lineno, line in enumerate(fh, start=1):
+            text = re.split(r"(?:^|(?<=\s))[#;]", line, maxsplit=1)[0].strip()
+            if not text:
+                continue
+            depth = len(line) - len(line.lstrip())
+            if value is not None and depth > indent:
+                value.append(text)
+                continue
+            where, indent, value = f"{path}:{lineno}", depth, None
+            if text.startswith("["):
+                if not text.endswith("]"):
+                    raise ConfigError(f"{where}: {text!r} is not a [section] header alone")
+                section = text[1:-1]
+                if section not in _SCHEMA:
+                    raise ConfigError(f"{where}: unknown section [{section}]")
+                if section in sections:
+                    raise ConfigError(f"{where}: section [{section}] appears twice")
+                sections.add(section)
+                continue
+            if section is None:
+                raise ConfigError(f"{where}: {text!r} comes before any [section] header")
+            name, delimiter, first = re.match(r"([^=:]*)([=:]?)(.*)", text).groups()
+            key = name.strip().lower()
+            if not (delimiter and key):
+                raise ConfigError(f"{where}: expected key = value or key: value, got {text!r}")
+            if (section, key) in entries:
+                raise ConfigError(f"{where}: key {key!r} appears twice in [{section}]")
+            value = [first.strip()]
+            entries[(section, key)] = (lineno, value)
+    for (section, key), (lineno, value) in entries.items():
+        cfg.set(section, key, "\n".join(value), f"{path}:{lineno}")
     if cfg.get("weights", "rule") == "explicit" and not cfg.get("weights", "values"):
-        line = anchors.get(("weights", "rule"), anchors.get(("weights", None), 0))
+        line = entries["weights", "rule"][0]
         raise ConfigError(f"{path}:{line}: rule = explicit needs weights.values")
     return cfg
 
@@ -560,12 +557,7 @@ def _lag_steps(spec_text, size: int) -> list:
     'dyadic' means powers of two from 1 up to a quarter of the axis.
     """
     if spec_text == "dyadic":
-        steps = []
-        step = 1
-        while step <= max(size // 4, 1):
-            steps.append(step)
-            step *= 2
-        return steps
+        return [2**i for i in range(max(size // 4, 1).bit_length())]
     return list(spec_text)
 
 
@@ -627,24 +619,10 @@ _PROFILES = {
             "regularity": {"bootstrap": 200},
         },
         "n_modes": 128,
-        "time": {
-            "dt": 2.0**-10,
-            "n": 2**14,
-            "ensemble": 64,
-            "seed": 20240601,
-            "nx": 16,
-            "steps": [32, 64, 128, 256, 512],
-            "fit_seed": 1,
-        },
-        "space": {
-            "dt": 4.0,
-            "n": 16,
-            "ensemble": 256,
-            "seed": 20240602,
-            "nx": 255,
-            "steps": [2, 4, 8, 16, 32],
-            "fit_seed": 2,
-        },
+        "time": {"dt": 2.0**-10, "n": 2**14, "ensemble": 64, "seed": 20240601, "nx": 16,
+                 "steps": [32, 64, 128, 256, 512], "fit_seed": 1},
+        "space": {"dt": 4.0, "n": 16, "ensemble": 256, "seed": 20240602, "nx": 255,
+                  "steps": [2, 4, 8, 16, 32], "fit_seed": 2},
     },
 }
 
@@ -660,11 +638,12 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
     profile = _PROFILES[args.profile]
     workers = _threads(args)
     os.makedirs(args.out, exist_ok=True)
+    where = f"profile {args.profile}"
     for section, entries in profile["config"].items():
         for key, raw in entries.items():
-            cfg.override(section, key, raw)
+            cfg.set(section, key, raw, where)
     for key in ("dt", "n", "ensemble", "seed"):
-        cfg.override("sampler", key, profile["time"][key])
+        cfg.set("sampler", key, profile["time"][key], where)
     measure, basis, weights = _model(cfg)
     summary, laws = {"profile": args.profile}, {}
     for axis in ("time", "space"):
@@ -706,9 +685,9 @@ _FLAGS = {
     "--seed": {"type": int, "binds": ("sampler", "seed")},
     "--dynamics": {"choices": LAWS, "binds": ("sampler", "dynamics")},
     "--tail-budget": {"type": float, "binds": ("tolerances", "tail_budget")},
-    "--lags": {"help": "'dyadic' or comma-separated steps", "binds": ("regularity", "lags")},
+    "--lags": {"binds": ("regularity", "lags")},
     "--bootstrap": {"type": int, "binds": ("regularity", "bootstrap")},
-    "--N": {"type": int, "low": 1},
+    "--N": {"type": int, "default": 64, "low": 1},
     "--nx": {"type": int, "low": 1},
     "--k": {"type": int, "default": 1},
     "--points": {"type": int, "low": 2},
@@ -733,7 +712,7 @@ _COMMANDS = {
         "--config", "--k", "--dt", "--n", "--ensemble", "--seed", "--dynamics",
         ("--out", {"default": "paths.csv"})]),
     "sample-field": ("sample the truncated field", [
-        "--config", ("--N", {"default": 64, "help": "modes kept in the series"}),
+        "--config", ("--N", {"help": "modes kept in the series"}),
         ("--nx", {"default": 64, "help": "interior spatial points"}),
         "--dt", "--n", "--ensemble", "--seed", "--dynamics", "--tail-budget", "--threads",
         ("--out", {"default": "field.csv"})]),
@@ -742,7 +721,7 @@ _COMMANDS = {
         ("--axis", {"choices": ("time", "space"), "default": "time"}), "--lags", "--bootstrap",
         ("--config", {"help": "include closed-form oracle values"}),
         ("--k", {"help": "oracle mode index (mode-level input)"}),
-        ("--N", {"default": 128, "help": "oracle mode count (field input)"}), "--dynamics",
+        ("--N", {"help": "oracle mode count (field input)"}), "--dynamics",
         ("--out", {"default": "report.json"})]),
     "reproduce": ("one-shot roughness comparison run", [
         ("--profile", {"choices": sorted(_PROFILES), "default": "comparison_1d"}), "--threads",
@@ -758,8 +737,8 @@ def _config(args) -> RunConfig:
         value = getattr(args, flag[2:].replace("-", "_"), None)
         if value is not None and "low" in spec and value < spec["low"]:
             raise ConfigError(f"{flag} {value} must be >= {spec['low']}")
-        if "binds" in spec:
-            cfg.override(*spec["binds"], value)
+        if "binds" in spec and value is not None:
+            cfg.set(*spec["binds"], value, flag)
     return cfg
 
 
@@ -788,21 +767,16 @@ def build_parser() -> argparse.ArgumentParser:
         for entry in flags:
             flag, own = (entry, {}) if isinstance(entry, str) else entry
             keywords = {**_FLAGS.get(flag, {}), **own}
-            keywords.pop("binds", None)
             keywords.pop("low", None)
+            if "binds" in keywords:
+                section, key = keywords.pop("binds")
+                keywords.setdefault("help", _SCHEMA[section][key][2])
             sp.add_argument(flag, **keywords)
     return p
 
 
-_VALIDATION_ERRORS = (
-    ConfigError,
-    KernelError,
-    ValueError,
-    Divergent,
-    TailBudgetExceeded,
-    DegenerateFit,
-    OSError,
-)
+_VALIDATION_ERRORS = (ConfigError, KernelError, ValueError, Divergent, TailBudgetExceeded,
+                      DegenerateFit, OSError)
 _NUMERICAL_ERRORS = (ToleranceNotMet, InequalityViolated, NoResonance)
 
 

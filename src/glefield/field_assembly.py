@@ -277,8 +277,9 @@ def check_wellposedness(basis, weights) -> SummabilityReport:
 def check_regularity_assumption(basis, weights, eta: float) -> SummabilityReport:
     """Gate the smoothness series sum_k lambda_k^2 c_k^2 / alpha_k^eta.
 
-    Convergence at a given eta in (0, 1) certifies time regularity of every
-    exponent below 1 - eta.
+    Convergence at a given eta in (0, 1) gives time regularity of every
+    exponent below 1 - eta; the gate estimates convergence from a fitted
+    decay power, so its verdict is an estimate, not a certificate.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta {eta} must lie in (0, 1)")

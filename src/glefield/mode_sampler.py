@@ -67,6 +67,8 @@ class TimeGrid:
             raise ValueError(f"dt {self.dt} must be positive")
         if not _is_integer(self.n) or self.n < 2:
             raise ValueError(f"grid length {self.n!r} must be an integer of at least 2")
+        if not np.isfinite(self.dt * (self.n - 1)):
+            raise ValueError(f"grid of n {self.n} steps of dt {self.dt} ends past the float range")
 
     @property
     def times(self) -> np.ndarray:
@@ -331,6 +333,13 @@ def _filter_paths(poles, weights, chains, normals: np.ndarray, out: np.ndarray) 
         out[chains > c] += paths[first[chains > c] + c]
 
 
+def _decay(mu, t):
+    """e^{mu t}, 0 where e^{Re(mu) t} underflows (its phase may overflow to nan)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = np.exp(mu * t)
+        return z if np.isfinite(z).all() else np.where(np.exp(np.real(mu) * t) == 0.0, 0.0, z)
+
+
 class _Markov:
     """Markovian embeddings of the modes of one kernel, built together
     (Ceriotti, Bussi and Parrinello 2010).
@@ -425,27 +434,28 @@ class _Markov:
                     bases[i] = basis
         return bases
 
-    def covariance(self, i: int, dt: float, count: int) -> np.ndarray:
-        """r(j*dt) = e0^T e^{A j dt} S e0 / alpha for j = 0..count-1, exactly,
-        for unit noise (the mode's covariance is lambda^2 times it).
+    def covariance(self, i: int, dt: float, count: int, start: int = 0) -> np.ndarray:
+        """r(j*dt) = e0^T e^{A j dt} S e0 / alpha for j = start..count-1,
+        exactly, for unit noise (the mode's covariance is lambda^2 times it).
 
-        In the eigenbasis r(t) = Re sum_i c_i e^{mu_i t}; without a usable
-        eigenbasis the columns e^{A j dt} e0 come from repeated doubling of
-        the step matrix.
+        In the eigenbasis r(t) = Re sum_i c_i e^{mu_i t}, evaluated at those
+        lags alone; without a usable eigenbasis the columns e^{A j dt} e0
+        come from repeated doubling of the step matrix, from lag 0.  Either
+        way each lag's value does not depend on ``start``.
         """
         if self.eig[i] is not None:
             mu, head, inv = self.eig[i]
-            lags = dt * np.arange(count)
-            r = np.zeros(count)
+            lags = dt * np.arange(start, count)
+            r = np.zeros(lags.size)
             for mu_i, c_i in zip(mu, head * inv[:, 0]):
-                r += (c_i * np.exp(mu_i * lags)).real
+                r += (c_i * _decay(mu_i, lags)).real
             return self.variance[i] * r
         step = self.transition(dt, [i])[0][0]
         cols = np.eye(self.dim, 1)
         while cols.shape[1] < count:
             cols = np.hstack([cols, step @ cols])
             step = step @ step
-        return self.variance[i] * cols[0, :count]
+        return self.variance[i] * cols[0, start:count]
 
     def increment(self, i: int, lags) -> np.ndarray:
         """E|u(t+h) - u(t)|^2 = 2 (r(0) - r(h)) at each lag h > 0, exactly,
@@ -477,7 +487,8 @@ class _Markov:
         matter) and needs only small matrix products, which numpy runs on
         one thread.  s doublings Phi <- Phi^2, Q <- Phi Q Phi^T + Q then
         reach dt; every term added to Q is positive semidefinite, so nothing
-        cancels.
+        cancels.  h is dt scaled by 2^-s, so no s overflows; a law whose
+        diag(Phi Phi^T + Q) misses 1 by more than 1e-6 is a ValueError.
 
         Each mode takes its own s.  The modes are taken in descending order
         of s, so those still doubling are always a leading slice of the
@@ -489,11 +500,13 @@ class _Markov:
         d = self.dim
         drift = self.drift(rows)
         norms = np.abs(drift).sum(axis=-2).max(axis=-1)
-        halvings = [max(0, math.ceil(math.log2(2.0 * norm * dt))) for norm in norms.tolist()]
+        # past the float range, 2 |A| dt < 2^(e_A + e_dt + 1) by the binary exponents
+        halvings = [max(0, math.ceil(math.log2(2.0 * x * dt)) if 2.0 * x * dt < math.inf
+                        else math.frexp(x)[1] + math.frexp(dt)[1] + 1) for x in norms.tolist()]
         order = sorted(range(len(rows)), key=halvings.__getitem__, reverse=True)
         halvings = [halvings[r] for r in order]
         drift = drift[order]
-        h = np.array([dt / 2.0**s for s in halvings])
+        h = np.array([math.ldexp(dt, -s) for s in halvings])
         diag = np.arange(d)
         block = np.zeros((len(rows), 2 * d, 2 * d))
         block[:, :d, :d] = -h[:, None, None] * drift
@@ -510,6 +523,9 @@ class _Markov:
             head = step[:live]
             q = np.concatenate([head @ q[:live] @ np.swapaxes(head, -1, -2) + q[:live], q[live:]])
             step = np.concatenate([head @ head, step[live:]])
+        miss = np.abs(np.diagonal(q, 0, -2, -1) + (step**2).sum(-1) - 1.0).max(initial=0.0)
+        if not miss <= 1e-6:  # a stiff kernel's slow decay, lost to rounding
+            raise ValueError(f"step law too stiff for dt {dt}: {miss:.2g} off its stationary law")
         back = sorted(range(len(order)), key=order.__getitem__)
         return step[back], (0.5 * (q + np.swapaxes(q, -1, -2)))[back]
 
@@ -565,7 +581,7 @@ class _Markov:
             flat[ends[sweeping] - counts[sweeping] + j] = gain
         for i, end, count in zip(rows.tolist(), ends.tolist(), counts.tolist()):
             mu, head, inv = self.eig[i]
-            self._gains[i] = (np.exp(mu * grid.dt), (self.lam[i] * self.scale[i]) * head, inv,
+            self._gains[i] = (_decay(mu, grid.dt), (self.lam[i] * self.scale[i]) * head, inv,
                               flat[end - count : end])
 
     def innovations(self, i: int):
@@ -622,7 +638,7 @@ class _Markov:
         mu, head, inv = self.eig[i]
         start = readout * head[:, None] * inv
         drive = readout * head[:, None] * (inv @ root)
-        poles = np.exp(mu * dt)
+        poles = _decay(mu, dt)
 
         def filtered(normals, out):
             for j, (pole, first, rest) in enumerate(zip(poles, start, drive)):
@@ -643,14 +659,17 @@ def _embed(emb: _Markov, i: int, grid: TimeGrid):
     negative eigenvalue is at least -1e-8 * r(0).  Past 8n the recursion is
     taken.  A one-atom mode (d = 2) therefore recurses at L = n; it comes
     here only without an eigenbasis, as one with one takes the innovations
-    form (:func:`_sample_block`).  Returns the eigenvalues (None for the
-    recursion) and the last L walked.
+    form (:func:`_sample_block`).  Each L appends its new lags to the one
+    covariance sequence.  Returns the eigenvalues (None for the recursion)
+    and the last L walked.
     """
     n = grid.n
+    cov = np.zeros(0)
     for L in (n, 2 * n, 4 * n, 8 * n):
         if emb.dim * n <= 2 * L:
             return None, L
-        eig = circulant_eigenvalues(emb.covariance(i, grid.dt, L + 1))
+        cov = np.concatenate([cov, emb.covariance(i, grid.dt, L + 1, start=cov.size)])
+        eig = circulant_eigenvalues(cov)
         if eig.min() >= -1e-8 * emb.variance[i]:
             return eig, L
     return None, L

@@ -1,11 +1,14 @@
 """Command-line interface: config handling, artifacts, exit codes."""
 
+import argparse
+import ast
 import configparser
 import csv
 import hashlib
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -47,8 +50,8 @@ def test_missing_config_file(tmp_path, capsys):
 
 
 def test_unknown_key_is_line_anchored(tmp_path, capsys):
-    # configparser lowercases keys, so a mixed-case key is anchored through
-    # it; method, the sampling law's removed key, is unknown like any other
+    # keys are case-folded, so a mixed-case key is reported lowercased;
+    # method, the sampling law's removed key, is unknown like any other
     cfg = tmp_path / "bad.ini"
     for section, known, key in (("kernel", "kernel = expsum", "bogus_key"),
                                 ("kernel", "kernel = expsum", "Bogus_Key"),
@@ -112,6 +115,198 @@ def test_readme_config_block_is_the_defaults(tmp_path):
     parser.read_string(block)
     named = {section: set(parser[section]) for section in parser.sections()}
     assert named == {section: set(keys) for section, keys in cli._SCHEMA.items()}
+
+
+def _configparser_hash(text):
+    """The config hash of configparser's reading of text, each value passed
+    through the schema's canonical form; None where the reading fails."""
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"),
+                                       default_section="\n")
+    texts = {section: {key: cli._canon(spec[1], spec[0], "")[1] for key, spec in keys.items()}
+             for section, keys in cli._SCHEMA.items()}
+    try:
+        parser.read_string(text)
+        for section in parser.sections():
+            known = texts[section]  # an unknown section fails here, keys or not
+            for key, raw in parser.items(section):
+                known[key] = cli._canon(cli._SCHEMA[section][key][1], raw, "")[1]
+    except (configparser.Error, KeyError, cli.ConfigError):
+        return None
+    if texts["weights"]["rule"] == "explicit" and texts["weights"]["values"] == "[]":
+        return None
+    return rehash(texts)
+
+
+def _test_config_texts():
+    # every config text written as one literal in the test modules
+    texts = []
+    for path in sorted(Path(__file__).parent.glob("test_*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and node.value.startswith("[") and "]\n" in node.value):
+                texts.append(node.value)
+    return texts
+
+
+# config texts and the line each is rejected at (None: accepted)
+_READER_CASES = [
+    ("[sampler]\nn: 64\nseed : 3\ndynamics:heat\n", None),
+    ("[sampler]\nn = 3 ;x\nseed = 4\t# y\n", None),
+    ("[sampler]\nn = 3;x\n", 2),
+    ("[sampler]\nN = 64\nSeed = 3\n[Tolerances]\n", 4),
+    ("[sampler]\nN = 64\nSeed = 3\nDynamics = heat\n", None),
+    ("[kernel]\natoms = [\n\n  # inside the value\n  [1.0, 1.0],\n   ; also\n\n  [2.0, 3.0]]\n"
+     "kernel = expsum\n", None),
+    ("[regularity]\nlags = 1, 2,\n    4, 8\n\n    16\nbootstrap = 9\n", None),
+    ("[sampler]\n  n = 64\nseed = 3\n", None),
+    ("[sampler]\n  n = 64\n    32\n", 2),
+    ("  [sampler]\nn = 64\n", None),
+    ("[sampler]\nn = 64\n  [kernel]\n", 2),
+    ("# a comment\n\n[sampler] ; header comment\nn = 64\n", None),
+    ("n = 64\n[sampler]\n", 1),
+    ("\n# first\nn = 64\n", 3),
+    ("[sampler]\nn = 64\nn = 32\n", 3),
+    ("[sampler]\nN = 64\nn = 32\n", 3),
+    ("[sampler]\nn = 64\n[kernel]\n[sampler]\nseed = 1\n", 4),
+    ("[DEFAULT]\nseed = 3\n", 1),
+    ("[sampler]\nn = 64\n[DEFAULT]\nseed = 3\n", 3),
+    ("[ sampler ]\nn = 64\n", 1),
+    ("[Kernel]\nkernel = expsum\n", 1),
+    ("[kernel]\natoms = [\n  [1.0, 1.0]\n  ]\nbogus = 1\n", 5),
+    ("[sampler]\ngarbage\n", 2),
+    ("[sampler]\n= 3\n", 2),
+    ("[sampler]\n: 3\n", 2),
+    ("[sampler]\nn =\n", 2),
+    ("[weights]\nvalues =\n", None),
+    ("[weights]\nlam = 2.0\n\nrule = explicit\n", 4),
+    ("[weights]\nrule = explicit\nvalues = [1.0,\n  0.5]\n", None),
+]
+
+
+def _reader_corpus():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return ([readme.split("```ini\n", 1)[1].split("```", 1)[0]] + _test_config_texts()
+            + [text for text, _ in _READER_CASES])
+
+
+def _read(tmp_path, text):
+    """load_config's hash of text, or the ConfigError it raises."""
+    cfg = tmp_path / "c.ini"
+    cfg.write_text(text)
+    try:
+        return load_config(str(cfg)).hash()
+    except cli.ConfigError as exc:
+        return exc
+
+
+def test_reader_agrees_with_configparser(tmp_path):
+    # every text configparser accepts reads to the same config, and every
+    # text it rejects is rejected at a line; a header with text after its
+    # bracket is the one deliberate difference (see the test below)
+    corpus = _reader_corpus()
+    assert len(corpus) > len(_READER_CASES) + 20
+    anchor = re.compile(re.escape(str(tmp_path / "c.ini")) + r":[1-9][0-9]*: ")
+    for text in corpus:
+        expected, got = _configparser_hash(text), _read(tmp_path, text)
+        if expected is None:
+            assert isinstance(got, cli.ConfigError) and anchor.match(str(got)), (text, got)
+        else:
+            assert got == expected, text
+
+
+@pytest.mark.parametrize("text, line", _READER_CASES)
+def test_reader_anchors_each_error_at_its_line(tmp_path, text, line):
+    got = _read(tmp_path, text)
+    if line is None:
+        assert isinstance(got, str), got
+    else:
+        assert str(got).startswith(f"{tmp_path / 'c.ini'}:{line}: "), got
+
+
+@pytest.mark.parametrize("text, line", [
+    ("[ sampler ]\nn = 64\n", 1),  # a padded name is not the section it pads
+    ("[kernel]\natoms = [\n  [1.0, 1.0]\n  ]\nbogus = 1\n", 5),  # after a '[' continuation
+    ("[sampler]\ngarbage\n", 2),  # a line with no delimiter
+    ("[sampler]\n= 3\n", 2),  # a line with no key
+], ids=["padded-header", "after-bracket-continuation", "no-delimiter", "no-key"])
+def test_config_error_names_its_own_line(tmp_path, capsys, text, line):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(text)
+    assert main(["kernel", "--config", str(cfg), "--out", str(tmp_path / "k.csv")]) == 2
+    assert f"glefield: error: {cfg}:{line}: " in capsys.readouterr().err
+    assert not list(tmp_path.glob("k.csv*"))
+
+
+def test_header_with_trailing_text_is_rejected(tmp_path, capsys):
+    # configparser read `[sampler] junk` as [sampler] without a word; a
+    # header stands alone on its line (a comment may follow it)
+    cfg = tmp_path / "junk.ini"
+    cfg.write_text("[sampler]" + " junk\nn = 64\n")
+    out = tmp_path / "mode.csv"
+    assert main(["sample-mode", "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"{cfg}:1: '[sampler] junk' is not a [section] header alone" in capsys.readouterr().err
+    assert not list(tmp_path.glob("mode.csv*"))
+
+
+def test_flags_shared_by_commands_share_one_default():
+    # a flag's default is declared once, so hoelder's field oracle counts the
+    # modes sample-field kept when neither is given --N
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    for flag in ("--N", "--k"):
+        defaults = {name: parser.get_default(flag[2:]) for name, parser in sub.choices.items()
+                    if any(flag in action.option_strings for action in parser._actions)}
+        assert len(defaults) >= 2, flag
+        assert set(defaults.values()) == {cli._FLAGS[flag]["default"]}, defaults
+
+
+def test_bound_flags_carry_their_keys_help():
+    sub = next(action for action in cli.build_parser()._actions
+               if isinstance(action, argparse._SubParsersAction))
+    helps = {action.option_strings[0]: action.help
+             for action in sub.choices["sample-field"]._actions}
+    for flag in ("--dt", "--n", "--ensemble", "--seed", "--dynamics", "--tail-budget"):
+        section, key = cli._FLAGS[flag]["binds"]
+        assert helps[flag] == cli._SCHEMA[section][key][2]
+
+
+def test_hoelder_default_oracle_counts_the_sampled_modes(tmp_path):
+    field = tmp_path / "field.csv"
+    assert main(["sample-field", "--nx", "3", "--n", "64", "--ensemble", "2",
+                 "--out", str(field)]) == 0
+    assert load_json(tmp_path / "field.csv.provenance.json")["N"] == 64
+    cfg = tmp_path / "c.ini"
+    cfg.write_text("[weights]\nrule = flat\n")
+    out = tmp_path / "report.json"
+    assert main(["hoelder", "--in", str(field), "--config", str(cfg), "--out", str(out)]) == 0
+    report = load_json(out)
+    kernel, basis, weights = cli._model(load_config(str(cfg)))
+    oracle = theoretical_field_variogram(kernel, basis, weights, 64,
+                                         cli._interior_grid(math.pi, 3), report["lags"])
+    assert report["oracle_values"] == oracle.values.tolist()
+
+
+@pytest.mark.parametrize("config, argv, code, message", [
+    (None, ["--dynamics", "heat", "--dt", "1e308", "--n", "8"], 2, "ends past the float range"),
+    (None, ["--dt", "1e308"], 2, "ends past the float range"),
+    ("[kernel]\natoms = [[1.0, 1e10]]\n", ["--dt", "1e300", "--n", "2"], 2, "too stiff for dt"),
+    (None, ["--k", "10000", "--dt", "1e305", "--n", "3"], 0, ""),
+], ids=["heat-times-overflow", "gle-times-overflow", "stiff-reach-overflow", "reach-overflow"])
+def test_sample_mode_at_extreme_steps(tmp_path, capsys, config, argv, code, message):
+    # a step whose times or whose 2 |A| dt leave the float range exits 0
+    # with finite paths or 2 with a message, never 1 on an OverflowError
+    out = tmp_path / "paths.csv"
+    if config is not None:
+        (tmp_path / "c.ini").write_text(config)
+        argv = [*argv, "--config", str(tmp_path / "c.ini")]
+    assert main(["sample-mode", *argv, "--ensemble", "2", "--out", str(out)]) == code
+    assert message in capsys.readouterr().err
+    if code == 0:
+        rows = np.loadtxt(out, delimiter=",", skiprows=1)
+        assert rows.shape == (6, 3) and np.isfinite(rows).all()
+        assert 0.0 < np.abs(rows[:, 2]).max() < 1e-3  # the mode's sd is 1e-4
+    else:
+        assert not list(tmp_path.glob("paths.csv*"))
 
 
 def test_kernel_csv_and_sidecar(tmp_path):

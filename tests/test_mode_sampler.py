@@ -315,6 +315,76 @@ def test_degenerate_eigenbasis_falls_back_to_the_step_matrix():
     assert _Markov(SINGLE, [Mode(1, 5.0, 1.0)]).eig[0] is not None
 
 
+def test_time_grid_must_end_in_the_float_range():
+    # t_j = j dt for j < n: a last time of inf would be written to the CSV
+    with pytest.raises(ValueError, match=r"n 8 steps of dt 1e\+308"):
+        TimeGrid(dt=1e308, n=8)
+    assert TimeGrid(dt=1e308, n=2).times[-1] == 1e308
+
+
+def test_step_law_past_the_float_range():
+    # 2 |A| dt overflows: the halvings come from the binary exponents and
+    # the step from ldexp, so a mode whose decay is resolved decorrelates
+    # fully; one whose slow decay is below rounding is refused, not sampled
+    step, q = _Markov(SINGLE, [Mode(1, 1e8, 1.0)]).transition(1e305)
+    assert np.abs(step).max() == 0.0
+    assert np.abs(q - np.eye(2)).max() <= 1e-9  # about 1030 doublings of rounding
+    stiff = _Markov(KernelMeasure([(1.0, 1e10)]), [Mode(1, 1.0, 1.0)])
+    for dt in (1e300, 1e20):
+        with pytest.raises(ValueError, match="too stiff for dt"):
+            stiff.transition(dt)
+    assert np.isfinite(stiff.transition(1.0)[1]).all()
+
+
+def test_covariance_pieces_are_the_sequence_sliced():
+    # real and complex spectra, and the step-matrix fallback without one
+    cases = [(discretize(PowerLaw(1.0, 16)), Mode(1, 1.0, 1.0)), (THREE, Mode(1, 0.05, 1.0)),
+             (THREE, Mode(1, 0.5, 1.0)), *CRITICAL]
+    for kernel, mode in cases:
+        emb = _Markov(kernel, [mode])
+        full = emb.covariance(0, 0.125, 65)
+        for start in (0, 1, 33, 64, 65):
+            assert emb.covariance(0, 0.125, 65, start=start).tobytes() == full[start:].tobytes()
+
+
+def test_embedding_walk_extends_one_covariance_sequence(monkeypatch):
+    # each rung appends its new lags to the one sequence, so the walk's
+    # routes and eigenvalues are those of a walk that starts every rung from
+    # lag 0, and a walk whose last rung is L evaluates L + 1 lags, not 15n + 4
+    covariance = _Markov.covariance
+    counted = []
+
+    def counting(self, i, dt, count, start=0):
+        counted.append(count - start)
+        return covariance(self, i, dt, count, start)
+
+    monkeypatch.setattr(_Markov, "covariance", counting)
+    cases = [(discretize(PowerLaw(1.0, 16)), [1.0, 4.0, 16.0, 256.0], TimeGrid(2.0**-4, 32)),
+             (THREE, [0.05, 0.5], TimeGrid(1.0, 32))]
+    seen = set()
+    for kernel, alphas, grid in cases:
+        emb = _Markov(kernel, [Mode(k, a, 1.0) for k, a in enumerate(alphas, 1)], grid)
+        for i in range(len(alphas)):
+            counted.clear()
+            eig, L = mode_sampler._embed(emb, i, grid)
+            expected, last = None, 0
+            for rung in (grid.n, 2 * grid.n, 4 * grid.n, 8 * grid.n):
+                if emb.dim * grid.n <= 2 * rung:
+                    break
+                last = rung
+                values = circulant_eigenvalues(covariance(emb, i, grid.dt, rung + 1))
+                if values.min() >= -1e-8 * emb.variance[i]:
+                    expected = values
+                    break
+            assert (eig is None) == (expected is None)
+            if eig is not None:
+                assert eig.tobytes() == expected.tobytes() and L == last
+            assert sum(counted) == last + 1
+            seen.add((eig is not None, last // grid.n, bool(np.iscomplexobj(emb.eig[i][0]))))
+    # both routes, walks to 8n, and real as well as complex spectra
+    assert {(True, 8, True), (False, 8, True), (True, 1, True), (False, 1, False)} <= seen
+
+
 def _eigenbases_by_mode(setup):
     # the per-mode loop that cutting the stacks replaced, as the reference
     mu, vecs = np.linalg.eig(setup.drift())

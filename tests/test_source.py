@@ -170,3 +170,20 @@ def test_filters_are_sampled_by_one_function():
                             and _name(inner) in ("_filter", "_filter_paths")]
     assert sorted(callers) == [("mode_sampler", "_sample_block", "_filter"),
                                ("mode_sampler", "_sample_block", "_filter_paths")]
+
+
+def test_config_files_have_one_reader():
+    # the CLI reads its config in one line-anchored pass; a second parser of
+    # the same file would be a second reading that must agree with it
+    found = []
+    for path, tree in _library_trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            found += [f"{path.name}:{node.lineno}" for name in names
+                      if name.split(".")[0] == "configparser"]
+    assert found == []
