@@ -54,7 +54,7 @@ from .field_assembly import (
     Flat,
     PowerDecay,
     TailBudgetExceeded,
-    _mode,
+    _modes,
     assemble_field,
     check_regularity_assumption,
     check_wellposedness,
@@ -366,7 +366,7 @@ def cmd_kernel(args, cfg: RunConfig) -> int:
 def cmd_spectrum(args, cfg: RunConfig) -> int:
     """Tabulate rho, K_cos, K_sin for one mode as CSV."""
     measure, basis, weights = _model(cfg)
-    mode = _mode(basis, weights, args.k)
+    (mode,) = _modes(basis, weights, [args.k])
     omega_max = args.omega_max
     if omega_max is None:
         omega_max = 2.0 * math.sqrt(2.0 * mode.alpha_k * measure.mass)
@@ -400,8 +400,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
     bar = cfg.get("tolerances", "verify_rel_tol")
     results = []
     failed = False
-    for k in k_list:
-        mode = _mode(basis, weights, k)
+    for k, mode in zip(k_list, _modes(basis, weights, k_list)):
         sd = SpectralDensity(measure, replace(mode, lambda_k=1.0))
         integral = integrate_rho(sd, rel_tol=rel_tol)
         expected = 1.0 / mode.alpha_k
@@ -447,7 +446,7 @@ def cmd_verify(args, cfg: RunConfig) -> int:
 def cmd_sample_mode(args, cfg: RunConfig) -> int:
     """Sample one mode's trajectories to CSV columns path_id, t, value."""
     measure, basis, weights = _model(cfg)
-    mode = _mode(basis, weights, args.k)
+    (mode,) = _modes(basis, weights, [args.k])
     grid = TimeGrid(dt=cfg.get("sampler", "dt"), n=cfg.get("sampler", "n"))
     ens = _sample(cfg.get("sampler", "dynamics"), measure, mode, grid,
                   cfg.get("sampler", "ensemble"), cfg.get("sampler", "seed"))
@@ -584,7 +583,8 @@ def cmd_hoelder(args, cfg: RunConfig) -> int:
         if args.axis == "space":
             theory = theoretical_space_variogram(basis, weights, args.N, xs, steps, law)
         elif xs is None:
-            theory = theoretical_variogram(measure, _mode(basis, weights, args.k), curve.lags, law)
+            (mode,) = _modes(basis, weights, [args.k])
+            theory = theoretical_variogram(measure, mode, curve.lags, law)
         else:
             theory = theoretical_field_variogram(measure, basis, weights, args.N, xs,
                                                  curve.lags, law)

@@ -6,8 +6,8 @@ The field on an interval with absorbing ends is the eigenfunction series
 
 where each scalar trajectory u_k carries the noise weight through its
 spectral density and the eigenfunctions are orthonormal in L^2.  This module
-owns the basis and weight-rule descriptions, the summability gates that make
-the series well defined, and the truncated synthesis itself.
+owns the basis and weight rules, the mode lists they give (:func:`_modes`),
+the summability gates that make the series well defined, and its synthesis.
 """
 
 from __future__ import annotations
@@ -286,11 +286,15 @@ def check_regularity_assumption(basis, weights, eta: float) -> SummabilityReport
     return _summability(basis, weights, eta, use_sup=True)
 
 
-def _mode(basis, weights, k: int) -> Mode:
-    """Mode k of the series: the basis's alpha_k, the weight rule's lambda_k."""
-    if k < 1:
-        raise ValueError(f"mode index {k} must be >= 1")
-    return Mode(index=k, alpha_k=basis.alpha(k), lambda_k=weights.weight(basis, k))
+def _modes(basis, weights, ks) -> list:
+    """Modes ks of the series, each with the basis's alpha_k and the weight
+    rule's lambda_k, taken for all of them at once by the array rules, which
+    give a mode the bits alone that they give it among many."""
+    index = np.asarray(ks)
+    if np.any(index < 1):
+        raise ValueError(f"mode index {index.min()} must be >= 1")
+    lams = np.broadcast_to(weights.weight(basis, index), index.shape).tolist()
+    return [Mode(*mode) for mode in zip(index.tolist(), basis.alpha(index).tolist(), lams)]
 
 
 @dataclass(eq=False)
@@ -364,10 +368,9 @@ def assemble_field(
     others, each by the public sampler of its law.
     A block is added to the field one chunk of time rows at a time, one
     matrix product of at most ``_PRODUCT_MACS`` multiply-adds per chunk
-    (one row when a row alone is larger).  dynamics selects the
-    trajectory law, one of ``mode_sampler.LAWS``: "gle" for the
-    kernel-driven paths, "heat" for the memoryless baseline, "spectral" for
-    the superposition cross-check route.
+    (one row when a row alone is larger).  dynamics names the trajectory
+    law, one of ``mode_sampler.LAWS``; ``mode_sampler._law`` checks it and
+    builds what its samplers read, before the gates run.
 
     Raises Divergent if the variance series fails its gate and
     TailBudgetExceeded if truncation leaves more than tail_budget of
@@ -375,8 +378,8 @@ def assemble_field(
     """
     if n_modes < 1:
         raise ValueError("n_modes must be positive")
-    if dynamics not in mode_sampler.LAWS:
-        raise ValueError(f"unknown dynamics {dynamics!r}")
+    modes = _modes(basis, weights, range(1, n_modes + 1))
+    setup = mode_sampler._law(dynamics, kernel, modes, grid)[0]
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if x_arr.ndim != 1 or x_arr.size == 0:
         raise ValueError("x must be a nonempty 1d array of positions")
@@ -388,12 +391,6 @@ def assemble_field(
             f"> budget {tail_budget:.3e}"
         )
 
-    # the modes' alpha and lambda as arrays: the rules give the bits they give one mode
-    index = np.arange(1, n_modes + 1)
-    lams = np.broadcast_to(weights.weight(basis, index), index.shape).tolist()
-    modes = [Mode(*mode) for mode in zip(index.tolist(), basis.alpha(index).tolist(), lams)]
-    # every gle mode's embedding, step law and gain in one stacked pass
-    setup = mode_sampler._Markov(kernel, modes, grid) if dynamics == "gle" else None
     n, nx = grid.n, x_arr.size
     out = np.zeros((m, n, nx))
     # modes per product block, from the shape alone

@@ -1,35 +1,29 @@
 """Exact-in-law synthesis of stationary Gaussian mode trajectories.
 
-Three routes produce paths on a uniform time grid:
+This module is the one owner of the sampling laws, :data:`LAWS`: it alone
+tells them apart, in their samplers (:func:`_sample`) and in :func:`_law`,
+the set-up those read and the closed-form moments the variogram oracles sum.
 
-* :func:`sample_gle_mode` - exact sampler for the memory-kernel mode.  A
-  kernel K = sum_i w_i e^{-x_i t} makes the mode the first coordinate of a
-  (p+1)-dimensional Ornstein-Uhlenbeck process, its Markovian embedding, so
-  the covariance is known in closed form and the paths follow an exact
-  recursion.  A one-atom mode (a 2-dimensional embedding with an
-  eigenbasis, the paper's kernel) takes the innovations form, one normal
-  per step.  Any other mode takes whichever exact route draws fewer
-  normals: the state recursion, d per step, or circulant embedding
-  (Davies-Harte) of the closed-form covariance sequence.
-
-  The set-up happens once per field: :class:`_Markov` builds the
-  embeddings of all of a field's modes in one stacked pass (one
-  eigendecomposition of the stacked drifts, the step laws, the innovations
-  gain sweep), and each mode is then only drawn and filtered.  A mode
-  sampled on its own is a stack of one, through the same code and with the
-  same bits.
+* :func:`sample_gle_mode` - exact sampler for the memory-kernel mode ("gle").
+  A kernel K = sum_i w_i e^{-x_i t} makes the mode the first coordinate of a
+  (p+1)-dimensional Ornstein-Uhlenbeck process, its Markovian embedding
+  (:class:`_Markov`, built once per field for all its modes in one stacked
+  pass), so the covariance is known in closed form.  A one-atom mode with an
+  eigenbasis (the paper's kernel) takes the innovations form, one normal per
+  step; any other whichever exact route draws fewer normals: the state
+  recursion, d per step, or circulant embedding (Davies-Harte).
 * :func:`sample_gle_mode_spectral` - truncated harmonic superposition driven
-  directly by the spectral density.  Slower and only asymptotically exact;
-  kept as an independent cross-check of the exact sampler.
+  by the spectral density ("spectral"), only asymptotically exact: an
+  independent cross-check of the exact sampler, under gle's law.
 * :func:`sample_ou_mode` - exact AR(1) recursion for the memoryless
-  (Ornstein-Uhlenbeck) mode used by the classical-dynamics baseline.
+  (Ornstein-Uhlenbeck) mode of the classical-dynamics baseline ("heat").
 
 The innovations form and the AR(1) baseline are sums of one-pole filters
 (:func:`_filter`) with one sampler at any path length, :func:`_sample_block`,
-for a mode alone or a field's block of them.  :func:`_filter_paths` runs
-them, up to ``_STEP_LOOP_STEPS`` steps by one step loop across the rows of
-all the modes given, beyond that by :func:`_recur`, the blocked prefix-sum
-filter the state recursion takes too.  Sampling imports no scipy.
+for a mode alone or a field's block of them: up to ``_STEP_LOOP_STEPS`` steps
+one step loop across the rows of all the modes given (:func:`_filter_paths`),
+beyond that :func:`_recur`, the blocked prefix-sum filter the state recursion
+takes too.  Sampling imports no scipy.
 
 Randomness: mode k under seed s draws from one SFC64 stream, child k of the
 seed's ``SeedSequence``, and path i takes the i-th consecutive block of its
@@ -38,9 +32,9 @@ the state recursion, 2L for the circulant and 2 per node for the
 superposition.  Each chunk of paths is one draw, so ensembles do not depend
 on chunking or thread count, and the first m' paths of an m-path ensemble
 are the m'-path ensemble (the superposition's only up to rounding: its BLAS
-product picks a kernel by the chunk's row count).  A path is not addressable on its own (path i
-follows the i blocks before it), and paths of n' < n steps are not the
-first n' steps of paths of n.
+product picks a kernel by the chunk's row count).  A path is not
+addressable on its own (path i follows the i blocks before it), and paths
+of n' < n steps are not the first n' steps of paths of n.
 """
 
 from __future__ import annotations
@@ -172,6 +166,11 @@ def paths_from_normals(eig: np.ndarray, normals: np.ndarray, n: int) -> np.ndarr
 # eigen-route rounding error grows like eps * cond(eigenvectors); near
 # critical damping the drift turns defective and the condition number blows up
 _MAX_EIGVEC_COND = 1e5
+
+# least ratio of a mode's slowest decay rate to eig's rounding, eps |A|_1, for
+# an eigenbasis (two digits): the kernels in use clear it by 1e8 or more,
+# [[1, 1e6]] by 45; [[1, 1e10]] reads the rate of its mode 1 as 0
+_RATE_RESOLUTION = 100.0
 
 # relative change of the innovations sweep's c below which the gain is taken
 # as settled (14 steps on the comparison_1d time modes); c's rounding noise
@@ -333,11 +332,14 @@ def _filter_paths(poles, weights, chains, normals: np.ndarray, out: np.ndarray) 
         out[chains > c] += paths[first[chains > c] + c]
 
 
-def _decay(mu, t):
-    """e^{mu t}, 0 where e^{Re(mu) t} underflows (its phase may overflow to nan)."""
+def _decay(mu, t, less_one: bool = False):
+    """e^{mu t}, or e^{mu t} - 1 by expm1 when ``less_one``, with e^{mu t} taken
+    as 0 where e^{Re(mu) t} underflows (its phase may overflow to nan)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        z = np.exp(mu * t)
-        return z if np.isfinite(z).all() else np.where(np.exp(np.real(mu) * t) == 0.0, 0.0, z)
+        z = np.expm1(mu * t) if less_one else np.exp(mu * t)
+        if np.isfinite(z).all():
+            return z
+        return np.where(np.exp(np.real(mu) * t) == 0.0, -1.0 if less_one else 0.0, z)
 
 
 class _Markov:
@@ -362,16 +364,13 @@ class _Markov:
     diagonalized by one ``eig`` call, with ``cond`` and ``inv`` run over
     it too; LAPACK runs the same routine on each matrix, so every mode gets
     the bits it would get alone.  When a mode's eigenvectors are
-    ill-conditioned (its eigenvalues merge at critical damping) its ``eig``
-    entry is None and its covariance and paths come from the real step
-    matrix e^{A dt}.
+    ill-conditioned (its eigenvalues merge at critical damping) or rounding
+    hides its slowest rate (a kernel too stiff) its ``eig`` entry is None
+    and its covariance and paths come from the real step matrix e^{A dt}.
 
-    Given a grid, the innovations form of every one-atom mode with an
-    eigenbasis is built here as well, in one array pass over those modes
-    (step law, gain sweep, poles), so that sampling such a mode only draws
-    normals and filters them.  Only what sampling reads is kept: poles,
-    read-out weights, rows of V^-1 and each mode's gain up to its settling
-    step.
+    Given a grid, :meth:`_sweep` builds the innovations form of every
+    one-atom mode with an eigenbasis as well, so that sampling such a mode
+    only draws normals and filters them.
     """
 
     def __init__(self, kernel: KernelMeasure, modes, grid: TimeGrid | None = None):
@@ -411,16 +410,20 @@ class _Markov:
         One eigenvalue of each conjugate pair is kept and read out twice.
         numpy hands back a real decomposition only when the whole stack is
         real, so the modes with real spectra (overdamped) are split off and
-        taken in real arithmetic, as they would be alone.
+        taken in real arithmetic, as they would be alone.  A mode whose
+        slowest rate rounding hides (``_RATE_RESOLUTION``) gets no basis.
         """
-        mu, vecs = np.linalg.eig(self.drift())
+        drift = self.drift()
+        mu, vecs = np.linalg.eig(drift)
         bases = [None] * len(mu)
+        norms = np.abs(drift).sum(axis=-2).max(axis=-1)
+        resolved = -mu.real.max(axis=-1) >= _RATE_RESOLUTION * np.finfo(float).eps * norms
         real = (mu.imag == 0.0).all(axis=-1)
         for rows, is_real in ((np.flatnonzero(real), True), (np.flatnonzero(~real), False)):
             group_mu, group_vecs = mu[rows], vecs[rows]
             if is_real:
                 group_mu, group_vecs = group_mu.real, group_vecs.real
-            ok = np.linalg.cond(group_vecs) <= _MAX_EIGVEC_COND
+            ok = (np.linalg.cond(group_vecs) <= _MAX_EIGVEC_COND) & resolved[rows]
             rows, group_mu, group_vecs = rows[ok], group_mu[ok], group_vecs[ok]
             keep = group_mu.imag >= 0.0
             # x 2 or x 1 is exact, so weighting before the cut gives the bits it gives after
@@ -470,7 +473,7 @@ class _Markov:
             phi = [self.transition(t, [i])[0][0, 0, 0] for t in h.ravel()]
             return 2.0 * self.variance[i] * (1.0 - np.reshape(phi, h.shape))
         mu, head, inv = self.eig[i]
-        terms = (head * inv[:, 0]) * np.expm1(np.multiply.outer(h, mu))
+        terms = (head * inv[:, 0]) * _decay(mu, h[..., None], less_one=True)
         return -2.0 * self.variance[i] * terms.sum(axis=-1).real
 
     def transition(self, dt: float, rows=None):
@@ -687,11 +690,8 @@ def sample_gle_mode(
     Marginal variance is r(0) = lambda_k^2 / alpha_k and lagged covariances
     are the closed-form r(j*dt) of the Markovian embedding, before Monte
     Carlo error.  A one-atom mode with an eigenbasis takes the innovations
-    form (:func:`_sample_block`), one normal per step; any other the route
-    :func:`_embed` picks, d normals per step on "recursion".  Path i takes
-    the i-th block of that many normals from the mode's stream (2L on the
-    circulant).  Each chunk of paths is one draw, and a chunk's normals never
-    outnumber 256 rows of a length-2L circulant embedding.
+    form (:func:`_sample_block`); any other the route :func:`_embed` picks.
+    A chunk's normals never outnumber 256 rows of a length-2L circulant.
 
     ``setup`` is a :class:`_Markov` built for ``kernel`` and ``grid`` over
     modes that include this one, as :func:`assemble_field` builds once per
@@ -782,10 +782,9 @@ def sample_gle_mode_spectral(
 ) -> PathEnsemble:
     """Harmonic-superposition sampler: u(t) = sum_j a_j (xi_j cos + eta_j sin)(w_j t)
     with a_j = lambda sqrt(2 rho_1(w_j) dw_j), rho_1 the unit-noise density.
-    Independent of the embedding route.  Path i takes the i-th block of 2
-    normals per node (all xi, then eta) from the mode's stream, one draw per
-    chunk of paths, whose cos and sin tables are built ``_TIME_BLOCK`` time
-    columns at a time.  ``out`` as for :func:`sample_gle_mode`."""
+    Independent of the embedding route.  A path's 2 normals per node are all
+    xi, then eta; each chunk's cos and sin tables are built ``_TIME_BLOCK``
+    time columns at a time.  ``out`` as for :func:`sample_gle_mode`."""
     _check_sampling_args(m, seed)
     sd = SpectralDensity(kernel, mode)
     out = _paths_out(out, m, grid.n)
@@ -813,8 +812,7 @@ def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int,
                    out: np.ndarray | None = None) -> PathEnsemble:
     """Exact stationary AR(1) recursion for the memoryless baseline mode:
     u_{j+1} = e^{-alpha dt} u_j + lambda * sqrt((1 - e^{-2 alpha dt})/(2 alpha)) * xi_j.
-    Path i takes the i-th block of n normals from the mode's stream, one draw
-    per chunk of paths.  ``out`` as for :func:`sample_gle_mode`."""
+    ``out`` as for :func:`sample_gle_mode`."""
     _check_sampling_args(m, seed)
     out = _paths_out(out, m, grid.n)
     if not _sample_block("heat", [mode], grid, m, seed, None, out[None]):
@@ -864,6 +862,29 @@ def _sample_block(law: str, modes, grid: TimeGrid, m: int, seed: int,
 
 # the sampling laws: memory-driven, memoryless, superposition cross-check of gle
 LAWS = ("gle", "heat", "spectral")
+
+
+def _law(law: str, kernel: KernelMeasure, modes, grid: TimeGrid | None = None, lags=()):
+    """What ``law`` means for ``modes``: (set-up, r(0), increments).
+
+    The set-up is the modes' stacked embeddings, on ``grid`` for gle's
+    samplers, or None where nothing reads them.  r(0), shape (K,), and
+    E|u(t+h) - u(t)|^2 at each lag h > 0, shape (K, len(lags)), are closed
+    forms: for gle and spectral lambda^2 times the embeddings' unit-noise law
+    (r(0) = lambda^2/alpha, the variance identity), for heat the OU law
+    r(h) = lambda^2/(2 alpha) e^{-alpha h}.  Any other law is a ValueError."""
+    if law not in LAWS:
+        raise ValueError(f"unknown dynamics {law!r}")
+    alpha, lam = np.array([(mode.alpha_k, mode.lambda_k) for mode in modes], float).reshape(-1, 2).T
+    variance, h = lam * lam / alpha, np.asarray(lags, dtype=float)
+    if law == "heat":
+        return None, 0.5 * variance, -variance[:, None] * np.expm1(-np.multiply.outer(alpha, h))
+    setup = _Markov(kernel, modes, grid) if h.size or (law == "gle" and grid is not None) else None
+    unit = np.zeros((len(modes), h.size))
+    for row, mode in enumerate(modes if h.size else ()):
+        if mode in setup.slot:  # a zero-weight mode has no embedding
+            unit[row] = setup.increment(setup.slot[mode], h)
+    return setup, variance, (lam * lam)[:, None] * unit
 
 
 def _sample(law: str, kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int,

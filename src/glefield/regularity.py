@@ -4,7 +4,9 @@ The empirical variogram of a field at lag h along an axis is the ensemble
 and volume average of squared increments; on a log-log scale its slope is
 twice the Hoelder exponent of the sample paths.  This module computes
 empirical and closed-form theoretical variograms and fits the exponent
-with a bootstrap confidence interval over ensemble members.
+with a bootstrap confidence interval over ensemble members.  The
+theoretical ones are one law-free mode sum over each mode's stationary
+variance and increment, which ``mode_sampler._law`` states for every law.
 """
 
 from __future__ import annotations
@@ -14,9 +16,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import mode_sampler
 from .cm_kernel import KernelMeasure
-from .field_assembly import FieldSample, _mode, check_wellposedness
-from .mode_sampler import LAWS, _Markov
+from .field_assembly import FieldSample, _modes, check_wellposedness
 from .spectral import Mode
 
 
@@ -168,69 +170,62 @@ def empirical_variogram(sample: FieldSample, axis: str, lag_steps) -> VariogramC
     )
 
 
-def _time_variogram(kernel: KernelMeasure, terms, lags, dynamics: str) -> VariogramCurve:
-    """sum_k w_k E|u_k(t+h) - u_k(t)|^2 over (mode, w_k) terms, in closed form,
-    accumulated in the terms' order: gle (and its spectral cross-check)
-    lambda^2 times the unit-noise increment of the modes' Markovian
-    embeddings, built together in one stacked pass,
-    heat the OU law (lambda^2/alpha)(1 - e^{-alpha h}).  The curve is built
-    first, so bad lags fail before any mode is evaluated."""
-    if dynamics not in LAWS:
-        raise ValueError(f"unknown dynamics {dynamics!r}")
-    lag_arr = np.asarray(lags, dtype=float)
-    curve = VariogramCurve(lag_arr, np.zeros(len(lag_arr)), "time", np.zeros(len(lag_arr)))
-    terms = [(mode, weight) for mode, weight in terms if weight != 0.0 and mode.lambda_k != 0.0]
-    if dynamics != "heat":
-        emb = _Markov(kernel, [mode for mode, _ in terms])
-    for mode, weight in terms:
-        alpha, lam = mode.alpha_k, mode.lambda_k
-        if dynamics == "heat":
-            inc = -(lam * lam / alpha) * np.expm1(-alpha * curve.lags)
-        else:
-            inc = (lam * lam) * emb.increment(emb.slot[mode], curve.lags)
-        curve.values += inc * weight
-    return curve
+def _mode_sum(law: str, kernel, basis, weights, n_modes: int, xs, lags, steps) -> np.ndarray:
+    """The truncated field's space-time variogram at rest,
+
+        V(h, l) = sum_k r_k(0) mean_x (e_k(x+l) - e_k(x))^2 + inc_k(h) mean_x e_k(x+l) e_k(x),
+
+    with r_k(0) and inc_k(h) = E|u_k(t+h) - u_k(t)|^2 from ``mode_sampler._law``
+    and means over the anchors x of xs with x + l in xs: rows h = 0 and each
+    of ``lags``, columns the space steps ``steps`` (0 allowed)."""
+    modes = _modes(basis, weights, range(1, n_modes + 1))
+    variance, inc = mode_sampler._law(law, kernel, modes, lags=lags)[1:]
+    shapes = basis.eval(np.arange(1, n_modes + 1), xs)
+    spread, overlap = np.empty((2, len(modes), len(steps)))
+    for col, step in enumerate(steps):
+        ahead, behind = shapes[:, step:], shapes[:, : xs.size - step]
+        spread[:, col] = np.mean(np.square(ahead - behind), axis=1)
+        overlap[:, col] = np.mean(ahead * behind, axis=1)
+    inc = np.hstack((np.zeros((len(modes), 1)), inc))
+    return variance @ spread + inc.T @ overlap
 
 
 def theoretical_variogram(
     kernel: KernelMeasure, mode: Mode, lags, dynamics: str = "gle"
 ) -> VariogramCurve:
     """Exact single-mode time variogram E|u(t+h) - u(t)|^2."""
-    return _time_variogram(kernel, [(mode, 1.0)], lags, dynamics)
+    # the curve comes first, so bad lags fail before any mode is evaluated
+    curve = VariogramCurve(lags, np.zeros(len(lags)), "time", np.zeros(len(lags)))
+    curve.values = mode_sampler._law(dynamics, kernel, [mode], lags=curve.lags)[2][0]
+    return curve
 
 
 def theoretical_field_variogram(
     kernel: KernelMeasure, basis, weights, n_modes: int, x, lags, dynamics: str = "gle"
 ) -> VariogramCurve:
-    """Truncated-series time variogram of the field,
-    sum_k E|u_k(t+h) - u_k(t)|^2 * e_k(x)^2, with e_k(x)^2 averaged over x
-    when an array of probe positions is given; Divergent if the series diverges."""
+    """Truncated-series time variogram of the field, the l = 0 slice of
+    :func:`_mode_sum`: sum_k E|u_k(t+h) - u_k(t)|^2 * e_k(x)^2, with
+    e_k(x)^2 averaged over x when an array of probe positions is given;
+    Divergent if the series diverges."""
     check_wellposedness(basis, weights)
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
-    terms = (
-        (_mode(basis, weights, k), float(np.mean(np.square(basis.eval(k, x_arr)))))
-        for k in range(1, n_modes + 1)
-    )
-    return _time_variogram(kernel, terms, lags, dynamics)
+    curve = VariogramCurve(lags, np.zeros(len(lags)), "time", np.zeros(len(lags)))
+    curve.values = _mode_sum(dynamics, kernel, basis, weights, n_modes, x_arr,
+                             curve.lags, [0])[1:, 0]
+    return curve
 
 
 def theoretical_space_variogram(
     basis, weights, n_modes: int, x, lag_steps, dynamics: str = "gle"
 ) -> VariogramCurve:
-    """Stationary spatial variogram of the truncated field on a uniform grid.
-
-    At equilibrium each mode contributes its stationary variance times the
-    squared eigenfunction increment, averaged over the anchors the empirical
-    estimator uses:
-
-        E|u(t, x+h) - u(t, x)|^2 = sum_k v_k * mean_x (e_k(x+h) - e_k(x))^2
-
-    with v_k = lambda_k^2 / alpha_k for the memory dynamics (the variance
-    identity) and lambda_k^2 / (2 alpha_k) for the memoryless baseline;
-    Divergent if the variance series fails its gate, as in ``assemble_field``.
+    """Stationary spatial variogram of the truncated field on a uniform grid,
+    the h = 0 slice of :func:`_mode_sum` over the anchors the empirical
+    estimator uses: each mode's stationary variance (lambda_k^2 / alpha_k,
+    the variance identity, for the memory dynamics and half that for the
+    memoryless baseline; no kernel is read) times its mean squared
+    eigenfunction increment.  Divergent if the variance series fails its
+    gate, as in ``assemble_field``.
     """
-    if dynamics not in LAWS:
-        raise ValueError(f"unknown dynamics {dynamics!r}")
     check_wellposedness(basis, weights)
     xs = np.asarray(x, dtype=float)
     dx = np.diff(xs)
@@ -239,19 +234,5 @@ def theoretical_space_variogram(
     steps = np.asarray(lag_steps, dtype=int)
     if steps.ndim != 1 or np.any(steps <= 0) or np.any(steps >= len(xs)):
         raise ValueError("lag steps must be positive and shorter than the grid")
-    total = np.zeros(len(steps))
-    for k in range(1, n_modes + 1):
-        lam = weights.weight(basis, k)
-        v_k = lam * lam / basis.alpha(k)
-        if dynamics == "heat":
-            v_k *= 0.5
-        ek = basis.eval(k, xs)
-        for col, j in enumerate(steps):
-            d = ek[j:] - ek[:-j]
-            total[col] += v_k * float(np.mean(d * d))
-    return VariogramCurve(
-        lags=steps * float(dx[0]),
-        values=total,
-        axis="space",
-        stderr=np.zeros(len(steps)),
-    )
+    values = _mode_sum(dynamics, None, basis, weights, n_modes, xs, [], steps)[0]
+    return VariogramCurve(steps * float(dx[0]), values, "space", np.zeros(len(steps)))

@@ -20,7 +20,10 @@ import pytest
 import glefield
 from glefield import cli
 from glefield.cli import _write_columns, _write_field_csv, load_config, main
+from glefield.cm_kernel import KernelMeasure
+from glefield.mode_sampler import _Markov
 from glefield.regularity import theoretical_field_variogram
+from glefield.spectral import Mode
 
 
 def read(path):
@@ -649,6 +652,26 @@ def test_hoelder_mode_oracle_follows_dynamics(tmp_path):
         assert np.all(dev <= 4.0 * np.array(report["stderr"]))
         oracles.append(report["oracle_values"])
     assert oracles[0] == oracles[1]
+
+
+def test_hoelder_oracle_under_a_stiff_kernel_takes_the_step_law(tmp_path):
+    # under atoms [[1, 1e10]] rounding loses mode 1's slow decay rate, and an
+    # eigenbasis would write -2e-20 at every lag, a negative variance; the
+    # oracle comes from the step law Phi(h) of _Markov.transition
+    paths = tmp_path / "paths.csv"
+    assert main(["sample-mode", "--dynamics", "heat", "--dt", "0.01", "--n", "256",
+                 "--ensemble", "4", "--out", str(paths)]) == 0
+    cfg = tmp_path / "stiff.ini"
+    cfg.write_text("[kernel]\natoms = [[1.0, 1e10]]\n")
+    out = tmp_path / "report.json"
+    assert main(["hoelder", "--in", str(paths), "--axis", "time", "--config", str(cfg),
+                 "--k", "1", "--out", str(out)]) == 0
+    report = load_json(out)
+    emb = _Markov(KernelMeasure([(1.0, 1e10)]), [Mode(1, 1.0, 1.0)])
+    assert emb.eig == [None]
+    steps = [emb.transition(h, [0])[0][0, 0, 0] for h in report["lags"]]
+    assert report["oracle_values"] == [2.0 * (1.0 - phi) for phi in steps]
+    assert min(report["oracle_values"]) >= 0.0
 
 
 def test_hoelder_one_point_field_gets_the_field_oracle(tmp_path):

@@ -229,6 +229,12 @@ def _block_width(n_modes, m, n):
     return min(n_modes, max(8, field_assembly._BLOCK_BYTES // (8 * m * n)))
 
 
+def _scalar_mode(basis, weights, k):
+    # mode k from the scalar rules, one index at a time: a reference that
+    # does not go through field_assembly._modes
+    return Mode(k, basis.alpha(k), weights.weight(basis, k))
+
+
 def _assemble_by_row(kernel, basis, weights, n_modes, grid, xs, m, seed, dynamics, width=None):
     # the accumulation the row-chunk products replaced, as the reference:
     # product blocks of modes in k order, one product per member row and block
@@ -238,7 +244,7 @@ def _assemble_by_row(kernel, basis, weights, n_modes, grid, xs, m, seed, dynamic
     for start in range(1, n_modes + 1, width):
         ks = range(start, min(start + width, n_modes + 1))
         block = np.stack([
-            mode_sampler._sample(dynamics, kernel, field_assembly._mode(basis, weights, k),
+            mode_sampler._sample(dynamics, kernel, _scalar_mode(basis, weights, k),
                                  grid, m, seed).values
             for k in ks])
         shapes = np.stack([basis.eval(k, xs) for k in ks])
@@ -315,7 +321,7 @@ def test_short_fields_match_a_long_double_mode_sum(n_modes, grid, m, nx, dynamic
     xs = _interior(nx)
     ref = np.zeros((m, grid.n, nx), dtype=np.longdouble)
     for k in range(1, n_modes + 1):
-        paths = mode_sampler._sample(dynamics, SINGLE, field_assembly._mode(BASIS, Flat(1.0), k),
+        paths = mode_sampler._sample(dynamics, SINGLE, _scalar_mode(BASIS, Flat(1.0), k),
                                      grid, m, 5).values
         ref += paths.astype(np.longdouble)[..., None] * BASIS.eval(k, xs).astype(np.longdouble)
     scale = np.sqrt(np.mean(ref * ref))

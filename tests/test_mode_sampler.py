@@ -420,6 +420,28 @@ def test_eigenbases_equal_the_per_mode_cut():
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes())
 
 
+def test_modes_whose_slow_rate_is_lost_to_rounding_get_no_eigenbasis():
+    # under atoms [[1, 1e10]] the slow rate of the alpha = 1 mode, about
+    # 1e-10, is below the rounding of eig on its 1e10-sized drift: eig reads
+    # its eigenvalues as [0, -1e10], whose basis gives a covariance that
+    # never decays (r(1e12) = r(0)) and a negative increment (-2e-20).  Such
+    # a mode takes the step law instead, whose stationarity gate rejects the
+    # lag it cannot resolve; a stiffer mode of the same kernel keeps its basis
+    stiff = _Markov(KernelMeasure([(1.0, 1e10)]), [Mode(1, 1.0, 1.0), Mode(2000, 4e6, 1.0)])
+    assert stiff.eig[0] is None and stiff.eig[1] is not None
+    with pytest.raises(ValueError, match="too stiff"):
+        stiff.covariance(0, 1e12, 3)
+    with pytest.raises(ValueError, match="too stiff"):
+        stiff.increment(0, [1e12])
+    assert np.all(stiff.increment(0, [1e-3, 1.0]) >= 0.0)
+    # the kernels in use keep every basis, and so does [[1, 1e6]], whose
+    # slow rate clears the threshold 45 times over
+    for kernel in (SINGLE, _TWO, THREE, discretize(PowerLaw(1.0, 16)),
+                   KernelMeasure([(1.0, 1e6)])):
+        setup = _Markov(kernel, [Mode(k, float(k * k), 1.0) for k in range(1, 129)])
+        assert all(basis is not None for basis in setup.eig)
+
+
 def test_recursion_reproduces_toeplitz_exactly():
     # drive the linear map with unit vectors: the Gram matrix is the path
     # covariance.  One-atom modes take the innovations form, one normal per

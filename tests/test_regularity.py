@@ -6,9 +6,16 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from glefield.cli import _PROFILES
 from glefield.cm_kernel import KernelMeasure
-from glefield.field_assembly import DirichletInterval, FieldSample, Flat, assemble_field
-from glefield.mode_sampler import TimeGrid
+from glefield.field_assembly import (
+    DirichletInterval,
+    FieldSample,
+    Flat,
+    PowerDecay,
+    assemble_field,
+)
+from glefield.mode_sampler import TimeGrid, _Markov
 from glefield.regularity import (
     DegenerateFit,
     VariogramCurve,
@@ -241,3 +248,92 @@ def test_space_variogram_input_validation():
         )
     with pytest.raises(ValueError):
         theoretical_space_variogram(BASIS, Flat(1.0), 4, np.arange(1, 10) * 0.1, steps)
+
+
+def test_mode_variogram_is_finite_where_the_phase_overflows():
+    # at h = 1e305 Im(mu) h overflows, and expm1 of it is nan; e^{Re(mu) h}
+    # underflows there, so the increment is 2 r(0) = 2 lambda^2 / alpha
+    mode = Mode(1, 1e8, 1.0)
+    curve = theoretical_variogram(SINGLE, mode, [1.0, 2.0, 4.0, 1e305])
+    assert curve.values[-1] == pytest.approx(2e-8, rel=1e-12)
+    # below the overflow the values are 2 (r(0) - r(h)) from the covariance
+    cov = _Markov(SINGLE, [mode]).covariance(0, 1.0, 5)
+    assert curve.values[:3] == pytest.approx(2.0 * (cov[0] - cov[[1, 2, 4]]), rel=1e-8)
+
+
+# the oracles as they were summed mode by mode, one Python step per mode
+# (and per space step), with each mode from the scalar rules: the
+# reference of the one array mode sum that replaced them
+
+
+def _time_by_mode(kernel, terms, lags, dynamics):
+    lag_arr = np.asarray(lags, dtype=float)
+    values = np.zeros(len(lag_arr))
+    terms = [(mode, weight) for mode, weight in terms if weight != 0.0 and mode.lambda_k != 0.0]
+    if dynamics != "heat":
+        emb = _Markov(kernel, [mode for mode, _ in terms])
+    for mode, weight in terms:
+        alpha, lam = mode.alpha_k, mode.lambda_k
+        if dynamics == "heat":
+            inc = -(lam * lam / alpha) * np.expm1(-alpha * lag_arr)
+        else:
+            inc = (lam * lam) * emb.increment(emb.slot[mode], lag_arr)
+        values += inc * weight
+    return values
+
+
+def _scalar_mode(basis, weights, k):
+    return Mode(k, basis.alpha(k), weights.weight(basis, k))
+
+
+def _field_time_by_mode(kernel, basis, weights, n_modes, x, lags, dynamics):
+    x_arr = np.atleast_1d(np.asarray(x, dtype=float))
+    terms = ((_scalar_mode(basis, weights, k), float(np.mean(np.square(basis.eval(k, x_arr)))))
+             for k in range(1, n_modes + 1))
+    return _time_by_mode(kernel, terms, lags, dynamics)
+
+
+def _space_by_mode(basis, weights, n_modes, xs, steps, dynamics):
+    total = np.zeros(len(steps))
+    for k in range(1, n_modes + 1):
+        lam = weights.weight(basis, k)
+        v_k = lam * lam / basis.alpha(k)
+        if dynamics == "heat":
+            v_k *= 0.5
+        ek = basis.eval(k, xs)
+        for col, j in enumerate(steps):
+            d = ek[j:] - ek[:-j]
+            total[col] += v_k * float(np.mean(d * d))
+    return total
+
+
+_PROFILE = _PROFILES["comparison_1d"]
+
+
+def _interior(nx):
+    return np.arange(1, nx + 1) * (BASIS.length / (nx + 1))
+
+
+@pytest.mark.parametrize("dynamics", ["gle", "heat", "spectral"])
+@pytest.mark.parametrize("kernel", [SINGLE, KernelMeasure([(0.5, 1.0), (0.5, 4.0)])])
+@pytest.mark.parametrize("weights", [Flat(1.0), PowerDecay(0.1)])
+@pytest.mark.parametrize("n_modes", [1, 16, 128])
+def test_oracles_match_the_mode_by_mode_sums(dynamics, kernel, weights, n_modes):
+    # the comparison's lags on both axes, at its x points; the sums run in
+    # another order, so they agree to rounding (bound fixed at 1e-13 relative)
+    time, space = _PROFILE["time"], _PROFILE["space"]
+    lags = time["dt"] * np.array(time["steps"], dtype=float)
+    xs_time, xs_space = _interior(time["nx"]), _interior(space["nx"])
+    steps = np.array(space["steps"])
+    got = [
+        theoretical_field_variogram(kernel, BASIS, weights, n_modes, xs_time, lags, dynamics),
+        theoretical_space_variogram(BASIS, weights, n_modes, xs_space, steps, dynamics),
+        theoretical_variogram(kernel, _scalar_mode(BASIS, weights, n_modes), lags, dynamics),
+    ]
+    want = [
+        _field_time_by_mode(kernel, BASIS, weights, n_modes, xs_time, lags, dynamics),
+        _space_by_mode(BASIS, weights, n_modes, xs_space, steps, dynamics),
+        _time_by_mode(kernel, [(_scalar_mode(BASIS, weights, n_modes), 1.0)], lags, dynamics),
+    ]
+    for curve, ref in zip(got, want):
+        assert np.all(np.abs(curve.values - ref) <= 1e-13 * np.abs(ref))

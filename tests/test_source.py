@@ -5,6 +5,7 @@ import builtins
 from pathlib import Path
 
 import glefield
+from glefield.mode_sampler import LAWS
 
 
 def _library_trees():
@@ -18,6 +19,15 @@ def _name(node):
     if isinstance(node, ast.Attribute):
         return node.attr
     return node.id if isinstance(node, ast.Name) else None
+
+
+def _enclosing_functions(tree):
+    """Each node inside a function mapped to the innermost function's name."""
+    enclosing = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            enclosing.update((inner, node.name) for inner in ast.walk(node))
+    return enclosing
 
 
 def test_library_has_no_assert_statements():
@@ -146,10 +156,7 @@ def test_modules_import_only_lower_layers():
     upward = []
     for path, tree in _library_trees():
         rank = _LAYERS.index(path.stem)
-        enclosing = {}
-        for node in ast.walk(tree):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                enclosing.update((inner, node.name) for inner in ast.walk(node))
+        enclosing = _enclosing_functions(tree)
         for node in ast.walk(tree):
             for target in _imported_modules(node):
                 if _LAYERS.index(target) >= rank:
@@ -187,3 +194,44 @@ def test_config_files_have_one_reader():
             found += [f"{path.name}:{node.lineno}" for name in names
                       if name.split(".")[0] == "configparser"]
     assert found == []
+
+
+def test_only_mode_sampler_compares_law_names():
+    # mode_sampler owns the sampling laws: what each law means, which
+    # set-up it needs and its closed-form moments.  A comparison with a law
+    # name elsewhere would be a second place that says what a law does
+    def names_a_law(node):
+        return (isinstance(node, ast.Constant) and node.value in LAWS) or _name(node) == "LAWS"
+
+    found = []
+    for path, tree in _library_trees():
+        if path.stem == "mode_sampler":
+            continue
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Compare)
+                  and any(names_a_law(inner) for operand in (node.left, *node.comparators)
+                          for inner in ast.walk(operand))]
+    assert found == []
+
+
+def test_modes_have_one_constructor():
+    # a mode's alpha and lambda come from the array rules in one place, so a
+    # mode built for the field, an oracle or one CLI command has one set of bits
+    calls = []
+    for path, tree in _library_trees():
+        enclosing = _enclosing_functions(tree)
+        calls += [(path.stem, enclosing.get(node)) for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and _name(node) == "Mode"]
+    assert sorted(set(calls)) == [("field_assembly", "_modes")]
+
+
+def test_regularity_reads_no_embedding_or_law_list():
+    # the oracles read each law's moments from mode_sampler._law alone
+    tree = ast.parse((Path(glefield.__file__).parent / "regularity.py").read_text())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, (ast.Attribute, ast.Name)):
+            names.add(_name(node))
+    assert names & {"_Markov", "LAWS"} == set()
