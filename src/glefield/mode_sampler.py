@@ -466,12 +466,18 @@ class _Markov:
 
         In the eigenbasis it is -2 r(0) Re sum_i c_i expm1(mu_i h), which
         keeps small lags free of the cancellation in r(0) - r(h); without
-        one it is 2 r(0) (1 - Phi(h)[0, 0]) from :meth:`transition`.
+        one it is r(0) ((1 - Phi00)^2 + sum_{j>=1} Phi0j^2 + Q00) from the
+        step law (Phi, Q) of :meth:`transition`: that equals 2 r(0) (1 - Phi00)
+        since Phi Phi^T + Q = I, but Q is built without cancellation, so the
+        increment survives where Phi00 rounds to 1.
         """
         h = np.asarray(lags, dtype=float)
         if self.eig[i] is None:
-            phi = [self.transition(t, [i])[0][0, 0, 0] for t in h.ravel()]
-            return 2.0 * self.variance[i] * (1.0 - np.reshape(phi, h.shape))
+            inc = []
+            for t in h.ravel():
+                (phi,), (q,) = self.transition(t, [i])
+                inc.append((1.0 - phi[0, 0]) ** 2 + phi[0, 1:] @ phi[0, 1:] + q[0, 0])
+            return self.variance[i] * np.reshape(inc, h.shape)
         mu, head, inv = self.eig[i]
         terms = (head * inv[:, 0]) * _decay(mu, h[..., None], less_one=True)
         return -2.0 * self.variance[i] * terms.sum(axis=-1).real

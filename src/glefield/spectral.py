@@ -13,6 +13,10 @@ by quadrature is the main correctness check of this module.
 The denominator nearly vanishes where omega = alpha * K_sin(omega)/omega * omega,
 i.e. at the resonant frequency omega_r solving alpha * K_sin(omega)/omega = 1.
 All quadrature routines split the axis around that peak before integrating.
+The resonance checks return values: ``find_resonance`` gives omega_r, or None
+for a mode too weakly coupled to have one, and ``check_resonance_inequality``
+gives the least slack of the paper's lower bound near omega_r, negative where
+the bound fails.
 """
 
 from __future__ import annotations
@@ -30,21 +34,8 @@ from .cm_kernel import KernelMeasure, k_cos, k_sin, k_sin_over_omega
 WINDOW_Q = 0.5
 
 
-class NoResonance(Exception):
-    """The mode is too weakly coupled for a resonant frequency to exist."""
-
-
 class ToleranceNotMet(Exception):
     """Quadrature could not certify the requested tolerance."""
-
-
-class InequalityViolated(Exception):
-    """The resonance lower-bound inequality failed at some grid frequency."""
-
-    def __init__(self, message, omega, slack):
-        super().__init__(message)
-        self.omega = omega
-        self.slack = slack
 
 
 @dataclass(frozen=True)
@@ -71,15 +62,6 @@ class SpectralDensity:
 
     kernel: KernelMeasure
     mode: Mode
-
-
-@dataclass(frozen=True)
-class Resonance:
-    """Resonant frequency with the constant of the linear lower bound
-    |alpha*K_sin(omega)/omega - 1| >= (c/omega_r)|omega - omega_r|."""
-
-    omega_r: float
-    lower_bound_constant: float
 
 
 def rho(sd: SpectralDensity, omega):
@@ -133,34 +115,27 @@ def _scalar_rho(sd: SpectralDensity):
     return f_many
 
 
-def find_resonance(sd: SpectralDensity) -> Resonance:
-    """Locate the unique root of g(omega) = 1 - alpha * K_sin(omega)/omega.
+def find_resonance(sd: SpectralDensity) -> float | None:
+    """The unique root omega_r of g(omega) = 1 - alpha * K_sin(omega)/omega,
+    or None when g(0+) >= 0, i.e. alpha * sum_i w_i/x_i^2 <= 1.
 
     g is strictly increasing because K_sin(omega)/omega is strictly decreasing,
     so plain bisection converges without derivatives.  The bracket never needs
-    growing: omega*K_sin(omega) < K(0) gives g > 0 at omega = sqrt(2*alpha*K(0)).
-
-    Raises NoResonance when g(0+) >= 0, i.e. alpha * sum_i w_i/x_i^2 <= 1.
+    growing: omega*K_sin(omega) < K(0) gives g > 0 at omega = sqrt(2*alpha*K(0)),
+    and with g(0+) < 0 halving the lower end reaches g < 0.
     """
     alpha = sd.mode.alpha_k
-    mass = sd.kernel.mass
     atoms = sd.kernel.atoms
 
     def g(omega: float) -> float:
         return 1.0 - alpha * sum(w / (x * x + omega * omega) for w, x in atoms)
 
     if g(0.0) >= 0.0:
-        raise NoResonance(
-            f"alpha_k={alpha} gives g(0+)={g(0.0):.3e} >= 0; no resonant frequency"
-        )
-    hi = math.sqrt(2.0 * alpha * mass)
-    lo = hi
-    for _ in range(200):
+        return None
+    hi = math.sqrt(2.0 * alpha * sd.kernel.mass)
+    lo = 0.5 * hi
+    while g(lo) >= 0.0:
         lo *= 0.5
-        if g(lo) < 0.0:
-            break
-    else:
-        raise NoResonance(f"g stays nonnegative down to omega={lo:.3e}")
     # bisect until the bracket is tight in both position and residual
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -173,9 +148,7 @@ def find_resonance(sd: SpectralDensity) -> Resonance:
             hi = mid
         if hi - lo <= 1e-13 * hi and abs(g_mid) <= 1e-13:
             break
-    omega_r = 0.5 * (lo + hi)
-    const = k_sin(sd.kernel, 1.0) / (4.0 * mass)
-    return Resonance(omega_r=omega_r, lower_bound_constant=const)
+    return 0.5 * (lo + hi)
 
 
 def _tail_bound(sd: SpectralDensity, omega_cut: float) -> float:
@@ -212,10 +185,7 @@ def _cutoff(sd: SpectralDensity, budget: float):
     max(sqrt(alpha*K(0)), 1) without a resonance, and doubles until the
     closed-form tail bound is within budget.
     """
-    try:
-        omega_r = find_resonance(sd).omega_r
-    except NoResonance:
-        omega_r = None
+    omega_r = find_resonance(sd)
     scale = math.sqrt(sd.mode.alpha_k * sd.kernel.mass)
     omega_cut = 4.0 * (omega_r if omega_r is not None else max(scale, 1.0))
     for _ in range(40):
@@ -308,50 +278,28 @@ def autocovariance(sd: SpectralDensity, tau: float, rel_tol: float = 1e-8) -> fl
     return _integrate(sd, rel_tol, weight="cos", wvar=tau, limit=400)
 
 
-@dataclass(frozen=True)
-class SlackReport:
-    """Result of the resonance inequality scan; skipped=True means omega_r <= 1
-    where the constant is not guaranteed and the check does not apply."""
-
-    min_slack: float
-    omega_at_min: float
-    n_points: int
-    skipped: bool = False
-
-
 # uniform points of the inequality scan over the resonance window
 _SCAN_POINTS = 1024
 
 
-def check_resonance_inequality(sd: SpectralDensity, resonance: Resonance) -> SlackReport:
-    """Scan |alpha*K_sin/omega - 1| >= (c/omega_r)*|omega - omega_r| on the window.
+def check_resonance_inequality(sd: SpectralDensity, omega_r: float) -> float:
+    """Least slack of |alpha*K_sin/omega - 1| >= (c/omega_r)*|omega - omega_r|
+    on the window around the resonant frequency omega_r.
 
     The window is [omega_r - omega_r^q, omega_r + omega_r^q] (q =
-    ``WINDOW_Q``, ``_SCAN_POINTS`` uniform points) with
-    c = K_sin(1) / (4*K(0)); the bound is only claimed for omega_r > 1, so the
-    scan is skipped (not failed) otherwise.  Raises InequalityViolated with the
-    witness frequency if any grid point has negative slack.
+    ``WINDOW_Q``, ``_SCAN_POINTS`` uniform points) and c = K_sin(1) / (4*K(0)),
+    a constant of the kernel.  A negative slack means the inequality fails at
+    some grid point; the bound is only claimed for omega_r > 1, so the slack
+    is nan otherwise.
     """
-    omega_r = resonance.omega_r
     if omega_r <= 1.0:
-        return SlackReport(math.nan, math.nan, 0, skipped=True)
-    alpha = sd.mode.alpha_k
-    c = resonance.lower_bound_constant
+        return math.nan
+    c = k_sin(sd.kernel, 1.0) / (4.0 * sd.kernel.mass)
     half = omega_r**WINDOW_Q
     grid = np.linspace(omega_r - half, omega_r + half, _SCAN_POINTS)
-    lhs = np.abs(alpha * k_sin_over_omega(sd.kernel, grid) - 1.0)
+    lhs = np.abs(sd.mode.alpha_k * k_sin_over_omega(sd.kernel, grid) - 1.0)
     rhs = (c / omega_r) * np.abs(grid - omega_r)
-    slack = lhs - rhs
-    i = int(np.argmin(slack))
-    report = SlackReport(float(slack[i]), float(grid[i]), _SCAN_POINTS)
-    if report.min_slack < 0.0:
-        raise InequalityViolated(
-            f"resonance bound fails at omega={report.omega_at_min:.6f} "
-            f"(slack {report.min_slack:.3e})",
-            report.omega_at_min,
-            report.min_slack,
-        )
-    return report
+    return float(np.min(lhs - rhs))
 
 
 def autocovariance_sequence(sd: SpectralDensity, dt: float, count: int) -> np.ndarray:

@@ -16,7 +16,6 @@ from glefield.field_assembly import DirichletInterval, Divergent, Explicit, Flat
 from glefield.mode_sampler import TimeGrid, sample_gle_mode
 from glefield.spectral import (
     Mode,
-    NoResonance,
     SpectralDensity,
     autocovariance,
     check_resonance_inequality,
@@ -58,9 +57,9 @@ def test_criterion_2_resonance_limit():
     worst = 0.0
     for k in range(1, 201):
         alpha = (k * math.pi) ** 2
-        res = find_resonance(SpectralDensity(measure, Mode(k, alpha, 1.0)))
-        worst = max(worst, abs(res.omega_r - math.sqrt(alpha - 1.0)))
-    ratio = res.omega_r**2 / alpha
+        omega_r = find_resonance(SpectralDensity(measure, Mode(k, alpha, 1.0)))
+        worst = max(worst, abs(omega_r - math.sqrt(alpha - 1.0)))
+    ratio = omega_r**2 / alpha
     ok = worst <= 1e-10 and abs(ratio - 1.0) <= 0.05
     _report(2, "resonance limit", ok,
             f"max |omega dev| {worst:.2e}, ratio at k=200: {ratio:.6f}")
@@ -101,16 +100,13 @@ def test_criterion_4_resonance_inequality():
     for name, measure in CORPUS.items():
         for alpha in ALPHAS:
             sd = SpectralDensity(measure, Mode(1, alpha, 1.0))
-            try:
-                res = find_resonance(sd)
-            except NoResonance:
+            omega_r = find_resonance(sd)
+            if omega_r is None or omega_r <= 1.0:
                 continue
-            if res.omega_r <= 1.0:
-                continue
-            slack = check_resonance_inequality(sd, res)
+            slack = check_resonance_inequality(sd, omega_r)
             checked += 1
-            worst = min(worst, slack.min_slack)
-            if slack.min_slack < 0.0:
+            worst = min(worst, slack)
+            if slack < 0.0:
                 failures.append(f"{name} alpha={alpha:g}")
     ok = checked > 0 and not failures
     _report(4, "resonance inequality", ok,

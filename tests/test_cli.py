@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import glefield
-from glefield import cli
+from glefield import cli, spectral
 from glefield.cli import _write_columns, _write_field_csv, load_config, main
 from glefield.cm_kernel import KernelMeasure
 from glefield.mode_sampler import _Markov
@@ -530,6 +530,86 @@ def test_verify_fails_unreachable_bar(tmp_path, capsys):
     assert load_json(out)["passed"] is False
 
 
+def test_verify_fails_a_violated_inequality(tmp_path, monkeypatch):
+    # with alpha*K_sin/omega held at 1 the inequality's left side is 0 on
+    # the whole window, so its slack is minus the bound at the window's ends,
+    # -(c/omega_r) * omega_r^(1/2) with c = K_sin(1)/(4 K(0)) = 1/8
+    monkeypatch.setattr(spectral, "k_sin_over_omega",
+                        lambda kernel, omega: np.full_like(omega, 0.25))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--k-list", "2", "--out", str(out)]) == 3
+    report = load_json(out)
+    assert report["passed"] is False
+    (two,) = report["results"]
+    assert two["rel_err"] <= 1e-6
+    assert two["inequality_min_slack"] == pytest.approx(-0.125 * 3.0**-0.25, rel=1e-12)
+
+
+# each case: config text (or None), the command's arguments ({tmp} is the
+# test's directory, {mode} a sampled mode CSV), a CSV text written to
+# {tmp}/in.csv (or None), and the cause stderr must name
+_REJECTED = {
+    "float-not-a-number": ("[sampler]\ndt = fast\n", ["kernel"], None, "'fast' is not a number"),
+    "float-not-finite": ("[sampler]\ndt = inf\n", ["kernel"], None, "'inf' is not finite"),
+    "bad-choice": ("[kernel]\nkernel = gauss\n", ["kernel"], None,
+                   "'gauss' must be one of expsum, powerlaw"),
+    "atoms-not-json": ("[kernel]\natoms = [[1, 1\n", ["kernel"], None,
+                       "atoms must be JSON like [[w, x], ...]"),
+    "atoms-wrong-shape": ("[kernel]\natoms = [1.0, 1.0]\n", ["kernel"], None,
+                          "atoms must be a nonempty list of [w, x] pairs"),
+    "bad-number-list": ("[weights]\nvalues = 1.0, one\n", ["kernel"], None,
+                        "expected a list of numbers"),
+    "lags-not-integers": ("[regularity]\nlags = 1, 2.5\n", ["kernel"], None,
+                          "lags must be 'dyadic' or comma-separated integers"),
+    "lags-not-positive": ("[regularity]\nlags = 0, 2\n", ["kernel"], None,
+                          "lag steps must be positive integers"),
+    "t-max-not-positive": (None, ["kernel", "--t-max", "0"], None, "--t-max 0.0 must be positive"),
+    "omega-max-not-positive": (None, ["spectrum", "--omega-max", "-1"], None,
+                               "--omega-max -1.0 must be positive"),
+    "k-list-not-integers": (None, ["verify", "--k-list", "1,two"], None,
+                            "--k-list '1,two' must be comma-separated integers"),
+    "k-list-not-positive": (None, ["verify", "--k-list", "0,1"], None,
+                            "--k-list needs positive mode indices"),
+    "input-missing": (None, ["hoelder", "--in", "{tmp}/none.csv"], None, "input file not found"),
+    "input-unknown-header": (None, ["hoelder", "--in", "{tmp}/in.csv"], "a,b\n1,2\n",
+                             "unrecognized columns ['a', 'b']"),
+    "input-no-rows": (None, ["hoelder", "--in", "{tmp}/in.csv"], "path_id,t,value\n",
+                      "no data rows"),
+    "input-not-a-grid": (None, ["hoelder", "--in", "{tmp}/in.csv"],
+                         "path_id,t,value\n0,0.0,1.0\n0,0.5,1.0\n1,0.0,1.0\n",
+                         "rows do not form a full (path, t, x) grid"),
+    "input-one-time": (None, ["hoelder", "--in", "{tmp}/in.csv"],
+                       "path_id,t,value\n0,0.0,1.0\n1,0.0,2.0\n", "need at least 2 time samples"),
+    "input-non-uniform-times": (None, ["hoelder", "--in", "{tmp}/in.csv"],
+                                "path_id,t,value\n0,0.0,1.0\n0,1.0,2.0\n0,3.0,1.0\n",
+                                "time grid is not uniform"),
+    "space-axis-on-mode-csv": (None, ["hoelder", "--in", "{mode}", "--axis", "space"], None,
+                               "space axis needs a field CSV with an x column"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+@pytest.mark.parametrize("config, argv, csv_text, cause", _REJECTED.values(), ids=_REJECTED)
+def test_rejected_input_exits_2_with_no_artifact(tmp_path, capsys, config, argv, csv_text,
+                                                 cause):
+    mode_csv = tmp_path / "paths.csv"
+    if "{mode}" in argv:
+        assert main(["sample-mode", "--dt", "0.125", "--n", "64", "--ensemble", "2",
+                     "--out", str(mode_csv)]) == 0
+    work = tmp_path / "work"
+    work.mkdir()
+    argv = [a.format(tmp=work, mode=mode_csv) for a in argv]
+    if config is not None:
+        (work / "c.ini").write_text(config)
+        argv += ["--config", str(work / "c.ini")]
+    if csv_text is not None:
+        (work / "in.csv").write_text(csv_text)
+    before = sorted(work.iterdir())
+    assert main([*argv, "--out", str(work / "out")]) == 2
+    assert cause in capsys.readouterr().err
+    assert sorted(work.iterdir()) == before
+
+
 def test_hoelder_rejects_short_lag_span(tmp_path, capsys):
     paths = tmp_path / "paths.csv"
     assert main(["sample-mode", "--dt", "0.125", "--n", "64", "--ensemble", "2",
@@ -657,7 +737,8 @@ def test_hoelder_mode_oracle_follows_dynamics(tmp_path):
 def test_hoelder_oracle_under_a_stiff_kernel_takes_the_step_law(tmp_path):
     # under atoms [[1, 1e10]] rounding loses mode 1's slow decay rate, and an
     # eigenbasis would write -2e-20 at every lag, a negative variance; the
-    # oracle comes from the step law Phi(h) of _Markov.transition
+    # oracle comes from the step law (Phi(h), Q(h)) of _Markov.transition,
+    # where Phi00 rounds to 1 and 2 (1 - Phi00) would read 0 at every lag
     paths = tmp_path / "paths.csv"
     assert main(["sample-mode", "--dynamics", "heat", "--dt", "0.01", "--n", "256",
                  "--ensemble", "4", "--out", str(paths)]) == 0
@@ -667,11 +748,15 @@ def test_hoelder_oracle_under_a_stiff_kernel_takes_the_step_law(tmp_path):
     assert main(["hoelder", "--in", str(paths), "--axis", "time", "--config", str(cfg),
                  "--k", "1", "--out", str(out)]) == 0
     report = load_json(out)
-    emb = _Markov(KernelMeasure([(1.0, 1e10)]), [Mode(1, 1.0, 1.0)])
-    assert emb.eig == [None]
-    steps = [emb.transition(h, [0])[0][0, 0, 0] for h in report["lags"]]
-    assert report["oracle_values"] == [2.0 * (1.0 - phi) for phi in steps]
-    assert min(report["oracle_values"]) >= 0.0
+    assert _Markov(KernelMeasure([(1.0, 1e10)]), [Mode(1, 1.0, 1.0)]).eig == [None]
+    # the 2x2 closed form 2 r0 (1 - r(h)/r0), r0 = 1, over the drift's two
+    # real eigenvalues mu1 (the slow one, taken without cancellation) and mu2
+    x = 1e10
+    root = math.sqrt(x * x - 4.0)
+    mu1, mu2 = -2.0 / (x + root), -(x + root) / 2.0
+    h = np.array(report["lags"])
+    exact = 2.0 * (-mu2 * np.expm1(mu1 * h) + mu1 * np.expm1(mu2 * h)) / (mu2 - mu1)
+    np.testing.assert_allclose(report["oracle_values"], exact, rtol=1e-6, atol=0.0)
 
 
 def test_hoelder_one_point_field_gets_the_field_oracle(tmp_path):

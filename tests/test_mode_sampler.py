@@ -433,7 +433,13 @@ def test_modes_whose_slow_rate_is_lost_to_rounding_get_no_eigenbasis():
         stiff.covariance(0, 1e12, 3)
     with pytest.raises(ValueError, match="too stiff"):
         stiff.increment(0, [1e12])
-    assert np.all(stiff.increment(0, [1e-3, 1.0]) >= 0.0)
+    # the step law's increment takes Q(h), built without cancellation, so it
+    # matches the 2x2 closed form where Phi(h)[0, 0] rounds to 1
+    root = math.sqrt(1e20 - 4.0)
+    mu1, mu2 = -2.0 / (1e10 + root), -(1e10 + root) / 2.0
+    lags = np.array([2.0**-5, 0.5, 1e3])
+    exact = 2.0 * (-mu2 * np.expm1(mu1 * lags) + mu1 * np.expm1(mu2 * lags)) / (mu2 - mu1)
+    np.testing.assert_allclose(stiff.increment(0, lags), exact, rtol=1e-6, atol=0.0)
     # the kernels in use keep every basis, and so does [[1, 1e6]], whose
     # slow rate clears the threshold 45 times over
     for kernel in (SINGLE, _TWO, THREE, discretize(PowerLaw(1.0, 16)),

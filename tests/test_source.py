@@ -39,18 +39,14 @@ def test_library_has_no_assert_statements():
     assert found == []
 
 
-def test_every_library_exception_class_is_raised():
-    # an exception class nothing raises is dead API: callers catch it for
-    # nothing and the docs promise a failure mode that cannot happen
+def _library_exceptions():
+    """Each exception class the library defines, mapped to its file:line."""
     classes = {}
-    raised = set()
     for path, tree in _library_trees():
         for node in ast.walk(tree):
             if isinstance(node, ast.ClassDef):
                 classes[node.name] = (f"{path.name}:{node.lineno}",
                                       {_name(base) for base in node.bases})
-            elif isinstance(node, ast.Raise) and node.exc is not None:
-                raised.add(_name(node.exc))
 
     def is_exception(name, seen=()):
         builtin = getattr(builtins, name, None)
@@ -59,9 +55,46 @@ def test_every_library_exception_class_is_raised():
         return name in classes and name not in seen and any(
             is_exception(base, seen + (name,)) for base in classes[name][1] if base)
 
-    exceptions = {name for name in classes if is_exception(name)}
+    return {name: where for name, (where, _) in classes.items() if is_exception(name)}
+
+
+def test_every_library_exception_class_is_raised():
+    # an exception class nothing raises is dead API: callers catch it for
+    # nothing and the docs promise a failure mode that cannot happen
+    raised = set()
+    for path, tree in _library_trees():
+        raised.update(_name(node.exc) for node in ast.walk(tree)
+                      if isinstance(node, ast.Raise) and node.exc is not None)
+    exceptions = _library_exceptions()
     assert exceptions
-    assert sorted(classes[name][0] for name in exceptions - raised) == []
+    assert sorted(where for name, where in exceptions.items() if name not in raised) == []
+
+
+def test_library_outcomes_are_values_not_exceptions():
+    # an exception of glefield's own is a failure, reported by cli.main as
+    # its exit code; no other handler catches one, so an outcome a caller
+    # goes on with (no resonance, a failed inequality) is a returned value.
+    # A handler's names are read through module-level tuples of classes
+    exceptions = set(_library_exceptions())
+    found = []
+    for path, tree in _library_trees():
+        tuples = {target.id: node.value for node in tree.body if isinstance(node, ast.Assign)
+                  for target in node.targets if isinstance(target, ast.Name)}
+        enclosing = _enclosing_functions(tree)
+
+        def caught(node):
+            if isinstance(node, ast.Tuple):
+                return {name for elt in node.elts for name in caught(elt)}
+            if _name(node) in tuples:
+                return caught(tuples[_name(node)])
+            return {_name(node)}
+
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.ExceptHandler) and node.type is not None
+                    and (path.stem, enclosing.get(node)) != ("cli", "main")):
+                found += [f"{path.name}:{node.lineno}: {name}"
+                          for name in sorted(caught(node.type) & exceptions)]
+    assert found == []
 
 
 def test_scipy_is_imported_only_where_it_is_used():
