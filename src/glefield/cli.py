@@ -475,8 +475,7 @@ def cmd_sample_field(args, cfg: RunConfig) -> int:
             "tail_bound": tail_bound,
             "max_clipped_mass": max(sample.clipped_masses, default=0.0),
             "wellposedness": {
-                "partial_sum": wellposed.partial_sum,
-                "tail_estimate": wellposed.tail_estimate,
+                "total": wellposed.total,
                 "decay_power": wellposed.decay_power,
                 "convergent": wellposed.convergent,
             },
@@ -497,15 +496,18 @@ def _read_field_csv(path: str):
         raise ConfigError(f"input file not found: {path}")
     with open(path, "r", encoding="utf-8") as fh:
         header = fh.readline().strip().split(",")
+        # loadtxt warns on a file with no rows, so the first one is sought here:
+        # a line that holds more than blanks and a '#' comment
+        has_rows = any(line.split("#", 1)[0].strip() for line in fh)
     if header == ["path_id", "t", "value"]:
         has_x = False
     elif header == ["path_id", "t", "x", "value"]:
         has_x = True
     else:
         raise ConfigError(f"{path}: unrecognized columns {header}")
-    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
-    if data.shape[0] == 0:
+    if not has_rows:
         raise ConfigError(f"{path}: no data rows")
+    data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if not np.isfinite(data).all():
         raise ConfigError(f"{path}: non-finite cell in the data rows")
     paths = np.unique(data[:, 0])

@@ -7,7 +7,9 @@ The field on an interval with absorbing ends is the eigenfunction series
 where each scalar trajectory u_k carries the noise weight through its
 spectral density and the eigenfunctions are orthonormal in L^2.  This module
 owns the basis and weight rules, the mode lists they give (:func:`_modes`),
-the summability gates that make the series well defined, and its synthesis.
+the summability gates that make the series well defined and bound its
+truncation (exact sums: a Hurwitz zeta under a weight law, the listed terms
+under an Explicit list), and its synthesis.
 """
 
 from __future__ import annotations
@@ -61,46 +63,11 @@ class DirichletInterval:
         phase = np.multiply.outer(np.asarray(k) * math.pi, x_arr)
         return math.sqrt(2.0 / self.length) * np.sin(phase / self.length)
 
-
-@dataclass(frozen=True)
-class CustomBasis:
-    """Explicit eigenvalue/constant sequences with a user evaluation rule.
-
-    Sequences must be nondecreasing: modes are ordered by stiffness and the
-    tail estimates rely on it.  The gates probe at most the listed modes, and
-    a mode beyond the list raises ValueError.
-    """
-
-    alphas: tuple
-    sup_consts: tuple
-    eval_fn: object = None
-
-    def __post_init__(self):
-        a = np.asarray(self.alphas, dtype=float)
-        c = np.asarray(self.sup_consts, dtype=float)
-        if a.ndim != 1 or a.shape != c.shape or a.size == 0:
-            raise ValueError("alphas and sup_consts must be equal-length sequences")
-        if np.any(a <= 0.0) or np.any(c <= 0.0):
-            raise ValueError("eigenvalues and sup-norm constants must be positive")
-        if np.any(np.diff(a) < 0.0) or np.any(np.diff(c) < 0.0):
-            raise ValueError("alpha_k and c_k sequences must be nondecreasing")
-        object.__setattr__(self, "alphas", tuple(float(v) for v in a))
-        object.__setattr__(self, "sup_consts", tuple(float(v) for v in c))
-
-    def alpha(self, k):
-        return _listed(self.alphas, k, "eigenvalues")
-
-    def sup_const(self, k):
-        return _listed(self.sup_consts, k, "sup-norm constants")
-
-    def eval(self, k, x) -> np.ndarray:
-        """eval_fn(k, x) for one mode index k, or one row per index for an
-        integer array of them, each taken with a Python int."""
-        if self.eval_fn is None:
-            raise ValueError("this basis has no eigenfunction evaluation rule")
-        if np.ndim(k) == 0:
-            return np.asarray(self.eval_fn(k, x), dtype=float)
-        return np.array([self.eval_fn(j, x) for j in np.asarray(k).tolist()], dtype=float)
+    def power_law(self, q: float, use_sup: bool) -> tuple:
+        """(C, p) with [c_k^2] alpha_k^(-q) = C k^(-p) for every k, the
+        bracket taken when use_sup: the terms whose tail the series gates sum."""
+        c = (self.length / math.pi) ** (2.0 * q)
+        return (c * 2.0 / self.length if use_sup else c), 2.0 * q
 
 
 @dataclass(frozen=True)
@@ -116,6 +83,10 @@ class Flat:
     def weight(self, basis, k: int) -> float:
         return self.lam
 
+    def square_law(self) -> tuple:
+        """(a, b) with lambda_k^2 = a alpha_k^b."""
+        return self.lam * self.lam, 0.0
+
 
 @dataclass(frozen=True)
 class PowerDecay:
@@ -129,6 +100,10 @@ class PowerDecay:
 
     def weight(self, basis, k):
         return _pow(basis.alpha(k), -self.s)
+
+    def square_law(self) -> tuple:
+        """(a, b) with lambda_k^2 = a alpha_k^b."""
+        return 1.0, -2.0 * self.s
 
 
 @dataclass(frozen=True)
@@ -146,17 +121,13 @@ class Explicit:
         object.__setattr__(self, "values", tuple(float(x) for x in v))
 
     def weight(self, basis, k):
-        return _listed(self.values, k, "explicit weights")
-
-
-def _listed(values: tuple, k, what: str):
-    """values[k - 1]: a float for one mode index k, an array for an integer
-    array of them; ValueError for an index outside the list."""
-    k_arr = np.asarray(k)
-    outside = k_arr[(k_arr < 1) | (k_arr > len(values))]
-    if outside.size:
-        raise ValueError(f"mode {outside.flat[0]} beyond the {len(values)} {what}")
-    return np.asarray(values)[k_arr - 1] if k_arr.ndim else values[int(k) - 1]
+        """lambda_k: a float for one mode index k, an array for an integer
+        array of them; ValueError for an index outside the list."""
+        k_arr = np.asarray(k)
+        outside = k_arr[(k_arr < 1) | (k_arr > len(self.values))]
+        if outside.size:
+            raise ValueError(f"mode {outside.flat[0]} beyond the {len(self.values)} explicit weights")
+        return np.asarray(self.values)[k_arr - 1] if k_arr.ndim else self.values[int(k) - 1]
 
 
 def _pow(x, p: float):
@@ -171,7 +142,7 @@ def _pow(x, p: float):
     if p == 1.0:
         return x
     # np.float64 subclasses float, so float.__rpow__ takes the elements one
-    # at a time, with no list of Python floats (about 0.3 MB at 4000 terms)
+    # at a time, with no list of Python floats
     return np.fromiter(map(float(p).__rpow__, x), float, x.size)
 
 
@@ -187,103 +158,108 @@ def _series_terms(basis, weights, exponent: float, count: int, use_sup: bool) ->
     return terms
 
 
-# series terms the gates sum before closing with a fitted-power tail: the
-# variance and smoothness gates, and the truncation estimate (which probes
-# at least twice the modes kept)
-_N_PROBE = 2000
-_TAIL_PROBE = 4000
+# B_2j / (2j)! for j = 1..8: the Euler-Maclaurin corrections of _zeta
+_BERNOULLI = (1 / 12, -1 / 720, 1 / 30240, -1 / 1209600, 1 / 47900160,
+              -691 / 1307674368000, 1 / 74724249600, -3617 / 10670622842880000)
 
 
-def _probe(basis, weights, n_probe: int) -> int:
-    """n_probe clipped to the length of any finite list behind the series."""
-    if isinstance(weights, Explicit):
-        n_probe = min(n_probe, len(weights.values))
-    if isinstance(basis, CustomBasis):
-        n_probe = min(n_probe, len(basis.alphas))
-    return n_probe
-
-
-def _tail_by_fitted_power(terms: np.ndarray) -> tuple[float, float]:
-    """(tail estimate, fitted decay power) from the last decade of terms.
-
-    Fits terms ~ C k^(-p) on the final decade and integrates the fit past the
-    probe end (midpoint rule), the standard closure for p-series partial sums.
-    Returns (inf, p) when p <= 1 up to fit noise: the critical series fits to
-    p = 1 + O(eps) and must not be certified convergent.
-    """
-    n = len(terms)
-    lo = max(n // 10 * 9, 1)
-    ks = np.arange(lo, n + 1, dtype=float)
-    vals = terms[lo - 1 :]
-    if np.any(vals <= 0.0):
-        return 0.0, math.inf
-    slope, intercept = np.polyfit(np.log(ks), np.log(vals), 1)
-    p = -slope
-    if p <= 1.0 + 1e-6:
-        return math.inf, p
-    c = math.exp(intercept)
-    tail = c * (n + 0.5) ** (1.0 - p) / (p - 1.0)
-    return tail, p
+def _zeta(p: float, a: float) -> float:
+    """Hurwitz zeta sum_{k >= 0} (a + k)^(-p) for p > 1 and a >= 1: 16 terms
+    summed directly, the rest by Euler-Maclaurin with 8 Bernoulli corrections,
+    whose remainder is below the rounding of the sum."""
+    x = a + 16.0
+    terms = [(a + k) ** -p for k in range(16)]
+    terms += [x ** (1.0 - p) / (p - 1.0), 0.5 * x ** -p]
+    rising, power = p, x ** (-p - 1.0)
+    for j, b in enumerate(_BERNOULLI):
+        terms.append(b * rising * power)
+        rising *= (p + 2 * j + 1) * (p + 2 * j + 2)
+        power /= x * x
+    return math.fsum(terms)
 
 
 @dataclass(frozen=True)
 class SummabilityReport:
-    """Outcome of a series gate: partial sum, tail estimate, and the verdict."""
+    """A series summed past some index: its total, the decay power p of its
+    terms ~ k^(-p) (None when they are zero), and the verdict."""
 
-    partial_sum: float
-    tail_estimate: float
-    decay_power: float
-    n_probe: int
+    total: float
+    decay_power: float | None
     convergent: bool
 
-    @property
-    def total(self) -> float:
-        return self.partial_sum + self.tail_estimate
+
+# a decay power reached from decimal exponents, such as 2 (eta + 2 s), is off
+# by a few ulps, so one within this of 1 is the critical series as written
+_CRITICAL_SLACK = 1e-12
 
 
-def _summability(basis, weights, exponent: float, use_sup: bool) -> SummabilityReport:
-    """Partial sum of the first ``_N_PROBE`` terms (fewer when a finite list
-    ends sooner, at least 10), closed with a fitted-power tail."""
-    n_probe = _probe(basis, weights, _N_PROBE)
-    if n_probe < 10:
-        short = ("explicit weights" if isinstance(weights, Explicit)
-                 and len(weights.values) == n_probe else "custom-basis list")
-        raise ValueError(f"the series gates need at least 10 terms; the {short} gave {n_probe}")
-    terms = _series_terms(basis, weights, exponent, n_probe, use_sup)
-    tail, p = _tail_by_fitted_power(terms)
-    convergent = p > 1.0 and math.isfinite(tail)
-    return SummabilityReport(float(terms.sum()), tail, p, n_probe, convergent)
+def _fitted_power(terms: np.ndarray) -> float | None:
+    """An estimate of the decay power p of terms ~ C k^(-p): minus the slope
+    of the log-log line fitted to the last decade; None when it holds a zero."""
+    n = len(terms)
+    if n < 10:
+        raise ValueError(f"the series gates need at least 10 terms; the explicit weights gave {n}")
+    ks = np.arange(n // 10 * 9, n + 1)
+    vals = terms[ks[0] - 1 :]
+    if np.any(vals <= 0.0):
+        return None
+    return -float(np.polyfit(np.log(ks), np.log(vals), 1)[0])
+
+
+def _series(basis, weights, exponent: float, use_sup: bool, past: int = 0) -> SummabilityReport:
+    """sum_{k > past} lambda_k^2 [c_k^2] / alpha_k^exponent, the bracket taken
+    when use_sup.
+
+    Under a weight law lambda_k^2 = a alpha_k^b the terms are exactly
+    a C k^(-p), C and p from the basis's ``power_law``, so the sum is
+    a C zeta(p, past + 1) and the series converges iff p > 1.  An Explicit
+    list is the whole field: the sum is its listed terms past ``past``, also
+    exact, and only the verdict is an estimate, from the power fitted to the
+    list's last decade, which must exceed 1 + 1e-6 (the critical series fits
+    to p = 1 + O(eps)).
+    """
+    if isinstance(weights, Explicit):
+        terms = _series_terms(basis, weights, exponent, len(weights.values), use_sup)
+        p = _fitted_power(terms)
+        return SummabilityReport(float(terms[past:].sum()), p, p is None or p > 1.0 + 1e-6)
+    a, b = weights.square_law()
+    c, p = basis.power_law(exponent - b, use_sup)
+    if a == 0.0:
+        return SummabilityReport(0.0, None, True)
+    if p <= 1.0 + _CRITICAL_SLACK:
+        return SummabilityReport(math.inf, p, False)
+    return SummabilityReport(a * c * _zeta(p, past + 1.0), p, True)
 
 
 def check_wellposedness(basis, weights) -> SummabilityReport:
-    """Gate the stationary variance series sum_k lambda_k^2 / alpha_k.
-
-    Built-in weight rules on built-in bases decay like a power of k, so the
-    tail is estimated, not bounded: a power fitted to the last decade of the
-    ``_N_PROBE`` probe terms is integrated past the probe; convergence requires that
-    power to exceed 1.  For Explicit weights the same partial-sum plus
-    decay-fit heuristic applies to however many weights were given.  A
-    divergent series raises Divergent instead of returning.
-    """
-    report = _summability(basis, weights, 1.0, use_sup=False)
+    """Gate the stationary variance series sum_k lambda_k^2 / alpha_k, summed
+    by ``_series``; a divergent series raises Divergent instead of returning."""
+    report = _series(basis, weights, 1.0, use_sup=False)
     if not report.convergent:
+        fitted = "fitted " if isinstance(weights, Explicit) else ""
         raise Divergent(
-            f"variance series diverges: fitted decay power {report.decay_power:.3f} <= 1 "
-            f"(partial sum {report.partial_sum:.6g} after {report.n_probe} terms)"
-        )
+            f"variance series diverges: {fitted}decay power {report.decay_power:.3f} <= 1")
     return report
 
 
 def check_regularity_assumption(basis, weights, eta: float) -> SummabilityReport:
-    """Gate the smoothness series sum_k lambda_k^2 c_k^2 / alpha_k^eta.
+    """Gate the smoothness series sum_k lambda_k^2 c_k^2 / alpha_k^eta, summed
+    by ``_series``.
 
     Convergence at a given eta in (0, 1) gives time regularity of every
-    exponent below 1 - eta; the gate estimates convergence from a fitted
-    decay power, so its verdict is an estimate, not a certificate.
+    exponent below 1 - eta.  The verdict is exact under a weight law and an
+    estimate under an Explicit list.
     """
     if not 0.0 < eta < 1.0:
         raise ValueError(f"eta {eta} must lie in (0, 1)")
-    return _summability(basis, weights, eta, use_sup=True)
+    return _series(basis, weights, eta, use_sup=True)
+
+
+def tail_variance_bound(basis, weights, n_modes: int) -> float:
+    """A bound on the pointwise variance lost to truncation at n_modes,
+    sum_{k > n_modes} lambda_k^2 c_k^2 / alpha_k (|e_k| <= c_k), summed
+    exactly by ``_series``: inf when a weight law's series diverges."""
+    return _series(basis, weights, 1.0, use_sup=True, past=n_modes).total
 
 
 def _modes(basis, weights, ks) -> list:
@@ -310,21 +286,6 @@ class FieldSample:
     @property
     def m(self) -> int:
         return self.values.shape[0]
-
-
-def tail_variance_bound(basis, weights, n_modes: int) -> float:
-    """Estimate, not a bound, of the pointwise variance lost to truncation,
-    sum_{k > n_modes} lambda_k^2 c_k^2 / alpha_k: the terms up to the probe
-    (``_TAIL_PROBE`` or twice n_modes) plus a fitted-power tail past it."""
-    probe = len(weights.values) if isinstance(weights, Explicit) else max(_TAIL_PROBE, 2 * n_modes)
-    probe = _probe(basis, weights, probe)
-    if n_modes >= probe:
-        return 0.0
-    terms = _series_terms(basis, weights, 1.0, probe, use_sup=True)
-    tail_past_probe, p = _tail_by_fitted_power(terms)
-    if not math.isfinite(tail_past_probe):
-        return math.inf
-    return float(terms[n_modes:].sum()) + tail_past_probe
 
 
 # modes per step-loop call or pool round, and the fewest in a product block
@@ -374,7 +335,7 @@ def assemble_field(
 
     Raises Divergent if the variance series fails its gate and
     TailBudgetExceeded if truncation leaves more than tail_budget of
-    pointwise variance (by the fitted-power tail estimate).
+    pointwise variance (by ``tail_variance_bound``).
     """
     if n_modes < 1:
         raise ValueError("n_modes must be positive")
@@ -387,7 +348,7 @@ def assemble_field(
     tail = tail_variance_bound(basis, weights, n_modes)
     if tail > tail_budget:
         raise TailBudgetExceeded(
-            f"truncation at {n_modes} modes leaves variance estimate {tail:.3e} "
+            f"truncation at {n_modes} modes leaves variance bound {tail:.3e} "
             f"> budget {tail_budget:.3e}"
         )
 

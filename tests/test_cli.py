@@ -373,6 +373,33 @@ def test_sample_field_thread_count_is_immaterial(tmp_path):
     assert 0.0 < sidecar["tail_bound"] < 1.0
 
 
+def _refuse_constant(name):
+    raise ValueError(f"sidecar holds {name}, which strict JSON has not")
+
+
+@pytest.mark.parametrize("weights, n_modes, decay_power", [
+    ("lam = 0.0", 8, None),                                        # a zero series
+    ("rule = explicit\nvalues = " + ", ".join(["1.0"] * 19 + ["0.0"]), 20, None),
+    ("rule = explicit\nvalues = " + ", ".join(["1.0"] * 64), 63, 2.0),
+])
+def test_sample_field_sidecar_is_strict_json(tmp_path, weights, n_modes, decay_power):
+    # no Infinity where the terms have no decay power, and an Explicit list's
+    # truncation bound is the listed terms past N: 64 unit weights cut at 63
+    # leave the last term, 2/pi / 64^2, well inside the default budget
+    cfg = tmp_path / "w.ini"
+    cfg.write_text(f"[weights]\n{weights}\n")
+    out = tmp_path / "f.csv"
+    assert main(["sample-field", "--config", str(cfg), "--N", str(n_modes), "--nx", "3",
+                 "--n", "32", "--ensemble", "2", "--out", str(out)]) == 0
+    text = read(Path(f"{out}.provenance.json"))
+    sidecar = json.loads(text, parse_constant=_refuse_constant)
+    well = sidecar["wellposedness"]
+    assert sorted(well) == ["convergent", "decay_power", "total"]
+    assert well["convergent"] is True and well["decay_power"] == pytest.approx(decay_power)
+    if n_modes == 63:
+        assert sidecar["tail_bound"] == pytest.approx(2.0 / math.pi / 64**2, rel=1e-15)
+
+
 def _csv_reference(path, header, rows):
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -588,7 +615,7 @@ _REJECTED = {
 }
 
 
-@pytest.mark.filterwarnings("ignore:loadtxt. input contained no data")
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("config, argv, csv_text, cause", _REJECTED.values(), ids=_REJECTED)
 def test_rejected_input_exits_2_with_no_artifact(tmp_path, capsys, config, argv, csv_text,
                                                  cause):

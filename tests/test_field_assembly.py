@@ -4,18 +4,18 @@ import math
 
 import numpy as np
 import pytest
-from scipy.special import polygamma
+from scipy.special import polygamma, zeta
 
 from glefield import field_assembly, mode_sampler
 from glefield.cm_kernel import KernelMeasure
 from glefield.field_assembly import (
-    CustomBasis,
     DirichletInterval,
     Divergent,
     Explicit,
     Flat,
     PowerDecay,
     _series_terms,
+    _zeta,
     TailBudgetExceeded,
     assemble_field,
     check_regularity_assumption,
@@ -54,18 +54,6 @@ def test_basis_eval_takes_an_array_of_modes():
             assert rows.shape == (ks.size, x.size)
             by_mode = np.stack([basis.eval(int(k), length * x) for k in ks])
             assert rows.tobytes() == by_mode.tobytes()
-    seen = []
-
-    def rule(k, x):
-        seen.append(type(k))
-        return np.cos(k * np.asarray(x))
-
-    custom = CustomBasis(alphas=(1.0, 4.0, 9.0), sup_consts=(1.0,) * 3, eval_fn=rule)
-    x = np.linspace(0.0, 1.0, 5)
-    rows = custom.eval(np.array([1, 3]), x)
-    assert rows.shape == (2, 5)
-    assert rows.tobytes() == np.stack([custom.eval(1, x), custom.eval(3, x)]).tobytes()
-    assert set(seen) == {int}
 
 
 def test_dirichlet_gradient_bound():
@@ -76,39 +64,6 @@ def test_dirichlet_gradient_bound():
         grad = (BASIS.eval(k, xs + h) - BASIS.eval(k, xs - h)) / (2.0 * h)
         bound = math.sqrt(BASIS.alpha(k)) * BASIS.sup_const(k)
         assert np.abs(grad).max() <= bound * (1.0 + 1e-6)
-
-
-def test_custom_basis():
-    good = CustomBasis(
-        alphas=(1.0, 4.0, 9.0),
-        sup_consts=(1.0, 1.0, 1.0),
-        eval_fn=lambda k, x: np.sin(k * np.asarray(x, dtype=float)),
-    )
-    assert good.alpha(2) == 4.0
-    assert good.eval(2, math.pi / 4.0) == pytest.approx(1.0)
-    with pytest.raises(ValueError):
-        CustomBasis(alphas=(4.0, 1.0), sup_consts=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        CustomBasis(alphas=(-1.0, 1.0), sup_consts=(1.0, 1.0))
-    with pytest.raises(ValueError):
-        CustomBasis(alphas=(1.0, 4.0), sup_consts=(1.0, 1.0)).eval(1, 0.5)
-
-
-def test_gates_probe_at_most_a_custom_basis_list():
-    # a finite CustomBasis shorter than the probe: the gates probe the
-    # listed modes only, and a mode beyond the list is a ValueError
-    ks = np.arange(1, 51)
-    basis = CustomBasis(alphas=tuple(ks**2.0), sup_consts=(1.0,) * 50)
-    well = check_wellposedness(basis, Flat(1.0))
-    assert well.n_probe == 50 and well.convergent
-    assert check_regularity_assumption(basis, Flat(1.0), 0.75).n_probe == 50
-    assert tail_variance_bound(basis, Flat(1.0), 16) > 0.0
-    assert tail_variance_bound(basis, Flat(1.0), 50) == 0.0
-    assert basis.alpha(50) == 2500.0 and basis.sup_const(50) == 1.0
-    for lookup in (basis.alpha, basis.sup_const):
-        for k in (51, 0, np.arange(45, 52)):
-            with pytest.raises(ValueError):
-                lookup(k)
 
 
 def _series_terms_by_mode(basis, weights, exponent, count, use_sup):
@@ -124,10 +79,8 @@ def _series_terms_by_mode(basis, weights, exponent, count, use_sup):
 
 
 def test_series_terms_equal_the_per_mode_rule():
-    custom = CustomBasis(alphas=tuple(np.linspace(0.5, 900.0, 300)),
-                         sup_consts=tuple(np.linspace(1.0, 1.7, 300)))
     rules = [Flat(0.3), PowerDecay(0.2), PowerDecay(-0.1), Explicit(tuple(1.0 / np.arange(1, 301)))]
-    for basis in (BASIS, DirichletInterval(2.0), custom):
+    for basis in (BASIS, DirichletInterval(2.0)):
         for weights in rules:
             for exponent, use_sup in ((1.0, False), (1.0, True), (0.6, True), (0.25, True)):
                 args = (basis, weights, exponent, 300, use_sup)
@@ -179,7 +132,66 @@ def test_regularity_assumption_threshold():
 def test_tail_variance_bound_polygamma():
     bound = tail_variance_bound(BASIS, Flat(1.0), 64)
     expected = (2.0 / math.pi) * float(polygamma(1, 65))
-    assert bound == pytest.approx(expected, rel=1e-6)
+    assert bound == pytest.approx(expected, rel=1e-13)
+
+
+def test_zeta_matches_scipy():
+    ps = np.concatenate([[1.0001, 1.001, 1.01], np.linspace(1.05, 20.0, 200)])
+    for a in (1.0, 2.0, 17.0, 65.0, 129.0, 1025.0, 4001.0, 1e5):
+        for p in ps.tolist():
+            assert _zeta(p, a) == pytest.approx(float(zeta(p, a)), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("length", [math.pi, 1.0, 2.0])
+def test_gates_and_tail_bound_are_zeta_closed_forms(length):
+    # lambda_k^2 [c_k^2] / alpha_k^q = lam^2 [2/L] (L/pi)^p k^-p with
+    # p = 2(q + 2s), summed by scipy's zeta
+    basis = DirichletInterval(length)
+    eta = 0.75
+    for weights, s, lam2 in [(Flat(1.0), 0.0, 1.0), (Flat(0.3), 0.0, 0.09)] + [
+            (PowerDecay(s), s, 1.0) for s in (-0.1, 0.1, 0.2, 0.5)]:
+        def closed(q, sup, past):
+            p = 2.0 * (q + 2.0 * s)
+            return lam2 * (2.0 / length if sup else 1.0) * (length / math.pi) ** p * float(
+                zeta(p, past + 1))
+
+        well = check_wellposedness(basis, weights)
+        assert well.convergent is True and well.decay_power == 2.0 * (1.0 + 2.0 * s)
+        assert well.total == pytest.approx(closed(1.0, False, 0), rel=1e-13, abs=0.0)
+        reg = check_regularity_assumption(basis, weights, eta)
+        assert reg.convergent is True
+        assert reg.total == pytest.approx(closed(eta, True, 0), rel=1e-13, abs=0.0)
+        for n in (64, 128, 1024):
+            assert tail_variance_bound(basis, weights, n) == pytest.approx(
+                closed(1.0, True, n), rel=1e-13, abs=0.0)
+
+
+def test_critical_series_are_rejected():
+    # every decimal pair with 2 (eta + 2 s) = 1 is the critical series, however
+    # the decimals round; a thousandth above it converges
+    for i in range(2, 1000, 2):
+        eta, s = i / 1000, (500 - i) // 2 / 1000
+        report = check_regularity_assumption(BASIS, PowerDecay(s), eta)
+        assert report.convergent is False and report.total == math.inf
+        assert check_regularity_assumption(BASIS, PowerDecay(s + 0.001), eta).convergent
+    with pytest.raises(Divergent, match="decay power 1.000 <= 1"):
+        check_wellposedness(BASIS, PowerDecay(-0.25))
+
+
+def test_explicit_tail_bound_is_the_listed_terms_past_n():
+    # the list is the whole field: its last term at n = len - 1, nothing at
+    # n = len or beyond, and the whole list at n = 0
+    weights = Explicit(tuple(1.0 / k for k in range(1, 101)))
+    terms = _series_terms(BASIS, weights, 1.0, 100, use_sup=True)
+    assert tail_variance_bound(BASIS, weights, 99) == terms[99]
+    assert terms[99] == pytest.approx(2.0 / math.pi * 1e-8, rel=1e-15)
+    assert tail_variance_bound(BASIS, weights, 100) == 0.0
+    assert tail_variance_bound(BASIS, weights, 150) == 0.0
+    assert tail_variance_bound(BASIS, weights, 0) == pytest.approx(terms.sum(), rel=1e-15)
+    report = check_wellposedness(BASIS, weights)
+    assert report.total == pytest.approx(
+        _series_terms(BASIS, weights, 1.0, 100, use_sup=False).sum(), rel=1e-15)
+    assert type(report.decay_power) is float and type(report.convergent) is bool
 
 
 def test_assembly_equals_manual_mode_sum():
