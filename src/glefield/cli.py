@@ -26,13 +26,14 @@ Exit codes: 0 success, 2 configuration or input validation error,
 from __future__ import annotations
 
 import argparse
+import copy
 import hashlib
 import json
 import math
 import os
 import re
 import sys
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -206,9 +207,17 @@ class RunConfig:
 
     def set(self, section: str, key: str, raw, where: str) -> None:
         """Set one key from its text; ``where`` (file:line, flag, profile) anchors errors."""
-        if key not in _SCHEMA[section]:
+        if key not in _SCHEMA.get(section, ()):
             raise ConfigError(f"{where}: unknown key {key!r} in [{section}]")
         self._texts[section][key] = _canon(_SCHEMA[section][key][1], str(raw), where)[1]
+
+    def updated(self, sections: dict, where: str) -> RunConfig:
+        """A copy with each key of {section: {key: raw}} set through :meth:`set`."""
+        cfg = copy.deepcopy(self)
+        for section, keys in sections.items():
+            for key, raw in keys.items():
+                cfg.set(section, key, raw, where)
+        return cfg
 
     def canonical_text(self) -> str:
         lines = []
@@ -448,44 +457,36 @@ def cmd_sample_mode(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _interior_grid(length: float, nx: int) -> np.ndarray:
-    return np.arange(1, nx + 1) * (length / (nx + 1))
+def _sample_field(cfg: RunConfig, n_modes: int, nx: int, workers: int) -> FieldSample:
+    """The config's field, its first n_modes modes at nx interior points,
+    sampled on its [sampler] grid, ensemble, seed and law within its
+    [tolerances] tail_budget."""
+    measure, basis, weights = _model(cfg)
+    grid = TimeGrid(dt=cfg.get("sampler", "dt"), n=cfg.get("sampler", "n"))
+    return assemble_field(
+        measure, basis, weights, n_modes, grid, np.arange(1, nx + 1) * (basis.length / (nx + 1)),
+        cfg.get("sampler", "ensemble"), cfg.get("sampler", "seed"),
+        dynamics=cfg.get("sampler", "dynamics"),
+        tail_budget=cfg.get("tolerances", "tail_budget"), workers=workers,
+    )
 
 
 def cmd_sample_field(args, cfg: RunConfig) -> int:
     """Sample the truncated field to CSV columns path_id, t, x, value."""
-    measure, basis, weights = _model(cfg)
-    grid = TimeGrid(dt=cfg.get("sampler", "dt"), n=cfg.get("sampler", "n"))
-    xs = _interior_grid(basis.length, args.nx)
-    workers = _threads(args)
+    _, basis, weights = _model(cfg)
     # the sidecar's gates run before sampling, so input they reject leaves no artifact
     wellposed = check_wellposedness(basis, weights)
     regularity = check_regularity_assumption(basis, weights, cfg.get("assumption", "eta"))
     tail_bound = tail_variance_bound(basis, weights, args.N)
-    sample = assemble_field(
-        measure, basis, weights, args.N, grid, xs, cfg.get("sampler", "ensemble"),
-        cfg.get("sampler", "seed"), dynamics=cfg.get("sampler", "dynamics"),
-        tail_budget=cfg.get("tolerances", "tail_budget"), workers=workers,
-    )
-    _write_field_csv(args.out, grid.times, xs, sample.values)
-    _write_sidecar(
-        args.out, "sample-field", cfg,
-        {
-            "N": args.N,
-            "tail_bound": tail_bound,
-            "max_clipped_mass": max(sample.clipped_masses, default=0.0),
-            "wellposedness": {
-                "total": wellposed.total,
-                "decay_power": wellposed.decay_power,
-                "convergent": wellposed.convergent,
-            },
-            "regularity_assumption": {
-                "eta": cfg.get("assumption", "eta"),
-                "decay_power": regularity.decay_power,
-                "convergent": regularity.convergent,
-            },
-        },
-    )
+    sample = _sample_field(cfg, args.N, args.nx, _threads(args))
+    _write_field_csv(args.out, sample.grid.times, sample.x, sample.values)
+    _write_sidecar(args.out, "sample-field", cfg, {
+        "N": args.N, "tail_bound": tail_bound,
+        "max_clipped_mass": max(sample.clipped_masses, default=0.0),
+        "wellposedness": asdict(wellposed),
+        "regularity_assumption": {"eta": cfg.get("assumption", "eta"),
+                                  "decay_power": regularity.decay_power,
+                                  "convergent": regularity.convergent}})
     return 0
 
 
@@ -536,14 +537,17 @@ def _read_field_csv(path: str):
     return values, grid, xs if has_x else None
 
 
-def _lag_steps(spec_text, size: int) -> list:
-    """Resolve a lag specification to integer steps for an axis of length size.
-
-    'dyadic' means powers of two from 1 up to a quarter of the axis.
-    """
-    if spec_text == "dyadic":
-        return [2**i for i in range(max(size // 4, 1).bit_length())]
-    return list(spec_text)
+def _fit(cfg: RunConfig, sample: FieldSample, axis: str, seed: int = 0):
+    """(steps, variogram, fit) along an axis: the config's [regularity] lags on
+    it ('dyadic': powers of two up to a quarter of its length), the sample's
+    variogram there and its exponent, bootstrapped from seed."""
+    steps = cfg.get("regularity", "lags")
+    if steps == "dyadic":
+        size = sample.values.shape[1 if axis == "time" else 2]
+        steps = [2**i for i in range(max(size // 4, 1).bit_length())]
+    curve = empirical_variogram(sample, axis, steps)
+    return steps, curve, fit_exponent(curve, bootstrap=cfg.get("regularity", "bootstrap"),
+                                      seed=seed)
 
 
 def cmd_hoelder(args, cfg: RunConfig) -> int:
@@ -557,11 +561,8 @@ def cmd_hoelder(args, cfg: RunConfig) -> int:
     values, grid, xs = _read_field_csv(args.infile)
     if args.axis == "space" and (xs is None or xs.size < 2):
         raise ConfigError("space axis needs a field CSV with an x column")
-    size = values.shape[1] if args.axis == "time" else values.shape[2]
-    steps = _lag_steps(cfg.get("regularity", "lags"), size)
     sample = FieldSample(grid=grid, x=np.zeros(1) if xs is None else xs, values=values, n_modes=0)
-    curve = empirical_variogram(sample, args.axis, steps)
-    fit = fit_exponent(curve, bootstrap=cfg.get("regularity", "bootstrap"))
+    steps, curve, fit = _fit(cfg, sample, args.axis)
     oracle = None
     if args.config is not None:
         measure, basis, weights = _model(cfg)
@@ -592,69 +593,62 @@ def cmd_hoelder(args, cfg: RunConfig) -> int:
     return 0
 
 
-# frozen settings for the one-shot comparison runs: the config a run records
-# (its [sampler] values come from the time axis) and, per axis, the grid,
-# ensemble, seeds, interior x points and lag steps of that axis's gle and
-# heat cells; the lag windows avoid the truncation-contaminated smallest
-# scales and the O(1) largest ones
+# frozen one-shot runs: each profile is the config its run records, its mode
+# count and its cells; a cell sets config keys on top of the profile's and
+# gives its axis, interior x point count and bootstrap seed.  comparison_1d's
+# space cells are decorrelated snapshots; its lag windows avoid the
+# truncation-contaminated smallest scales and the O(1) largest ones
+_SPACE_GRID = {"dt": 4.0, "n": 16, "ensemble": 256, "seed": 20240602}
+_TIME_LAGS, _SPACE_LAGS = {"lags": "32, 64, 128, 256, 512"}, {"lags": "2, 4, 8, 16, 32"}
 _PROFILES = {
     "comparison_1d": {
         "config": {
             "kernel": {"atoms": "[[1.0, 1.0]]"},
             "basis": {"length": math.pi},
+            "sampler": {"dt": 2.0**-10, "n": 2**14, "ensemble": 64, "seed": 20240601},
             "regularity": {"bootstrap": 200},
         },
         "n_modes": 128,
-        "time": {"dt": 2.0**-10, "n": 2**14, "ensemble": 64, "seed": 20240601, "nx": 16,
-                 "steps": [32, 64, 128, 256, 512], "fit_seed": 1},
-        "space": {"dt": 4.0, "n": 16, "ensemble": 256, "seed": 20240602, "nx": 255,
-                  "steps": [2, 4, 8, 16, 32], "fit_seed": 2},
+        "cells": {
+            "gle_time": {"config": {"sampler": {"dynamics": "gle"}, "regularity": _TIME_LAGS},
+                         "axis": "time", "nx": 16, "fit_seed": 1},
+            "heat_time": {"config": {"sampler": {"dynamics": "heat"}, "regularity": _TIME_LAGS},
+                          "axis": "time", "nx": 16, "fit_seed": 1},
+            "gle_space": {"config": {"sampler": {**_SPACE_GRID, "dynamics": "gle"},
+                                     "regularity": _SPACE_LAGS},
+                          "axis": "space", "nx": 255, "fit_seed": 2},
+            "heat_space": {"config": {"sampler": {**_SPACE_GRID, "dynamics": "heat"},
+                                      "regularity": _SPACE_LAGS},
+                           "axis": "space", "nx": 255, "fit_seed": 2},
+        },
     },
 }
 
 
 def cmd_reproduce(args, cfg: RunConfig) -> int:
-    """Run the four-cell roughness comparison and emit CSVs plus a summary.
-
-    The memory-driven field and the memoryless baseline are both sampled on
-    a fine time grid for the time exponents and as decorrelated snapshots on
-    a fine space grid for the space exponents; each cell gets a variogram
-    CSV and a {gamma_hat, ci_low, ci_high, r_squared} entry in summary.json.
-    """
+    """Run a profile's cells: each is sampled as by sample-field and fitted as
+    by hoelder, and writes a variogram CSV and a {gamma_hat, ci_low, ci_high,
+    r_squared} entry of summary.json.  Every cell's config is resolved before
+    any output, so a malformed profile leaves none."""
     profile = _PROFILES[args.profile]
-    workers = _threads(args)
-    os.makedirs(args.out, exist_ok=True)
     where = f"profile {args.profile}"
-    for section, entries in profile["config"].items():
-        for key, raw in entries.items():
-            cfg.set(section, key, raw, where)
-    for key in ("dt", "n", "ensemble", "seed"):
-        cfg.set("sampler", key, profile["time"][key], where)
-    measure, basis, weights = _model(cfg)
+    cfg = cfg.updated(profile["config"], where)
+    cells = {name: cfg.updated(cell["config"], f"{where} cell {name}")
+             for name, cell in profile["cells"].items()}
+    os.makedirs(args.out, exist_ok=True)
     summary, laws = {"profile": args.profile}, {}
-    for axis in ("time", "space"):
-        spec = profile[axis]
-        grid = TimeGrid(dt=spec["dt"], n=spec["n"])
-        xs = _interior_grid(basis.length, spec["nx"])
-        for dynamics in ("gle", "heat"):
-            sample = assemble_field(
-                measure, basis, weights, profile["n_modes"], grid, xs,
-                spec["ensemble"], spec["seed"], dynamics=dynamics, workers=workers,
-            )
-            curve = empirical_variogram(sample, axis, spec["steps"])
-            fit = fit_exponent(
-                curve, bootstrap=cfg.get("regularity", "bootstrap"), seed=spec["fit_seed"]
-            )
-            name = f"{dynamics}_{axis}"
-            laws[name] = dynamics
-            _write_columns(os.path.join(args.out, f"{name}_variogram.csv"),
-                           ["lag", "value", "stderr"], [curve.lags, curve.values, curve.stderr])
-            summary[name] = {
-                "gamma_hat": fit.gamma_hat,
-                "ci_low": fit.ci_low,
-                "ci_high": fit.ci_high,
-                "r_squared": fit.r_squared,
-            }
+    for name, cell in profile["cells"].items():
+        sample = _sample_field(cells[name], profile["n_modes"], cell["nx"], _threads(args))
+        _, curve, fit = _fit(cells[name], sample, cell["axis"], cell["fit_seed"])
+        laws[name] = cells[name].get("sampler", "dynamics")
+        _write_columns(os.path.join(args.out, f"{name}_variogram.csv"),
+                       ["lag", "value", "stderr"], [curve.lags, curve.values, curve.stderr])
+        summary[name] = {
+            "gamma_hat": fit.gamma_hat,
+            "ci_low": fit.ci_low,
+            "ci_high": fit.ci_high,
+            "r_squared": fit.r_squared,
+        }
     _write_json(os.path.join(args.out, "summary.json"), summary)
     _write_sidecar(os.path.join(args.out, "reproduce"), "reproduce", cfg,
                    {"profile": args.profile, "n_modes": profile["n_modes"], "laws": laws})
@@ -710,7 +704,7 @@ _COMMANDS = {
         ("--N", {"help": "oracle mode count (field input)"}), "--dynamics",
         ("--out", {"default": "report.json"})]),
     "reproduce": ("one-shot roughness comparison run", [
-        ("--profile", {"choices": sorted(_PROFILES), "default": "comparison_1d"}), "--threads",
+        ("--profile", {"choices": _PROFILES, "default": "comparison_1d"}), "--threads",
         ("--out", {"default": "reproduce_out"})]),
 }
 

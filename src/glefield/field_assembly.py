@@ -51,7 +51,7 @@ class DirichletInterval:
             raise ValueError(f"interval length {self.length} must be positive")
 
     def alpha(self, k):
-        return _pow(k * math.pi / self.length, 2)
+        return _pow(k * math.pi / self.length, 2, f"alpha_k = (k pi / L)^2 at L = {self.length!r}")
 
     def sup_const(self, k: int) -> float:
         return math.sqrt(2.0 / self.length)
@@ -66,7 +66,7 @@ class DirichletInterval:
     def power_law(self, q: float, use_sup: bool) -> tuple:
         """(C, p) with [c_k^2] alpha_k^(-q) = C k^(-p) for every k, the
         bracket taken when use_sup: the terms whose tail the series gates sum."""
-        c = (self.length / math.pi) ** (2.0 * q)
+        c = _pow(self.length / math.pi, 2.0 * q, "the series constant (L / pi)^(2 q)")
         return (c * 2.0 / self.length if use_sup else c), 2.0 * q
 
 
@@ -99,7 +99,7 @@ class PowerDecay:
             raise ValueError("decay exponent must be finite")
 
     def weight(self, basis, k):
-        return _pow(basis.alpha(k), -self.s)
+        return _pow(basis.alpha(k), -self.s, f"lambda_k = alpha_k^(-s) at s = {self.s!r}")
 
     def square_law(self) -> tuple:
         """(a, b) with lambda_k^2 = a alpha_k^b."""
@@ -130,20 +130,24 @@ class Explicit:
         return np.asarray(self.values)[k_arr - 1] if k_arr.ndim else self.values[int(k) - 1]
 
 
-def _pow(x, p: float):
+def _pow(x, p: float, name: str):
     """x ** p for a float or elementwise for a 1-d array, always with the C
     library's pow, as Python's float power computes it.  numpy's vectorized
     power differs from it by one ulp on about one value in twenty at
     non-integer p, and even its square (x * x) differs now and then (k = 283
     of the interval of length 2); this keeps a series term computed for an
-    array of modes byte-identical to the same term for one mode."""
-    if np.ndim(x) == 0:
-        return float(x) ** p
-    if p == 1.0:
-        return x
-    # np.float64 subclasses float, so float.__rpow__ takes the elements one
-    # at a time, with no list of Python floats
-    return np.fromiter(map(float(p).__rpow__, x), float, x.size)
+    array of modes byte-identical to the same term for one mode.  A power
+    past the float range is a ValueError naming the quantity, name."""
+    try:
+        if np.ndim(x) == 0:
+            return float(x) ** p
+        if p == 1.0:
+            return x
+        # np.float64 subclasses float, so float.__rpow__ takes the elements
+        # one at a time, with no list of Python floats
+        return np.fromiter(map(float(p).__rpow__, x), float, x.size)
+    except OverflowError:
+        raise ValueError(f"{name} leaves the float range") from None
 
 
 def _series_terms(basis, weights, exponent: float, count: int, use_sup: bool) -> np.ndarray:
@@ -152,9 +156,9 @@ def _series_terms(basis, weights, exponent: float, count: int, use_sup: bool) ->
     rules take an integer array of mode indices as well as one index."""
     k = np.arange(1, count + 1)
     lam = weights.weight(basis, k)
-    terms = lam * lam / _pow(basis.alpha(k), exponent)
+    terms = lam * lam / _pow(basis.alpha(k), exponent, "alpha_k^q")
     if use_sup:
-        terms = terms * _pow(basis.sup_const(k), 2)
+        terms = terms * _pow(basis.sup_const(k), 2, "c_k^2")
     return terms
 
 
@@ -270,6 +274,8 @@ def _modes(basis, weights, ks) -> list:
     if np.any(index < 1):
         raise ValueError(f"mode index {index.min()} must be >= 1")
     lams = np.broadcast_to(weights.weight(basis, index), index.shape).tolist()
+    if any(math.isinf(lam * lam) for lam in lams):
+        raise ValueError(f"lambda_k^2 leaves the float range at lambda_k = {max(lams)!r}")
     return [Mode(*mode) for mode in zip(index.tolist(), basis.alpha(index).tolist(), lams)]
 
 

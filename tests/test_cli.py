@@ -285,7 +285,7 @@ def test_hoelder_default_oracle_counts_the_sampled_modes(tmp_path):
     report = load_json(out)
     kernel, basis, weights = cli._model(load_config(str(cfg)))
     oracle = theoretical_field_variogram(kernel, basis, weights, 64,
-                                         cli._interior_grid(math.pi, 3), report["lags"])
+                                         np.arange(1, 4) * (math.pi / 4), report["lags"])
     assert report["oracle_values"] == oracle.values.tolist()
 
 
@@ -572,6 +572,11 @@ def test_verify_fails_a_violated_inequality(tmp_path, monkeypatch):
     assert two["inequality_min_slack"] == pytest.approx(-0.125 * 3.0**-0.25, rel=1e-12)
 
 
+_HUGE_WEIGHTS = "[basis]\nlength = 1000.0\n[weights]\nrule = power\ns = 60\n"
+_HUGE_SQUARE = "lambda_k^2 leaves the float range at lambda_k = 2.197937185"
+_HUGE_EIGENVALUE = "alpha_k = (k pi / L)^2 at L = 1e-300 leaves the float range"
+_SMALL_FIELD = ["--N", "4", "--nx", "2", "--n", "8", "--ensemble", "2"]
+
 # each case: config text (or None), the command's arguments ({tmp} is the
 # test's directory, {mode} a sampled mode CSV), a CSV text written to
 # {tmp}/in.csv (or None), and the cause stderr must name
@@ -612,6 +617,21 @@ _REJECTED = {
                                 "time grid is not uniform"),
     "space-axis-on-mode-csv": (None, ["hoelder", "--in", "{mode}", "--axis", "space"], None,
                                "space axis needs a field CSV with an x column"),
+    # numbers past the float range: lambda_1 = alpha_1^-60 is about 1e300 on
+    # the interval of length 1000, and alpha_1 = (pi / 1e-300)^2 about 1e601
+    "overflow-series-constant": (_HUGE_WEIGHTS, ["sample-field", *_SMALL_FIELD], None,
+                                 "the series constant (L / pi)^(2 q) leaves the float range"),
+    "overflow-weight-squared-spectrum": (_HUGE_WEIGHTS, ["spectrum"], None,
+                                         _HUGE_SQUARE),
+    "overflow-weight-squared-verify": (_HUGE_WEIGHTS, ["verify"], None,
+                                       _HUGE_SQUARE),
+    "overflow-weight": ("[basis]\nlength = 1000.0\n[weights]\nrule = power\ns = 70\n",
+                        ["sample-mode", "--n", "8"], None,
+                        "lambda_k = alpha_k^(-s) at s = 70.0 leaves the float range"),
+    "overflow-eigenvalue-sample-mode": ("[basis]\nlength = 1e-300\n", ["sample-mode", "--n", "8"],
+                                        None, _HUGE_EIGENVALUE),
+    "overflow-eigenvalue-sample-field": ("[basis]\nlength = 1e-300\n",
+                                         ["sample-field", *_SMALL_FIELD], None, _HUGE_EIGENVALUE),
 }
 
 
@@ -633,7 +653,9 @@ def test_rejected_input_exits_2_with_no_artifact(tmp_path, capsys, config, argv,
         (work / "in.csv").write_text(csv_text)
     before = sorted(work.iterdir())
     assert main([*argv, "--out", str(work / "out")]) == 2
-    assert cause in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert cause in err
+    assert err.startswith("glefield: error: ") and err.count("\n") == 1
     assert sorted(work.iterdir()) == before
 
 
@@ -800,7 +822,7 @@ def test_hoelder_one_point_field_gets_the_field_oracle(tmp_path):
     report = load_json(out)
     kernel, basis, weights = cli._model(load_config(str(cfg)))
     field_oracle = theoretical_field_variogram(kernel, basis, weights, 16,
-                                               cli._interior_grid(math.pi, 1), report["lags"])
+                                               [math.pi / 2], report["lags"])
     assert report["oracle_values"] == field_oracle.values.tolist()
 
 
@@ -858,6 +880,69 @@ def test_thread_configuration_errors(tmp_path, capsys):
 def test_reproduce_checks_threads_before_creating_out(tmp_path):
     out = tmp_path / "run"
     assert main(["reproduce", "--threads", "0", "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def _tiny_profile(cells):
+    # a profile declared as data alone: 8 modes of a power-law weight rule at
+    # profile level, short grids, and cells that set their own keys on top
+    return {
+        "config": {"weights": {"rule": "power", "s": 0.1},
+                   "sampler": {"dt": 0.25, "n": 64, "ensemble": 4, "seed": 3},
+                   "regularity": {"bootstrap": 20, "lags": "1, 2, 4, 8, 16"},
+                   "tolerances": {"tail_budget": 1.0}},
+        "n_modes": 8,
+        "cells": cells,
+    }
+
+
+def test_reproduce_runs_a_profile_declared_as_data(tmp_path, monkeypatch):
+    cells = {
+        "gle_time": {"config": {}, "axis": "time", "nx": 4, "fit_seed": 1},
+        "heat_space": {"config": {"sampler": {"dynamics": "heat", "n": 4}},
+                       "axis": "space", "nx": 33, "fit_seed": 2},
+        "spectral_time": {"config": {"sampler": {"dynamics": "spectral", "dt": 0.5}},
+                          "axis": "time", "nx": 2, "fit_seed": 3},
+    }
+    monkeypatch.setitem(cli._PROFILES, "tiny", _tiny_profile(cells))
+    out = tmp_path / "run"
+    assert main(["reproduce", "--profile", "tiny", "--threads", "1", "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        [f"{name}_variogram.csv" for name in cells] + ["summary.json", "reproduce.provenance.json"])
+    # each cell's grid reached its run: the lag column is its steps times its spacing
+    spacing = {"gle_time": 0.25, "heat_space": math.pi / 34, "spectral_time": 0.5}
+    for name, step in spacing.items():
+        rows = np.loadtxt(out / f"{name}_variogram.csv", delimiter=",", skiprows=1)
+        assert rows[:, 0] == pytest.approx([s * step for s in (1, 2, 4, 8, 16)], rel=1e-15)
+    summary = load_json(out / "summary.json")
+    assert summary.keys() == {"profile", *cells}
+    assert summary["profile"] == "tiny"
+    for name in cells:
+        assert summary[name].keys() == {"gamma_hat", "ci_low", "ci_high", "r_squared"}
+    sidecar = load_json(out / "reproduce.provenance.json")
+    assert sidecar["laws"] == {"gle_time": "gle", "heat_space": "heat", "spectral_time": "spectral"}
+    assert sidecar["n_modes"] == 8
+    # the recorded config is the profile's: defaults and its keys, no cell's
+    assert sidecar["config"]["weights"]["rule"] == "power"
+    assert sidecar["config"]["sampler"]["dynamics"] == "gle"
+    assert sidecar["config"]["sampler"]["n"] == "64"
+
+
+@pytest.mark.parametrize("bad, cause", [
+    ({"sampler": {"step": "0.5"}}, "profile tiny cell b: unknown key 'step' in [sampler]"),
+    ({"samplr": {"dt": "0.5"}}, "profile tiny cell b: unknown key 'dt' in [samplr]"),
+    ({"regularity": {"lags": "0"}}, "profile tiny cell b: lag steps must be positive integers"),
+])
+def test_reproduce_rejects_a_malformed_cell_before_any_output(tmp_path, monkeypatch, capsys,
+                                                              bad, cause):
+    # the good cell comes first, so a run that resolved cells as it went
+    # would have written its CSV before the bad one failed
+    cells = {"a": {"config": {}, "axis": "time", "nx": 4, "fit_seed": 1},
+             "b": {"config": bad, "axis": "time", "nx": 4, "fit_seed": 1}}
+    monkeypatch.setitem(cli._PROFILES, "tiny", _tiny_profile(cells))
+    out = tmp_path / "run"
+    assert main(["reproduce", "--profile", "tiny", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"glefield: error: {cause}\n"
     assert not out.exists()
 
 

@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from glefield.cli import _PROFILES
+from glefield.cli import _PROFILES, RunConfig
 from glefield.cm_kernel import KernelMeasure
 from glefield.field_assembly import (
     DirichletInterval,
@@ -314,6 +314,14 @@ def _interior(nx):
     return np.arange(1, nx + 1) * (BASIS.length / (nx + 1))
 
 
+def _cell(name):
+    """A declared comparison cell's config, resolved as reproduce resolves
+    it, and its interior x points."""
+    cell = _PROFILE["cells"][name]
+    cfg = RunConfig().updated(_PROFILE["config"], "").updated(cell["config"], "")
+    return cfg, _interior(cell["nx"])
+
+
 @pytest.mark.parametrize("dynamics", ["gle", "heat", "spectral"])
 @pytest.mark.parametrize("kernel", [SINGLE, KernelMeasure([(0.5, 1.0), (0.5, 4.0)])])
 @pytest.mark.parametrize("weights", [Flat(1.0), PowerDecay(0.1)])
@@ -321,10 +329,9 @@ def _interior(nx):
 def test_oracles_match_the_mode_by_mode_sums(dynamics, kernel, weights, n_modes):
     # the comparison's lags on both axes, at its x points; the sums run in
     # another order, so they agree to rounding (bound fixed at 1e-13 relative)
-    time, space = _PROFILE["time"], _PROFILE["space"]
-    lags = time["dt"] * np.array(time["steps"], dtype=float)
-    xs_time, xs_space = _interior(time["nx"]), _interior(space["nx"])
-    steps = np.array(space["steps"])
+    (time, xs_time), (space, xs_space) = _cell("gle_time"), _cell("gle_space")
+    lags = time.get("sampler", "dt") * np.array(time.get("regularity", "lags"), dtype=float)
+    steps = np.array(space.get("regularity", "lags"))
     got = [
         theoretical_field_variogram(kernel, BASIS, weights, n_modes, xs_time, lags, dynamics),
         theoretical_space_variogram(BASIS, weights, n_modes, xs_space, steps, dynamics),

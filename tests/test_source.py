@@ -215,6 +215,21 @@ def test_filters_are_sampled_by_one_function():
                                ("mode_sampler", "_sample_block", "_filter_paths")]
 
 
+def test_cli_samples_and_fits_in_one_function_each():
+    # sample-field and every reproduce cell sample through one function, and
+    # hoelder and every cell fit through one: a second caller would be a
+    # second pipeline that must agree with it
+    tree = ast.parse((Path(glefield.__file__).parent / "cli.py").read_text())
+    enclosing = _enclosing_functions(tree)
+    callers = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _name(node) in (
+                "assemble_field", "empirical_variogram", "fit_exponent"):
+            callers.setdefault(_name(node), []).append(enclosing.get(node))
+    assert callers == {"assemble_field": ["_sample_field"], "empirical_variogram": ["_fit"],
+                       "fit_exponent": ["_fit"]}
+
+
 def test_config_files_have_one_reader():
     # the CLI reads its config in one line-anchored pass; a second parser of
     # the same file would be a second reading that must agree with it
