@@ -61,7 +61,7 @@ from .field_assembly import (
     check_wellposedness,
     tail_variance_bound,
 )
-from .mode_sampler import LAWS, TimeGrid, _sample
+from .mode_sampler import LAWS, TimeGrid, _is_integer, _sample
 from .regularity import (
     DegenerateFit,
     empirical_variogram,
@@ -624,17 +624,29 @@ _PROFILES = {
     },
 }
 
+# a cell's own fields -> (check, what it must be)
+_CELL_FIELDS = {
+    "axis": (lambda v: v in ("time", "space"), "'time' or 'space'"),
+    "nx": (lambda v: _is_integer(v) and v >= 1, "a positive integer"),
+    "fit_seed": (lambda v: _is_integer(v) and 0 <= v < 2**64, "an integer in [0, 2**64)"),
+}
+
 
 def cmd_reproduce(args, cfg: RunConfig) -> int:
     """Run a profile's cells: each is sampled as by sample-field and fitted as
     by hoelder, and writes a variogram CSV and a {gamma_hat, ci_low, ci_high,
-    r_squared} entry of summary.json.  Every cell's config is resolved before
-    any output, so a malformed profile leaves none."""
+    r_squared} entry of summary.json.  Every cell's config, axis, interior
+    point count and bootstrap seed are checked before any output, so a
+    malformed profile leaves none."""
     profile = _PROFILES[args.profile]
     where = f"profile {args.profile}"
     cfg = cfg.updated(profile["config"], where)
     cells = {name: cfg.updated(cell["config"], f"{where} cell {name}")
              for name, cell in profile["cells"].items()}
+    for name, cell in profile["cells"].items():
+        for key, (ok, what) in _CELL_FIELDS.items():
+            if not ok(cell[key]):
+                raise ConfigError(f"{where} cell {name}: {key} {cell[key]!r} must be {what}")
     os.makedirs(args.out, exist_ok=True)
     summary, laws = {"profile": args.profile}, {}
     for name, cell in profile["cells"].items():

@@ -51,7 +51,9 @@ class DirichletInterval:
             raise ValueError(f"interval length {self.length} must be positive")
 
     def alpha(self, k):
-        return _pow(k * math.pi / self.length, 2, f"alpha_k = (k pi / L)^2 at L = {self.length!r}")
+        with np.errstate(over="ignore"):  # _pow names an infinite k pi / L
+            return _pow(k * math.pi / self.length, 2,
+                        f"alpha_k = (k pi / L)^2 at L = {self.length!r}")
 
     def sup_const(self, k: int) -> float:
         return math.sqrt(2.0 / self.length)
@@ -137,17 +139,30 @@ def _pow(x, p: float, name: str):
     non-integer p, and even its square (x * x) differs now and then (k = 283
     of the interval of length 2); this keeps a series term computed for an
     array of modes byte-identical to the same term for one mode.  A power
-    past the float range is a ValueError naming the quantity, name."""
+    past the float range, or of a base past it, is a ValueError naming the
+    quantity, name."""
     try:
         if np.ndim(x) == 0:
-            return float(x) ** p
-        if p == 1.0:
-            return x
-        # np.float64 subclasses float, so float.__rpow__ takes the elements
-        # one at a time, with no list of Python floats
-        return np.fromiter(map(float(p).__rpow__, x), float, x.size)
+            power = float(x) ** p
+        else:
+            # np.float64 subclasses float, so float.__rpow__ takes the elements
+            # one at a time, with no list of Python floats
+            power = x if p == 1.0 else np.fromiter(map(float(p).__rpow__, x), float, x.size)
     except OverflowError:
-        raise ValueError(f"{name} leaves the float range") from None
+        power = math.inf
+    if not np.isfinite(power).all():
+        raise ValueError(f"{name} leaves the float range")
+    return power
+
+
+def _squared(lam):
+    """lambda_k^2 of the weights lam; a square past the float range is a ValueError."""
+    with np.errstate(over="ignore"):
+        square = np.multiply(lam, lam)
+    if np.isinf(square).any():
+        top = float(np.abs(lam).max())
+        raise ValueError(f"lambda_k^2 leaves the float range at lambda_k = {top!r}")
+    return square
 
 
 def _series_terms(basis, weights, exponent: float, count: int, use_sup: bool) -> np.ndarray:
@@ -155,8 +170,7 @@ def _series_terms(basis, weights, exponent: float, count: int, use_sup: bool) ->
     array expression: the bases' ``alpha`` and ``sup_const`` and the weight
     rules take an integer array of mode indices as well as one index."""
     k = np.arange(1, count + 1)
-    lam = weights.weight(basis, k)
-    terms = lam * lam / _pow(basis.alpha(k), exponent, "alpha_k^q")
+    terms = _squared(weights.weight(basis, k)) / _pow(basis.alpha(k), exponent, "alpha_k^q")
     if use_sup:
         terms = terms * _pow(basis.sup_const(k), 2, "c_k^2")
     return terms
@@ -273,10 +287,9 @@ def _modes(basis, weights, ks) -> list:
     index = np.asarray(ks)
     if np.any(index < 1):
         raise ValueError(f"mode index {index.min()} must be >= 1")
-    lams = np.broadcast_to(weights.weight(basis, index), index.shape).tolist()
-    if any(math.isinf(lam * lam) for lam in lams):
-        raise ValueError(f"lambda_k^2 leaves the float range at lambda_k = {max(lams)!r}")
-    return [Mode(*mode) for mode in zip(index.tolist(), basis.alpha(index).tolist(), lams)]
+    lams = np.broadcast_to(weights.weight(basis, index), index.shape)
+    _squared(lams)
+    return [Mode(*mode) for mode in zip(index.tolist(), basis.alpha(index).tolist(), lams.tolist())]
 
 
 @dataclass(eq=False)
@@ -300,12 +313,6 @@ _MODE_BLOCK = 8
 # bytes of paths per product block, as many modes as fit: a short field takes
 # one block or a few, and field_time's 8-mode block (16 x 4096 steps) is 4 MiB
 _BLOCK_BYTES = 2**22
-
-# multiply-adds per product, a cap the time rows are chunked to.  At 8.4e6
-# (K = 128, 16 members at field_space shape) OpenBLAS woke its second thread,
-# which cut wall time by a sixth but raised cpu time by half; at this cap every
-# product stays on the calling thread.  It is field_time's 4096 x 8 x 16
-_PRODUCT_MACS = 2**19
 
 
 def assemble_field(
@@ -334,7 +341,7 @@ def assemble_field(
     worker w of the pool samples the w-th, (w + workers)-th, ... of the
     others, each by the public sampler of its law.
     A block is added to the field one chunk of time rows at a time, one
-    matrix product of at most ``_PRODUCT_MACS`` multiply-adds per chunk
+    matrix product of at most ``mode_sampler._PRODUCT_MACS`` multiply-adds per chunk
     (one row when a row alone is larger).  dynamics names the trajectory
     law, one of ``mode_sampler.LAWS``; ``mode_sampler._law`` checks it and
     builds what its samplers read, before the gates run.
@@ -372,7 +379,7 @@ def assemble_field(
             clipped[k - 1] = ens.clipped_mass
 
     # a chunk of `rows` time rows is one (rows, b) paths @ (b, nx) shapes product
-    rows = max(1, _PRODUCT_MACS // (width * nx))
+    rows = max(1, mode_sampler._PRODUCT_MACS // (width * nx))
     scratch = np.empty((min(rows, m * n), nx))
     fields = out.reshape(m * n, nx)
     with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:

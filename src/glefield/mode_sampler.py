@@ -13,17 +13,16 @@ the set-up those read and the closed-form moments the variogram oracles sum.
   step; any other whichever exact route draws fewer normals: the state
   recursion, d per step, or circulant embedding (Davies-Harte).
 * :func:`sample_gle_mode_spectral` - truncated harmonic superposition driven
-  by the spectral density ("spectral"), only asymptotically exact: an
-  independent cross-check of the exact sampler, under gle's law.
+  by the spectral density ("spectral"), only asymptotically exact: a
+  cross-check of the exact sampler.
 * :func:`sample_ou_mode` - exact AR(1) recursion for the memoryless
   (Ornstein-Uhlenbeck) mode of the classical-dynamics baseline ("heat").
 
 The innovations form and the AR(1) baseline are sums of one-pole filters
-(:func:`_filter`) with one sampler at any path length, :func:`_sample_block`,
-for a mode alone or a field's block of them: up to ``_STEP_LOOP_STEPS`` steps
-one step loop across the rows of all the modes given (:func:`_filter_paths`),
-beyond that :func:`_recur`, the blocked prefix-sum filter the state recursion
-takes too.  Sampling imports no scipy.
+(:func:`_filter`) with one sampler, :func:`_sample_block`, for a mode alone or
+a field's block of them: a step loop up to ``_STEP_LOOP_STEPS`` steps, beyond
+that the block-product kernel :func:`_filter_block`, which runs the state
+recursion too.  Sampling imports no scipy.
 
 Randomness: mode k under seed s draws from one SFC64 stream, child k of the
 seed's ``SeedSequence``, and path i takes the i-th consecutive block of its
@@ -75,9 +74,8 @@ class PathEnsemble:
 
     method is "recursion" (innovations form or state recursion) or
     "circulant" for :func:`sample_gle_mode`; embedding_length (2L) and
-    clipped_mass (negative circulant eigenvalue mass over positive mass) are
-    0 off the circulant route.
-    """
+    clipped_mass (negative over positive circulant eigenvalue mass) are 0
+    off the circulant route."""
 
     grid: TimeGrid
     values: np.ndarray  # shape (m, n)
@@ -141,10 +139,8 @@ def paths_from_normals(eig: np.ndarray, normals: np.ndarray, n: int) -> np.ndarr
     columns j and L+j (0 < j < L) are the real and imaginary parts of
     frequency j.  Scaled by sqrt(eig / 2) this Hermitian half-spectrum goes
     through one real inverse FFT of length 2L (the real-FFT form of the
-    Davies-Harte map, after Dietrich and Newsam 1997), so no full complex
-    spectrum is built.  The map is linear, so driving it with unit vectors
-    exposes the exact path covariance; the tests use that to compare against
-    the Toeplitz truth.
+    Davies-Harte map, after Dietrich and Newsam 1997).  The map is linear,
+    so unit vectors expose the exact path covariance, as the tests use.
     """
     m2 = eig.shape[0]
     L = m2 // 2
@@ -178,137 +174,157 @@ _RATE_RESOLUTION = 100.0
 _GAIN_TOL = 1e-14
 
 
-# e-folds of decay one block of :func:`_recur` may span.  A pole with
-# per-step decay a = -log|p| is run in blocks of B = max(1, floor(G / a))
-# steps (the whole path when a n <= G): the in-block weights p^-i stay below
-# e^G, so the sums stay far from overflow, the factors p^t stay above e^-G,
-# and a normal reaches the blocks after its own only through the next one's
-# carry; what it would add further on is scaled by less than e^-G, far below
-# rounding
-_BLOCK_DECAY = 300.0
+# steps per block of :func:`_filter_block` and blocks per group of its carries:
+# at m 16, n 4096 a filter took 0.23 ms in blocks of 32, about 0.3 in 16 or 64
+_BLOCK_STEPS = 32
+# a power of a pole below e^-300 is an exact 0, so no subnormal reaches a product
+_TINY = math.exp(-300.0)
+# multiply-adds per matrix product: at 8.4e6 OpenBLAS woke its second thread,
+# which cut wall time by a sixth but raised cpu time by half
+_PRODUCT_MACS = 2**19
 
 
-def _recur(pole, weights, normals: np.ndarray, out: np.ndarray, add: bool = False) -> None:
-    """out (+)= Re(y) for y_j = pole y_{j-1} + sum_k weights[k, j] normals[:, k, j], y_{-1} = 0.
+def _powers(base, count: int) -> np.ndarray:
+    """base^t for t < count, a row per entry of the array ``base``: running
+    products, whose error grows like t eps whatever the angle; below
+    ``_TINY`` an exact 0."""
+    powers = np.ones((len(base), count), dtype=complex)
+    powers[:, 1:] = base[:, None]
+    np.multiply.accumulate(powers, axis=1, out=powers)
+    powers[np.abs(powers) < _TINY] = 0.0
+    return powers
 
-    ``normals`` are real, of shape (m, n) or (m, d, n), and ``weights`` is a
-    real or complex per-step table of shape (n,) or (d, n); ``out`` is (m, n)
-    and is overwritten, or added to when ``add``.  The pole must satisfy
-    |pole| <= 1; a real pole takes the real part of the weights and one real
-    chain only.
 
-    Time is cut into blocks of B steps (see ``_BLOCK_DECAY``).  Inside a
-    block y_{s+t} = pole^t (sum_{i<=t} w_i z_{s+i} + pole^B S) with
-    w_i = weights_{s+i} pole^-i: one real prefix sum per chain, the real and
-    imaginary parts of w z for a complex pole, so no complex (m, n) array is
-    made.  The carry S is the previous block's own total; what the blocks
-    before it add is scaled by less than e^-G and left out.  The weights are
-    divided by their largest magnitude inside the sums and that factor goes
-    back with pole^t, or on its own after them when pole^t times it could
-    leave the normal range, so only G bounds the range of the sums.  The
-    powers are running products of the pole itself, so their error grows
-    like t eps at most whatever the pole's angle (the step angle reaches
-    512 rad at dt = 4), not like its angle times t eps.  Every row is
-    summed alone, so a row's bits do not depend on m.
+def _skewed(rows: np.ndarray) -> np.ndarray:
+    """out[..., i, t] = rows[..., i, t - i] (t >= i, else 0) for rows
+    (..., s or 1, s): a strided view of one zero-padded copy."""
+    s = rows.shape[-1]
+    pad = np.zeros((*rows.shape[:-2], s, 2 * s), dtype=rows.dtype)
+    pad[..., s:] = rows
+    item = pad.itemsize
+    return np.ndarray(pad.shape[:-1] + (s,), pad.dtype, pad, s * item,
+                      (*pad.strides[:-2], (2 * s - 1) * item, item))
+
+
+def _carry_in(ends: np.ndarray, q) -> np.ndarray:
+    """S_b = sum_{b' < b} q^(b-1-b') E_b', the state block b starts from, for
+    block-end states E (m, C, B) of filters with block poles q (C,): a real
+    product per path and filter for each group of up to ``_BLOCK_STEPS``
+    blocks with the Toeplitz matrix of q powers plus a column for the group's
+    end state; the groups' own starts are the same sum with pole q^T."""
+    m, C, B = ends.shape
+    T = min(B, _BLOCK_STEPS)
+    groups = -(-B // T)
+    powers = _powers(q, T + 1)
+    # Re x meets (Re g, Im g), the float view of g, and Im x meets i g
+    real = np.zeros((C, T, 2, T + 1), dtype=complex)
+    real[:, :, 0, 1:] = _skewed(powers[:, None, :T])
+    np.multiply(real[:, :, 0], 1j, out=real[:, :, 1])
+    x = np.zeros((m, C, groups * T), dtype=complex)
+    x[..., :B] = ends
+    inner = np.matmul(x.view(float).reshape(m, C, groups, 2 * T),
+                      real.view(float).reshape(C, 2 * T, 2 * T + 2)).view(complex)
+    if groups > 1:
+        outer = _carry_in(inner[..., T], powers[:, T])
+        inner = inner[..., :T] + outer[..., None] * powers[:, None, :T]
+    return inner.reshape(m, C, -1)[..., :B]
+
+
+def _filter_block(poles, weights: np.ndarray, normals: np.ndarray, out: np.ndarray) -> None:
+    """out = the sum over C filters of Re(y), y_j = pole y_{j-1} +
+    sum_k w[k, j] z[:, k, j] and y_{-1} = 0, for poles (C,) with |pole| <= 1
+    and weights (C, d, h), step j taking column min(j, h - 1); the normals
+    z, (m, d, n) or (m, n) for d = 1, may be ``out`` (m, n) itself.
+
+    Time is cut into blocks of s steps (``_BLOCK_STEPS``, fewer for many
+    inputs).  Block b's output is one product [its d s normals | Re, Im of
+    each filter's carried state] @ M: Re(w_i p^(t-i)) summed over the filters,
+    then Re p^(t+1) and -Im p^(t+1).  The block-end states E = Z @ V, V the
+    w_i p^(s-1-i), give the carries (:func:`_carry_in`); the blocks of the
+    first h - 1 steps get their own M and V.  Only powers |p|^t <= 1 appear,
+    so nothing grows whatever the decay; weights so small that e^-300 of them
+    is subnormal enter scaled to 1.  Each path is its own item of every
+    product, of at most ``_PRODUCT_MACS`` multiply-adds, so its bits depend
+    on neither m nor its neighbours.  Its scratch is about the normals' size.
     """
     m, n = out.shape
-    z = normals.reshape(m, -1, n)
-    c = np.reshape(weights, (z.shape[1], n))
-    pole = complex(pole)
-    if pole.imag == 0.0:
-        pole, c = pole.real, c.real
-    decay = -math.log(abs(pole)) if pole else math.inf
-    size = n if decay * n <= _BLOCK_DECAY else max(1, int(_BLOCK_DECAY / decay))
-    full, tail = divmod(n, size)
-    powers = np.full(size + 1, pole)
-    powers[0] = 1.0
-    np.multiply.accumulate(powers, out=powers)
-    top = float(np.abs(c).max()) or 1.0
-    # pole^t for each step's place t in its block
-    cycle = np.empty((-(-n // size), size), dtype=powers.dtype)
-    cycle[...] = powers[:size]
-    cycle = cycle.reshape(-1)[:n]
-    table = (c / top) / cycle
-    # top times pole^t, down to top e^-G, must stay a normal double
-    apart = top * math.exp(-_BLOCK_DECAY) < np.finfo(float).tiny
-    scale = cycle.conjugate() if apart else top * cycle.conjugate()
-    # one real chain per part of the weights: Re(y_t) = Re(p^t) A_t - Im(p^t) B_t
-    # for A, B the sums over Re(w) z and Im(w) z, so the scale rows are the
-    # parts of conj(p^t); all rows are strided views of the complex tables
-    chains = 2 if isinstance(pole, complex) else 1
-    table = table.view(float).reshape(len(c), n, chains).transpose(2, 0, 1)
-    scale = scale.view(float).reshape(n, chains).T
-    sums = out[None] if chains == 1 and not add else np.empty((chains, m, n))
-    np.multiply(z[:, 0], table[:, :1], out=sums)
-    if len(c) > 1:
-        term = np.empty_like(sums)
-        for k in range(1, len(c)):
-            sums += np.multiply(z[:, k], table[:, k : k + 1], out=term)
-    body = sums[:, :, : full * size].reshape(chains, m, full, size)
-    if full + (tail > 0) > 1:
-        # every block but the first starts from pole^B times the own total
-        # of the block before it
-        ends = np.add.reduce(body[:, :, : full - (tail == 0)], axis=3)
-        carry = powers[size]
-        if chains == 1:
-            ends *= carry
-        else:
-            re, im = ends
-            ends = np.stack((carry.real * re - carry.imag * im, carry.real * im + carry.imag * re))
-        sums[:, :, size::size] += ends
-    if size > 1:
-        np.add.accumulate(body, axis=3, out=body)
-    if size > 1 and tail:
-        rest = sums[:, :, full * size :]
-        np.add.accumulate(rest, axis=2, out=rest)
-    sums *= scale[:, None]
-    if chains == 2 and add:
-        sums[0] += sums[1]
-    elif chains == 2:
-        np.add(sums[0], sums[1], out=out)
-    paths = sums[0] if add else out
-    if apart:
-        paths *= top
-    if add:
-        out += paths
+    C, d, h = weights.shape
+    s = _BLOCK_STEPS
+    while s > 16 and _PRODUCT_MACS // ((d * s + 2 * C) * max(s, 2 * C)) < 8:
+        s //= 2  # so that a product takes 8 block rows; shorter ones lose digits
+    top = float(np.abs(weights).max())
+    scale = top if 0.0 < top < np.finfo(float).tiny / _TINY else 1.0
+    weights = weights / scale
+    powers = _powers(poles, s + 1)
+    blocks, full = -(-n // s), n // s
+    head = min(blocks, -(-(h - 1) // s))
+    kinds, ds, K = head + 1, d * s, d * s + 2 * C
+    # the weight column of each step of the head blocks, then of a steady block
+    step = np.minimum(np.arange(kinds * s), h - 1)
+    response = (weights[..., None] * powers[:, None, None, :s]).real.sum(axis=0)
+    mats = np.empty((kinds, K, s))
+    mats[:, :ds].reshape(kinds, d, s, s)[...] = _skewed(
+        response[:, step].reshape(d, kinds, s, s).transpose(1, 0, 2, 3))
+    mats[:, ds:].reshape(kinds, C, 2, s)[...] = (
+        np.conjugate(powers[:, 1:]).view(float).reshape(C, s, 2).transpose(0, 2, 1))
+    ends = np.empty((kinds, d, s, C), dtype=complex)
+    np.multiply(weights[:, :, step].reshape(C, d, kinds, s).transpose(2, 1, 3, 0),
+                powers[:, s - 1 :: -1].T, out=ends)
+    ends = ends.view(float).reshape(kinds, ds, 2 * C)
+    parts = -(-blocks // max(1, _PRODUCT_MACS // (K * max(s, 2 * C))))
+    rows = -(-blocks // parts)  # block rows per product item
+    z = normals.reshape(m, d, n)
+    buf = np.empty((m, parts * rows, K))
+    stack = buf.reshape(m, parts, rows, K)
+    inputs = buf[:, :, :ds].reshape(m, parts * rows, d, s)
+    inputs[:, :full] = z[:, :, : full * s].reshape(m, d, full, s).transpose(0, 2, 1, 3)
+    if parts * rows > full:
+        inputs[:, full:] = 0.0
+        inputs[:, full, :, : n - full * s] = z[:, :, full * s :]
+    E = np.matmul(stack[..., :ds], ends[head]).reshape(m, parts * rows, 2 * C)
+    if head:
+        E[:, :head] = np.matmul(buf[:, :head, None, :ds], ends[:head])[:, :, 0]
+    carry = _carry_in(E.view(complex).transpose(0, 2, 1), powers[:, s])
+    buf[:, :, ds:].view(complex)[...] = carry.transpose(0, 2, 1)
+    if parts * rows * s == n:
+        np.matmul(stack, mats[head], out=out.reshape(m, parts, rows, s))
+    else:
+        out[...] = np.matmul(stack, mats[head]).reshape(m, -1)[:, :n]
+    if head:
+        out[:, : head * s] = np.matmul(buf[:, :head, None], mats[:head]).reshape(m, -1)[:, :n]
+    if scale != 1.0:
+        out *= scale
 
 
-# paths of at most this many steps take the step loop of :func:`_filter_paths`,
-# longer ones :func:`_recur`.  Filtering 8 modes on a 2-vCPU host, the loop
-# took 55-362 us against 155-640 at n 16 (m 16 to 256) and stayed ahead up to
-# n 48; at n 64 it fell behind for m >= 128 (gle, m 256: 1776 against 1513 us)
+# paths up to this many steps take the step loop; on 8 modes it beat the kernel up to n 64
 _STEP_LOOP_STEPS = 48
 
 
-def _filter_paths(poles, weights, chains, normals: np.ndarray, out: np.ndarray) -> None:
-    """out[k] = the sum over the chains[k] filters of slot k of Re(y), with
-    y_j = pole y_{j-1} + weights[j] normals[k, :, j] and y_{-1} = 0.
+def _filter_paths(filters, normals: np.ndarray, out: np.ndarray) -> None:
+    """out[k] = the sum of Re(y) over the one-pole filters of slot k, with
+    y_j = pole y_{j-1} + w_j normals[k, :, j] and y_{-1} = 0.
 
-    ``poles`` (C,) and ``weights`` (C, n) stack the filters of all K slots,
-    C = sum(chains); ``normals`` and ``out`` are (K, m, n), and may be one
-    array; a slot with no chains is left alone.  Past ``_STEP_LOOP_STEPS``
-    steps each chain runs through :func:`_recur`, a slot's chains one after
-    another on a copy of its normals when it has more than one; up to it all
-    C m rows take one vector step per time step, the real and imaginary
-    parts of y as two real chains (one when poles and weights are real), in
-    real ufuncs only.  So the route depends on n alone and a row's bits on nothing
-    else.  The loop takes a pole whose one-step decay exceeds
-    ``_BLOCK_DECAY`` as 0, as :func:`_recur` drops what it carries, and no
-    product turns subnormal.
+    ``filters`` holds one (poles (C,), weights (C, h)) per slot, step j
+    taking column min(j, h - 1), or None for a slot left alone; ``normals``
+    and ``out`` are (K, m, n), and may be one array.  Past
+    ``_STEP_LOOP_STEPS`` steps each slot goes through :func:`_filter_block`;
+    up to it all C m rows of all slots take one vector step per time step,
+    the real and imaginary parts of y as two real chains (one when poles and
+    weights are real), a pole below e^-300 taken as 0.  So the route depends
+    on n alone and a row's bits on nothing else.
     """
-    owner = [k for k, count in enumerate(chains) for _ in range(count)]
     n = normals.shape[-1]
     if n > _STEP_LOOP_STEPS:
-        for c, k in enumerate(owner):
-            add = c > 0 and owner[c - 1] == k
-            if not add:  # a slot's first chain may overwrite the normals its second reads
-                z = normals[k].copy() if chains[k] > 1 else normals[k]
-            _recur(poles[c], weights[c], z, out[k], add=add)
+        for k, f in enumerate(filters):
+            if f is not None:
+                _filter_block(f[0], f[1][:, None], normals[k], out[k])
         return
-    chains = np.asarray(chains)
-    first = np.cumsum(chains) - chains
-    poles = np.asarray(poles, dtype=complex)
-    poles[np.abs(poles) < math.exp(-_BLOCK_DECAY)] = 0.0
+    chains = np.array([0 if f is None else len(f[0]) for f in filters])
+    owner = np.repeat(np.arange(len(filters)), chains)
+    live = [f for f in filters if f is not None]
+    poles = np.concatenate([f[0] for f in live]).astype(complex)
+    weights = np.concatenate([f[1][:, np.minimum(np.arange(n), f[1].shape[1] - 1)] for f in live])
+    poles[np.abs(poles) < _TINY] = 0.0
     if not poles.any():  # every step is its own input
         paths = np.real(weights)[:, None] * normals[owner]
     else:
@@ -327,6 +343,7 @@ def _filter_paths(poles, weights, chains, normals: np.ndarray, out: np.ndarray) 
             if parts == 2:
                 np.add(now, np.multiply(turn, prev[::-1], out=spin), out=now)
         paths = state[:, 0].transpose(1, 2, 0)
+    first = np.cumsum(chains) - chains
     out[chains > 0] = paths[first[chains > 0]]
     for c in range(1, chains.max()):
         out[chains > c] += paths[first[chains > c] + c]
@@ -350,27 +367,23 @@ class _Markov:
     lambda sqrt(2 w_i x_i) dW_i.  The law is linear in lambda, so the
     embedding is built for unit noise and lambda enters only where paths
     are read out: nothing here holds lambda^2, which leaves the double
-    range below lambda ~ 1e-154.  The state is kept in the coordinates
-    v = (sqrt(alpha) u, y_1/sqrt(w_1), ..., y_p/sqrt(w_p)) / lambda, where
-    the drift is A = [[0, b^T], [-b, -diag(x)]] with b_i = sqrt(alpha w_i),
-    the noise covariance is D = diag(0, 2 x_i), one vector for the kernel,
-    and the Lyapunov equation A S + S A^T + D = 0 is solved by S = I (the
+    range below lambda ~ 1e-154.  In the coordinates v = (sqrt(alpha) u,
+    y_1/sqrt(w_1), ..., y_p/sqrt(w_p)) / lambda the drift is A = [[0, b^T],
+    [-b, -diag(x)]] with b_i = sqrt(alpha w_i), the noise covariance is
+    D = diag(0, 2 x_i), and A S + S A^T + D = 0 is solved by S = I (the
     equilibrium law).  So u = lambda v_0 / sqrt(alpha) has variance
     lambda^2/alpha exactly, the paper's variance identity.
 
     The modes with lambda != 0 are stacked (a zero-weight mode is the zero
-    path and has no embedding): mode ``slot[mode]`` is row i of every
-    stack, and the per-mode methods take that i.  The (K, d, d) drifts are
-    diagonalized by one ``eig`` call, with ``cond`` and ``inv`` run over
-    it too; LAPACK runs the same routine on each matrix, so every mode gets
-    the bits it would get alone.  When a mode's eigenvectors are
-    ill-conditioned (its eigenvalues merge at critical damping) or rounding
-    hides its slowest rate (a kernel too stiff) its ``eig`` entry is None
-    and its covariance and paths come from the real step matrix e^{A dt}.
-
+    path): mode ``slot[mode]`` is row i of every stack, and the per-mode
+    methods take that i.  One ``eig`` call, with ``cond`` and ``inv`` over
+    it too, diagonalizes the (K, d, d) drifts; LAPACK runs the same routine
+    on each matrix, so every mode gets the bits it would get alone.  A mode
+    whose eigenvectors are ill-conditioned (critical damping) or whose
+    slowest rate rounding hides (a kernel too stiff) has ``eig`` None, and
+    its covariance and paths come from the real step matrix e^{A dt}.
     Given a grid, :meth:`_sweep` builds the innovations form of every
-    one-atom mode with an eigenbasis as well, so that sampling such a mode
-    only draws normals and filters them.
+    one-atom mode with an eigenbasis as well.
     """
 
     def __init__(self, kernel: KernelMeasure, modes, grid: TimeGrid | None = None):
@@ -486,24 +499,21 @@ class _Markov:
         """Exact one-step laws v(t + dt) = Phi v(t) + N(0, Q), stacked, with
         Q = I - Phi Phi^T for the unit-noise law.
 
-        Returns (Phi, Q), each of shape (len(rows), d, d), for the modes in
-        ``rows`` (all by default).  Van Loan's block exponential
-        exp([[-A, D], [0, A^T]] h) holds Phi^T = e^{A^T h} and, in its
-        corner, e^{-A h} Q with Q = int_0^h e^{A s} D e^{A^T s} ds.  It is
-        taken on a step h = dt / 2^s with |A h|_1 <= 1/2 (|A| is symmetric,
-        so A^T obeys the same bound), where a degree-16 Taylor polynomial is
-        exact to rounding (the corner is linear in D, so D's size does not
-        matter) and needs only small matrix products, which numpy runs on
-        one thread.  s doublings Phi <- Phi^2, Q <- Phi Q Phi^T + Q then
-        reach dt; every term added to Q is positive semidefinite, so nothing
-        cancels.  h is dt scaled by 2^-s, so no s overflows; a law whose
-        diag(Phi Phi^T + Q) misses 1 by more than 1e-6 is a ValueError.
+        Returns (Phi, Q), each (len(rows), d, d), for the modes in ``rows``
+        (all by default).  Van Loan's block exponential exp([[-A, D], [0,
+        A^T]] h) holds Phi^T = e^{A^T h} and, in its corner, e^{-A h} Q with
+        Q = int_0^h e^{A s} D e^{A^T s} ds.  It is taken on a step h = dt / 2^s
+        with |A h|_1 <= 1/2 (|A| is symmetric), where a degree-16 Taylor
+        polynomial, linear in D, is exact to rounding with only small
+        products, run on one thread.  s doublings Phi <- Phi^2, Q <- Phi Q
+        Phi^T + Q then reach dt, adding only positive semidefinite terms to
+        Q.  No s overflows; a law whose diag(Phi Phi^T + Q) misses 1 by more
+        than 1e-6 is a ValueError.
 
-        Each mode takes its own s.  The modes are taken in descending order
-        of s, so those still doubling are always a leading slice of the
-        stack, and each mode's products see the operands, in the memory
-        layout, that a one-mode call gives them: BLAS rounds a product of
-        large odd-sized matrices (d = 17, 33, 65) differently by layout.
+        Each mode takes its own s, in descending order, so the modes still
+        doubling are a leading slice of the stack and each mode's products
+        see the operands, in the memory layout, a one-mode call gives them:
+        BLAS rounds large odd-sized products (d = 17, 33, 65) by layout.
         """
         rows = np.arange(len(self.alpha)) if rows is None else np.asarray(rows, dtype=int)
         d = self.dim
@@ -542,18 +552,16 @@ class _Markov:
         """Innovations form of every one-atom mode with an eigenbasis, in one pass.
 
         The time-varying Kalman predictor of u started from the stationary
-        law (Anderson and Moore 1979), i.e. the Cholesky factor of
-        Toeplitz(r) in state-space form.  With P_0 = S = I, omega_j = P_j[0, 0]
-        and K_j = P_j e0 / omega_j, the path is u_j = lambda e0.s_j / sqrt(alpha)
-        with s_j = Phi s_{j-1} + K_j sqrt(omega_j) z_j and s_{-1} = 0.  For
-        d = 2 the updated covariance P_j - omega_j K_j K_j^T is c_j e1 e1^T,
-        so the gain sweep is the scalar recursion
+        law (Anderson and Moore 1979), the Cholesky factor of Toeplitz(r) in
+        state-space form.  With P_0 = S = I, omega_j = P_j[0, 0] and
+        K_j = P_j e0 / omega_j, u_j = lambda e0.s_j / sqrt(alpha) with
+        s_j = Phi s_{j-1} + K_j sqrt(omega_j) z_j and s_{-1} = 0.  For d = 2,
+        P_j - omega_j K_j K_j^T = c_j e1 e1^T, so the sweep is the scalar
         c_j = P_j[1, 1] - P_j[0, 1]^2 / P_j[0, 0], P_{j+1} = c_j phi phi^T + Q
-        with phi = Phi e1, run here as one array recursion over the modes.
-        A mode drops out once its c is constant to relative ``_GAIN_TOL``;
-        its gain is constant after that, so only the steps up to there are
-        kept.  Fills ``_gains[i]`` with (poles, read-out weights, rows of
-        V^-1, gain rows (sqrt(omega_j), P_j[0, 1] / sqrt(omega_j))).
+        (phi = Phi e1), one array recursion over the modes.  A mode keeps the
+        steps until its c is constant to relative ``_GAIN_TOL``, as its gain
+        is from there on.  Fills ``_gains[i]`` with (poles, read-out weights,
+        rows of V^-1, gain rows (sqrt(omega_j), P_j[0, 1] / sqrt(omega_j))).
         """
         rows = np.array([i for i, basis in enumerate(self.eig) if basis is not None], dtype=int)
         if not rows.size:
@@ -564,69 +572,53 @@ class _Markov:
         p00 = p11 = np.ones(len(rows))
         p01 = np.zeros(len(rows))
         c_prev = np.full(len(rows), math.nan)
-        live = np.arange(len(rows))
-        ids, gains = [], []
-        for _ in range(grid.n):
+        # steps each mode keeps; a settled mode's recursion runs on unread
+        kept = np.zeros(len(rows), dtype=int)
+        gains = []
+        for j in range(grid.n):
             root = np.sqrt(p00)
-            ids.append(live)
             gains.append(np.stack((root, p01 / root), axis=-1))
             c = p11 - p01 * (p01 / p00)
-            moving = ~(np.abs(c - c_prev) <= _GAIN_TOL * c)
-            if not moving.all():
-                live, c, f0, f1, q00, q01, q11 = (
-                    a[moving] for a in (live, c, f0, f1, q00, q01, q11))
-                if not live.size:
-                    break
+            kept[(kept == 0) & (np.abs(c - c_prev) <= _GAIN_TOL * c)] = j + 1
+            if kept.all():
+                break
             c_prev = c
             p00, p01, p11 = c * f0 * f0 + q00, c * f0 * f1 + q01, c * f1 * f1 + q11
-        # step j's rows belong to the modes sweeping then, so one buffer holds
-        # every mode's rows in step order, mode r's at offsets start_r + j
-        counts = np.zeros(len(rows), dtype=int)
-        for sweeping in ids:
-            counts[sweeping] += 1
-        ends = np.cumsum(counts)
-        flat = np.empty((ends[-1], 2))
-        for j, (sweeping, gain) in enumerate(zip(ids, gains)):
-            flat[ends[sweeping] - counts[sweeping] + j] = gain
-        for i, end, count in zip(rows.tolist(), ends.tolist(), counts.tolist()):
+        kept[kept == 0] = len(gains)
+        gains = np.stack(gains, axis=1)
+        for r, i in enumerate(rows.tolist()):
             mu, head, inv = self.eig[i]
             self._gains[i] = (_decay(mu, grid.dt), (self.lam[i] * self.scale[i]) * head, inv,
-                              flat[end - count : end])
+                              gains[r, : kept[r]])
 
     def innovations(self, i: int):
         """(poles, weights) of mode i's innovations form from :meth:`_sweep`:
         one AR(1) filter per kept eigenvalue whose input is z times one
-        complex weight per step, lambda included."""
+        complex weight per step, lambda included, up to the step where the
+        gain settles; the last weight holds from there on."""
         poles, readout, inv, gain = self._gains[i]
-        settled = len(gain)
-        weights = np.empty((len(poles), self.grid.n), dtype=complex)
         # V^-1 sqrt(omega_j) K_j by broadcasting: numpy's mixed complex-real
         # matmul is about 20x slower here
-        weights[:, :settled] = readout[:, None] * (inv[:, :1] * gain[:, 0]
-                                                   + inv[:, 1:] * gain[:, 1])
-        weights[:, settled:] = weights[:, settled - 1 : settled]
-        return poles, weights
+        return poles, readout[:, None] * (inv[:, :1] * gain[:, 0] + inv[:, 1:] * gain[:, 1])
 
     def recursion(self, i: int):
         """Exact linear map from standard normals to (m, n) stationary paths
         of mode i on the set-up's grid.
 
         Returns (shape, synth): ``synth(normals, out)`` maps (m, *shape)
-        standard normals to (m, n) paths and writes them to ``out``, by the
-        state recursion, d normals per step (shape (d, n)).  A one-atom mode
-        with an eigenbasis is not sampled here: its innovations form
-        (:meth:`innovations`) goes through :func:`_sample_block`.
+        standard normals to (m, n) paths in ``out`` by the state recursion,
+        d normals per step (shape (d, n)); a one-atom mode with an eigenbasis
+        takes its innovations form (:meth:`innovations`) instead.
 
-        Column 0 of each path's normals draws the stationary start v_0 = z;
-        column j > 0 draws the innovation of step j through a square root of
-        Q from its symmetric eigendecomposition, not Cholesky: Q is
-        ill-conditioned (about 1e8 for the 64-node power law at dt = 2^-8)
-        and rounding can leave it a hair indefinite, so negative eigenvalues
-        are clipped to 0.  In the eigenbasis each coordinate is a complex
-        AR(1) recursion run by :func:`_recur`, one per conjugate pair, whose
-        input sums the d normals of a step with the read-out weight, lambda
-        included, folded into their weights; without one the real state is
-        stepped and scaled at the end.
+        Column 0 of each path's normals draws the stationary start v_0 = z,
+        column j > 0 the innovation of step j through a square root of Q from
+        its symmetric eigendecomposition, not Cholesky: Q is ill-conditioned
+        (about 1e8 for the 64-node power law at dt = 2^-8) and rounding can
+        leave it a hair indefinite, so negative eigenvalues are clipped to 0.
+        In the eigenbasis the coordinates are complex AR(1) recursions, one
+        per conjugate pair, whose inputs sum a step's d normals with the
+        read-out weight, lambda included, folded in: one :func:`_filter_block`
+        call; without one the real state is stepped and scaled at the end.
         """
         dt, n = self.grid.dt, self.grid.n
         step, q = (stack[0] for stack in self.transition(dt, [i]))
@@ -647,15 +639,9 @@ class _Markov:
         mu, head, inv = self.eig[i]
         start = readout * head[:, None] * inv
         drive = readout * head[:, None] * (inv @ root)
-        poles = _decay(mu, dt)
-
-        def filtered(normals, out):
-            for j, (pole, first, rest) in enumerate(zip(poles, start, drive)):
-                weights = np.repeat(rest[:, None], n, axis=1)
-                weights[:, 0] = first
-                _recur(pole, weights, normals, out, add=j > 0)
-
-        return (self.dim, n), filtered
+        # step 0 draws the stationary start, every later step an innovation
+        poles, weights = _decay(mu, dt), np.stack((start, drive), axis=-1)
+        return (self.dim, n), lambda normals, out: _filter_block(poles, weights, normals, out)
 
 
 def _embed(emb: _Markov, i: int, grid: TimeGrid):
@@ -664,13 +650,11 @@ def _embed(emb: _Markov, i: int, grid: TimeGrid):
 
     Walks L = n, 2n, 4n, 8n.  At each L the recursion is taken when its
     state form would draw no more normals per path (n*d) than the circulant
-    would (2L); otherwise the circulant of length 2L is taken when its most
-    negative eigenvalue is at least -1e-8 * r(0).  Past 8n the recursion is
-    taken.  A one-atom mode (d = 2) therefore recurses at L = n; it comes
-    here only without an eigenbasis, as one with one takes the innovations
-    form (:func:`_sample_block`).  Each L appends its new lags to the one
-    covariance sequence.  Returns the eigenvalues (None for the recursion)
-    and the last L walked.
+    would (2L), else the circulant of length 2L when its most negative
+    eigenvalue is at least -1e-8 * r(0); past 8n the recursion.  A one-atom
+    mode (d = 2), here only without an eigenbasis, recurses at L = n.  Each
+    L appends its new lags to the one covariance sequence.  Returns the
+    eigenvalues (None for the recursion) and the last L walked.
     """
     n = grid.n
     cov = np.zeros(0)
@@ -697,13 +681,13 @@ def sample_gle_mode(
     are the closed-form r(j*dt) of the Markovian embedding, before Monte
     Carlo error.  A one-atom mode with an eigenbasis takes the innovations
     form (:func:`_sample_block`); any other the route :func:`_embed` picks.
-    A chunk's normals never outnumber 256 rows of a length-2L circulant.
+    A chunk's normals never outnumber 256 rows of a length-2L circulant, nor
+    128 on the recursion, whose filter takes as much scratch again.
 
     ``setup`` is a :class:`_Markov` built for ``kernel`` and ``grid`` over
     modes that include this one, as :func:`assemble_field` builds once per
-    field; without it one is built for this mode alone.  Either way the
-    paths are the same.  The paths are written to ``out`` when it is given
-    (see :func:`_paths_out`), and ``values`` is that array.
+    field, else one is built for this mode alone, with the same paths.  The
+    paths are written to ``out`` when given (:func:`_paths_out`).
     """
     _check_sampling_args(m, seed)
     out = _paths_out(out, m, grid.n)
@@ -720,7 +704,7 @@ def sample_gle_mode(
     eig, L = _embed(setup, i, grid)
     if eig is None:
         shape, synth = setup.recursion(i)
-        chunk = min(_PATH_CHUNK, max(1, 2 * _PATH_CHUNK * L // math.prod(shape)))
+        chunk = min(_PATH_CHUNK, max(1, _PATH_CHUNK * L // math.prod(shape)))
         route = ("recursion",)
     else:
         def synth(normals, rows):
@@ -828,16 +812,15 @@ def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int,
 
 def _filter(law: str, mode: Mode, grid: TimeGrid, setup: _Markov | None):
     """(poles, weights) of the one-pole filters whose real parts add up to
-    the paths of a mode with nonzero weight: the AR(1) baseline, and gle's
-    innovations form read from ``setup``; None for any other mode."""
+    the paths of a mode with nonzero weight, weights (C, h) with step j
+    taking column min(j, h - 1): the AR(1) baseline, and gle's innovations
+    form read from ``setup``; None for any other mode."""
     if mode.lambda_k == 0.0:
         return None
     if law == "heat":
         phi = math.exp(-mode.alpha_k * grid.dt)
         sigma = mode.lambda_k / math.sqrt(2.0 * mode.alpha_k)
-        weights = np.full((1, grid.n), sigma * math.sqrt(1.0 - phi * phi))
-        weights[0, 0] = sigma
-        return np.array([phi]), weights
+        return np.array([phi]), np.array([[sigma, sigma * math.sqrt(1.0 - phi * phi)]])
     if law == "gle" and setup.slot[mode] in setup._gains:
         return setup.innovations(setup.slot[mode])
     return None
@@ -855,14 +838,12 @@ def _sample_block(law: str, modes, grid: TimeGrid, m: int, seed: int,
     filters = [_filter(law, mode, grid, setup) for mode in modes]
     took = [k for k, f in enumerate(filters) if f is not None]
     if took:
-        poles, weights = (np.concatenate(stack) for stack in zip(*(filters[k] for k in took)))
-        chains = [0 if f is None else len(f[0]) for f in filters]
         streams = [(k, _stream(seed, modes[k].index)) for k in took]
         for lo in range(0, m, _PATH_CHUNK):
             paths = out[:, lo : lo + _PATH_CHUNK]
             for k, gen in streams:
                 gen.standard_normal(out=paths[k])
-            _filter_paths(poles, weights, chains, paths, paths)
+            _filter_paths(filters, paths, paths)
     return took
 
 

@@ -575,6 +575,7 @@ def test_verify_fails_a_violated_inequality(tmp_path, monkeypatch):
 _HUGE_WEIGHTS = "[basis]\nlength = 1000.0\n[weights]\nrule = power\ns = 60\n"
 _HUGE_SQUARE = "lambda_k^2 leaves the float range at lambda_k = 2.197937185"
 _HUGE_EIGENVALUE = "alpha_k = (k pi / L)^2 at L = 1e-300 leaves the float range"
+_TINY_LENGTH = "alpha_k = (k pi / L)^2 at L = 5e-324 leaves the float range"
 _SMALL_FIELD = ["--N", "4", "--nx", "2", "--n", "8", "--ensemble", "2"]
 
 # each case: config text (or None), the command's arguments ({tmp} is the
@@ -632,6 +633,16 @@ _REJECTED = {
                                         None, _HUGE_EIGENVALUE),
     "overflow-eigenvalue-sample-field": ("[basis]\nlength = 1e-300\n",
                                          ["sample-field", *_SMALL_FIELD], None, _HUGE_EIGENVALUE),
+    # past the float range before the power: k pi / L at L = 5e-324, and an
+    # explicit weight's square in the series gates
+    "overflow-eigenvalue-base-sample-mode": ("[basis]\nlength = 5e-324\n",
+                                             ["sample-mode", "--n", "8"], None, _TINY_LENGTH),
+    "overflow-eigenvalue-base-sample-field": ("[basis]\nlength = 5e-324\n",
+                                              ["sample-field", *_SMALL_FIELD], None, _TINY_LENGTH),
+    "overflow-explicit-weight-squared": (
+        "[weights]\nrule = explicit\nvalues = 1e200" + ", 1.0" * 11 + "\n",
+        ["sample-field", *_SMALL_FIELD], None,
+        "lambda_k^2 leaves the float range at lambda_k = 1e+200"),
 }
 
 
@@ -943,6 +954,26 @@ def test_reproduce_rejects_a_malformed_cell_before_any_output(tmp_path, monkeypa
     out = tmp_path / "run"
     assert main(["reproduce", "--profile", "tiny", "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"glefield: error: {cause}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, what", [
+    ("axis", "spcae", "'time' or 'space'"),
+    ("nx", 0, "a positive integer"),
+    ("fit_seed", -1, "an integer in [0, 2**64)"),
+])
+def test_reproduce_checks_each_cells_own_fields_before_any_output(tmp_path, monkeypatch, capsys,
+                                                                 field, value, what):
+    # a cell's axis, interior point count and bootstrap seed are not config
+    # keys, and the good first cell would have left its CSV had the bad
+    # second one failed only when it ran
+    cells = {"a": {"config": {}, "axis": "time", "nx": 4, "fit_seed": 1},
+             "b": {"config": {}, "axis": "time", "nx": 4, "fit_seed": 1, field: value}}
+    monkeypatch.setitem(cli._PROFILES, "tiny", _tiny_profile(cells))
+    out = tmp_path / "run"
+    assert main(["reproduce", "--profile", "tiny", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"glefield: error: profile tiny cell b: {field} {value!r} must be {what}\n")
     assert not out.exists()
 
 

@@ -1,6 +1,7 @@
 """Mode superposition on an interval: summability gates, tails, assembly."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -295,19 +296,30 @@ def test_long_paths_keep_8_mode_blocks(m, nx, dynamics, workers):
     assert sample.values.tobytes() == ref.tobytes()
 
 
-def test_products_stay_under_the_multiply_add_cap(monkeypatch):
-    # at the field_space, field_time and cli_roundtrip shapes every product
-    # takes at most 2**19 multiply-adds, under the size at which OpenBLAS
-    # hands a product to a second thread; the block takes all the modes of
-    # a short field and 8 of a long one
+def _record_products(monkeypatch) -> list:
+    """Record every np.matmul call as (calling module, shape of a, shape of
+    b): the projection's come from field_assembly, the path filter's from
+    mode_sampler, each stacked item of which is one BLAS call."""
     products = []
     matmul = np.matmul
 
     def counted(a, b, **kwargs):
-        products.append((a.shape[0], a.shape[1], b.shape[1]))
+        products.append((sys._getframe(1).f_globals["__name__"].rsplit(".", 1)[-1],
+                         a.shape, b.shape))
         return matmul(a, b, **kwargs)
 
     monkeypatch.setattr(np, "matmul", counted)
+    return products
+
+
+def test_products_stay_under_the_multiply_add_cap(monkeypatch):
+    # at the field_space, field_time and cli_roundtrip shapes every product
+    # takes at most 2**19 multiply-adds, under the size at which OpenBLAS
+    # hands a product to a second thread: the projection's, one per chunk of
+    # time rows (the block takes all the modes of a short field and 8 of a
+    # long one), and each item of the path filter's, which runs past the
+    # step loop only
+    products = _record_products(monkeypatch)
     shapes = [(128, TimeGrid(dt=4.0, n=16), 128, 255, 128),
               (128, TimeGrid(dt=2.0**-10, n=4096), 16, 16, 8),
               (64, TimeGrid(dt=0.01, n=256), 4, 64, 64)]
@@ -315,9 +327,13 @@ def test_products_stay_under_the_multiply_add_cap(monkeypatch):
         products.clear()
         assemble_field(SINGLE, BASIS, Flat(1.0), n_modes, grid, _interior(nx), m, 5,
                        dynamics="heat", workers=2)
-        assert {k for _, k, _ in products} == {width}
-        assert sum(rows for rows, _, _ in products) == m * grid.n * n_modes // width
-        assert max(rows * k * cols for rows, k, cols in products) <= 2**19
+        projection = [(a, b) for caller, a, b in products if caller == "field_assembly"]
+        kernel = [(a, b) for caller, a, b in products if caller == "mode_sampler"]
+        assert len(projection) + len(kernel) == len(products)
+        assert {a[1] for a, _ in projection} == {width}
+        assert sum(a[0] for a, _ in projection) == m * grid.n * n_modes // width
+        assert bool(kernel) == (grid.n > mode_sampler._STEP_LOOP_STEPS)
+        assert max(a[-2] * a[-1] * b[-1] for a, b in projection + kernel) <= 2**19
 
 
 @pytest.mark.parametrize("n_modes, grid, m, nx, dynamics", [
@@ -350,9 +366,7 @@ def test_assembly_takes_one_product_per_row_chunk(monkeypatch):
     # or 157 of 256); the pool gets one task per worker per 8 modes on long
     # paths and none on short ones, which take the step loop on the calling
     # thread
-    products, tasks = [], []
-    matmul = np.matmul
-    monkeypatch.setattr(np, "matmul", lambda *a, **kw: products.append(1) or matmul(*a, **kw))
+    products, tasks = _record_products(monkeypatch), []
 
     class Pool(field_assembly.ThreadPoolExecutor):
         def submit(self, *args, **kwargs):
@@ -366,8 +380,13 @@ def test_assembly_takes_one_product_per_row_chunk(monkeypatch):
         grid = TimeGrid(dt=4.0 if n == 16 else 0.25, n=n)
         assemble_field(SINGLE, BASIS, Flat(1.0), 13, grid, np.linspace(0.2, 2.9, nx), m, 5,
                        dynamics="heat", tail_budget=1.0, workers=3)
-        # 13 modes: one block, sampled as 8 modes and 5
-        assert len(products) == chunks
+        # 13 modes: one block, sampled as 8 modes and 5; the path filter's
+        # products, past the step loop, are not the projection's
+        assert [caller for caller, _, _ in products].count("field_assembly") == chunks
+        assert {caller for caller, _, _ in products} == (
+            {"field_assembly", "mode_sampler"} if n > mode_sampler._STEP_LOOP_STEPS
+            else {"field_assembly"})
+        assert max(a[-2] * a[-1] * b[-1] for _, a, b in products) <= 2**19
         assert len(tasks) == 2 * per_part
 
 

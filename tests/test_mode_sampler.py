@@ -16,8 +16,8 @@ from glefield.cm_kernel import KernelMeasure, PowerLaw, discretize
 from glefield.mode_sampler import (
     TimeGrid,
     _Markov,
+    _filter_block,
     _filter_paths,
-    _recur,
     _stream,
     circulant_eigenvalues,
     paths_from_normals,
@@ -463,9 +463,8 @@ def test_recursion_reproduces_toeplitz_exactly():
         for kernel, mode, dt, n in cases:
             emb = _Markov(kernel, [mode], TimeGrid(dt, n))
             if one_normal:
-                poles, weights = emb.innovations(0)
                 images = np.eye(n)
-                _filter_paths(poles, weights, [len(poles)], images[None], images[None])
+                _filter_paths([emb.innovations(0)], images[None], images[None])
             else:
                 shape, synth = emb.recursion(0)
                 assert shape == (emb.dim, n)
@@ -481,8 +480,8 @@ def test_recursion_reproduces_toeplitz_exactly():
 
 def test_two_pole_mode_filters_its_normals_in_place_past_the_step_loop():
     # the sampler draws normals into the paths' array and filters them there;
-    # past the step loop an overdamped mode's two real poles run one after
-    # the other, and the second must still read the normals, not the first's
+    # past the step loop an overdamped mode's two real poles are filtered
+    # together, and the second must still read the normals, not the first's
     # paths: byte-equal to the same normals filtered into a separate array
     mode, grid = Mode(1, 0.1, 1.0), TimeGrid(0.125, 256)
     assert grid.n > mode_sampler._STEP_LOOP_STEPS
@@ -491,7 +490,7 @@ def test_two_pole_mode_filters_its_normals_in_place_past_the_step_loop():
     assert len(poles) == 2 and np.isreal(poles).all()
     normals = _stream(3, mode.index).standard_normal((1, 5, grid.n))
     expected = np.empty_like(normals)
-    _filter_paths(poles, weights, [2], normals, expected)
+    _filter_paths([(poles, weights)], normals, expected)
     assert sample_gle_mode(SINGLE, mode, grid, 5, 3).values.tobytes() == expected.tobytes()
 
 
@@ -517,8 +516,8 @@ def _recursion_reference(pole, weights, normals):
     return paths, math.sqrt(top)
 
 
-# per-step decays -log|p|: one block for every n below, a few blocks, many
-# short blocks of 15 and 6 steps, and blocks of one step
+# per-step decays -log|p|: from |p| near 1 to a pole whose powers leave the
+# double range after one step
 _DECAYS = (1e-4, 1e-2, 0.5, 20.0, 50.0, 1e3)
 
 
@@ -527,60 +526,125 @@ _DECAYS = (1e-4, 1e-2, 0.5, 20.0, 50.0, 1e3)
 def test_recursion_kernel_matches_a_long_double_loop(n, angle):
     # bound fixed before the first run, from rounding (about eps * sqrt(steps
     # in play)): 1e-13 of the path scale.  The leading weights vary per step,
-    # as the innovations gains do; d = 3 stacks normals as the state route
-    # does.  Each pole is written, then a second pole added on top.
+    # as the innovations gains do, and hold from step 19 on; d = 3 stacks
+    # normals as the state route does.  One pole is filtered alone, then
+    # both poles together into one sum.
     rng = np.random.default_rng(n + int(10 * angle))
     bound = 1e-13
     for decay in _DECAYS:
-        poles = [cmath.exp(complex(-decay, angle)), cmath.exp(complex(-2.0 * decay, -angle))]
+        poles = np.array([cmath.exp(complex(-decay, angle)), cmath.exp(complex(-2.0 * decay, -angle))])
         if angle == 0.0:
-            poles = [pole.real for pole in poles]
+            poles = poles.real
         for d in (1, 3):
-            out = np.empty((3, n))
+            weights = rng.standard_normal((2, d, n)) + 1j * rng.standard_normal((2, d, n))
+            weights[..., 20:] = weights[..., 19:20]
+            normals = rng.standard_normal((3, d, n) if d > 1 else (3, n))
             expected = np.zeros((3, n), dtype=np.longdouble)
             scale = 0.0
-            for j, pole in enumerate(poles):
-                weights = rng.standard_normal((d, n)) + 1j * rng.standard_normal((d, n))
-                weights[:, 20:] = weights[:, 19:20]
-                normals = rng.standard_normal((3, d, n) if d > 1 else (3, n))
-                _recur(pole, weights if d > 1 else weights[0], normals, out, add=j > 0)
-                paths, path_scale = _recursion_reference(pole, weights, normals)
+            for j in (0, 1):
+                out = np.empty((3, n))
+                _filter_block(poles[: j + 1], weights[: j + 1, :, :20], normals, out)
+                paths, path_scale = _recursion_reference(poles[j], weights[j], normals)
                 expected += paths
                 scale += path_scale
-                if d == 1:
-                    assert np.abs(out - expected).max() <= bound * scale, (decay, pole, j)
-                    if j == 0:
-                        old = lfilter([1.0], [1.0, -pole], weights[0] * normals, axis=1).real
-                        assert np.abs(out - old).max() <= 2.0 * bound * scale
-            assert np.abs(out - expected).max() <= bound * scale, (decay, d)
+                assert np.abs(out - expected).max() <= bound * scale, (decay, d, j)
+                if d == 1 and j == 0:
+                    old = lfilter([1.0], [1.0, -poles[0]], weights[0, 0] * normals, axis=1).real
+                    assert np.abs(out - old).max() <= 2.0 * bound * scale
+
+
+_S = mode_sampler._BLOCK_STEPS
+
+
+@pytest.mark.parametrize("n, settle, decays", [
+    (3 * _S + 5, 20, (1e-3, 0.5)),        # n not a multiple of the block length
+    (_S - 3, 20, (1e-3, 0.5)),            # n shorter than one block
+    (4 * _S, 2 * _S + 7, (1e-3, 0.5)),    # weights settling in the third block
+    (3 * _S + 5, 20, (250.0, 400.0)),     # powers that leave the double range
+    (3 * _S + 5, 20, (355.0, 1e-3)),      # p^2 = e^-710, subnormal but for the floor
+])
+def test_recursion_kernel_edges_match_a_long_double_loop(monkeypatch, n, settle, decays):
+    # the bound above, 1e-13 of the path scale, for two complex poles at
+    # once, one and three inputs a step; and no operand of any product holds
+    # a subnormal number, however fast the poles' powers fall
+    operands = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: operands.extend((a, b)) or matmul(a, b, **kw))
+    rng = np.random.default_rng(n + settle)
+    poles = np.array([cmath.exp(complex(-decays[0], 0.7)), cmath.exp(complex(-decays[1], -2.0))])
+    for d in (1, 3):
+        weights = rng.standard_normal((2, d, settle)) + 1j * rng.standard_normal((2, d, settle))
+        normals = rng.standard_normal((3, d, n))
+        out = np.empty((3, n))
+        _filter_block(poles, weights, normals, out)
+        steps = weights[..., np.minimum(np.arange(n), settle - 1)]
+        expected, scale = np.zeros((3, n), dtype=np.longdouble), 0.0
+        for pole, row_weights in zip(poles, steps):
+            paths, path_scale = _recursion_reference(pole, row_weights, normals)
+            expected += paths
+            scale += path_scale
+        assert np.abs(out - expected).max() <= 1e-13 * scale, d
+    assert operands
+    for x in operands:
+        assert not ((x != 0.0) & (np.abs(x) < np.finfo(float).tiny)).any()
+
+
+@pytest.mark.parametrize("dt, n", [(2.0**-10, 4096), (2.0**-8, 256)])
+def test_state_recursion_of_many_atoms_matches_a_long_double_loop(dt, n):
+    # the 64-node power law: 64 filters of 65 inputs each, whose blocks the
+    # kernel shortens so that its products keep several block rows.  Bound
+    # fixed before the first run: 1e-13 of the stationary sd, as above
+    kernel = discretize(PowerLaw(1.0, 64))
+    for k in (1, 16):
+        emb = _Markov(kernel, [Mode(k, float(k * k), 1.0)], TimeGrid(dt, n))
+        shape, synth = emb.recursion(0)
+        normals = np.random.default_rng(k).standard_normal((2, *shape))
+        paths = np.empty((2, n))
+        synth(normals, paths)
+        step, q = (stack[0] for stack in emb.transition(dt, [0]))
+        val, vec = np.linalg.eigh(q)
+        mu, head, inv = emb.eig[0]
+        lift = (emb.lam[0] * emb.scale[0] * head[:, None] * inv).astype(np.clongdouble)
+        z = normals.astype(np.longdouble)
+        inputs = np.einsum("ck,mkn->mcn", lift @ (vec * np.sqrt(np.maximum(val, 0.0))), z)
+        inputs[:, :, 0] = np.einsum("ck,mk->mc", lift, z[:, :, 0])
+        pole = mode_sampler._decay(mu, dt).astype(np.clongdouble)
+        y = np.zeros((2, len(mu)), dtype=np.clongdouble)
+        expected = np.empty((2, n), dtype=np.longdouble)
+        for j in range(n):
+            y = pole * y + inputs[:, :, j]
+            expected[:, j] = y.real.sum(axis=1)
+        assert np.abs(paths - expected).max() <= 1e-13 * math.sqrt(emb.variance[0]), k
 
 
 def test_recursion_kernel_rows_do_not_depend_on_their_neighbours():
     # 39 rows at once, one row and two rows must give the same bits, as
-    # chunked and m-prefix ensembles rely on
+    # chunked and m-prefix ensembles rely on: weights that vary at every
+    # step, and weights that settle in the second block
     rng = np.random.default_rng(5)
     m, n = 39, 1000
     normals = rng.standard_normal((m, n))
-    weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    weights = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[None, None]
     for decay in _DECAYS:
         for pole in (cmath.exp(complex(-decay, 0.3)), math.exp(-decay)):
-            whole, rows = np.empty((m, n)), np.empty((m, n))
-            _recur(pole, weights, normals, whole)
-            for i in range(0, m, 3):
-                _recur(pole, weights, normals[i : i + 1], rows[i : i + 1])
-                _recur(pole, weights, normals[i + 1 : i + 3], rows[i + 1 : i + 3])
-            assert whole.tobytes() == rows.tobytes(), (decay, pole)
+            for table in (weights, weights[..., : _S + 9]):
+                whole, rows = np.empty((m, n)), np.empty((m, n))
+                _filter_block(np.array([pole]), table, normals, whole)
+                for i in range(0, m, 3):
+                    _filter_block(np.array([pole]), table, normals[i : i + 1], rows[i : i + 1])
+                    _filter_block(np.array([pole]), table, normals[i + 1 : i + 3], rows[i + 1 : i + 3])
+                assert whole.tobytes() == rows.tobytes(), (decay, pole)
 
 
 @pytest.mark.parametrize("n", (2, 16, 64))
 @pytest.mark.parametrize("poles_kind, weights_kind", [("real", "real"), ("complex", "complex"),
                                                       ("complex", "real")])
 def test_step_loop_matches_a_long_double_loop(monkeypatch, n, poles_kind, weights_kind):
-    # bound fixed before the first run, as for _recur: 1e-13 of the path
-    # scale.  One call stacks six filters, each with its own pole and per-step
-    # weights (real or complex poles at any angle, real or complex weights),
-    # from |p| near 1 to a pole whose one-step decay passes _BLOCK_DECAY.
-    # The loop is held to it up to n 64, past the route's crossover
+    # bound fixed before the first run, as for the block filter: 1e-13 of
+    # the path scale.  One call stacks six filters, each with its own pole
+    # and per-step weights (real or complex poles at any angle, real or
+    # complex weights), from |p| near 1 to a pole below e^-300 after one
+    # step.  The loop is held to it up to n 64, past the route's crossover
     monkeypatch.setattr(mode_sampler, "_STEP_LOOP_STEPS", 64)
     rng = np.random.default_rng(n)
     decays = (1e-9, 1e-4, 0.5, 20.0, 250.0, 400.0)
@@ -593,9 +657,10 @@ def test_step_loop_matches_a_long_double_loop(monkeypatch, n, poles_kind, weight
         weights = weights.real.copy()
     # the last filter's every other step has no input of its own
     weights[5, 1::2] = 0.0
+    filters = [(np.array([pole]), row[None]) for pole, row in zip(poles, weights)]
     normals = rng.standard_normal((6, 3, n))
     out = np.empty_like(normals)
-    _filter_paths(poles, weights, [1] * 6, normals, out)
+    _filter_paths(filters, normals, out)
     for pole, row_weights, row_normals, paths in zip(poles, weights, normals, out):
         expected, scale = _recursion_reference(pole, row_weights, row_normals)
         assert np.abs(paths - expected).max() <= 1e-13 * scale, (n, pole)
@@ -604,27 +669,32 @@ def test_step_loop_matches_a_long_double_loop(monkeypatch, n, poles_kind, weight
     assert (out[5] == weights[5].real * normals[5]).all()
     assert not out[5, :, 1::2].any()
     # one array for normals and paths gives the same bits
-    _filter_paths(poles, weights, [1] * 6, normals, normals)
+    _filter_paths(filters, normals, normals)
     assert normals.tobytes() == out.tobytes()
 
 
 @pytest.mark.parametrize("factor", (1e250, 1e-150, 1e-200))
-def test_recursion_kernel_scales_with_its_weights(factor):
-    # the in-block weights reach e^300 times the largest weight, so only the
-    # kernel's own normalisation keeps 1e250 finite; at 1e-200 the factors
-    # pole^t times the weight would fall below the normal range (e^-300 is
-    # about 5e-131), so the weight must be applied on its own
+def test_recursion_kernel_scales_with_its_weights(monkeypatch, factor):
+    # only powers |p|^t <= 1 meet the weights, so 1e250 stays finite; at
+    # 1e-200 the factors pole^t times the weight would fall below the normal
+    # range (e^-300 is about 5e-131), so the weight must be applied on its
+    # own: no product sees a subnormal operand
+    operands = []
+    matmul = np.matmul
+    monkeypatch.setattr(np, "matmul", lambda a, b, **kw: operands.extend((a, b)) or matmul(a, b, **kw))
     rng = np.random.default_rng(8)
     n = 1000
     normals = rng.standard_normal((3, n))
-    weights = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    weights = (rng.standard_normal(n) + 1j * rng.standard_normal(n))[None, None]
     for decay in _DECAYS:
         for pole in (cmath.exp(complex(-decay, 0.7)), math.exp(-decay)):
             unit, scaled = np.empty((3, n)), np.empty((3, n))
-            _recur(pole, weights, normals, unit)
-            _recur(pole, factor * weights, normals, scaled)
+            _filter_block(np.array([pole]), weights, normals, unit)
+            _filter_block(np.array([pole]), factor * weights, normals, scaled)
             assert np.isfinite(scaled).all()
             assert np.abs(scaled / factor - unit).max() <= 1e-14 * np.abs(unit).max()
+    for x in operands:
+        assert not ((x != 0.0) & (np.abs(x) < np.finfo(float).tiny)).any()
 
 
 @pytest.mark.parametrize("lam", (1e100, 1e-100, 1e-160, 1e-200))

@@ -203,16 +203,19 @@ def test_modules_import_only_lower_layers():
 def test_filters_are_sampled_by_one_function():
     # the AR(1) baseline and gle's innovations form have one sampler, for a
     # mode alone or a block of them at any path length: a second caller of
-    # the filters would be a second path that must agree with it bit for bit
+    # the filters would be a second path that must agree with it bit for bit.
+    # Past the step loop they and the state recursion share one kernel
     callers = []
     for path, tree in _library_trees():
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 callers += [(path.stem, node.name, _name(inner)) for inner in ast.walk(node)
                             if isinstance(inner, ast.Call)
-                            and _name(inner) in ("_filter", "_filter_paths")]
-    assert sorted(callers) == [("mode_sampler", "_sample_block", "_filter"),
-                               ("mode_sampler", "_sample_block", "_filter_paths")]
+                            and _name(inner) in ("_filter", "_filter_paths", "_filter_block")]
+    assert sorted(callers) == [("mode_sampler", "_filter_paths", "_filter_block"),
+                               ("mode_sampler", "_sample_block", "_filter"),
+                               ("mode_sampler", "_sample_block", "_filter_paths"),
+                               ("mode_sampler", "recursion", "_filter_block")]
 
 
 def test_cli_samples_and_fits_in_one_function_each():
