@@ -16,7 +16,8 @@ keywords, the config (section, key) it overrides and the least value it
 accepts; ``_COMMANDS`` lists each subcommand's flags in --help order with that
 command's own help and defaults (a bound flag's help defaults to its key's).
 ``_config`` loads --config and sets every bound flag before the handler
-``cmd_<command>`` runs.  The sampling law every command reads is the one key
+``cmd_<command>``, looked up on this module at dispatch, runs; the parser
+is built once per process.  The sampling law every command reads is the one key
 [sampler] dynamics, which --dynamics overrides.
 
 Exit codes: 0 success, 2 configuration or input validation error,
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import functools
 import hashlib
 import json
 import math
@@ -323,18 +325,30 @@ def _write_columns(path: str, header: list, columns) -> None:
             fh.write(",".join(map(repr, row)) + "\n")
 
 
+# rows per string the field writer builds and writes at once
+_GROUP_ROWS = 2048
+
+
 def _write_field_csv(path: str, times, xs, values) -> None:
     """Rows path_id, t, x, value of values[i, j, l] in C order: the bytes
-    csv.writer gives for the same cells with repr'd floats, built by joining
-    strings one time step at a time.  xs None drops the x column (the
-    sample-mode layout path_id, t, value; values then has one x slot)."""
+    csv.writer gives for the same cells with repr'd floats.  One time step's
+    rows are a template, its path id filled in once per member; a group of
+    about ``_GROUP_ROWS`` rows joins the template at each of its times and
+    fills its %r slots with the values in one ``%``.  xs None drops the x
+    column (the sample-mode layout path_id, t, value; values then has one x
+    slot)."""
     ts = [repr(t) for t in times.tolist()]
     xr = [""] if xs is None else [f"{x!r}," for x in xs.tolist()]
+    steps = max(1, _GROUP_ROWS // len(xr))
+    # \0 marks the path id and \1 the time, neither of which a repr holds
+    step_rows = "".join(f"\0,\1,{x}%r\n" for x in xr)
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write("path_id,t,value\n" if xs is None else "path_id,t,x,value\n")
         for i, member in enumerate(values):
-            for t, row in zip(ts, member):
-                fh.write("".join(f"{i},{t},{x}{v!r}\n" for x, v in zip(xr, row.tolist())))
+            own = step_rows.replace("\0", str(i))
+            for lo in range(0, len(ts), steps):
+                fh.write("".join([own.replace("\1", t) for t in ts[lo : lo + steps]])
+                         % tuple(member[lo : lo + steps].ravel().tolist()))
 
 
 def _write_json(path: str, payload: dict) -> None:
@@ -753,9 +767,6 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
     for name, (help_text, flags) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_text)
-        # looked up per parser, not at import, so a handler rebound on this
-        # module (a test stub, a tracing wrapper) is the one that runs
-        sp.set_defaults(func=globals()["cmd_" + name.replace("-", "_")])
         for entry in flags:
             flag, own = (entry, {}) if isinstance(entry, str) else entry
             keywords = {**_FLAGS.get(flag, {}), **own}
@@ -772,10 +783,19 @@ _VALIDATION_ERRORS = (ConfigError, KernelError, ValueError, Divergent, TailBudge
 _NUMERICAL_ERRORS = (ToleranceNotMet,)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser.  It holds no handler: ``main`` looks
+    ``cmd_<command>`` up on this module at dispatch, so a handler rebound
+    after the parser was built (a test stub, a tracing wrapper) still runs."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.func(args, _config(args))
+        return handler(args, _config(args))
     except _NUMERICAL_ERRORS as exc:
         print(f"glefield: numerical failure: {exc}", file=sys.stderr)
         return 3

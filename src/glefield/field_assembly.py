@@ -335,11 +335,14 @@ def assemble_field(
     at a time: as many modes as ``_BLOCK_BYTES`` of paths hold, at least
     ``_MODE_BLOCK``, a rule that reads the shape alone.  Each mode's paths
     are written straight into its slot of the block buffer, ``_MODE_BLOCK``
-    modes at a time, by one thread rule: on paths of at most
-    ``mode_sampler._STEP_LOOP_STEPS`` steps their one-pole filter modes
-    take one step loop on the calling thread (``mode_sampler._sample_block``);
-    worker w of the pool samples the w-th, (w + workers)-th, ... of the
-    others, each by the public sampler of its law.
+    modes at a time, by one thread rule: the one-pole filter modes go
+    through ``mode_sampler._sample_block``, every other mode through the
+    public sampler of its law.  On paths of at most
+    ``mode_sampler._STEP_LOOP_STEPS`` steps the filter modes take one step
+    loop on the calling thread and worker w of the pool samples the w-th,
+    (w + workers)-th, ... of the others; on longer paths worker w takes
+    the w-th, (w + workers)-th, ... of them all, its filter modes in one
+    ``_sample_block`` call.
     A block is added to the field one chunk of time rows at a time, one
     matrix product of at most ``mode_sampler._PRODUCT_MACS`` multiply-adds per chunk
     (one row when a row alone is larger).  dynamics names the trajectory
@@ -372,11 +375,16 @@ def assemble_field(
     paths = np.empty((width, m, n))
     clipped = [0.0] * n_modes
 
-    def fill(ks) -> None:
-        for k in ks:
-            ens = mode_sampler._sample(dynamics, kernel, modes[k - 1], grid, m, seed, setup,
-                                       out=paths[(k - 1) % width])
-            clipped[k - 1] = ens.clipped_mass
+    def fill(ks, slots, stacked: bool) -> None:
+        """Sample mode ks[j] into slots[j]: the one-pole filter modes by one
+        ``_sample_block`` call when ``stacked``, every other one by its law's sampler."""
+        took = (mode_sampler._sample_block(dynamics, [modes[k - 1] for k in ks], grid, m, seed,
+                                           setup, slots) if stacked else ())
+        for j, k in enumerate(ks):
+            if j not in took:
+                ens = mode_sampler._sample(dynamics, kernel, modes[k - 1], grid, m, seed, setup,
+                                           out=slots[j])
+                clipped[k - 1] = ens.clipped_mass
 
     # a chunk of `rows` time rows is one (rows, b) paths @ (b, nx) shapes product
     rows = max(1, mode_sampler._PRODUCT_MACS // (width * nx))
@@ -387,19 +395,20 @@ def assemble_field(
             block = range(start, min(start + width, n_modes + 1))
             for i in range(0, len(block), _MODE_BLOCK):
                 part = block[i : i + _MODE_BLOCK]
+                slots, stacked = paths[i : i + len(part)], True
                 # the thread rule: on short paths the part's filter modes take one
-                # step loop on this thread, clipping nothing; the pool gets the rest
-                looped = []
+                # step loop on this thread, clipping nothing, and the pool gets the
+                # rest; on long paths each worker's share of the part is one call
                 if n <= mode_sampler._STEP_LOOP_STEPS:
-                    looped = mode_sampler._sample_block(dynamics, [modes[k - 1] for k in part],
-                                                        grid, m, seed, setup,
-                                                        paths[i : i + len(part)])
-                ks = [k for j, k in enumerate(part) if j not in looped]
+                    took = mode_sampler._sample_block(dynamics, [modes[k - 1] for k in part],
+                                                      grid, m, seed, setup, slots)
+                    rest = [j for j in range(len(part)) if j not in took]
+                    part, slots, stacked = [part[j] for j in rest], [slots[j] for j in rest], False
                 if pool is None:
-                    fill(ks)
+                    fill(part, slots, stacked)
                 else:
-                    tasks = [pool.submit(fill, ks[w::workers])
-                             for w in range(min(workers, len(ks)))]
+                    tasks = [pool.submit(fill, part[w::workers], slots[w::workers], stacked)
+                             for w in range(min(workers, len(part)))]
                     for task in tasks:
                         task.result()
             shapes = basis.eval(np.asarray(block), x_arr)

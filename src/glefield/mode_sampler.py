@@ -21,8 +21,9 @@ the set-up those read and the closed-form moments the variogram oracles sum.
 The innovations form and the AR(1) baseline are sums of one-pole filters
 (:func:`_filter`) with one sampler, :func:`_sample_block`, for a mode alone or
 a field's block of them: a step loop up to ``_STEP_LOOP_STEPS`` steps, beyond
-that the block-product kernel :func:`_filter_block`, which runs the state
-recursion too.  Sampling imports no scipy.
+that the block-product kernel :func:`_filter_block`, one call per stack of
+modes of one filter shape, which runs the state recursion too.  Sampling
+imports no scipy.
 
 Randomness: mode k under seed s draws from one SFC64 stream, child k of the
 seed's ``SeedSequence``, and path i takes the i-th consecutive block of its
@@ -38,6 +39,7 @@ of n' < n steps are not the first n' steps of paths of n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -208,33 +210,35 @@ def _skewed(rows: np.ndarray) -> np.ndarray:
 
 def _carry_in(ends: np.ndarray, q) -> np.ndarray:
     """S_b = sum_{b' < b} q^(b-1-b') E_b', the state block b starts from, for
-    block-end states E (m, C, B) of filters with block poles q (C,): a real
-    product per path and filter for each group of up to ``_BLOCK_STEPS``
-    blocks with the Toeplitz matrix of q powers plus a column for the group's
-    end state; the groups' own starts are the same sum with pole q^T."""
-    m, C, B = ends.shape
+    block-end states E (S, m, C, B) of filters with block poles q (S, C): a
+    real product per path and filter for each group of up to
+    ``_BLOCK_STEPS`` blocks with the Toeplitz matrix of q powers plus a
+    column for the group's end state; the groups' own starts are the same
+    sum with pole q^T."""
+    S, m, C, B = ends.shape
     T = min(B, _BLOCK_STEPS)
     groups = -(-B // T)
-    powers = _powers(q, T + 1)
+    powers = _powers(q.ravel(), T + 1).reshape(S, C, T + 1)
     # Re x meets (Re g, Im g), the float view of g, and Im x meets i g
-    real = np.zeros((C, T, 2, T + 1), dtype=complex)
-    real[:, :, 0, 1:] = _skewed(powers[:, None, :T])
-    np.multiply(real[:, :, 0], 1j, out=real[:, :, 1])
-    x = np.zeros((m, C, groups * T), dtype=complex)
+    real = np.zeros((S, C, T, 2, T + 1), dtype=complex)
+    real[..., 0, 1:] = _skewed(powers[:, :, None, :T])
+    np.multiply(real[..., 0, :], 1j, out=real[..., 1, :])
+    x = np.zeros((S, m, C, groups * T), dtype=complex)
     x[..., :B] = ends
-    inner = np.matmul(x.view(float).reshape(m, C, groups, 2 * T),
-                      real.view(float).reshape(C, 2 * T, 2 * T + 2)).view(complex)
+    inner = np.matmul(x.view(float).reshape(S, m, C, groups, 2 * T),
+                      real.view(float).reshape(S, 1, C, 2 * T, 2 * T + 2)).view(complex)
     if groups > 1:
-        outer = _carry_in(inner[..., T], powers[:, T])
-        inner = inner[..., :T] + outer[..., None] * powers[:, None, :T]
-    return inner.reshape(m, C, -1)[..., :B]
+        outer = _carry_in(inner[..., T], powers[..., T])
+        inner = inner[..., :T] + outer[..., None] * powers[:, None, :, None, :T]
+    return inner.reshape(S, m, C, -1)[..., :B]
 
 
 def _filter_block(poles, weights: np.ndarray, normals: np.ndarray, out: np.ndarray) -> None:
-    """out = the sum over C filters of Re(y), y_j = pole y_{j-1} +
-    sum_k w[k, j] z[:, k, j] and y_{-1} = 0, for poles (C,) with |pole| <= 1
-    and weights (C, d, h), step j taking column min(j, h - 1); the normals
-    z, (m, d, n) or (m, n) for d = 1, may be ``out`` (m, n) itself.
+    """out[k] = the sum over C filters of Re(y), y_j = pole y_{j-1} +
+    sum_i w[i, j] z[:, i, j] and y_{-1} = 0, for each slot k of a stack of S
+    slots: poles (S, C) with |pole| <= 1 and weights (S, C, d, h), step j
+    taking column min(j, h - 1); the normals z, (S, m, d, n) or (S, m, n)
+    for d = 1, may be ``out`` (S, m, n) itself.  A lone slot is a stack of one.
 
     Time is cut into blocks of s steps (``_BLOCK_STEPS``, fewer for many
     inputs).  Block b's output is one product [its d s normals | Re, Im of
@@ -245,59 +249,64 @@ def _filter_block(poles, weights: np.ndarray, normals: np.ndarray, out: np.ndarr
     so nothing grows whatever the decay; weights so small that e^-300 of them
     is subnormal enter scaled to 1.  Each path is its own item of every
     product, of at most ``_PRODUCT_MACS`` multiply-adds, so its bits depend
-    on neither m nor its neighbours.  Its scratch is about the normals' size.
+    on neither m, nor its neighbours, nor the other slots.  Its scratch is
+    about the normals' size.
     """
-    m, n = out.shape
-    C, d, h = weights.shape
+    S, m, n = out.shape
+    _, C, d, h = weights.shape
     s = _BLOCK_STEPS
     while s > 16 and _PRODUCT_MACS // ((d * s + 2 * C) * max(s, 2 * C)) < 8:
         s //= 2  # so that a product takes 8 block rows; shorter ones lose digits
-    top = float(np.abs(weights).max())
-    scale = top if 0.0 < top < np.finfo(float).tiny / _TINY else 1.0
-    weights = weights / scale
-    powers = _powers(poles, s + 1)
+    scale = np.array([top if 0.0 < top < np.finfo(float).tiny / _TINY else 1.0
+                      for top in np.abs(weights).reshape(S, -1).max(axis=1).tolist()])
+    weights = weights / scale[:, None, None, None]
+    powers = _powers(np.ravel(poles), s + 1).reshape(S, C, s + 1)
     blocks, full = -(-n // s), n // s
     head = min(blocks, -(-(h - 1) // s))
     kinds, ds, K = head + 1, d * s, d * s + 2 * C
     # the weight column of each step of the head blocks, then of a steady block
     step = np.minimum(np.arange(kinds * s), h - 1)
-    response = (weights[..., None] * powers[:, None, None, :s]).real.sum(axis=0)
-    mats = np.empty((kinds, K, s))
-    mats[:, :ds].reshape(kinds, d, s, s)[...] = _skewed(
-        response[:, step].reshape(d, kinds, s, s).transpose(1, 0, 2, 3))
-    mats[:, ds:].reshape(kinds, C, 2, s)[...] = (
-        np.conjugate(powers[:, 1:]).view(float).reshape(C, s, 2).transpose(0, 2, 1))
-    ends = np.empty((kinds, d, s, C), dtype=complex)
-    np.multiply(weights[:, :, step].reshape(C, d, kinds, s).transpose(2, 1, 3, 0),
-                powers[:, s - 1 :: -1].T, out=ends)
-    ends = ends.view(float).reshape(kinds, ds, 2 * C)
+    response = (weights[..., None] * powers[:, :, None, None, :s]).real.sum(axis=1)
+    mats = np.empty((S, kinds, K, s))
+    mats[:, :, :ds].reshape(S, kinds, d, s, s)[...] = _skewed(
+        response[:, :, step].reshape(S, d, kinds, s, s).transpose(0, 2, 1, 3, 4))
+    mats[:, :, ds:].reshape(S, kinds, C, 2, s)[...] = (
+        np.conjugate(powers[..., 1:]).view(float).reshape(S, 1, C, s, 2).transpose(0, 1, 2, 4, 3))
+    ends = np.empty((S, kinds, d, s, C), dtype=complex)
+    np.multiply(weights[..., step].reshape(S, C, d, kinds, s).transpose(0, 3, 2, 4, 1),
+                powers[:, :, s - 1 :: -1].transpose(0, 2, 1)[:, None, None], out=ends)
+    ends = ends.view(float).reshape(S, kinds, ds, 2 * C)
     parts = -(-blocks // max(1, _PRODUCT_MACS // (K * max(s, 2 * C))))
     rows = -(-blocks // parts)  # block rows per product item
-    z = normals.reshape(m, d, n)
-    buf = np.empty((m, parts * rows, K))
-    stack = buf.reshape(m, parts, rows, K)
-    inputs = buf[:, :, :ds].reshape(m, parts * rows, d, s)
-    inputs[:, :full] = z[:, :, : full * s].reshape(m, d, full, s).transpose(0, 2, 1, 3)
+    z = normals.reshape(S, m, d, n)
+    buf = np.empty((S, m, parts * rows, K))
+    stack = buf.reshape(S, m, parts, rows, K)
+    inputs = buf[..., :ds].reshape(S, m, parts * rows, d, s)
+    inputs[:, :, :full] = z[..., : full * s].reshape(S, m, d, full, s).transpose(0, 1, 3, 2, 4)
     if parts * rows > full:
-        inputs[:, full:] = 0.0
-        inputs[:, full, :, : n - full * s] = z[:, :, full * s :]
-    E = np.matmul(stack[..., :ds], ends[head]).reshape(m, parts * rows, 2 * C)
+        inputs[:, :, full:] = 0.0
+        inputs[:, :, full, :, : n - full * s] = z[..., full * s :]
+    E = np.matmul(stack[..., :ds], ends[:, None, None, head]).reshape(S, m, parts * rows, 2 * C)
     if head:
-        E[:, :head] = np.matmul(buf[:, :head, None, :ds], ends[:head])[:, :, 0]
-    carry = _carry_in(E.view(complex).transpose(0, 2, 1), powers[:, s])
-    buf[:, :, ds:].view(complex)[...] = carry.transpose(0, 2, 1)
+        E[:, :, :head] = np.matmul(buf[:, :, :head, None, :ds], ends[:, None, :head])[..., 0, :]
+    carry = _carry_in(E.view(complex).transpose(0, 1, 3, 2), powers[..., s])
+    buf[..., ds:].view(complex)[...] = carry.transpose(0, 1, 3, 2)
     if parts * rows * s == n:
-        np.matmul(stack, mats[head], out=out.reshape(m, parts, rows, s))
+        np.matmul(stack, mats[:, None, None, head], out=out.reshape(S, m, parts, rows, s))
     else:
-        out[...] = np.matmul(stack, mats[head]).reshape(m, -1)[:, :n]
+        out[...] = np.matmul(stack, mats[:, None, None, head]).reshape(S, m, -1)[..., :n]
     if head:
-        out[:, : head * s] = np.matmul(buf[:, :head, None], mats[:head]).reshape(m, -1)[:, :n]
-    if scale != 1.0:
-        out *= scale
+        out[..., : head * s] = np.matmul(buf[:, :, :head, None],
+                                         mats[:, None, :head]).reshape(S, m, -1)[..., :n]
+    if (scale != 1.0).any():
+        out *= scale[:, None, None]
 
 
 # paths up to this many steps take the step loop; on 8 modes it beat the kernel up to n 64
 _STEP_LOOP_STEPS = 48
+# bytes of normals per stack of slots :func:`_filter_paths` hands the kernel:
+# field_time's paths (16 x 4096 steps) take one slot a call
+_STACK_BYTES = 2**19
 
 
 def _filter_paths(filters, normals: np.ndarray, out: np.ndarray) -> None:
@@ -307,7 +316,9 @@ def _filter_paths(filters, normals: np.ndarray, out: np.ndarray) -> None:
     ``filters`` holds one (poles (C,), weights (C, h)) per slot, step j
     taking column min(j, h - 1), or None for a slot left alone; ``normals``
     and ``out`` are (K, m, n), and may be one array.  Past
-    ``_STEP_LOOP_STEPS`` steps each slot goes through :func:`_filter_block`;
+    ``_STEP_LOOP_STEPS`` steps each run of adjacent slots whose poles and
+    weights share their shapes goes through :func:`_filter_block` as stacks
+    of as many slots as ``_STACK_BYTES`` of normals hold (at least one);
     up to it all C m rows of all slots take one vector step per time step,
     the real and imaginary parts of y as two real chains (one when poles and
     weights are real), a pole below e^-300 taken as 0.  So the route depends
@@ -315,9 +326,14 @@ def _filter_paths(filters, normals: np.ndarray, out: np.ndarray) -> None:
     """
     n = normals.shape[-1]
     if n > _STEP_LOOP_STEPS:
-        for k, f in enumerate(filters):
-            if f is not None:
-                _filter_block(f[0], f[1][:, None], normals[k], out[k])
+        per = max(1, _STACK_BYTES // normals[0].nbytes)
+        shapes = [None if f is None else (f[0].shape, f[1].shape) for f in filters]
+        for shape, run in itertools.groupby(range(len(filters)), shapes.__getitem__):
+            run = list(run)
+            for lo in range(run[0], run[-1] + 1, per) if shape else ():
+                hi = min(lo + per, run[-1] + 1)
+                poles, weights = (np.array(part) for part in zip(*filters[lo:hi]))
+                _filter_block(poles, weights[:, :, None], normals[lo:hi], out[lo:hi])
         return
     chains = np.array([0 if f is None else len(f[0]) for f in filters])
     owner = np.repeat(np.arange(len(filters)), chains)
@@ -641,7 +657,8 @@ class _Markov:
         drive = readout * head[:, None] * (inv @ root)
         # step 0 draws the stationary start, every later step an innovation
         poles, weights = _decay(mu, dt), np.stack((start, drive), axis=-1)
-        return (self.dim, n), lambda normals, out: _filter_block(poles, weights, normals, out)
+        return (self.dim, n), lambda normals, out: _filter_block(
+            poles[None], weights[None], normals[None], out[None])
 
 
 def _embed(emb: _Markov, i: int, grid: TimeGrid):

@@ -424,6 +424,27 @@ def test_field_csv_bytes_match_csv_writer_with_repr(tmp_path):
     _write_field_csv(str(out), times, None, values[:, :, :1])
     rows = [(i, float(times[j]), float(values[i, j, 0])) for i in range(2) for j in range(2)]
     assert out.read_bytes() == _csv_reference(tmp_path / "ref.csv", ["path_id", "t", "value"], rows)
+    # two-digit path ids, a step count that is no multiple of the writer's
+    # group of time steps, and the edge values on both sides of each group
+    # boundary, in both layouts
+    edges = np.array([-0.0, 5e-324, 1e16, 1e-05])
+    for xs in (np.array([1e-05, 5e-324]), None):
+        width = 1 if xs is None else len(xs)
+        steps = cli._GROUP_ROWS // width
+        times = 0.1 * np.arange(2 * steps + 3)
+        values = np.random.default_rng(width).standard_normal((11, len(times), width))
+        for j in (0, steps - 1, steps, 2 * steps - 1, 2 * steps, len(times) - 1):
+            values[:, j] = np.roll(edges, j)[:width]
+        _write_field_csv(str(out), times, xs, values)
+        cells = np.ndindex(values.shape)
+        if xs is None:
+            rows = [(i, float(times[j]), float(values[i, j, 0])) for i, j, _ in cells]
+            header = ["path_id", "t", "value"]
+        else:
+            rows = [(i, float(times[j]), float(xs[l]), float(values[i, j, l]))
+                    for i, j, l in cells]
+            header = ["path_id", "t", "x", "value"]
+        assert out.read_bytes() == _csv_reference(tmp_path / "ref.csv", header, rows)
     # the column tables (kernel, spectrum, variograms)
     cols = [np.array([-0.0, 5e-324, 1e16, 0.1]), np.array([0.1, 1e16, -5e-324, -0.0])]
     _write_columns(str(out), ["lag", "value"], cols)
@@ -503,6 +524,18 @@ def test_handlers_are_looked_up_when_the_parser_is_built(tmp_path, monkeypatch):
     assert main(["sample-field", "--out", str(tmp_path / "f.csv")]) == 0
     assert calls == ["cmd_kernel", "cmd_sample_field"]
     assert not list(tmp_path.iterdir())
+
+
+def test_a_handler_rebound_after_the_parser_is_built_is_the_one_that_runs(tmp_path, monkeypatch):
+    # main builds its parser once per process; a handler rebound on the
+    # module after that (a tracing wrapper installed between runs) must
+    # still be the one that runs, so the parser cannot hold the handlers
+    assert main(["kernel", "--points", "4", "--out", str(tmp_path / "k.csv")]) == 0
+    calls = []
+    monkeypatch.setattr(cli, "cmd_hoelder", lambda args, cfg: calls.append(args.infile) or 0)
+    assert main(["hoelder", "--in", "no-such.csv"]) == 0
+    assert calls == ["no-such.csv"]
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["k.csv", "k.csv.provenance.json"]
 
 
 def test_verify_report_structure(tmp_path):

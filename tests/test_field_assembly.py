@@ -1,5 +1,6 @@
 """Mode superposition on an interval: summability gates, tails, assembly."""
 
+import itertools
 import math
 import sys
 
@@ -393,8 +394,9 @@ def test_assembly_takes_one_product_per_row_chunk(monkeypatch):
 def test_clipped_masses_stay_in_mode_order(monkeypatch):
     # workers fill a block's slots out of k order; each mode's clipped mass
     # (here tagged with its index) still lands at its own place on the
-    # pool's route (n = 128).  On short paths (n = 32) the step loop takes
-    # every mode, and a filter clips nothing
+    # per-mode route, which the two-atom kernel's modes take (n = 128).  The
+    # one-atom kernel's modes are one-pole filters, sampled in blocks on
+    # short paths (n = 32) and long ones alike, and a filter clips nothing
     sample_mode = mode_sampler._sample
 
     def tagged(law, kernel, mode, *args, **kwargs):
@@ -403,22 +405,25 @@ def test_clipped_masses_stay_in_mode_order(monkeypatch):
         return ens
 
     monkeypatch.setattr(mode_sampler, "_sample", tagged)
-    for n, masses in ((32, (0.0,) * 13), (128, tuple(k / 100.0 for k in range(1, 14)))):
+    two_atoms = KernelMeasure([(0.5, 1.0), (0.5, 2.0)])
+    for kernel, n, masses in ((SINGLE, 32, (0.0,) * 13), (SINGLE, 128, (0.0,) * 13),
+                              (two_atoms, 128, tuple(k / 100.0 for k in range(1, 14)))):
         grid = TimeGrid(dt=0.25, n=n)
         for workers in (1, 2, 3):
-            sample = assemble_field(SINGLE, BASIS, Flat(1.0), 13, grid, [1.0], 2, 4,
+            sample = assemble_field(kernel, BASIS, Flat(1.0), 13, grid, [1.0], 2, 4,
                                     tail_budget=1.0, workers=workers)
             assert sample.clipped_masses == masses
 
 
 @pytest.mark.parametrize("dynamics", ["gle", "heat"])
 def test_block_paths_are_the_modes_alone(monkeypatch, dynamics):
-    # the step loop filters a whole block of short paths at once; each
-    # mode's paths are byte-equal to the mode sampled alone, in every slot
-    # of a full block (8 modes) and a partial one (5), whatever the worker
-    # count.  Under this kernel modes 1 and 2 are overdamped (two real poles
-    # each) and the others have one complex pole; the zero-weight mode 7
-    # has no filter and is left to _sample
+    # the step loop filters a whole block of short paths at once (n = 16),
+    # and past it each worker's share of a block is one stack of filters
+    # (n = 128); each mode's paths are byte-equal to the mode sampled alone,
+    # in every slot of a full block (8 modes) and a partial one (5),
+    # whatever the worker count.  Under this kernel modes 1 and 2 are
+    # overdamped (two real poles each) and the others have one complex pole;
+    # the zero-weight mode 7 has no filter and is left to _sample
     seen = {}
     sample_block = mode_sampler._sample_block
 
@@ -431,8 +436,8 @@ def test_block_paths_are_the_modes_alone(monkeypatch, dynamics):
     monkeypatch.setattr(mode_sampler, "_sample_block", recording)
     kernel = KernelMeasure([(1.0, 5.0)])
     weights = Explicit((1.0,) * 6 + (0.0,) + (0.5,) * 6)
-    grid = TimeGrid(dt=0.25, n=16)
-    for workers in (1, 2, 3):
+    for grid, workers in itertools.product((TimeGrid(dt=0.25, n=16), TimeGrid(dt=0.25, n=128)),
+                                           (1, 2, 3)):
         seen.clear()
         assemble_field(kernel, BASIS, weights, 13, grid, [1.0], 3, 9, dynamics=dynamics,
                        tail_budget=1.0, workers=workers)
@@ -440,8 +445,8 @@ def test_block_paths_are_the_modes_alone(monkeypatch, dynamics):
         for mode, paths in seen.items():
             alone = (mode_sampler.sample_ou_mode(mode, grid, 3, 9) if dynamics == "heat"
                      else sample_gle_mode(kernel, mode, grid, 3, 9))
-            assert paths.tobytes() == alone.values.tobytes(), (workers, mode)
-    setup = mode_sampler._Markov(kernel, list(seen), grid)
+            assert paths.tobytes() == alone.values.tobytes(), (grid.n, workers, mode)
+    setup = mode_sampler._Markov(kernel, sorted(seen, key=lambda mode: mode.index), grid)
     assert [len(setup.innovations(i)[0]) for i in range(3)] == [2, 2, 1]
 
 

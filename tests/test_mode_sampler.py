@@ -494,6 +494,64 @@ def test_two_pole_mode_filters_its_normals_in_place_past_the_step_loop():
     assert sample_gle_mode(SINGLE, mode, grid, 5, 3).values.tobytes() == expected.tobytes()
 
 
+def test_stacked_filters_match_one_kernel_call_per_slot(monkeypatch):
+    # past the step loop one _filter_paths call hands the kernel each run of
+    # adjacent slots whose filters share their shapes as one stack, and each
+    # slot's rows are byte-equal to a kernel call of its own: AR(1) slots,
+    # an overdamped mode's slots of two real poles, innovations slots that
+    # settle at different steps, and a slot left alone
+    stacks = []
+    kernel = mode_sampler._filter_block
+
+    def counting(poles, weights, normals, out):
+        stacks.append(len(poles))
+        kernel(poles, weights, normals, out)
+
+    monkeypatch.setattr(mode_sampler, "_filter_block", counting)
+    grid = TimeGrid(0.25, 200)
+    assert grid.n > mode_sampler._STEP_LOOP_STEPS
+    heat = [mode_sampler._filter("heat", Mode(k, float(k * k), 1.0), grid, None)
+            for k in (1, 2, 3, 4)]
+    emb = _Markov(KernelMeasure([(1.0, 5.0)]), [Mode(k, float(k * k), 1.0) for k in (1, 2, 3, 4, 9)],
+                  grid)
+    gle = [emb.innovations(i) for i in range(5)]
+    assert [w.shape for _, w in gle] == [(2, 14), (2, 14), (1, 14), (1, 15), (1, 20)]
+    filters = heat[:3] + [None] + gle + heat[3:]
+    normals = np.random.default_rng(4).standard_normal((len(filters), 5, grid.n))
+    out = np.full_like(normals, np.nan)
+    _filter_paths(filters, normals, out)
+    assert stacks == [3, 2, 1, 1, 1, 1]
+    assert np.isnan(out[3]).all()
+    for k, f in enumerate(filters):
+        if f is not None:
+            alone = np.empty((1, 5, grid.n))
+            kernel(f[0][None], f[1][None, :, None], normals[k : k + 1], alone)
+            assert out[k].tobytes() == alone.tobytes(), k
+    # one array for normals and paths gives the same bits
+    _filter_paths(filters, normals, normals)
+    assert np.delete(normals, 3, axis=0).tobytes() == np.delete(out, 3, axis=0).tobytes()
+    # a stack holds as many slots as _STACK_BYTES of normals: two of 16 x
+    # 1600 steps, one of field_time's 16 x 4096
+    stacks.clear()
+    normals = np.random.default_rng(5).standard_normal((5, 16, 1600))
+    _filter_paths([heat[0]] * 5, normals, normals)
+    assert stacks == [2, 2, 1]
+    assert mode_sampler._STACK_BYTES // (16 * 4096 * 8) == 1
+    # each slot of a stack is scaled on its own: weights of 1e-200 (which
+    # enter scaled to 1) beside weights that do not
+    poles, weights = heat[0]
+    filters = [(poles, weights), (poles, 1e-200 * weights), (poles, weights)]
+    normals = np.random.default_rng(6).standard_normal((3, 5, grid.n))
+    out = np.empty_like(normals)
+    stacks.clear()
+    _filter_paths(filters, normals, out)
+    assert stacks == [3]
+    for k, (p, w) in enumerate(filters):
+        alone = np.empty((1, 5, grid.n))
+        kernel(p[None], w[None, :, None], normals[k : k + 1], alone)
+        assert out[k].tobytes() == alone.tobytes(), k
+
+
 def _recursion_reference(pole, weights, normals):
     """Re(y) of y_j = pole y_{j-1} + sum_k weights[k, j] normals[:, k, j],
     looped step by step in np.longdouble, and the path scale: the root of
@@ -543,7 +601,8 @@ def test_recursion_kernel_matches_a_long_double_loop(n, angle):
             scale = 0.0
             for j in (0, 1):
                 out = np.empty((3, n))
-                _filter_block(poles[: j + 1], weights[: j + 1, :, :20], normals, out)
+                _filter_block(poles[None, : j + 1], weights[None, : j + 1, :, :20], normals[None],
+                              out[None])
                 paths, path_scale = _recursion_reference(poles[j], weights[j], normals)
                 expected += paths
                 scale += path_scale
@@ -576,7 +635,7 @@ def test_recursion_kernel_edges_match_a_long_double_loop(monkeypatch, n, settle,
         weights = rng.standard_normal((2, d, settle)) + 1j * rng.standard_normal((2, d, settle))
         normals = rng.standard_normal((3, d, n))
         out = np.empty((3, n))
-        _filter_block(poles, weights, normals, out)
+        _filter_block(poles[None], weights[None], normals[None], out[None])
         steps = weights[..., np.minimum(np.arange(n), settle - 1)]
         expected, scale = np.zeros((3, n), dtype=np.longdouble), 0.0
         for pole, row_weights in zip(poles, steps):
@@ -629,10 +688,11 @@ def test_recursion_kernel_rows_do_not_depend_on_their_neighbours():
         for pole in (cmath.exp(complex(-decay, 0.3)), math.exp(-decay)):
             for table in (weights, weights[..., : _S + 9]):
                 whole, rows = np.empty((m, n)), np.empty((m, n))
-                _filter_block(np.array([pole]), table, normals, whole)
+                _filter_block(np.array([[pole]]), table[None], normals[None], whole[None])
                 for i in range(0, m, 3):
-                    _filter_block(np.array([pole]), table, normals[i : i + 1], rows[i : i + 1])
-                    _filter_block(np.array([pole]), table, normals[i + 1 : i + 3], rows[i + 1 : i + 3])
+                    for lo, hi in ((i, i + 1), (i + 1, i + 3)):
+                        _filter_block(np.array([[pole]]), table[None], normals[None, lo:hi],
+                                      rows[None, lo:hi])
                 assert whole.tobytes() == rows.tobytes(), (decay, pole)
 
 
@@ -689,8 +749,8 @@ def test_recursion_kernel_scales_with_its_weights(monkeypatch, factor):
     for decay in _DECAYS:
         for pole in (cmath.exp(complex(-decay, 0.7)), math.exp(-decay)):
             unit, scaled = np.empty((3, n)), np.empty((3, n))
-            _filter_block(np.array([pole]), weights, normals, unit)
-            _filter_block(np.array([pole]), factor * weights, normals, scaled)
+            _filter_block(np.array([[pole]]), weights[None], normals[None], unit[None])
+            _filter_block(np.array([[pole]]), factor * weights[None], normals[None], scaled[None])
             assert np.isfinite(scaled).all()
             assert np.abs(scaled / factor - unit).max() <= 1e-14 * np.abs(unit).max()
     for x in operands:
