@@ -455,8 +455,8 @@ def cmd_sample_mode(args, cfg: RunConfig) -> int:
     measure, basis, weights = _model(cfg)
     (mode,) = _modes(basis, weights, [args.k])
     grid = TimeGrid(dt=cfg.get("sampler", "dt"), n=cfg.get("sampler", "n"))
-    ens = _sample(cfg.get("sampler", "dynamics"), measure, mode, grid,
-                  cfg.get("sampler", "ensemble"), cfg.get("sampler", "seed"))
+    (ens,) = _sample(cfg.get("sampler", "dynamics"), measure, [mode], grid,
+                     cfg.get("sampler", "ensemble"), cfg.get("sampler", "seed"))
     _write_field_csv(args.out, grid.times, None, ens.values[:, :, None])
     _write_sidecar(
         args.out, "sample-mode", cfg,

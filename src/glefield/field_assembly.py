@@ -334,15 +334,12 @@ def assemble_field(
     do not depend on worker count) and summed in k order, one product block
     at a time: as many modes as ``_BLOCK_BYTES`` of paths hold, at least
     ``_MODE_BLOCK``, a rule that reads the shape alone.  Each mode's paths
-    are written straight into its slot of the block buffer, ``_MODE_BLOCK``
-    modes at a time, by one thread rule: the one-pole filter modes go
-    through ``mode_sampler._sample_block``, every other mode through the
-    public sampler of its law.  On paths of at most
-    ``mode_sampler._STEP_LOOP_STEPS`` steps the filter modes take one step
-    loop on the calling thread and worker w of the pool samples the w-th,
-    (w + workers)-th, ... of the others; on longer paths worker w takes
-    the w-th, (w + workers)-th, ... of them all, its filter modes in one
-    ``_sample_block`` call.
+    are written straight into its slot of the block buffer by
+    ``mode_sampler._sample``, ``_MODE_BLOCK`` modes at a time, under one
+    thread rule: with one worker, or on paths of at most
+    ``mode_sampler._STEP_LOOP_STEPS`` steps, the part is one call on the
+    calling thread; otherwise worker w's share, the w-th, (w + workers)-th,
+    ... of the part, is one call.
     A block is added to the field one chunk of time rows at a time, one
     matrix product of at most ``mode_sampler._PRODUCT_MACS`` multiply-adds per chunk
     (one row when a row alone is larger).  dynamics names the trajectory
@@ -375,39 +372,30 @@ def assemble_field(
     paths = np.empty((width, m, n))
     clipped = [0.0] * n_modes
 
-    def fill(ks, slots, stacked: bool) -> None:
-        """Sample mode ks[j] into slots[j]: the one-pole filter modes by one
-        ``_sample_block`` call when ``stacked``, every other one by its law's sampler."""
-        took = (mode_sampler._sample_block(dynamics, [modes[k - 1] for k in ks], grid, m, seed,
-                                           setup, slots) if stacked else ())
-        for j, k in enumerate(ks):
-            if j not in took:
-                ens = mode_sampler._sample(dynamics, kernel, modes[k - 1], grid, m, seed, setup,
-                                           out=slots[j])
-                clipped[k - 1] = ens.clipped_mass
+    def fill(ks, slots) -> None:
+        """Sample mode ks[j] into slots[j] by one call and keep its clipped mass."""
+        ensembles = mode_sampler._sample(dynamics, kernel, [modes[k - 1] for k in ks], grid, m,
+                                         seed, setup, slots)
+        for k, ens in zip(ks, ensembles):
+            clipped[k - 1] = ens.clipped_mass
 
     # a chunk of `rows` time rows is one (rows, b) paths @ (b, nx) shapes product
     rows = max(1, mode_sampler._PRODUCT_MACS // (width * nx))
     scratch = np.empty((min(rows, m * n), nx))
     fields = out.reshape(m * n, nx)
-    with ThreadPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+    # the thread rule: short paths take no pool, which bought them nothing: a
+    # part's filters are one step loop, and BLAS spreads the superposition
+    threaded = workers > 1 and n > mode_sampler._STEP_LOOP_STEPS
+    with ThreadPoolExecutor(max_workers=workers) if threaded else nullcontext() as pool:
         for start in range(1, n_modes + 1, width):
             block = range(start, min(start + width, n_modes + 1))
             for i in range(0, len(block), _MODE_BLOCK):
                 part = block[i : i + _MODE_BLOCK]
-                slots, stacked = paths[i : i + len(part)], True
-                # the thread rule: on short paths the part's filter modes take one
-                # step loop on this thread, clipping nothing, and the pool gets the
-                # rest; on long paths each worker's share of the part is one call
-                if n <= mode_sampler._STEP_LOOP_STEPS:
-                    took = mode_sampler._sample_block(dynamics, [modes[k - 1] for k in part],
-                                                      grid, m, seed, setup, slots)
-                    rest = [j for j in range(len(part)) if j not in took]
-                    part, slots, stacked = [part[j] for j in rest], [slots[j] for j in rest], False
+                slots = paths[i : i + len(part)]
                 if pool is None:
-                    fill(part, slots, stacked)
+                    fill(part, slots)
                 else:
-                    tasks = [pool.submit(fill, part[w::workers], slots[w::workers], stacked)
+                    tasks = [pool.submit(fill, part[w::workers], slots[w::workers])
                              for w in range(min(workers, len(part)))]
                     for task in tasks:
                         task.result()

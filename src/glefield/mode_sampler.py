@@ -1,8 +1,10 @@
 """Exact-in-law synthesis of stationary Gaussian mode trajectories.
 
 This module is the one owner of the sampling laws, :data:`LAWS`: it alone
-tells them apart, in their samplers (:func:`_sample`) and in :func:`_law`,
-the set-up those read and the closed-form moments the variogram oracles sum.
+tells them apart, in its one sampler :func:`_sample`, for a block of modes
+under any law, and in :func:`_law`, the set-up that reads and the
+closed-form moments the variogram oracles sum.  The public samplers are
+one-mode calls of :func:`_sample`:
 
 * :func:`sample_gle_mode` - exact sampler for the memory-kernel mode ("gle").
   A kernel K = sum_i w_i e^{-x_i t} makes the mode the first coordinate of a
@@ -19,11 +21,12 @@ the set-up those read and the closed-form moments the variogram oracles sum.
   (Ornstein-Uhlenbeck) mode of the classical-dynamics baseline ("heat").
 
 The innovations form and the AR(1) baseline are sums of one-pole filters
-(:func:`_filter`) with one sampler, :func:`_sample_block`, for a mode alone or
-a field's block of them: a step loop up to ``_STEP_LOOP_STEPS`` steps, beyond
-that the block-product kernel :func:`_filter_block`, one call per stack of
-modes of one filter shape, which runs the state recursion too.  Sampling
-imports no scipy.
+(:func:`_filter`), which :func:`_sample` runs for all of a block's modes at
+once: a step loop up to ``_STEP_LOOP_STEPS`` steps, beyond that the
+block-product kernel :func:`_filter_block`, one call per stack of modes of
+one filter shape, which runs the state recursion too.  Every other mode
+takes its law's own route, :func:`_gle_paths` or :func:`_spectral_paths`.
+Sampling imports no scipy.
 
 Randomness: mode k under seed s draws from one SFC64 stream, child k of the
 seed's ``SeedSequence``, and path i takes the i-th consecutive block of its
@@ -103,14 +106,16 @@ def _check_sampling_args(m: int, seed: int) -> None:
         raise ValueError(f"seed {seed!r} must be an integer in [0, 2**64)")
 
 
-def _paths_out(out, m: int, n: int) -> np.ndarray:
-    """The (m, n) array the paths are written to: ``out`` when given, which
-    must be a writeable C-contiguous float64 array of that shape, else a new one."""
+def _paths_out(out, shape: tuple) -> np.ndarray:
+    """The (K, m, n) stack the paths are written to: ``out`` when given, a
+    float64 stack of that shape, possibly strided, whose slots are writeable
+    C-contiguous (m, n) arrays; else a new one."""
     if out is None:
-        return np.empty((m, n))
-    if not (isinstance(out, np.ndarray) and out.shape == (m, n) and out.dtype == np.float64
-            and out.flags.c_contiguous and out.flags.writeable):
-        raise ValueError(f"out must be a writeable C-contiguous float64 array of shape {(m, n)}")
+        return np.empty(shape)
+    if not (isinstance(out, np.ndarray) and out.shape == shape and out.dtype == np.float64
+            and out.flags.writeable and all(slot.flags.c_contiguous for slot in out)):
+        raise ValueError(f"out must be a float64 stack of shape {shape} "
+                         "of writeable C-contiguous slots")
     return out
 
 
@@ -592,6 +597,8 @@ class _Markov:
         kept = np.zeros(len(rows), dtype=int)
         gains = []
         for j in range(grid.n):
+            if not (np.isfinite(p00) & (p00 > 0.0)).all():  # c cancelled to nothing
+                raise ValueError(f"dt {grid.dt} is too small for the innovations form's gain")
             root = np.sqrt(p00)
             gains.append(np.stack((root, p01 / root), axis=-1))
             c = p11 - p01 * (p01 / p00)
@@ -688,35 +695,25 @@ def _embed(emb: _Markov, i: int, grid: TimeGrid):
 _PATH_CHUNK = 256
 
 
-def sample_gle_mode(
-    kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int,
-    setup: _Markov | None = None, out: np.ndarray | None = None,
-) -> PathEnsemble:
+def sample_gle_mode(kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int,
+                    seed: int) -> PathEnsemble:
     """Sample m stationary memory-kernel paths, exact in law.
 
     Marginal variance is r(0) = lambda_k^2 / alpha_k and lagged covariances
     are the closed-form r(j*dt) of the Markovian embedding, before Monte
     Carlo error.  A one-atom mode with an eigenbasis takes the innovations
-    form (:func:`_sample_block`); any other the route :func:`_embed` picks.
-    A chunk's normals never outnumber 256 rows of a length-2L circulant, nor
-    128 on the recursion, whose filter takes as much scratch again.
+    form (:func:`_filter`); any other the route :func:`_embed` picks
+    (:func:`_gle_paths`).  One mode of :func:`_sample`."""
+    return _sample("gle", kernel, [mode], grid, m, seed)[0]
 
-    ``setup`` is a :class:`_Markov` built for ``kernel`` and ``grid`` over
-    modes that include this one, as :func:`assemble_field` builds once per
-    field, else one is built for this mode alone, with the same paths.  The
-    paths are written to ``out`` when given (:func:`_paths_out`).
-    """
-    _check_sampling_args(m, seed)
-    out = _paths_out(out, m, grid.n)
-    if mode.lambda_k == 0.0:
-        out[:] = 0.0
-        return PathEnsemble(grid, out, "recursion")
-    if setup is None:
-        setup = _Markov(kernel, [mode], grid)
-    elif setup.kernel != kernel or setup.grid != grid or mode not in setup.slot:
-        raise ValueError("the set-up was built for another kernel, grid or mode list")
-    if _sample_block("gle", [mode], grid, m, seed, setup, out[None]):
-        return PathEnsemble(grid, out, "recursion")
+
+def _gle_paths(kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int,
+               setup: _Markov, out: np.ndarray) -> tuple:
+    """gle's paths of a mode with no one-pole filter, written to ``out``: the
+    state recursion or the circulant, as :func:`_embed` picks.  Returns the
+    route's :class:`PathEnsemble` fields.  A chunk's normals never outnumber
+    256 rows of a length-2L circulant, nor 128 on the recursion, whose
+    filter takes as much scratch again."""
     i = setup.slot[mode]
     eig, L = _embed(setup, i, grid)
     if eig is None:
@@ -737,7 +734,7 @@ def sample_gle_mode(
     for start in range(0, m, chunk):
         normals = gen.standard_normal(out=buf[: m - start])
         synth(normals, out[start : start + len(normals)])
-    return PathEnsemble(grid, out, *route)
+    return route
 
 
 # frequency nodes of the harmonic superposition
@@ -779,25 +776,21 @@ def spectral_nodes(sd: SpectralDensity):
     return nodes, widths
 
 
-def sample_gle_mode_spectral(
-    kernel: KernelMeasure,
-    mode: Mode,
-    grid: TimeGrid,
-    m: int,
-    seed: int,
-    out: np.ndarray | None = None,
-) -> PathEnsemble:
-    """Harmonic-superposition sampler: u(t) = sum_j a_j (xi_j cos + eta_j sin)(w_j t)
-    with a_j = lambda sqrt(2 rho_1(w_j) dw_j), rho_1 the unit-noise density.
-    Independent of the embedding route.  A path's 2 normals per node are all
-    xi, then eta; each chunk's cos and sin tables are built ``_TIME_BLOCK``
-    time columns at a time.  ``out`` as for :func:`sample_gle_mode`."""
-    _check_sampling_args(m, seed)
+def sample_gle_mode_spectral(kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int,
+                             seed: int) -> PathEnsemble:
+    """Harmonic-superposition sampler (:func:`_spectral_paths`), independent
+    of the embedding routes.  One mode of :func:`_sample`."""
+    return _sample("spectral", kernel, [mode], grid, m, seed)[0]
+
+
+def _spectral_paths(kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int,
+                    setup, out: np.ndarray) -> tuple:
+    """u(t) = sum_j a_j (xi_j cos + eta_j sin)(w_j t) with a_j = lambda
+    sqrt(2 rho_1(w_j) dw_j), rho_1 the unit-noise density, written to
+    ``out``; returns the route's :class:`PathEnsemble` fields.  A path's 2
+    normals per node are all xi, then eta; each chunk's cos and sin tables
+    are built ``_TIME_BLOCK`` time columns at a time."""
     sd = SpectralDensity(kernel, mode)
-    out = _paths_out(out, m, grid.n)
-    if mode.lambda_k == 0.0:
-        out[:] = 0.0
-        return PathEnsemble(grid, out, "spectral", node_count=_NODE_COUNT)
     nodes, widths = spectral_nodes(sd)
     amp = np.sqrt(2.0 * spectral._unit_rho(sd, nodes) * widths) * mode.lambda_k
     k, times = nodes.shape[0], grid.times
@@ -812,19 +805,14 @@ def sample_gle_mode_spectral(
             block = xi @ np.cos(phases)
             block += eta @ np.sin(phases, out=phases)
             out[start : start + len(draws), lo : lo + _TIME_BLOCK] = block
-    return PathEnsemble(grid, out, "spectral", node_count=k)
+    return "spectral", 0.0, 0, k
 
 
-def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int,
-                   out: np.ndarray | None = None) -> PathEnsemble:
+def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int) -> PathEnsemble:
     """Exact stationary AR(1) recursion for the memoryless baseline mode:
     u_{j+1} = e^{-alpha dt} u_j + lambda * sqrt((1 - e^{-2 alpha dt})/(2 alpha)) * xi_j.
-    ``out`` as for :func:`sample_gle_mode`."""
-    _check_sampling_args(m, seed)
-    out = _paths_out(out, m, grid.n)
-    if not _sample_block("heat", [mode], grid, m, seed, None, out[None]):
-        out[:] = 0.0  # a zero-weight mode has no filter
-    return PathEnsemble(grid, out, "ou")
+    One mode of :func:`_sample`."""
+    return _sample("heat", None, [mode], grid, m, seed)[0]
 
 
 def _filter(law: str, mode: Mode, grid: TimeGrid, setup: _Markov | None):
@@ -841,27 +829,6 @@ def _filter(law: str, mode: Mode, grid: TimeGrid, setup: _Markov | None):
     if law == "gle" and setup.slot[mode] in setup._gains:
         return setup.innovations(setup.slot[mode])
     return None
-
-
-def _sample_block(law: str, modes, grid: TimeGrid, m: int, seed: int,
-                  setup: _Markov | None, out: np.ndarray) -> list:
-    """The one sampler of one-pole filter modes: sample the modes of
-    ``modes`` that have filters (:func:`_filter`) into their slots of
-    ``out`` (len(modes), m, n), leave the other slots alone and return the
-    places taken.  Each chunk of paths draws every such mode's normals into
-    its slot, from the mode's own stream, and filters them there by one
-    :func:`_filter_paths` call, so no mode's paths depend on the others'."""
-    _check_sampling_args(m, seed)
-    filters = [_filter(law, mode, grid, setup) for mode in modes]
-    took = [k for k, f in enumerate(filters) if f is not None]
-    if took:
-        streams = [(k, _stream(seed, modes[k].index)) for k in took]
-        for lo in range(0, m, _PATH_CHUNK):
-            paths = out[:, lo : lo + _PATH_CHUNK]
-            for k, gen in streams:
-                gen.standard_normal(out=paths[k])
-            _filter_paths(filters, paths, paths)
-    return took
 
 
 # the sampling laws: memory-driven, memoryless, superposition cross-check of gle
@@ -891,16 +858,41 @@ def _law(law: str, kernel: KernelMeasure, modes, grid: TimeGrid | None = None, l
     return setup, variance, (lam * lam)[:, None] * unit
 
 
-def _sample(law: str, kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int,
-            setup: _Markov | None = None, out: np.ndarray | None = None) -> PathEnsemble:
-    """One mode's paths under ``law``, one of :data:`LAWS`, written to ``out``
-    when given: "gle" exact (from ``setup`` when given), "spectral" the
-    superposition cross-check, "heat" memoryless; a sampler rebound on this
-    module is the one called.  Any other law is a ValueError."""
-    if law == "heat":
-        return sample_ou_mode(mode, grid, m, seed, out=out)
-    if law == "spectral":
-        return sample_gle_mode_spectral(kernel, mode, grid, m, seed, out=out)
-    if law == "gle":
-        return sample_gle_mode(kernel, mode, grid, m, seed, setup=setup, out=out)
-    raise ValueError(f"unknown dynamics {law!r}")
+# per law: the route fields of a mode with a one-pole filter or zero weight,
+# and the sampler of any other mode
+_ROUTES = {"gle": (("recursion",), _gle_paths), "heat": (("ou",), None),
+           "spectral": (("spectral", 0.0, 0, _NODE_COUNT), _spectral_paths)}
+
+
+def _sample(law: str, kernel: KernelMeasure, modes, grid: TimeGrid, m: int, seed: int,
+            setup: _Markov | None = None, out: np.ndarray | None = None) -> list:
+    """The one sampler: m paths of each mode of the list ``modes`` under
+    ``law``, one of :data:`LAWS`, written to the mode's slot of ``out``
+    (:func:`_paths_out`); one :class:`PathEnsemble` per mode.
+
+    ``setup`` is what :func:`_law` builds for ``law``, ``kernel``, ``grid``
+    and modes that include these, built here when None.  Each chunk of
+    paths draws every mode that has a one-pole filter (:func:`_filter`) from
+    the mode's own stream into its slot and filters them all there by one
+    :func:`_filter_paths` call; a zero-weight mode gets zero paths and any
+    other mode its law's route (:data:`_ROUTES`).  So no mode's paths depend
+    on the others'."""
+    _check_sampling_args(m, seed)
+    if setup is None:
+        setup = _law(law, kernel, modes, grid)[0]
+    elif setup.kernel != kernel or setup.grid != grid or any(
+            mode.lambda_k != 0.0 and mode not in setup.slot for mode in modes):
+        raise ValueError("the set-up was built for another kernel, grid or mode list")
+    out = _paths_out(out, (len(modes), m, grid.n))
+    filters = [_filter(law, mode, grid, setup) for mode in modes]
+    streams = [(k, _stream(seed, modes[k].index)) for k, f in enumerate(filters) if f is not None]
+    for lo in range(0, m, _PATH_CHUNK) if streams else ():
+        paths = out[:, lo : lo + _PATH_CHUNK]
+        for k, gen in streams:
+            gen.standard_normal(out=paths[k])
+        _filter_paths(filters, paths, paths)
+    out[[k for k, mode in enumerate(modes) if mode.lambda_k == 0.0]] = 0.0
+    plain, route = _ROUTES[law]
+    return [PathEnsemble(grid, slot, *(route(kernel, mode, grid, m, seed, setup, slot)
+                                       if f is None and mode.lambda_k != 0.0 else plain))
+            for mode, f, slot in zip(modes, filters, out)]

@@ -672,6 +672,12 @@ _REJECTED = {
                                              ["sample-mode", "--n", "8"], None, _TINY_LENGTH),
     "overflow-eigenvalue-base-sample-field": ("[basis]\nlength = 5e-324\n",
                                               ["sample-field", *_SMALL_FIELD], None, _TINY_LENGTH),
+    # a step so small that the innovations gain's prediction variance
+    # cancels to 0 or below, which would give nan paths
+    "tiny-dt-sample-mode": (None, ["sample-mode", "--n", "8", "--ensemble", "2",
+                                   "--dt", "1e-300"], None, "dt 1e-300 is too small"),
+    "tiny-dt-sample-field": (None, ["sample-field", *_SMALL_FIELD, "--dt", "1e-300",
+                                    "--tail-budget", "1"], None, "dt 1e-300 is too small"),
     "overflow-explicit-weight-squared": (
         "[weights]\nrule = explicit\nvalues = 1e200" + ", 1.0" * 11 + "\n",
         ["sample-field", *_SMALL_FIELD], None,

@@ -258,8 +258,8 @@ def _assemble_by_row(kernel, basis, weights, n_modes, grid, xs, m, seed, dynamic
     for start in range(1, n_modes + 1, width):
         ks = range(start, min(start + width, n_modes + 1))
         block = np.stack([
-            mode_sampler._sample(dynamics, kernel, _scalar_mode(basis, weights, k),
-                                 grid, m, seed).values
+            mode_sampler._sample(dynamics, kernel, [_scalar_mode(basis, weights, k)],
+                                 grid, m, seed)[0].values
             for k in ks])
         shapes = np.stack([basis.eval(k, xs) for k in ks])
         for i, row in enumerate(out):
@@ -350,8 +350,8 @@ def test_short_fields_match_a_long_double_mode_sum(n_modes, grid, m, nx, dynamic
     xs = _interior(nx)
     ref = np.zeros((m, grid.n, nx), dtype=np.longdouble)
     for k in range(1, n_modes + 1):
-        paths = mode_sampler._sample(dynamics, SINGLE, _scalar_mode(BASIS, Flat(1.0), k),
-                                     grid, m, 5).values
+        paths = mode_sampler._sample(dynamics, SINGLE, [_scalar_mode(BASIS, Flat(1.0), k)],
+                                     grid, m, 5)[0].values
         ref += paths.astype(np.longdouble)[..., None] * BASIS.eval(k, xs).astype(np.longdouble)
     scale = np.sqrt(np.mean(ref * ref))
     samples = [assemble_field(SINGLE, BASIS, Flat(1.0), n_modes, grid, xs, m, 5,
@@ -393,68 +393,84 @@ def test_assembly_takes_one_product_per_row_chunk(monkeypatch):
 
 def test_clipped_masses_stay_in_mode_order(monkeypatch):
     # workers fill a block's slots out of k order; each mode's clipped mass
-    # (here tagged with its index) still lands at its own place on the
-    # per-mode route, which the two-atom kernel's modes take (n = 128).  The
-    # one-atom kernel's modes are one-pole filters, sampled in blocks on
-    # short paths (n = 32) and long ones alike, and a filter clips nothing
-    sample_mode = mode_sampler._sample
+    # (here tagged with its index) still lands at its own place, on short
+    # paths (n = 32) and long ones (n = 128), for the one-atom kernel's
+    # one-pole filter modes and the two-atom kernel's state recursion and
+    # circulant modes alike.  Untagged, a filter clips nothing
+    sample = mode_sampler._sample
 
-    def tagged(law, kernel, mode, *args, **kwargs):
-        ens = sample_mode(law, kernel, mode, *args, **kwargs)
-        ens.clipped_mass = mode.index / 100.0
-        return ens
+    def tagged(law, kernel, modes, *args, **kwargs):
+        ensembles = sample(law, kernel, modes, *args, **kwargs)
+        for mode, ens in zip(modes, ensembles):
+            ens.clipped_mass = mode.index / 100.0
+        return ensembles
 
     monkeypatch.setattr(mode_sampler, "_sample", tagged)
     two_atoms = KernelMeasure([(0.5, 1.0), (0.5, 2.0)])
-    for kernel, n, masses in ((SINGLE, 32, (0.0,) * 13), (SINGLE, 128, (0.0,) * 13),
-                              (two_atoms, 128, tuple(k / 100.0 for k in range(1, 14)))):
-        grid = TimeGrid(dt=0.25, n=n)
-        for workers in (1, 2, 3):
-            sample = assemble_field(kernel, BASIS, Flat(1.0), 13, grid, [1.0], 2, 4,
-                                    tail_budget=1.0, workers=workers)
-            assert sample.clipped_masses == masses
+    cases = itertools.product((SINGLE, two_atoms), (32, 128), (1, 2, 3))
+    for kernel, n, workers in cases:
+        sample_ = assemble_field(kernel, BASIS, Flat(1.0), 13, TimeGrid(dt=0.25, n=n), [1.0], 2, 4,
+                                 tail_budget=1.0, workers=workers)
+        assert sample_.clipped_masses == tuple(k / 100.0 for k in range(1, 14))
+    monkeypatch.undo()
+    for n, workers in itertools.product((32, 128), (1, 2, 3)):
+        sample_ = assemble_field(SINGLE, BASIS, Flat(1.0), 13, TimeGrid(dt=0.25, n=n), [1.0], 2, 4,
+                                 tail_budget=1.0, workers=workers)
+        assert sample_.clipped_masses == (0.0,) * 13
 
 
-@pytest.mark.parametrize("dynamics", ["gle", "heat"])
-def test_block_paths_are_the_modes_alone(monkeypatch, dynamics):
-    # the step loop filters a whole block of short paths at once (n = 16),
-    # and past it each worker's share of a block is one stack of filters
-    # (n = 128); each mode's paths are byte-equal to the mode sampled alone,
-    # in every slot of a full block (8 modes) and a partial one (5),
-    # whatever the worker count.  Under this kernel modes 1 and 2 are
-    # overdamped (two real poles each) and the others have one complex pole;
-    # the zero-weight mode 7 has no filter and is left to _sample
+_ONE_ATOM = KernelMeasure([(1.0, 5.0)])
+
+
+@pytest.mark.parametrize("dynamics, kernel, basis", [
+    ("gle", _ONE_ATOM, BASIS),
+    ("heat", _ONE_ATOM, BASIS),
+    ("gle", KernelMeasure([(0.5, 1.0), (0.5, 2.0)]), DirichletInterval(30.0)),
+    ("spectral", SINGLE, BASIS),
+], ids=["gle", "heat", "gle-two-atoms", "spectral"])
+def test_block_paths_are_the_modes_alone(monkeypatch, dynamics, kernel, basis):
+    # each part of a block (8 modes, then 5) is one sampler call on short
+    # paths (n = 16), and past the step loop (n = 128) each worker's share
+    # of it is one; each mode's paths are byte-equal to the mode sampled
+    # alone, and its clipped mass lands at its place, in every slot of a full
+    # part and a partial one, whatever the worker count.  Under the one-atom
+    # kernel modes 1 and 2 are overdamped (two real poles each) and the
+    # others have one complex pole; under the two-atom kernel on the
+    # interval of length 30 modes take the state recursion and the
+    # circulant.  The zero-weight mode 7 gets zero paths
     seen = {}
-    sample_block = mode_sampler._sample_block
+    sample = mode_sampler._sample
 
-    def recording(law, modes, grid, m, seed, setup, out):
-        took = sample_block(law, modes, grid, m, seed, setup, out)
-        for k in took:
-            seen[modes[k]] = out[k].copy()
-        return took
+    def recording(law, kernel, modes, grid, m, seed, setup, out):
+        ensembles = sample(law, kernel, modes, grid, m, seed, setup, out)
+        seen.update((mode, ens.values.copy()) for mode, ens in zip(modes, ensembles))
+        return ensembles
 
-    monkeypatch.setattr(mode_sampler, "_sample_block", recording)
-    kernel = KernelMeasure([(1.0, 5.0)])
+    monkeypatch.setattr(mode_sampler, "_sample", recording)
     weights = Explicit((1.0,) * 6 + (0.0,) + (0.5,) * 6)
     for grid, workers in itertools.product((TimeGrid(dt=0.25, n=16), TimeGrid(dt=0.25, n=128)),
                                            (1, 2, 3)):
         seen.clear()
-        assemble_field(kernel, BASIS, weights, 13, grid, [1.0], 3, 9, dynamics=dynamics,
-                       tail_budget=1.0, workers=workers)
-        assert sorted(mode.index for mode in seen) == [k for k in range(1, 14) if k != 7]
-        for mode, paths in seen.items():
-            alone = (mode_sampler.sample_ou_mode(mode, grid, 3, 9) if dynamics == "heat"
-                     else sample_gle_mode(kernel, mode, grid, 3, 9))
-            assert paths.tobytes() == alone.values.tobytes(), (grid.n, workers, mode)
-    setup = mode_sampler._Markov(kernel, sorted(seen, key=lambda mode: mode.index), grid)
-    assert [len(setup.innovations(i)[0]) for i in range(3)] == [2, 2, 1]
+        field = assemble_field(kernel, basis, weights, 13, grid, [1.0], 3, 9, dynamics=dynamics,
+                               tail_budget=1.0, workers=workers)
+        modes = sorted(seen, key=lambda mode: mode.index)
+        assert [mode.index for mode in modes] == list(range(1, 14))
+        alone = [sample(dynamics, kernel, [mode], grid, 3, 9)[0] for mode in modes]
+        for mode, ens in zip(modes, alone):
+            assert seen[mode].tobytes() == ens.values.tobytes(), (grid.n, workers, mode)
+        assert field.clipped_masses == tuple(ens.clipped_mass for ens in alone)
+        assert not seen[modes[6]].any()
+        if dynamics == "gle" and kernel is not _ONE_ATOM:
+            assert {ens.method for ens in alone} == {"recursion", "circulant"}
+    if kernel is _ONE_ATOM:
+        setup = mode_sampler._Markov(kernel, modes, grid)
+        assert [len(setup.innovations(i)[0]) for i in range(3)] == [2, 2, 1]
 
 
 def test_pool_gets_only_the_modes_the_step_loop_leaves(monkeypatch):
-    # one route rule per mode, from n alone: on short paths the filter modes
-    # take the step loop on the calling thread and the pool gets no task; on
-    # long paths it gets one task per worker per block, as do short-path
-    # modes with no one-pole filter (the superposition)
+    # one thread rule, from n alone: on short paths every mode, whatever its
+    # law, is sampled on the calling thread and the pool gets no task; on
+    # long paths it gets one task per worker per part of 8 modes
     tasks = []
 
     class Pool(field_assembly.ThreadPoolExecutor):
@@ -465,7 +481,7 @@ def test_pool_gets_only_the_modes_the_step_loop_leaves(monkeypatch):
     monkeypatch.setattr(field_assembly, "ThreadPoolExecutor", Pool)
     for dynamics, n, n_modes, count in (("gle", 16, 13, 0), ("heat", 48, 13, 0),
                                         ("gle", 49, 13, 2 * 3), ("heat", 128, 13, 2 * 3),
-                                        ("spectral", 16, 2, 2)):
+                                        ("spectral", 16, 2, 0), ("spectral", 49, 2, 2)):
         tasks.clear()
         assemble_field(SINGLE, BASIS, Flat(1.0), n_modes, TimeGrid(dt=0.25, n=n), [1.0], 2, 4,
                        dynamics=dynamics, tail_budget=1.0, workers=3)

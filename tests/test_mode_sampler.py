@@ -143,54 +143,53 @@ def test_sampling_argument_validation():
     assert a.tobytes() == sample_ou_mode(mode, grid, 3, seed=7).values.tobytes()
 
 
-# every route of every sampler: innovations form, two-atom state recursion,
+# every route of the sampler: innovations form, two-atom state recursion,
 # circulant, critical damping (the real step matrix), zero weight, AR(1)
-# baseline and superposition
+# baseline and superposition, each as (law, kernel, mode, method)
 _TWO = KernelMeasure([(0.5, 1.0), (0.5, 2.0)])
 _ROUTES = {
-    "innovations": (lambda g, m, **kw: sample_gle_mode(SINGLE, Mode(2, 5.0, 1.0), g, m, 3, **kw),
-                    "recursion"),
-    "state": (lambda g, m, **kw: sample_gle_mode(_TWO, Mode(1, 0.05, 0.8), g, m, 3, **kw),
-              "recursion"),
-    "circulant": (lambda g, m, **kw: sample_gle_mode(THREE, Mode(3, 10.0, 1.0), g, m, 3, **kw),
-                  "circulant"),
-    "critical": (lambda g, m, **kw: sample_gle_mode(*CRITICAL[0], g, m, 3, **kw), "recursion"),
-    "zero": (lambda g, m, **kw: sample_gle_mode(SINGLE, Mode(1, 4.0, 0.0), g, m, 3, **kw),
-             "recursion"),
-    "ou": (lambda g, m, **kw: sample_ou_mode(Mode(2, 5.0, 1.0), g, m, 3, **kw), "ou"),
-    "spectral": (lambda g, m, **kw: sample_gle_mode_spectral(SINGLE, Mode(2, 5.0, 1.0), g, m, 3,
-                                                             **kw), "spectral"),
+    "innovations": ("gle", SINGLE, Mode(2, 5.0, 1.0), "recursion"),
+    "state": ("gle", _TWO, Mode(1, 0.05, 0.8), "recursion"),
+    "circulant": ("gle", THREE, Mode(3, 10.0, 1.0), "circulant"),
+    "critical": ("gle", *CRITICAL[0], "recursion"),
+    "zero": ("gle", SINGLE, Mode(1, 4.0, 0.0), "recursion"),
+    "ou": ("heat", None, Mode(2, 5.0, 1.0), "ou"),
+    "spectral": ("spectral", SINGLE, Mode(2, 5.0, 1.0), "spectral"),
 }
 
 
 @pytest.mark.parametrize("route", sorted(_ROUTES))
 def test_out_takes_the_allocating_calls_bytes(route):
-    sampler, method = _ROUTES[route]
+    law, kernel, mode, method = _ROUTES[route]
     grid = TimeGrid(dt=0.125, n=64)
-    alone = sampler(grid, 5)
+    (alone,) = mode_sampler._sample(law, kernel, [mode], grid, 5, 3)
     assert alone.method == method
     if route == "state":
         # three state coordinates per step
         assert _Markov(_TWO, [Mode(1, 0.05, 0.8)], grid).recursion(0)[0] == (3, grid.n)
-    # a slot of a block buffer, filled with garbage first
-    block = np.full((3, 5, grid.n), np.nan)
-    slot = block[1]
-    assert sampler(grid, 5, out=slot).values is slot
-    assert slot.tobytes() == alone.values.tobytes()
-    assert np.isnan(block[[0, 2]]).all()
+    # a slot of a block buffer, then a strided stack of two (a worker's
+    # share of a block), filled with garbage first
+    block = np.full((5, 5, grid.n), np.nan)
+    for stack, rest in ((block[1:2], [0, 2, 3, 4]), (block[1::2], [0, 2, 4])):
+        ensembles = mode_sampler._sample(law, kernel, [mode] * len(stack), grid, 5, 3, out=stack)
+        for slot, ens in zip(stack, ensembles):
+            assert np.shares_memory(ens.values, slot)
+            assert slot.tobytes() == alone.values.tobytes()
+        assert np.isnan(block[rest]).all()
 
 
 @pytest.mark.parametrize("route", sorted(_ROUTES))
 def test_out_must_fit_the_paths(route):
-    sampler = _ROUTES[route][0]
+    law, kernel, mode, _ = _ROUTES[route]
     grid = TimeGrid(dt=0.125, n=64)
-    frozen = np.empty((5, grid.n))
+    frozen = np.empty((1, 5, grid.n))
     frozen.flags.writeable = False
-    for bad in (np.empty((5, grid.n + 1)), np.empty((4, grid.n)), np.empty(5 * grid.n),
-                np.empty((5, grid.n), dtype=np.float32), np.empty((grid.n, 5)).T,
-                np.empty((5, 2 * grid.n))[:, ::2], frozen, [[0.0] * grid.n] * 5):
+    for bad in (np.empty((1, 5, grid.n + 1)), np.empty((1, 4, grid.n)), np.empty((5, grid.n)),
+                np.empty((2, 5, grid.n)), np.empty(5 * grid.n),
+                np.empty((1, 5, grid.n), dtype=np.float32), np.empty((1, grid.n, 5)).transpose(0, 2, 1),
+                np.empty((1, 5, 2 * grid.n))[..., ::2], frozen, [[[0.0] * grid.n] * 5]):
         with pytest.raises(ValueError):
-            sampler(grid, 5, out=bad)
+            mode_sampler._sample(law, kernel, [mode], grid, 5, 3, out=bad)
 
 
 def test_seeds_must_fit_in_64_bits():
@@ -292,18 +291,22 @@ def test_stacked_setup_samples_each_mode_as_alone():
         setup = _Markov(kernel, modes, grid)
         # the zero-weight mode is left out of the stack
         assert list(setup.slot) == [mode for mode in modes if mode.lambda_k != 0.0]
-        for mode, route in zip(modes, routes):
-            batch = sample_gle_mode(kernel, mode, grid, 5, seed=9, setup=setup)
+        batch = mode_sampler._sample("gle", kernel, modes, grid, 5, 9, setup)
+        for mode, route, ens in zip(modes, routes, batch):
             alone = sample_gle_mode(kernel, mode, grid, 5, seed=9)
-            assert batch.method == alone.method == route
-            assert batch.values.tobytes() == alone.values.tobytes(), mode
+            assert ens.method == alone.method == route
+            assert ens.values.tobytes() == alone.values.tobytes(), mode
     single = _Markov(SINGLE, batches[0][1], grid)
     assert np.isreal(single.eig[1][0]).all() and single.eig[2] is None
     assert sorted(single._gains) == [0, 1]
-    with pytest.raises(ValueError):
-        sample_gle_mode(SINGLE, Mode(1, 5.0, 1.0), TimeGrid(dt=0.25, n=16), 2, 0, setup=single)
-    with pytest.raises(ValueError):
-        sample_gle_mode(SINGLE, Mode(5, 5.0, 1.0), grid, 2, 0, setup=single)
+    for kernel, mode, other_grid in ((SINGLE, Mode(1, 5.0, 1.0), TimeGrid(dt=0.25, n=16)),
+                                     (SINGLE, Mode(5, 5.0, 1.0), grid),
+                                     (_TWO, Mode(1, 5.0, 1.0), grid)):
+        with pytest.raises(ValueError, match="set-up was built for another"):
+            mode_sampler._sample("gle", kernel, [mode], other_grid, 2, 0, single)
+    # a zero-weight mode needs no place in the set-up
+    (zero,) = mode_sampler._sample("gle", SINGLE, [Mode(5, 5.0, 0.0)], grid, 2, 0, single)
+    assert not zero.values.any()
 
 
 def test_degenerate_eigenbasis_falls_back_to_the_step_matrix():
@@ -978,11 +981,11 @@ def test_ensemble_metadata():
 
 def test_sample_knows_exactly_the_listed_laws():
     grid = TimeGrid(dt=0.125, n=16)
-    routes = [mode_sampler._sample(law, SINGLE, Mode(2, 5.0, 1.0), grid, 2, seed=3).method
+    routes = [mode_sampler._sample(law, SINGLE, [Mode(2, 5.0, 1.0)], grid, 2, seed=3)[0].method
               for law in mode_sampler.LAWS]
     assert routes == ["recursion", "ou", "spectral"]
     with pytest.raises(ValueError, match="unknown dynamics 'wave'"):
-        mode_sampler._sample("wave", SINGLE, Mode(2, 5.0, 1.0), grid, 2, seed=3)
+        mode_sampler._sample("wave", SINGLE, [Mode(2, 5.0, 1.0)], grid, 2, seed=3)
 
 
 def test_spectral_nodes_cover_variance():

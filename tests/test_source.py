@@ -213,9 +213,25 @@ def test_filters_are_sampled_by_one_function():
                             if isinstance(inner, ast.Call)
                             and _name(inner) in ("_filter", "_filter_paths", "_filter_block")]
     assert sorted(callers) == [("mode_sampler", "_filter_paths", "_filter_block"),
-                               ("mode_sampler", "_sample_block", "_filter"),
-                               ("mode_sampler", "_sample_block", "_filter_paths"),
+                               ("mode_sampler", "_sample", "_filter"),
+                               ("mode_sampler", "_sample", "_filter_paths"),
                                ("mode_sampler", "recursion", "_filter_block")]
+
+
+def test_fields_sample_through_one_function():
+    # a field's modes and sample-mode's one mode go through the one sampler
+    # of a block of modes, each from one call site: a second sampling
+    # function called from above would be a second route to the same paths
+    trees = {path.stem: tree for path, tree in _library_trees()}
+    samplers = {node.name for node in trees["mode_sampler"].body
+                if isinstance(node, ast.FunctionDef) and "sample" in node.name}
+    calls = []
+    for module in ("field_assembly", "cli"):
+        enclosing = _enclosing_functions(trees[module])
+        calls += [(module, enclosing.get(node), _name(node)) for node in ast.walk(trees[module])
+                  if isinstance(node, ast.Call) and _name(node) in samplers]
+    assert sorted(calls) == [("cli", "cmd_sample_mode", "_sample"),
+                             ("field_assembly", "fill", "_sample")]
 
 
 def test_cli_samples_and_fits_in_one_function_each():
