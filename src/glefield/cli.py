@@ -59,8 +59,8 @@ from .field_assembly import (
     TailBudgetExceeded,
     _modes,
     assemble_field,
-    check_regularity_assumption,
     check_wellposedness,
+    critical_eta,
     tail_variance_bound,
 )
 from .mode_sampler import LAWS, TimeGrid, _is_integer, _sample
@@ -103,9 +103,6 @@ _SCHEMA = {
         "lam": ("1.0", "float", "flat rule: lambda_k = lam"),
         "s": ("0.5", "float", "power rule: lambda_k = alpha_k^(-s)"),
         "values": ("[]", "floats", "explicit rule: lambda_1..lambda_N"),
-    },
-    "assumption": {
-        "eta": ("0.6", "float", "smoothness series exponent, in (0, 1)"),
     },
     "sampler": {
         "dt": ("0.00390625", "float", "time step"),
@@ -488,9 +485,9 @@ def _sample_field(cfg: RunConfig, n_modes: int, nx: int, workers: int) -> FieldS
 def cmd_sample_field(args, cfg: RunConfig) -> int:
     """Sample the truncated field to CSV columns path_id, t, x, value."""
     _, basis, weights = _model(cfg)
-    # the sidecar's gates run before sampling, so input they reject leaves no artifact
+    # the sidecar's series run before sampling, so input they reject leaves no artifact
     wellposed = check_wellposedness(basis, weights)
-    regularity = check_regularity_assumption(basis, weights, cfg.get("assumption", "eta"))
+    eta = critical_eta(basis, weights)
     tail_bound = tail_variance_bound(basis, weights, args.N)
     sample = _sample_field(cfg, args.N, args.nx, _threads(args))
     _write_field_csv(args.out, sample.grid.times, sample.x, sample.values)
@@ -498,9 +495,7 @@ def cmd_sample_field(args, cfg: RunConfig) -> int:
         "N": args.N, "tail_bound": tail_bound,
         "max_clipped_mass": max(sample.clipped_masses, default=0.0),
         "wellposedness": asdict(wellposed),
-        "regularity_assumption": {"eta": cfg.get("assumption", "eta"),
-                                  "decay_power": regularity.decay_power,
-                                  "convergent": regularity.convergent}})
+        "regularity_assumption": {"eta_critical": eta, "exact": not isinstance(weights, Explicit)}})
     return 0
 
 

@@ -7,9 +7,9 @@ The field on an interval with absorbing ends is the eigenfunction series
 where each scalar trajectory u_k carries the noise weight through its
 spectral density and the eigenfunctions are orthonormal in L^2.  This module
 owns the basis and weight rules, the mode lists they give (:func:`_modes`),
-the summability gates that make the series well defined and bound its
-truncation (exact sums: a Hurwitz zeta under a weight law, the listed terms
-under an Explicit list), and its synthesis.
+the series that make the field well defined, bound its truncation and give
+its smoothness threshold (exact sums: a Hurwitz zeta under a weight law, the
+listed terms under an Explicit list), and its synthesis.
 """
 
 from __future__ import annotations
@@ -206,8 +206,8 @@ class SummabilityReport:
     convergent: bool
 
 
-# a decay power reached from decimal exponents, such as 2 (eta + 2 s), is off
-# by a few ulps, so one within this of 1 is the critical series as written
+# a decay power 2 (q - b) reached from decimal q and b, such as 2 (q + 2 s), is
+# off by a few ulps, so one within this of 1 is the critical series as written
 _CRITICAL_SLACK = 1e-12
 
 
@@ -260,17 +260,14 @@ def check_wellposedness(basis, weights) -> SummabilityReport:
     return report
 
 
-def check_regularity_assumption(basis, weights, eta: float) -> SummabilityReport:
-    """Gate the smoothness series sum_k lambda_k^2 c_k^2 / alpha_k^eta, summed
-    by ``_series``.
-
-    Convergence at a given eta in (0, 1) gives time regularity of every
-    exponent below 1 - eta.  The verdict is exact under a weight law and an
-    estimate under an Explicit list.
-    """
-    if not 0.0 < eta < 1.0:
-        raise ValueError(f"eta {eta} must lie in (0, 1)")
-    return _series(basis, weights, eta, use_sup=True)
+def critical_eta(basis, weights) -> float | None:
+    """eta* of the smoothness series sum_k lambda_k^2 c_k^2 / alpha_k^eta,
+    which converges iff eta > eta* and then gives time regularity of every
+    exponent below 1 - eta.  Its terms' decay power is linear in eta, so eta*
+    is where it reaches 1, read from ``_series`` at eta = 0 and 1: exact under
+    a weight law, an estimate under an Explicit list, None without a power."""
+    p0, p1 = (_series(basis, weights, q, use_sup=True).decay_power for q in (0.0, 1.0))
+    return None if p0 is None else (1.0 - p0) / (p1 - p0)
 
 
 def tail_variance_bound(basis, weights, n_modes: int) -> float:

@@ -180,6 +180,10 @@ _RATE_RESOLUTION = 100.0
 # is about 1e-16 relative, so a tighter value may never be met
 _GAIN_TOL = 1e-14
 
+# largest cancellation of the eigenbasis increment that it is read at: 74 at
+# most on the comparison_1d lags, 2.3e8 at lag 1e-8 on one atom (1.6e-8 off)
+_CANCELLATION = 1e6
+
 
 # steps per block of :func:`_filter_block` and blocks per group of its carries:
 # at m 16, n 4096 a filter took 0.23 ms in blocks of 32, about 0.3 in 16 or 64
@@ -498,23 +502,26 @@ class _Markov:
         """E|u(t+h) - u(t)|^2 = 2 (r(0) - r(h)) at each lag h > 0, exactly,
         for unit noise (the mode's is lambda^2 times it).
 
-        In the eigenbasis it is -2 r(0) Re sum_i c_i expm1(mu_i h), which
-        keeps small lags free of the cancellation in r(0) - r(h); without
-        one it is r(0) ((1 - Phi00)^2 + sum_{j>=1} Phi0j^2 + Q00) from the
-        step law (Phi, Q) of :meth:`transition`: that equals 2 r(0) (1 - Phi00)
-        since Phi Phi^T + Q = I, but Q is built without cancellation, so the
-        increment survives where Phi00 rounds to 1.
+        In the eigenbasis it is -2 r(0) Re sum_i t_i, t_i = c_i expm1(mu_i h),
+        free of the cancellation in r(0) - r(h) unless the t_i cancel (sum_i
+        |t_i| over ``_CANCELLATION`` times the sum, at small |mu h|); there, or
+        without an eigenbasis, it is r(0) ((1 - Phi00)^2 + sum_{j>=1} Phi0j^2
+        + Q00) from the step law (Phi, Q) of :meth:`transition`: that equals
+        2 r(0) (1 - Phi00) since Phi Phi^T + Q = I, but Q is built without
+        cancellation, so the increment survives where Phi00 rounds to 1.
         """
         h = np.asarray(lags, dtype=float)
-        if self.eig[i] is None:
-            inc = []
-            for t in h.ravel():
-                (phi,), (q,) = self.transition(t, [i])
-                inc.append((1.0 - phi[0, 0]) ** 2 + phi[0, 1:] @ phi[0, 1:] + q[0, 0])
-            return self.variance[i] * np.reshape(inc, h.shape)
-        mu, head, inv = self.eig[i]
-        terms = (head * inv[:, 0]) * _decay(mu, h[..., None], less_one=True)
-        return -2.0 * self.variance[i] * terms.sum(axis=-1).real
+        inc, stepped = np.zeros(h.shape), np.ones(h.shape, dtype=bool)
+        if self.eig[i] is not None:
+            mu, head, inv = self.eig[i]
+            terms = (head * inv[:, 0]) * _decay(mu, h[..., None], less_one=True)
+            total = terms.sum(axis=-1).real
+            inc[...] = -2.0 * total
+            stepped = np.abs(terms).sum(axis=-1) > _CANCELLATION * np.abs(total)
+        for j in np.flatnonzero(stepped):
+            (phi,), (q,) = self.transition(float(h.flat[j]), [i])
+            inc.flat[j] = (1.0 - phi[0, 0]) ** 2 + phi[0, 1:] @ phi[0, 1:] + q[0, 0]
+        return self.variance[i] * inc
 
     def transition(self, dt: float, rows=None):
         """Exact one-step laws v(t + dt) = Phi v(t) + N(0, Q), stacked, with

@@ -369,7 +369,7 @@ def test_sample_field_thread_count_is_immaterial(tmp_path):
     assert sidecar["config"]["sampler"]["dynamics"] == "gle"
     assert "dynamics" not in sidecar
     assert sidecar["wellposedness"]["convergent"] is True
-    assert sidecar["regularity_assumption"]["convergent"] is True
+    assert sidecar["regularity_assumption"] == {"eta_critical": 0.5, "exact": True}
     assert 0.0 < sidecar["tail_bound"] < 1.0
 
 
@@ -396,6 +396,11 @@ def test_sample_field_sidecar_is_strict_json(tmp_path, weights, n_modes, decay_p
     well = sidecar["wellposedness"]
     assert sorted(well) == ["convergent", "decay_power", "total"]
     assert well["convergent"] is True and well["decay_power"] == pytest.approx(decay_power)
+    # the smoothness threshold: null without a decay power, 1/2 for unit
+    # weights, and an estimate (not exact) from an Explicit list's fitted powers
+    assert sidecar["regularity_assumption"] == {
+        "eta_critical": None if decay_power is None else pytest.approx(0.5),
+        "exact": "explicit" not in weights}
     if n_modes == 63:
         assert sidecar["tail_bound"] == pytest.approx(2.0 / math.pi / 64**2, rel=1e-15)
 
@@ -453,16 +458,29 @@ def test_field_csv_bytes_match_csv_writer_with_repr(tmp_path):
 
 
 def test_sample_field_gates_run_before_sampling(tmp_path, capsys):
-    # an eta the regularity gate rejects must leave no field CSV behind
-    cfg = tmp_path / "eta.ini"
-    cfg.write_text("[assumption]\neta = 1.5\n")
+    # a law the variance gate rejects must leave no field CSV behind
+    cfg = tmp_path / "power.ini"
+    cfg.write_text("[weights]\nrule = power\ns = -0.3\n")
     out = tmp_path / "f.csv"
     code = main(["sample-field", "--config", str(cfg), "--N", "4", "--nx", "3", "--n", "32",
                  "--ensemble", "2", "--tail-budget", "1.0", "--out", str(out)])
     assert code == 2
-    assert "eta 1.5 must lie in (0, 1)" in capsys.readouterr().err
+    assert "variance series diverges: decay power 0.800 <= 1" in capsys.readouterr().err
     assert not out.exists()
     assert not (tmp_path / "f.csv.provenance.json").exists()
+
+
+def test_smoothness_exponent_is_not_a_config_key(tmp_path, capsys):
+    # the smoothness threshold follows from the weights; a config that still
+    # sets an eta names its section's line and writes nothing
+    cfg = tmp_path / "eta.ini"
+    cfg.write_text("[weights]\nlam = 1.0\n\n[assumption]\neta = 0.6\n")
+    out = tmp_path / "f.csv"
+    code = main(["sample-field", "--config", str(cfg), "--N", "4", "--nx", "3", "--n", "32",
+                 "--ensemble", "2", "--tail-budget", "1.0", "--out", str(out)])
+    assert code == 2
+    assert f"{cfg}:4: unknown section [assumption]" in capsys.readouterr().err
+    assert not list(tmp_path.glob("f.csv*"))
 
 
 def test_short_explicit_list_names_its_length(tmp_path, capsys):

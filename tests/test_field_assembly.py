@@ -16,12 +16,13 @@ from glefield.field_assembly import (
     Explicit,
     Flat,
     PowerDecay,
+    _series,
     _series_terms,
     _zeta,
     TailBudgetExceeded,
     assemble_field,
-    check_regularity_assumption,
     check_wellposedness,
+    critical_eta,
     tail_variance_bound,
 )
 from glefield.mode_sampler import TimeGrid, sample_gle_mode
@@ -124,11 +125,51 @@ def test_wellposedness_rejects_critical_growth():
 
 
 def test_regularity_assumption_threshold():
-    assert check_regularity_assumption(BASIS, Flat(1.0), 0.6).convergent
-    assert not check_regularity_assumption(BASIS, Flat(1.0), 0.5).convergent
-    assert not check_regularity_assumption(BASIS, Flat(1.0), 0.45).convergent
-    with pytest.raises(ValueError):
-        check_regularity_assumption(BASIS, Flat(1.0), 1.2)
+    # the smoothness series converges at eta iff eta > eta*
+    eta_star = critical_eta(BASIS, Flat(1.0))
+    assert eta_star == 0.5
+    for eta in (0.45, 0.5, 0.6):
+        assert _series(BASIS, Flat(1.0), eta, use_sup=True).convergent is (eta > eta_star)
+
+
+def _verdict_flip(basis, weights) -> float:
+    """The eta where ``_series``'s verdict on the smoothness series turns
+    convergent, by bisection."""
+    lo, hi = -2.0, 3.0
+    assert not _series(basis, weights, lo, use_sup=True).convergent
+    assert _series(basis, weights, hi, use_sup=True).convergent
+    while hi - lo > 1e-15:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            break
+        lo, hi = (lo, mid) if _series(basis, weights, mid, use_sup=True).convergent else (mid, hi)
+    return hi
+
+
+@pytest.mark.parametrize("length", [math.pi, 1.0, 2.0])
+def test_critical_eta_is_where_the_verdict_flips(length):
+    # exact under a weight law, 1/2 + b for lambda_k^2 = a alpha_k^b, up to the
+    # verdict's 1e-12 slack on the decay power; a fitted estimate under an
+    # Explicit list, up to that verdict's 1e-6 slack
+    basis = DirichletInterval(length)
+    for weights in [Flat(1.0), Flat(0.3)] + [PowerDecay(s) for s in np.linspace(-0.5, 0.6, 23)]:
+        eta_star = critical_eta(basis, weights)
+        b = 0.0 if isinstance(weights, Flat) else -2.0 * weights.s
+        assert eta_star == pytest.approx(0.5 + b, rel=0.0, abs=1e-15)
+        assert abs(_verdict_flip(basis, weights) - eta_star) <= 1e-12
+    noisy = np.random.default_rng(5).lognormal(0.0, 0.05, 300)
+    for values in [[1.0] * 64, [k**-0.3 for k in range(1, 201)],
+                   (noisy * np.arange(1, 301) ** 0.2).tolist()]:
+        weights = Explicit(values)
+        eta_star = critical_eta(basis, weights)
+        assert abs(_verdict_flip(basis, weights) - eta_star) <= 1e-6
+    assert critical_eta(basis, Explicit([k**-0.3 for k in range(1, 201)])) == pytest.approx(
+        0.2, abs=1e-12)
+
+
+def test_critical_eta_is_none_without_a_decay_power():
+    for weights in (Flat(0.0), Explicit([0.0] * 20), Explicit([1.0] * 19 + [0.0])):
+        assert critical_eta(BASIS, weights) is None
 
 
 def test_tail_variance_bound_polygamma():
@@ -160,7 +201,7 @@ def test_gates_and_tail_bound_are_zeta_closed_forms(length):
         well = check_wellposedness(basis, weights)
         assert well.convergent is True and well.decay_power == 2.0 * (1.0 + 2.0 * s)
         assert well.total == pytest.approx(closed(1.0, False, 0), rel=1e-13, abs=0.0)
-        reg = check_regularity_assumption(basis, weights, eta)
+        reg = _series(basis, weights, eta, use_sup=True)
         assert reg.convergent is True
         assert reg.total == pytest.approx(closed(eta, True, 0), rel=1e-13, abs=0.0)
         for n in (64, 128, 1024):
@@ -169,13 +210,15 @@ def test_gates_and_tail_bound_are_zeta_closed_forms(length):
 
 
 def test_critical_series_are_rejected():
-    # every decimal pair with 2 (eta + 2 s) = 1 is the critical series, however
-    # the decimals round; a thousandth above it converges
+    # the smoothness series converges at eta iff eta > eta*: every decimal
+    # pair with 2 (eta + 2 s) = 1 sits at eta*, the critical series, however
+    # the decimals round; a thousandth of s above it converges
     for i in range(2, 1000, 2):
         eta, s = i / 1000, (500 - i) // 2 / 1000
-        report = check_regularity_assumption(BASIS, PowerDecay(s), eta)
+        assert critical_eta(BASIS, PowerDecay(s)) == pytest.approx(eta, rel=0.0, abs=1e-15)
+        report = _series(BASIS, PowerDecay(s), eta, use_sup=True)
         assert report.convergent is False and report.total == math.inf
-        assert check_regularity_assumption(BASIS, PowerDecay(s + 0.001), eta).convergent
+        assert _series(BASIS, PowerDecay(s + 0.001), eta, use_sup=True).convergent
     with pytest.raises(Divergent, match="decay power 1.000 <= 1"):
         check_wellposedness(BASIS, PowerDecay(-0.25))
 

@@ -451,6 +451,23 @@ def test_modes_whose_slow_rate_is_lost_to_rounding_get_no_eigenbasis():
         assert all(basis is not None for basis in setup.eig)
 
 
+def test_oracle_increment_at_lags_where_the_eigenbasis_terms_cancel():
+    # at small |mu h| the eigenbasis sum -2 r(0) Re sum c_i expm1(mu_i h)
+    # cancels terms of order h to a result of order h^2 (at h = 8e-18 on one
+    # atom it read -1.54e-33); such lags take the step law.  Against the
+    # short-lag expansion lambda^2 (K(0) h^2 - sum_i w_i x_i h^3 / 3), whose
+    # next term is h^4 smaller than the first
+    lags = np.array([8e-18, 1e-8])
+    for kernel in (SINGLE, _TWO, THREE):
+        k0, slope = kernel.weights.sum(), (kernel.weights * kernel.rates).sum()
+        modes = [Mode(1, 1.0, 1.0), Mode(2, 4.0, 0.5), Mode(3, 1e4, 1e-3)]
+        lam = np.array([mode.lambda_k for mode in modes])[:, None]
+        expected = lam**2 * (k0 * lags**2 - slope * lags**3 / 3.0)
+        for law in ("gle", "spectral"):
+            increments = mode_sampler._law(law, kernel, modes, lags=lags)[2]
+            np.testing.assert_allclose(increments, expected, rtol=1e-12, atol=0.0)
+
+
 def test_recursion_reproduces_toeplitz_exactly():
     # drive the linear map with unit vectors: the Gram matrix is the path
     # covariance.  One-atom modes take the innovations form, one normal per
