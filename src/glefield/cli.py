@@ -39,7 +39,7 @@ from dataclasses import asdict, replace
 
 import numpy as np
 
-from . import __version__, spectral
+from . import __version__, mode_sampler, spectral
 from .cm_kernel import (
     KernelError,
     KernelMeasure,
@@ -59,11 +59,9 @@ from .field_assembly import (
     TailBudgetExceeded,
     _modes,
     assemble_field,
-    check_wellposedness,
     critical_eta,
-    tail_variance_bound,
 )
-from .mode_sampler import LAWS, TimeGrid, _is_integer, _sample
+from .mode_sampler import LAWS, TimeGrid, _is_integer
 from .regularity import (
     DegenerateFit,
     empirical_variogram,
@@ -452,8 +450,8 @@ def cmd_sample_mode(args, cfg: RunConfig) -> int:
     measure, basis, weights = _model(cfg)
     (mode,) = _modes(basis, weights, [args.k])
     grid = TimeGrid(dt=cfg.get("sampler", "dt"), n=cfg.get("sampler", "n"))
-    (ens,) = _sample(cfg.get("sampler", "dynamics"), measure, [mode], grid,
-                     cfg.get("sampler", "ensemble"), cfg.get("sampler", "seed"))
+    ens = mode_sampler.sample(cfg.get("sampler", "dynamics"), measure, [mode], grid,
+                              cfg.get("sampler", "ensemble"), cfg.get("sampler", "seed"))[0]
     _write_field_csv(args.out, grid.times, None, ens.values[:, :, None])
     _write_sidecar(
         args.out, "sample-mode", cfg,
@@ -468,11 +466,11 @@ def cmd_sample_mode(args, cfg: RunConfig) -> int:
     return 0
 
 
-def _sample_field(cfg: RunConfig, n_modes: int, nx: int, workers: int) -> FieldSample:
-    """The config's field, its first n_modes modes at nx interior points,
-    sampled on its [sampler] grid, ensemble, seed and law within its
-    [tolerances] tail_budget."""
-    measure, basis, weights = _model(cfg)
+def _sample_field(cfg: RunConfig, model, n_modes: int, nx: int, workers: int) -> FieldSample:
+    """The config's field, its model as ``_model`` builds it, its first
+    n_modes modes at nx interior points, sampled on its [sampler] grid,
+    ensemble, seed and law within its [tolerances] tail_budget."""
+    measure, basis, weights = model
     grid = TimeGrid(dt=cfg.get("sampler", "dt"), n=cfg.get("sampler", "n"))
     return assemble_field(
         measure, basis, weights, n_modes, grid, np.arange(1, nx + 1) * (basis.length / (nx + 1)),
@@ -484,17 +482,17 @@ def _sample_field(cfg: RunConfig, n_modes: int, nx: int, workers: int) -> FieldS
 
 def cmd_sample_field(args, cfg: RunConfig) -> int:
     """Sample the truncated field to CSV columns path_id, t, x, value."""
-    _, basis, weights = _model(cfg)
-    # the sidecar's series run before sampling, so input they reject leaves no artifact
-    wellposed = check_wellposedness(basis, weights)
+    model = _model(cfg)
+    _, basis, weights = model
+    # the sidecar's gate and bound are the ones sampling passed; nothing is
+    # written before, so input any series rejects leaves no artifact
     eta = critical_eta(basis, weights)
-    tail_bound = tail_variance_bound(basis, weights, args.N)
-    sample = _sample_field(cfg, args.N, args.nx, _threads(args))
+    sample = _sample_field(cfg, model, args.N, args.nx, _threads(args))
     _write_field_csv(args.out, sample.grid.times, sample.x, sample.values)
     _write_sidecar(args.out, "sample-field", cfg, {
-        "N": args.N, "tail_bound": tail_bound,
+        "N": args.N, "tail_bound": sample.tail_bound,
         "max_clipped_mass": max(sample.clipped_masses, default=0.0),
-        "wellposedness": asdict(wellposed),
+        "wellposedness": asdict(sample.wellposedness),
         "regularity_assumption": {"eta_critical": eta, "exact": not isinstance(weights, Explicit)}})
     return 0
 
@@ -659,7 +657,8 @@ def cmd_reproduce(args, cfg: RunConfig) -> int:
     os.makedirs(args.out, exist_ok=True)
     summary, laws = {"profile": args.profile}, {}
     for name, cell in profile["cells"].items():
-        sample = _sample_field(cells[name], profile["n_modes"], cell["nx"], _threads(args))
+        sample = _sample_field(cells[name], _model(cells[name]), profile["n_modes"], cell["nx"],
+                               _threads(args))
         _, curve, fit = _fit(cells[name], sample, cell["axis"], cell["fit_seed"])
         laws[name] = cells[name].get("sampler", "dynamics")
         _write_columns(os.path.join(args.out, f"{name}_variogram.csv"),

@@ -298,6 +298,9 @@ class FieldSample:
     values: np.ndarray  # shape (m, n_t, n_x)
     n_modes: int
     clipped_masses: tuple = ()
+    # the gates' verdicts: the variance series and the truncation bound
+    wellposedness: SummabilityReport | None = None
+    tail_bound: float | None = None
 
     @property
     def m(self) -> int:
@@ -332,7 +335,7 @@ def assemble_field(
     at a time: as many modes as ``_BLOCK_BYTES`` of paths hold, at least
     ``_MODE_BLOCK``, a rule that reads the shape alone.  Each mode's paths
     are written straight into its slot of the block buffer by
-    ``mode_sampler._sample``, ``_MODE_BLOCK`` modes at a time, under one
+    ``mode_sampler.sample``, ``_MODE_BLOCK`` modes at a time, under one
     thread rule: with one worker, or on paths of at most
     ``mode_sampler._STEP_LOOP_STEPS`` steps, the part is one call on the
     calling thread; otherwise worker w's share, the w-th, (w + workers)-th,
@@ -341,20 +344,23 @@ def assemble_field(
     matrix product of at most ``mode_sampler._PRODUCT_MACS`` multiply-adds per chunk
     (one row when a row alone is larger).  dynamics names the trajectory
     law, one of ``mode_sampler.LAWS``; ``mode_sampler._law`` checks it and
-    builds what its samplers read, before the gates run.
+    builds what its samplers read, before the gates run.  m and seed are
+    checked as the sampler checks them, before anything is built.
 
     Raises Divergent if the variance series fails its gate and
     TailBudgetExceeded if truncation leaves more than tail_budget of
-    pointwise variance (by ``tail_variance_bound``).
+    pointwise variance (by ``tail_variance_bound``); the sample carries the
+    gate's report and the bound.
     """
     if n_modes < 1:
         raise ValueError("n_modes must be positive")
+    mode_sampler._check_sampling_args(m, seed)
     modes = _modes(basis, weights, range(1, n_modes + 1))
     setup = mode_sampler._law(dynamics, kernel, modes, grid)[0]
     x_arr = np.atleast_1d(np.asarray(x, dtype=float))
     if x_arr.ndim != 1 or x_arr.size == 0:
         raise ValueError("x must be a nonempty 1d array of positions")
-    check_wellposedness(basis, weights)
+    wellposed = check_wellposedness(basis, weights)
     tail = tail_variance_bound(basis, weights, n_modes)
     if tail > tail_budget:
         raise TailBudgetExceeded(
@@ -371,8 +377,8 @@ def assemble_field(
 
     def fill(ks, slots) -> None:
         """Sample mode ks[j] into slots[j] by one call and keep its clipped mass."""
-        ensembles = mode_sampler._sample(dynamics, kernel, [modes[k - 1] for k in ks], grid, m,
-                                         seed, setup, slots)
+        ensembles = mode_sampler.sample(dynamics, kernel, [modes[k - 1] for k in ks], grid, m,
+                                        seed, setup, slots)
         for k, ens in zip(ks, ensembles):
             clipped[k - 1] = ens.clipped_mass
 
@@ -401,4 +407,4 @@ def assemble_field(
             for lo in range(0, m * n, rows):
                 hi = min(lo + rows, m * n)
                 fields[lo:hi] += np.matmul(flat[:, lo:hi].T, shapes, out=scratch[: hi - lo])
-    return FieldSample(grid, x_arr, out, n_modes, tuple(clipped))
+    return FieldSample(grid, x_arr, out, n_modes, tuple(clipped), wellposed, tail)

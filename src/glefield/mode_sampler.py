@@ -1,27 +1,25 @@
 """Exact-in-law synthesis of stationary Gaussian mode trajectories.
 
 This module is the one owner of the sampling laws, :data:`LAWS`: it alone
-tells them apart, in its one sampler :func:`_sample`, for a block of modes
+tells them apart, in its one sampler :func:`sample`, for a block of modes
 under any law, and in :func:`_law`, the set-up that reads and the
-closed-form moments the variogram oracles sum.  The public samplers are
-one-mode calls of :func:`_sample`:
+closed-form moments the variogram oracles sum.  The laws:
 
-* :func:`sample_gle_mode` - exact sampler for the memory-kernel mode ("gle").
-  A kernel K = sum_i w_i e^{-x_i t} makes the mode the first coordinate of a
+* "gle" - exact sampler for the memory-kernel mode.  A kernel
+  K = sum_i w_i e^{-x_i t} makes the mode the first coordinate of a
   (p+1)-dimensional Ornstein-Uhlenbeck process, its Markovian embedding
   (:class:`_Markov`, built once per field for all its modes in one stacked
   pass), so the covariance is known in closed form.  A one-atom mode with an
   eigenbasis (the paper's kernel) takes the innovations form, one normal per
   step; any other whichever exact route draws fewer normals: the state
   recursion, d per step, or circulant embedding (Davies-Harte).
-* :func:`sample_gle_mode_spectral` - truncated harmonic superposition driven
-  by the spectral density ("spectral"), only asymptotically exact: a
-  cross-check of the exact sampler.
-* :func:`sample_ou_mode` - exact AR(1) recursion for the memoryless
-  (Ornstein-Uhlenbeck) mode of the classical-dynamics baseline ("heat").
+* "spectral" - truncated harmonic superposition driven by the spectral
+  density, only asymptotically exact: a cross-check of the exact sampler.
+* "heat" - exact AR(1) recursion for the memoryless (Ornstein-Uhlenbeck)
+  mode of the classical-dynamics baseline; it reads no kernel.
 
 The innovations form and the AR(1) baseline are sums of one-pole filters
-(:func:`_filter`), which :func:`_sample` runs for all of a block's modes at
+(:func:`_filter`), which :func:`sample` runs for all of a block's modes at
 once: a step loop up to ``_STEP_LOOP_STEPS`` steps, beyond that the
 block-product kernel :func:`_filter_block`, one call per stack of modes of
 one filter shape, which runs the state recursion too.  Every other mode
@@ -78,9 +76,10 @@ class PathEnsemble:
     """m sampled paths on a common grid and the route that drew them.
 
     method is "recursion" (innovations form or state recursion) or
-    "circulant" for :func:`sample_gle_mode`; embedding_length (2L) and
-    clipped_mass (negative over positive circulant eigenvalue mass) are 0
-    off the circulant route."""
+    "circulant" under gle, "spectral" and "ou" under the other laws;
+    embedding_length (2L) and clipped_mass (negative over positive circulant
+    eigenvalue mass) are 0 off the circulant route, and node_count off the
+    superposition."""
 
     grid: TimeGrid
     values: np.ndarray  # shape (m, n)
@@ -702,18 +701,6 @@ def _embed(emb: _Markov, i: int, grid: TimeGrid):
 _PATH_CHUNK = 256
 
 
-def sample_gle_mode(kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int,
-                    seed: int) -> PathEnsemble:
-    """Sample m stationary memory-kernel paths, exact in law.
-
-    Marginal variance is r(0) = lambda_k^2 / alpha_k and lagged covariances
-    are the closed-form r(j*dt) of the Markovian embedding, before Monte
-    Carlo error.  A one-atom mode with an eigenbasis takes the innovations
-    form (:func:`_filter`); any other the route :func:`_embed` picks
-    (:func:`_gle_paths`).  One mode of :func:`_sample`."""
-    return _sample("gle", kernel, [mode], grid, m, seed)[0]
-
-
 def _gle_paths(kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int,
                setup: _Markov, out: np.ndarray) -> tuple:
     """gle's paths of a mode with no one-pole filter, written to ``out``: the
@@ -783,13 +770,6 @@ def spectral_nodes(sd: SpectralDensity):
     return nodes, widths
 
 
-def sample_gle_mode_spectral(kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int,
-                             seed: int) -> PathEnsemble:
-    """Harmonic-superposition sampler (:func:`_spectral_paths`), independent
-    of the embedding routes.  One mode of :func:`_sample`."""
-    return _sample("spectral", kernel, [mode], grid, m, seed)[0]
-
-
 def _spectral_paths(kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, seed: int,
                     setup, out: np.ndarray) -> tuple:
     """u(t) = sum_j a_j (xi_j cos + eta_j sin)(w_j t) with a_j = lambda
@@ -813,13 +793,6 @@ def _spectral_paths(kernel: KernelMeasure, mode: Mode, grid: TimeGrid, m: int, s
             block += eta @ np.sin(phases, out=phases)
             out[start : start + len(draws), lo : lo + _TIME_BLOCK] = block
     return "spectral", 0.0, 0, k
-
-
-def sample_ou_mode(mode: Mode, grid: TimeGrid, m: int, seed: int) -> PathEnsemble:
-    """Exact stationary AR(1) recursion for the memoryless baseline mode:
-    u_{j+1} = e^{-alpha dt} u_j + lambda * sqrt((1 - e^{-2 alpha dt})/(2 alpha)) * xi_j.
-    One mode of :func:`_sample`."""
-    return _sample("heat", None, [mode], grid, m, seed)[0]
 
 
 def _filter(law: str, mode: Mode, grid: TimeGrid, setup: _Markov | None):
@@ -871,12 +844,18 @@ _ROUTES = {"gle": (("recursion",), _gle_paths), "heat": (("ou",), None),
            "spectral": (("spectral", 0.0, 0, _NODE_COUNT), _spectral_paths)}
 
 
-def _sample(law: str, kernel: KernelMeasure, modes, grid: TimeGrid, m: int, seed: int,
-            setup: _Markov | None = None, out: np.ndarray | None = None) -> list:
+def sample(law: str, kernel: KernelMeasure, modes, grid: TimeGrid, m: int, seed: int,
+           setup: _Markov | None = None, out: np.ndarray | None = None) -> list:
     """The one sampler: m paths of each mode of the list ``modes`` under
     ``law``, one of :data:`LAWS`, written to the mode's slot of ``out``
-    (:func:`_paths_out`); one :class:`PathEnsemble` per mode.
+    (:func:`_paths_out`); one :class:`PathEnsemble` per mode.  One mode is
+    ``sample(law, kernel, [mode], grid, m, seed)[0]``; heat reads no kernel,
+    which may be None.
 
+    Under gle and heat the paths are exact in law: marginal variance r(0)
+    and lagged covariances r(j*dt) are the closed forms of :func:`_law`,
+    before Monte Carlo error; heat's is the AR(1) recursion u_{j+1} =
+    e^{-alpha dt} u_j + lambda sqrt((1 - e^{-2 alpha dt}) / (2 alpha)) xi_j.
     ``setup`` is what :func:`_law` builds for ``law``, ``kernel``, ``grid``
     and modes that include these, built here when None.  Each chunk of
     paths draws every mode that has a one-pole filter (:func:`_filter`) from

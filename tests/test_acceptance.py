@@ -13,7 +13,7 @@ import numpy as np
 from glefield.cli import main
 from glefield.cm_kernel import KernelMeasure, PowerLaw, discretize, eval_kernel, k_cos, k_sin
 from glefield.field_assembly import DirichletInterval, Divergent, Explicit, Flat, check_wellposedness
-from glefield.mode_sampler import TimeGrid, sample_gle_mode
+from glefield.mode_sampler import TimeGrid, sample
 from glefield.spectral import (
     Mode,
     SpectralDensity,
@@ -123,7 +123,7 @@ def test_criterion_5_sampler_fidelity():
         start = time.perf_counter()
         mode = Mode(1, alpha, 1.0)
         sd = SpectralDensity(measure, mode)
-        ens = sample_gle_mode(measure, mode, grid, 4096, seed=2024)
+        ens = sample("gle", measure, [mode], grid, 4096, seed=2024)[0]
         v = ens.values
         worst = 0.0
         for j in (0, 1, 2, 4, 8, 16, 32, 64):

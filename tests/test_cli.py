@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import glefield
-from glefield import cli, spectral
+from glefield import cli, field_assembly, spectral
 from glefield.cli import _write_columns, _write_field_csv, load_config, main
 from glefield.cm_kernel import KernelMeasure
 from glefield.mode_sampler import _Markov
@@ -118,6 +118,16 @@ def test_readme_config_block_is_the_defaults(tmp_path):
     parser.read_string(block)
     named = {section: set(parser[section]) for section in parser.sections()}
     assert named == {section: set(keys) for section, keys in cli._SCHEMA.items()}
+
+
+def test_readme_python_block_runs():
+    # the documented example runs as written, so an API change cannot leave
+    # the README behind
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(compile(block, "README.md", "exec"), namespace)
+    assert namespace["ens"].values.shape == (64, 4096)
 
 
 def _configparser_hash(text):
@@ -371,6 +381,22 @@ def test_sample_field_thread_count_is_immaterial(tmp_path):
     assert sidecar["wellposedness"]["convergent"] is True
     assert sidecar["regularity_assumption"] == {"eta_critical": 0.5, "exact": True}
     assert 0.0 < sidecar["tail_bound"] < 1.0
+
+
+def test_sample_field_builds_its_model_and_sums_each_series_once(tmp_path, monkeypatch):
+    # the sidecar's gate and truncation bound are the ones assembly passed:
+    # one sum each, plus eta*'s two, and one power-law discretization
+    series, nodes = [], []
+    summed, discretize = field_assembly._series, cli.discretize
+    monkeypatch.setattr(field_assembly, "_series",
+                        lambda *a, **k: series.append(a) or summed(*a, **k))
+    monkeypatch.setattr(cli, "discretize", lambda law: nodes.append(law) or discretize(law))
+    cfg = tmp_path / "p.ini"
+    cfg.write_text("[kernel]\nkernel = powerlaw\nnodes = 16\n")
+    assert main(["sample-field", "--config", str(cfg), "--N", "4", "--nx", "3", "--n", "8",
+                 "--ensemble", "2", "--tail-budget", "1", "--out", str(tmp_path / "f.csv")]) == 0
+    assert len(series) == 4
+    assert len(nodes) == 1
 
 
 def _refuse_constant(name):
@@ -628,6 +654,8 @@ _HUGE_SQUARE = "lambda_k^2 leaves the float range at lambda_k = 2.197937185"
 _HUGE_EIGENVALUE = "alpha_k = (k pi / L)^2 at L = 1e-300 leaves the float range"
 _TINY_LENGTH = "alpha_k = (k pi / L)^2 at L = 5e-324 leaves the float range"
 _SMALL_FIELD = ["--N", "4", "--nx", "2", "--n", "8", "--ensemble", "2"]
+_FIELD_OF_ENSEMBLE = ["sample-field", "--N", "4", "--nx", "3", "--n", "8", "--tail-budget", "1",
+                      "--ensemble"]
 
 # each case: config text (or None), the command's arguments ({tmp} is the
 # test's directory, {mode} a sampled mode CSV), a CSV text written to
@@ -696,6 +724,11 @@ _REJECTED = {
                                    "--dt", "1e-300"], None, "dt 1e-300 is too small"),
     "tiny-dt-sample-field": (None, ["sample-field", *_SMALL_FIELD, "--dt", "1e-300",
                                     "--tail-budget", "1"], None, "dt 1e-300 is too small"),
+    # an ensemble size the sampler refuses, checked before assembly allocates
+    "ensemble-zero-sample-field": (None, [*_FIELD_OF_ENSEMBLE, "0"], None,
+                                   "ensemble size 0 must be a positive integer"),
+    "ensemble-negative-sample-field": (None, [*_FIELD_OF_ENSEMBLE, "-1"], None,
+                                       "ensemble size -1 must be a positive integer"),
     "overflow-explicit-weight-squared": (
         "[weights]\nrule = explicit\nvalues = 1e200" + ", 1.0" * 11 + "\n",
         ["sample-field", *_SMALL_FIELD], None,

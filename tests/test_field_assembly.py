@@ -25,7 +25,7 @@ from glefield.field_assembly import (
     critical_eta,
     tail_variance_bound,
 )
-from glefield.mode_sampler import TimeGrid, sample_gle_mode
+from glefield.mode_sampler import TimeGrid
 from glefield.spectral import Mode
 
 SINGLE = KernelMeasure([(1.0, 1.0)])
@@ -248,7 +248,7 @@ def test_assembly_equals_manual_mode_sum():
     manual = np.zeros((5, grid.n, xs.size))
     magnitude = np.zeros_like(manual)
     for k in (1, 2, 3):
-        ens = sample_gle_mode(SINGLE, Mode(k, BASIS.alpha(k), 1.0), grid, 5, seed=42)
+        (ens,) = mode_sampler.sample("gle", SINGLE, [Mode(k, BASIS.alpha(k), 1.0)], grid, 5, 42)
         for ix, x in enumerate(xs):
             manual[:, :, ix] += ens.values * BASIS.eval(k, x)
             magnitude[:, :, ix] += np.abs(ens.values * BASIS.eval(k, x))
@@ -258,6 +258,14 @@ def test_assembly_equals_manual_mode_sum():
     assert np.all(np.abs(sample.values - manual) <= bound)
     assert sample.n_modes == 3
     assert sample.m == 5
+
+
+@pytest.mark.parametrize("m", [0, -1, 2.0])
+def test_assembly_checks_ensemble_size_as_the_sampler_does(m):
+    # before the block width, which divides by m, or any buffer is taken
+    grid = TimeGrid(dt=0.25, n=8)
+    with pytest.raises(ValueError, match=f"ensemble size {m!r} must be a positive integer"):
+        assemble_field(SINGLE, BASIS, Flat(1.0), 4, grid, [1.0], m, 1, tail_budget=1.0)
 
 
 def test_assembly_builds_every_gle_embedding_in_one_pass(monkeypatch):
@@ -301,8 +309,8 @@ def _assemble_by_row(kernel, basis, weights, n_modes, grid, xs, m, seed, dynamic
     for start in range(1, n_modes + 1, width):
         ks = range(start, min(start + width, n_modes + 1))
         block = np.stack([
-            mode_sampler._sample(dynamics, kernel, [_scalar_mode(basis, weights, k)],
-                                 grid, m, seed)[0].values
+            mode_sampler.sample(dynamics, kernel, [_scalar_mode(basis, weights, k)],
+                                grid, m, seed)[0].values
             for k in ks])
         shapes = np.stack([basis.eval(k, xs) for k in ks])
         for i, row in enumerate(out):
@@ -393,8 +401,8 @@ def test_short_fields_match_a_long_double_mode_sum(n_modes, grid, m, nx, dynamic
     xs = _interior(nx)
     ref = np.zeros((m, grid.n, nx), dtype=np.longdouble)
     for k in range(1, n_modes + 1):
-        paths = mode_sampler._sample(dynamics, SINGLE, [_scalar_mode(BASIS, Flat(1.0), k)],
-                                     grid, m, 5)[0].values
+        paths = mode_sampler.sample(dynamics, SINGLE, [_scalar_mode(BASIS, Flat(1.0), k)],
+                                    grid, m, 5)[0].values
         ref += paths.astype(np.longdouble)[..., None] * BASIS.eval(k, xs).astype(np.longdouble)
     scale = np.sqrt(np.mean(ref * ref))
     samples = [assemble_field(SINGLE, BASIS, Flat(1.0), n_modes, grid, xs, m, 5,
@@ -440,7 +448,7 @@ def test_clipped_masses_stay_in_mode_order(monkeypatch):
     # paths (n = 32) and long ones (n = 128), for the one-atom kernel's
     # one-pole filter modes and the two-atom kernel's state recursion and
     # circulant modes alike.  Untagged, a filter clips nothing
-    sample = mode_sampler._sample
+    sample = mode_sampler.sample
 
     def tagged(law, kernel, modes, *args, **kwargs):
         ensembles = sample(law, kernel, modes, *args, **kwargs)
@@ -448,7 +456,7 @@ def test_clipped_masses_stay_in_mode_order(monkeypatch):
             ens.clipped_mass = mode.index / 100.0
         return ensembles
 
-    monkeypatch.setattr(mode_sampler, "_sample", tagged)
+    monkeypatch.setattr(mode_sampler, "sample", tagged)
     two_atoms = KernelMeasure([(0.5, 1.0), (0.5, 2.0)])
     cases = itertools.product((SINGLE, two_atoms), (32, 128), (1, 2, 3))
     for kernel, n, workers in cases:
@@ -482,14 +490,14 @@ def test_block_paths_are_the_modes_alone(monkeypatch, dynamics, kernel, basis):
     # interval of length 30 modes take the state recursion and the
     # circulant.  The zero-weight mode 7 gets zero paths
     seen = {}
-    sample = mode_sampler._sample
+    sample = mode_sampler.sample
 
     def recording(law, kernel, modes, grid, m, seed, setup, out):
         ensembles = sample(law, kernel, modes, grid, m, seed, setup, out)
         seen.update((mode, ens.values.copy()) for mode, ens in zip(modes, ensembles))
         return ensembles
 
-    monkeypatch.setattr(mode_sampler, "_sample", recording)
+    monkeypatch.setattr(mode_sampler, "sample", recording)
     weights = Explicit((1.0,) * 6 + (0.0,) + (0.5,) * 6)
     for grid, workers in itertools.product((TimeGrid(dt=0.25, n=16), TimeGrid(dt=0.25, n=128)),
                                            (1, 2, 3)):

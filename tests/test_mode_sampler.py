@@ -21,9 +21,7 @@ from glefield.mode_sampler import (
     _stream,
     circulant_eigenvalues,
     paths_from_normals,
-    sample_gle_mode,
-    sample_gle_mode_spectral,
-    sample_ou_mode,
+    sample,
     spectral_nodes,
 )
 from glefield.spectral import Mode, SpectralDensity, autocovariance, rho
@@ -75,19 +73,19 @@ def test_circulant_eigenvalues_validation():
 def test_determinism_and_prefix_property():
     mode = Mode(2, 5.0, 1.0)
     grid = TimeGrid(dt=0.125, n=64)
-    a = sample_gle_mode(SINGLE, mode, grid, 8, seed=3)
-    b = sample_gle_mode(SINGLE, mode, grid, 8, seed=3)
+    a = sample("gle", SINGLE, [mode], grid, 8, seed=3)[0]
+    b = sample("gle", SINGLE, [mode], grid, 8, seed=3)[0]
     assert np.array_equal(a.values, b.values)
-    small = sample_gle_mode(SINGLE, mode, grid, 4, seed=3)
+    small = sample("gle", SINGLE, [mode], grid, 4, seed=3)[0]
     assert np.array_equal(small.values, a.values[:4])
-    other = sample_gle_mode(SINGLE, mode, grid, 8, seed=4)
+    other = sample("gle", SINGLE, [mode], grid, 8, seed=4)[0]
     assert not np.array_equal(other.values, a.values)
 
 
 def test_streams_differ_across_modes():
     grid = TimeGrid(dt=0.125, n=64)
-    a = sample_ou_mode(Mode(1, 5.0, 1.0), grid, 4, seed=3)
-    b = sample_ou_mode(Mode(2, 5.0, 1.0), grid, 4, seed=3)
+    a = sample("heat", None, [Mode(1, 5.0, 1.0)], grid, 4, seed=3)[0]
+    b = sample("heat", None, [Mode(2, 5.0, 1.0)], grid, 4, seed=3)[0]
     assert not np.array_equal(a.values, b.values)
 
 
@@ -107,9 +105,9 @@ def test_samplers_draw_no_os_entropy(monkeypatch):
     monkeypatch.setattr(random, "_urandom", lambda n: calls.append(n) or urandom(n))
     grid = TimeGrid(dt=0.125, n=64)
     mode = Mode(1, 5.0, 1.0)
-    sample_ou_mode(mode, grid, 4, seed=3)
-    sample_gle_mode(SINGLE, mode, grid, 4, seed=3)
-    sample_gle_mode_spectral(SINGLE, mode, grid, 2, seed=3)
+    sample("heat", None, [mode], grid, 4, seed=3)
+    sample("gle", SINGLE, [mode], grid, 4, seed=3)
+    sample("spectral", SINGLE, [mode], grid, 2, seed=3)
     assert calls == []
 
 
@@ -117,9 +115,9 @@ def test_zero_weight_paths_are_zero():
     mode = Mode(1, 4.0, 0.0)
     grid = TimeGrid(dt=0.1, n=32)
     for sampler in (
-        lambda: sample_gle_mode(SINGLE, mode, grid, 3, seed=0),
-        lambda: sample_gle_mode_spectral(SINGLE, mode, grid, 3, seed=0),
-        lambda: sample_ou_mode(mode, grid, 3, seed=0),
+        lambda: sample("gle", SINGLE, [mode], grid, 3, seed=0)[0],
+        lambda: sample("spectral", SINGLE, [mode], grid, 3, seed=0)[0],
+        lambda: sample("heat", None, [mode], grid, 3, seed=0)[0],
     ):
         assert not sampler().values.any()
 
@@ -128,19 +126,17 @@ def test_sampling_argument_validation():
     grid = TimeGrid(dt=0.1, n=16)
     mode = Mode(1, 4.0, 1.0)
     with pytest.raises(ValueError):
-        sample_gle_mode(SINGLE, mode, grid, 0, seed=0)
+        sample("gle", SINGLE, [mode], grid, 0, seed=0)
     with pytest.raises(ValueError):
-        sample_ou_mode(mode, grid, 4, seed=-1)
+        sample("heat", None, [mode], grid, 4, seed=-1)
     # a bool or a float is not a seed or an ensemble size (True would pass for 1)
     for m, seed in ((4, True), (4, False), (True, 1), (2.0, 1), (4, 1.0)):
-        for sampler in (sample_gle_mode, sample_gle_mode_spectral):
+        for law, kernel in (("gle", SINGLE), ("spectral", SINGLE), ("heat", None)):
             with pytest.raises(ValueError):
-                sampler(SINGLE, mode, grid, m, seed)
-        with pytest.raises(ValueError):
-            sample_ou_mode(mode, grid, m, seed)
+                sample(law, kernel, [mode], grid, m, seed)
     # numpy integers stay valid
-    a = sample_ou_mode(mode, grid, np.int64(3), seed=np.int64(7)).values
-    assert a.tobytes() == sample_ou_mode(mode, grid, 3, seed=7).values.tobytes()
+    a = sample("heat", None, [mode], grid, np.int64(3), seed=np.int64(7))[0].values
+    assert a.tobytes() == sample("heat", None, [mode], grid, 3, seed=7)[0].values.tobytes()
 
 
 # every route of the sampler: innovations form, two-atom state recursion,
@@ -162,7 +158,7 @@ _ROUTES = {
 def test_out_takes_the_allocating_calls_bytes(route):
     law, kernel, mode, method = _ROUTES[route]
     grid = TimeGrid(dt=0.125, n=64)
-    (alone,) = mode_sampler._sample(law, kernel, [mode], grid, 5, 3)
+    (alone,) = sample(law, kernel, [mode], grid, 5, 3)
     assert alone.method == method
     if route == "state":
         # three state coordinates per step
@@ -171,7 +167,7 @@ def test_out_takes_the_allocating_calls_bytes(route):
     # share of a block), filled with garbage first
     block = np.full((5, 5, grid.n), np.nan)
     for stack, rest in ((block[1:2], [0, 2, 3, 4]), (block[1::2], [0, 2, 4])):
-        ensembles = mode_sampler._sample(law, kernel, [mode] * len(stack), grid, 5, 3, out=stack)
+        ensembles = sample(law, kernel, [mode] * len(stack), grid, 5, 3, out=stack)
         for slot, ens in zip(stack, ensembles):
             assert np.shares_memory(ens.values, slot)
             assert slot.tobytes() == alone.values.tobytes()
@@ -189,7 +185,7 @@ def test_out_must_fit_the_paths(route):
                 np.empty((1, 5, grid.n), dtype=np.float32), np.empty((1, grid.n, 5)).transpose(0, 2, 1),
                 np.empty((1, 5, 2 * grid.n))[..., ::2], frozen, [[[0.0] * grid.n] * 5]):
         with pytest.raises(ValueError):
-            mode_sampler._sample(law, kernel, [mode], grid, 5, 3, out=bad)
+            sample(law, kernel, [mode], grid, 5, 3, out=bad)
 
 
 def test_seeds_must_fit_in_64_bits():
@@ -197,11 +193,11 @@ def test_seeds_must_fit_in_64_bits():
     # smaller one instead of giving a new ensemble
     grid = TimeGrid(dt=0.1, n=16)
     mode = Mode(1, 4.0, 1.0)
-    assert sample_ou_mode(mode, grid, 2, seed=2**64 - 1).values.shape == (2, 16)
+    assert sample("heat", None, [mode], grid, 2, seed=2**64 - 1)[0].values.shape == (2, 16)
     for sampler in (
-        lambda seed: sample_gle_mode(SINGLE, mode, grid, 2, seed),
-        lambda seed: sample_gle_mode_spectral(SINGLE, mode, grid, 2, seed),
-        lambda seed: sample_ou_mode(mode, grid, 2, seed),
+        lambda seed: sample("gle", SINGLE, [mode], grid, 2, seed)[0],
+        lambda seed: sample("spectral", SINGLE, [mode], grid, 2, seed)[0],
+        lambda seed: sample("heat", None, [mode], grid, 2, seed)[0],
     ):
         with pytest.raises(ValueError):
             sampler(2**64)
@@ -214,8 +210,8 @@ def test_sampler_never_computes_the_quadrature_sequence(monkeypatch):
     monkeypatch.setattr(spectral, "autocovariance_sequence",
                         lambda *args, **kwargs: calls.append(args))
     grid = TimeGrid(dt=0.125, n=64)
-    ens = [sample_gle_mode(SINGLE, Mode(1, 1.0, 1.0), grid, 2, seed=0),
-           sample_gle_mode(THREE, Mode(3, 10.0, 1.0), grid, 2, seed=0)]
+    ens = [sample("gle", SINGLE, [Mode(1, 1.0, 1.0)], grid, 2, seed=0)[0],
+           sample("gle", THREE, [Mode(3, 10.0, 1.0)], grid, 2, seed=0)[0]]
     assert [e.method for e in ens] == ["recursion", "circulant"]
     assert calls == []
 
@@ -226,10 +222,10 @@ def test_route_draws_the_fewer_normals():
     # normals per path, so it takes the circulant at the first PSD length,
     # here L = 2n
     grid = TimeGrid(dt=2.0**-8, n=4096)
-    single = sample_gle_mode(SINGLE, Mode(4, 16.0, 1.0), grid, 2, seed=0)
+    single = sample("gle", SINGLE, [Mode(4, 16.0, 1.0)], grid, 2, seed=0)[0]
     assert (single.method, single.embedding_length) == ("recursion", 0)
     power = discretize(PowerLaw(1.0, 64))
-    ens = sample_gle_mode(power, Mode(4, 16.0, 1.0), grid, 2, seed=0)
+    ens = sample("gle", power, [Mode(4, 16.0, 1.0)], grid, 2, seed=0)[0]
     assert ens.method == "circulant"
     assert ens.embedding_length == 4 * grid.n
 
@@ -237,7 +233,7 @@ def test_route_draws_the_fewer_normals():
 def test_clipped_mass_is_never_negative_zero():
     # an embedding with no negative eigenvalue clips nothing: +0.0, not -0.0
     grid = TimeGrid(dt=0.125, n=64)
-    ens = sample_gle_mode(discretize(PowerLaw(1.0, 8)), Mode(2, 5.0, 1.0), grid, 2, seed=0)
+    ens = sample("gle", discretize(PowerLaw(1.0, 8)), [Mode(2, 5.0, 1.0)], grid, 2, seed=0)[0]
     assert ens.method == "circulant"
     assert ens.clipped_mass == 0.0
     assert math.copysign(1.0, ens.clipped_mass) == 1.0
@@ -291,9 +287,9 @@ def test_stacked_setup_samples_each_mode_as_alone():
         setup = _Markov(kernel, modes, grid)
         # the zero-weight mode is left out of the stack
         assert list(setup.slot) == [mode for mode in modes if mode.lambda_k != 0.0]
-        batch = mode_sampler._sample("gle", kernel, modes, grid, 5, 9, setup)
+        batch = sample("gle", kernel, modes, grid, 5, 9, setup)
         for mode, route, ens in zip(modes, routes, batch):
-            alone = sample_gle_mode(kernel, mode, grid, 5, seed=9)
+            alone = sample("gle", kernel, [mode], grid, 5, seed=9)[0]
             assert ens.method == alone.method == route
             assert ens.values.tobytes() == alone.values.tobytes(), mode
     single = _Markov(SINGLE, batches[0][1], grid)
@@ -303,16 +299,16 @@ def test_stacked_setup_samples_each_mode_as_alone():
                                      (SINGLE, Mode(5, 5.0, 1.0), grid),
                                      (_TWO, Mode(1, 5.0, 1.0), grid)):
         with pytest.raises(ValueError, match="set-up was built for another"):
-            mode_sampler._sample("gle", kernel, [mode], other_grid, 2, 0, single)
+            sample("gle", kernel, [mode], other_grid, 2, 0, single)
     # a zero-weight mode needs no place in the set-up
-    (zero,) = mode_sampler._sample("gle", SINGLE, [Mode(5, 5.0, 0.0)], grid, 2, 0, single)
+    (zero,) = sample("gle", SINGLE, [Mode(5, 5.0, 0.0)], grid, 2, 0, single)
     assert not zero.values.any()
 
 
 def test_degenerate_eigenbasis_falls_back_to_the_step_matrix():
     for kernel, mode in CRITICAL:
         assert _Markov(kernel, [mode]).eig == [None]
-        ens = sample_gle_mode(kernel, mode, TimeGrid(dt=0.25, n=64), 2, seed=0)
+        ens = sample("gle", kernel, [mode], TimeGrid(dt=0.25, n=64), 2, seed=0)[0]
         assert ens.method == "recursion"
         assert np.isfinite(ens.values).all()
     assert _Markov(SINGLE, [Mode(1, 5.0, 1.0)]).eig[0] is not None
@@ -511,7 +507,7 @@ def test_two_pole_mode_filters_its_normals_in_place_past_the_step_loop():
     normals = _stream(3, mode.index).standard_normal((1, 5, grid.n))
     expected = np.empty_like(normals)
     _filter_paths([(poles, weights)], normals, expected)
-    assert sample_gle_mode(SINGLE, mode, grid, 5, 3).values.tobytes() == expected.tobytes()
+    assert sample("gle", SINGLE, [mode], grid, 5, 3)[0].values.tobytes() == expected.tobytes()
 
 
 def test_stacked_filters_match_one_kernel_call_per_slot(monkeypatch):
@@ -799,14 +795,14 @@ def test_paths_at_extreme_weights_are_finite_and_scale_exactly(lam):
     # critical damping at alpha 10: x^2 = 4 alpha w
     critical = KernelMeasure([(0.1, 2.0)])
     assert _Markov(critical, [Mode(1, 10.0, 1.0)]).eig == [None]
-    assert sample_gle_mode(THREE, Mode(1, 10.0, 1.0), grid, 1, seed=2).method == "circulant"
+    assert sample("gle", THREE, [Mode(1, 10.0, 1.0)], grid, 1, seed=2)[0].method == "circulant"
     ensembles = [
-        (lambda mode: sample_gle_mode(SINGLE, mode, grid, m, seed=2).values, 1.0),
+        (lambda mode: sample("gle", SINGLE, [mode], grid, m, seed=2)[0].values, 1.0),
         (state, 1.0),
-        (lambda mode: sample_gle_mode(THREE, mode, grid, m, seed=2).values, 1.0),
-        (lambda mode: sample_gle_mode(critical, mode, grid, m, seed=2).values, 1.0),
-        (lambda mode: sample_ou_mode(mode, grid, m, seed=2).values, 0.5),
-        (lambda mode: sample_gle_mode_spectral(SINGLE, mode, grid, m, seed=2).values, 1.0),
+        (lambda mode: sample("gle", THREE, [mode], grid, m, seed=2)[0].values, 1.0),
+        (lambda mode: sample("gle", critical, [mode], grid, m, seed=2)[0].values, 1.0),
+        (lambda mode: sample("heat", None, [mode], grid, m, seed=2)[0].values, 0.5),
+        (lambda mode: sample("spectral", SINGLE, [mode], grid, m, seed=2)[0].values, 1.0),
     ]
     for draw, share in ensembles:
         paths = draw(Mode(1, 10.0, lam))
@@ -826,7 +822,7 @@ def test_superposition_memory_does_not_grow_with_path_length():
     grid = TimeGrid(dt=0.05, n=16384)
     tracemalloc.start()
     try:
-        ens = sample_gle_mode_spectral(SINGLE, Mode(1, 10.0, 1.0), grid, 4, seed=1)
+        ens = sample("spectral", SINGLE, [Mode(1, 10.0, 1.0)], grid, 4, seed=1)[0]
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -858,7 +854,7 @@ def test_one_atom_mode_draws_one_normal_per_step(monkeypatch):
     n = 256
     for mode in (Mode(1, 5.0, 1.0), Mode(1, 0.1, 1.0)):
         drawn.clear()
-        ens = sample_gle_mode(SINGLE, mode, TimeGrid(dt=0.125, n=n), 3, seed=0)
+        ens = sample("gle", SINGLE, [mode], TimeGrid(dt=0.125, n=n), 3, seed=0)[0]
         assert ens.method == "recursion"
         assert drawn == [3 * n]
 
@@ -866,11 +862,10 @@ def test_one_atom_mode_draws_one_normal_per_step(monkeypatch):
 # one-atom gle (innovations form), a three-atom mode on the circulant, the
 # superposition and the AR(1) baseline
 _SAMPLERS = {
-    "recursion": lambda grid, m: sample_gle_mode(SINGLE, Mode(2, 5.0, 1.0), grid, m, seed=3),
-    "circulant": lambda grid, m: sample_gle_mode(THREE, Mode(3, 10.0, 1.0), grid, m, seed=3),
-    "spectral": lambda grid, m: sample_gle_mode_spectral(SINGLE, Mode(2, 5.0, 1.0), grid, m,
-                                                         seed=3),
-    "ou": lambda grid, m: sample_ou_mode(Mode(2, 5.0, 1.0), grid, m, seed=3),
+    "recursion": lambda grid, m: sample("gle", SINGLE, [Mode(2, 5.0, 1.0)], grid, m, seed=3)[0],
+    "circulant": lambda grid, m: sample("gle", THREE, [Mode(3, 10.0, 1.0)], grid, m, seed=3)[0],
+    "spectral": lambda grid, m: sample("spectral", SINGLE, [Mode(2, 5.0, 1.0)], grid, m, seed=3)[0],
+    "ou": lambda grid, m: sample("heat", None, [Mode(2, 5.0, 1.0)], grid, m, seed=3)[0],
 }
 
 
@@ -901,7 +896,7 @@ def test_ensembles_do_not_depend_on_chunk_size(monkeypatch, route):
 
 def test_ou_marginal_moments():
     grid = TimeGrid(dt=0.1, n=256)
-    ens = sample_ou_mode(Mode(2, 2.0, 1.0), grid, 2048, seed=11)
+    ens = sample("heat", None, [Mode(2, 2.0, 1.0)], grid, 2048, seed=11)[0]
     v = ens.values
     per_path = v.var(axis=1)
     se = per_path.std(ddof=1) / math.sqrt(len(per_path))
@@ -926,7 +921,7 @@ def _check_lag_covariances(kernel, mode, ens, lags):
 def test_recursion_matches_quadrature_covariance():
     grid = TimeGrid(dt=2.0**-6, n=512)
     mode = Mode(3, 10.0, 1.0)
-    ens = sample_gle_mode(SINGLE, mode, grid, 1024, seed=5)
+    ens = sample("gle", SINGLE, [mode], grid, 1024, seed=5)[0]
     assert ens.method == "recursion"
     _check_lag_covariances(SINGLE, mode, ens, (0, 1, 2, 4, 8, 16))
 
@@ -934,7 +929,7 @@ def test_recursion_matches_quadrature_covariance():
 def test_circulant_matches_quadrature_covariance():
     grid = TimeGrid(dt=2.0**-6, n=512)
     mode = Mode(3, 10.0, 1.0)
-    ens = sample_gle_mode(THREE, mode, grid, 1024, seed=5)
+    ens = sample("gle", THREE, [mode], grid, 1024, seed=5)[0]
     assert ens.method == "circulant"
     _check_lag_covariances(THREE, mode, ens, (0, 1, 2, 4, 8, 16))
 
@@ -943,7 +938,7 @@ def test_spectral_route_matches_quadrature_covariance():
     grid = TimeGrid(dt=2.0**-6, n=512)
     mode = Mode(3, 10.0, 1.0)
     sd = SpectralDensity(SINGLE, mode)
-    ens = sample_gle_mode_spectral(SINGLE, mode, grid, 1024, seed=6)
+    ens = sample("spectral", SINGLE, [mode], grid, 1024, seed=6)[0]
     v = ens.values
     for j in (0, 8, 16):
         prod = v[:, j:] * v[:, : v.shape[1] - j] if j else v * v
@@ -956,7 +951,7 @@ def test_spectral_route_matches_quadrature_covariance():
 
 def test_paths_look_gaussian():
     grid = TimeGrid(dt=0.5, n=2048)
-    ens = sample_gle_mode(SINGLE, Mode(1, 2.0, 1.0), grid, 512, seed=9)
+    ens = sample("gle", SINGLE, [Mode(1, 2.0, 1.0)], grid, 512, seed=9)[0]
     pool = ens.values[:, ::4].ravel()
     kurt = ((pool - pool.mean()) ** 4).mean() / pool.var() ** 2
     assert abs(kurt - 3.0) <= 0.1
@@ -964,7 +959,7 @@ def test_paths_look_gaussian():
 
 def test_stationarity_across_halves():
     grid = TimeGrid(dt=0.5, n=2048)
-    ens = sample_gle_mode(SINGLE, Mode(1, 2.0, 1.0), grid, 512, seed=9)
+    ens = sample("gle", SINGLE, [Mode(1, 2.0, 1.0)], grid, 512, seed=9)[0]
     half = grid.n // 2
     va = ens.values[:, :half].var()
     vb = ens.values[:, half:].var()
@@ -976,33 +971,33 @@ def test_short_resonant_grid_samples_exactly():
     # mid-oscillation, stays indefinite even at 8n; the recursion is exact
     mode = Mode(1, 1e4, 1.0)
     grid = TimeGrid(dt=1e-3, n=16)
-    ens = sample_gle_mode(SINGLE, mode, grid, 4096, seed=0)
+    ens = sample("gle", SINGLE, [mode], grid, 4096, seed=0)[0]
     assert ens.method == "recursion"
     _check_lag_covariances(SINGLE, mode, ens, (0, 1, 2, 4, 8))
 
 
 def test_ensemble_metadata():
     grid = TimeGrid(dt=0.125, n=64)
-    ens = sample_gle_mode(SINGLE, Mode(2, 5.0, 1.0), grid, 4, seed=3)
+    ens = sample("gle", SINGLE, [Mode(2, 5.0, 1.0)], grid, 4, seed=3)[0]
     assert ens.method == "recursion"
     assert ens.m == 4
     assert ens.embedding_length == 0
     assert ens.clipped_mass == 0.0
-    ens = sample_gle_mode(THREE, Mode(2, 5.0, 1.0), grid, 4, seed=3)
+    ens = sample("gle", THREE, [Mode(2, 5.0, 1.0)], grid, 4, seed=3)[0]
     assert ens.method == "circulant"
     assert ens.embedding_length >= 2 * grid.n
     assert ens.clipped_mass >= 0.0
-    ou = sample_ou_mode(Mode(2, 5.0, 1.0), grid, 4, seed=3)
+    ou = sample("heat", None, [Mode(2, 5.0, 1.0)], grid, 4, seed=3)[0]
     assert ou.method == "ou"
 
 
 def test_sample_knows_exactly_the_listed_laws():
     grid = TimeGrid(dt=0.125, n=16)
-    routes = [mode_sampler._sample(law, SINGLE, [Mode(2, 5.0, 1.0)], grid, 2, seed=3)[0].method
+    routes = [sample(law, SINGLE, [Mode(2, 5.0, 1.0)], grid, 2, seed=3)[0].method
               for law in mode_sampler.LAWS]
     assert routes == ["recursion", "ou", "spectral"]
     with pytest.raises(ValueError, match="unknown dynamics 'wave'"):
-        mode_sampler._sample("wave", SINGLE, [Mode(2, 5.0, 1.0)], grid, 2, seed=3)
+        sample("wave", SINGLE, [Mode(2, 5.0, 1.0)], grid, 2, seed=3)
 
 
 def test_spectral_nodes_cover_variance():
